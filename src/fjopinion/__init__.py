@@ -9,7 +9,6 @@ metrics.
 from fjopinion.errors import GraphInputError, NumericalError, SizeGuardError
 from fjopinion.graph import (
     Graph,
-    IncidenceView,
     SpectralBounds,
     StubbornnessVector,
     build_graph,
@@ -43,7 +42,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Graph",
-    "IncidenceView",
     "StubbornnessVector",
     "SpectralBounds",
     "build_graph",

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -229,8 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="write machine-readable report here")
-        p.add_argument("--threads", type=int, default=1,
-                       help="thread budget; 1 guarantees bit reproducibility")
 
     p = sub.add_parser("metrics", help="exact or approximate metric run")
     common(p)
@@ -275,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "threads", 1):
-        os.environ.setdefault("OMP_NUM_THREADS", str(args.threads))
     try:
         return args.func(args)
     except (GraphInputError, FileNotFoundError) as exc:

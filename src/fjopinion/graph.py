@@ -1,8 +1,8 @@
 """Immutable sparse representation of a weighted undirected graph.
 
-Holds every matrix view the rest of the package needs: adjacency, weighted
-degrees, Laplacian application, the signed edge-node incidence rows, and the
-per-node stubbornness diagonal with its cached extremes.
+Holds every matrix view the rest of the package needs: the canonical edge
+arrays, adjacency, weighted degrees, Laplacian application, and the per-node
+stubbornness diagonal with its cached extremes.
 """
 
 from __future__ import annotations
@@ -51,9 +51,6 @@ class Graph:
     def d_max(self) -> float:
         return float(self.degrees.max()) if self.n else 0.0
 
-    def index_of(self, node_id) -> int:
-        return self.ids.index(node_id)
-
     def neighbors(self, i: int):
         """Pairs (j, w_ij) for node i, in CSR order."""
         a = self._adj
@@ -94,25 +91,6 @@ class StubbornnessVector:
 
     def __len__(self) -> int:
         return self.k.size
-
-
-@dataclass(frozen=True)
-class IncidenceView:
-    """Signed edge-node incidence rows b_e = e_u - e_v and the edge weights.
-
-    Applying B^T W B to a vector reproduces the Laplacian exactly.
-    """
-
-    incidence: sp.csr_matrix
-    weights: np.ndarray
-
-    def weighted_incidence_apply(self, x: np.ndarray) -> np.ndarray:
-        """W^{1/2} B x, the vector whose squared norm is x^T L x."""
-        return np.sqrt(self.weights) * (self.incidence @ x)
-
-    def laplacian_apply(self, x: np.ndarray) -> np.ndarray:
-        """B^T W B x."""
-        return self.incidence.T @ (self.weights * (self.incidence @ x))
 
 
 @dataclass(frozen=True)
@@ -274,19 +252,6 @@ def load_node_values(path, g: Graph, name="value", lo=None, hi=None) -> np.ndarr
         missing = [g.ids[i] for i in np.flatnonzero(np.isnan(out))[:5]]
         raise GraphInputError(f"{path}: missing {name} for nodes {missing}")
     return out
-
-
-def incidence_view(g: Graph) -> IncidenceView:
-    """Signed incidence matrix B (one row per canonical edge, +1 at u, -1 at v)."""
-    rows = np.repeat(np.arange(g.m, dtype=np.int64), 2)
-    cols = np.empty(2 * g.m, dtype=np.int64)
-    cols[0::2] = g.edge_u
-    cols[1::2] = g.edge_v
-    vals = np.empty(2 * g.m)
-    vals[0::2] = 1.0
-    vals[1::2] = -1.0
-    b = sp.csr_matrix((vals, (rows, cols)), shape=(g.m, g.n))
-    return IncidenceView(incidence=b, weights=np.asarray(g.edge_w, dtype=np.float64))
 
 
 def laplacian_apply(g: Graph, x: np.ndarray) -> np.ndarray:

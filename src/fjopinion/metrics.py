@@ -1,9 +1,9 @@
 """Conflict, disagreement, and polarization metrics: exact and approximate.
 
-Exact mode evaluates the defining sums on the equilibrium vector.  The
-approximate path performs one certified linear solve and reads each metric
-off as a squared l2 norm, with the solve tolerance chosen from the proved
-per-metric thresholds so every returned value is an eps-approximation.
+Both modes run one pipeline: center the opinions, solve for the centered
+equilibrium (a direct sparse solve in exact mode, one PCG solve at the
+proved per-metric tolerance in approximate mode), read the four metrics of
+the opinions as given off that one vector, and build one report.
 """
 
 from __future__ import annotations
@@ -16,21 +16,18 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from fjopinion.errors import GraphInputError, NumericalError, SizeGuardError
-from fjopinion.dynamics import DENSE_CAP, center_opinions, equilibrium
-from fjopinion.graph import (
-    Graph,
-    StubbornnessVector,
-    eigen_bounds,
-    incidence_view,
-    laplacian_apply,
-    operator_matrix,
-)
+from fjopinion.dynamics import DENSE_CAP, equilibrium
+from fjopinion.graph import Graph, StubbornnessVector, eigen_bounds, operator_matrix
 from fjopinion.solver import SolverRequest, solve
 
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """All four metrics plus provenance of how they were computed."""
+    """All four metrics plus provenance of how they were computed.
+
+    The metrics are those of the opinion vector as given, in both modes.
+    ``centered`` is always False; it is kept so that reports keep their keys.
+    """
 
     conflict: float
     disagreement: float
@@ -84,8 +81,10 @@ class DeltaBudget:
 def delta_budget(g: Graph, k: StubbornnessVector, s: np.ndarray, eps: float) -> DeltaBudget:
     """Solve-tolerance thresholds guaranteeing eps-approximation of each metric.
 
-    Requires eps in (0, 1/2) and a nonzero opinion vector; expects s centered
-    so the weighted sum vanishes.
+    Requires eps in (0, 1/2) and a nonzero opinion vector.  The thresholds
+    assume the weighted sum k.s vanishes; ``approxim`` meets that by passing
+    the centered s0 = s - (k.s)/sum(k), whose equilibrium differs from that
+    of s by exactly that constant.
     """
     if not (0.0 < eps < 0.5):
         raise GraphInputError(f"eps must be in (0, 1/2), got {eps}")
@@ -111,167 +110,121 @@ def delta_budget(g: Graph, k: StubbornnessVector, s: np.ndarray, eps: float) -> 
     return DeltaBudget(delta1=delta1, delta2=delta2, delta3=delta3)
 
 
-def _metrics_from_z(g, k, s, z):
-    """Direct defining sums evaluated on an expressed-opinion vector."""
-    conflict = float(k.k @ (z - s) ** 2)
-    dz = z[g.edge_u] - z[g.edge_v]
-    disagreement = float(g.edge_w @ dz**2)
-    polarization = float(k.k @ z**2)
-    return conflict, disagreement, polarization
-
-
 def conservation_residual_of(conflict, disagreement, polarization, k, s):
     """|C + 2D + P - sum k_i s_i^2|; the law holds for arbitrary s."""
     budget = float(k.k @ np.asarray(s, dtype=np.float64) ** 2)
     return abs(conflict + 2.0 * disagreement + polarization - budget), budget
 
 
-def metrics_exact(
-    g: Graph,
-    k: StubbornnessVector,
-    s: np.ndarray,
-    cap: int = DENSE_CAP,
-    solver_fallback: bool = False,
-) -> MetricsReport:
-    """Exact metrics from a direct equilibrium solve.
+def _pipeline(g, k, s, mode, eps, solve_centered):
+    """Center, solve, take the norms, report: the one path of both modes.
 
-    Above the cap, a quasi-exact iterative solve at delta = 1e-12 is used
-    if ``solver_fallback`` is set; otherwise the run is refused.
+    With c = (k.s) / sum(k) and s0 = s - c, the equilibrium of s is exactly
+    q + c for q = (L+K)^{-1} K s0, because 1^T (L+K) = 1^T K; the same
+    identity gives k.q = k.s0 = 0.  So every metric of s as given is read
+    off q: C = k.(q - s0)^2, D on the edge arrays, P = k.q^2 + c^2 sum(k).
+    Taking P in that form keeps the 2c k.q term, zero at the solution, out
+    of an approximate q's error, so the delta budget of s0 covers P too.
+    ``solve_centered(s0)`` returns q and the report's solve provenance; it
+    is not called when s0 = 0.  Returns the report and z = q + c.
     """
     s = np.asarray(s, dtype=np.float64)
+    if s.shape != (g.n,):
+        raise GraphInputError("opinion vector length does not match graph")
+    k_sum = float(k.k.sum())
+    c = float(k.k @ s) / k_sum
+    s0 = s - c
+    # Centering a (numerically) constant vector leaves only rounding
+    # residue; treat it as exactly zero.
+    if float(np.abs(s0).max(initial=0.0)) <= 1e-14 * float(np.abs(s).max(initial=0.0)):
+        s0 = np.zeros(g.n)
+
     t0 = time.perf_counter()
-    if g.n <= cap:
-        z = equilibrium(g, k, s, mode="exact", cap=cap)
-        delta_used = 0.0
-    elif solver_fallback:
-        z = equilibrium(g, k, s, mode="iterative", delta=1e-12)
-        delta_used = 1e-12
+    if s0.any():
+        q, provenance = solve_centered(s0)
     else:
-        raise SizeGuardError(
-            f"exact metrics refused: n={g.n} exceeds cap {cap} and solver fallback is off"
-        )
-    solve_seconds = time.perf_counter() - t0
-
+        q, provenance = np.zeros(g.n), {"delta_used": 0.0}
     t1 = time.perf_counter()
-    conflict, disagreement, polarization = _metrics_from_z(g, k, s, z)
-    pd_index = polarization + disagreement
-    residual, budget = conservation_residual_of(conflict, disagreement, polarization, k, s)
-    norms_seconds = time.perf_counter() - t1
 
-    # Identity I_pd = sum k_i s_i z_i, a free cross-check of the solve.
-    pd_identity = float(k.k @ (s * z))
-    scale = max(abs(pd_index), abs(pd_identity), 1e-30)
-    if abs(pd_index - pd_identity) > 1e-9 * scale:
-        raise NumericalError(
-            f"pd-index cross-check failed: {pd_index!r} vs {pd_identity!r}"
-        )
+    conflict = float(k.k @ (q - s0) ** 2)
+    dq = q[g.edge_u] - q[g.edge_v]
+    disagreement = float(g.edge_w @ dq**2)
+    polarization = float(k.k @ q**2) + c * c * k_sum
+    z = q + c
+    residual, _ = conservation_residual_of(conflict, disagreement, polarization, k, s)
+    t2 = time.perf_counter()
 
-    return MetricsReport(
+    report = MetricsReport(
         conflict=conflict,
         disagreement=disagreement,
         polarization=polarization,
-        pd_index=pd_index,
+        pd_index=polarization + disagreement,
         sum_z=float(z.sum()),
         weighted_sum_z=float(k.k @ z),
-        mode="exact",
-        delta_used=delta_used,
-        eps_requested=0.0,
+        mode=mode,
+        eps_requested=eps,
         conservation_residual=residual,
-        certified=True,
-        centered=False,
         graph_fingerprint=g.fingerprint(),
         n=g.n,
         m=g.m,
-        solver_iterations=0,
-        solve_seconds=solve_seconds,
-        norms_seconds=norms_seconds,
+        solve_seconds=t1 - t0,
+        norms_seconds=t2 - t1,
+        **provenance,
     )
+    return report, z
+
+
+def metrics_exact(
+    g: Graph, k: StubbornnessVector, s: np.ndarray, cap: int = DENSE_CAP
+) -> MetricsReport:
+    """Exact metrics from a direct sparse solve; refused above ``cap`` nodes."""
+    if g.n > cap:
+        raise SizeGuardError(f"exact metrics refused: n={g.n} exceeds cap {cap}")
+    report, z = _pipeline(
+        g, k, s, "exact", 0.0,
+        lambda s0: (equilibrium(g, k, s0, mode="exact", cap=cap), {"delta_used": 0.0}),
+    )
+
+    # Identity I_pd = sum k_i s_i z_i, a free cross-check of the solve.
+    pd_identity = float(k.k @ (np.asarray(s, dtype=np.float64) * z))
+    scale = max(abs(report.pd_index), abs(pd_identity), 1e-30)
+    if abs(report.pd_index - pd_identity) > 1e-9 * scale:
+        raise NumericalError(
+            f"pd-index cross-check failed: {report.pd_index!r} vs {pd_identity!r}"
+        )
+    return report
 
 
 def approxim(g: Graph, k: StubbornnessVector, s: np.ndarray, eps: float) -> MetricsReport:
     """Approximate all four metrics from one tolerance-budgeted solve.
 
-    The opinion vector is centered (weighted) first when its weighted sum is
-    nonzero, since the error thresholds assume it vanishes.  One PCG solve
-    of (L+K) q = Ks at delta = min(delta1, delta2, delta3) then yields
-    conflict as ||K^{-1/2} L q||^2, disagreement as ||W^{1/2} B q||^2, and
-    polarization as ||K^{1/2} q||^2.  A solve that cannot certify its
-    tolerance is reported with ``certified=False``; the values are still the
-    best attainable in double precision.
+    One PCG solve of (L+K) q = K s0 for the weighted-centered s0 = s - c,
+    at delta = min(delta1, delta2, delta3) of that centered right-hand
+    side, gives the equilibrium of s as given exactly as q + c, so the
+    metrics are those of s itself, as in exact mode.  A solve that cannot
+    certify its tolerance is reported with ``certified=False``; the values
+    are still the best attainable in double precision.
     """
-    s = np.asarray(s, dtype=np.float64)
-    if s.shape != (g.n,):
-        raise GraphInputError("opinion vector length does not match graph")
     if not (0.0 < eps < 0.5):
         raise GraphInputError(f"eps must be in (0, 1/2), got {eps}")
 
-    centered = False
-    weighted_sum = float(k.k @ s)
-    if abs(weighted_sum) > 1e-12 * g.n * k.k_max * max(1.0, float(np.abs(s).max(initial=0.0))):
-        scale = float(np.abs(s).max(initial=0.0))
-        s = center_opinions(s, k)
-        centered = True
-        # Centering a (numerically) constant vector leaves only rounding
-        # residue; treat it as exactly zero.
-        if float(np.abs(s).max(initial=0.0)) <= 1e-14 * scale:
-            s = np.zeros(g.n)
-
-    if float(np.linalg.norm(s)) == 0.0:
-        return MetricsReport(
-            conflict=0.0,
-            disagreement=0.0,
-            polarization=0.0,
-            pd_index=0.0,
-            sum_z=0.0,
-            weighted_sum_z=0.0,
-            mode="approx",
-            delta_used=0.0,
-            eps_requested=eps,
-            conservation_residual=0.0,
-            certified=True,
-            centered=centered,
-            graph_fingerprint=g.fingerprint(),
-            n=g.n,
-            m=g.m,
+    def solve_pcg(s0):
+        budget = delta_budget(g, k, s0, eps)
+        res = solve(
+            SolverRequest(
+                matrix=operator_matrix(g, k),
+                b=k.k * s0,
+                delta=budget.delta,
+                bounds=eigen_bounds(g, k),
+            )
         )
+        return res.y, {
+            "delta_used": budget.delta,
+            "certified": res.certified,
+            "solver_iterations": res.iterations,
+        }
 
-    budget = delta_budget(g, k, s, eps)
-    t = operator_matrix(g, k)
-    t0 = time.perf_counter()
-    res = solve(SolverRequest(matrix=t, b=k.k * s, delta=budget.delta, bounds=eigen_bounds(g, k)))
-    solve_seconds = time.perf_counter() - t0
-    q = res.y
-
-    t1 = time.perf_counter()
-    lq = laplacian_apply(g, q)
-    conflict = float(np.sum(lq**2 / k.k))
-    inc = incidence_view(g)
-    disagreement = float(np.sum(inc.weighted_incidence_apply(q) ** 2))
-    polarization = float(k.k @ q**2)
-    pd_index = polarization + disagreement
-    residual, _ = conservation_residual_of(conflict, disagreement, polarization, k, s)
-    norms_seconds = time.perf_counter() - t1
-
-    return MetricsReport(
-        conflict=conflict,
-        disagreement=disagreement,
-        polarization=polarization,
-        pd_index=pd_index,
-        sum_z=float(q.sum()),
-        weighted_sum_z=float(k.k @ q),
-        mode="approx",
-        delta_used=budget.delta,
-        eps_requested=eps,
-        conservation_residual=residual,
-        certified=res.certified,
-        centered=centered,
-        graph_fingerprint=g.fingerprint(),
-        n=g.n,
-        m=g.m,
-        solver_iterations=res.iterations,
-        solve_seconds=solve_seconds,
-        norms_seconds=norms_seconds,
-    )
+    return _pipeline(g, k, s, "approx", eps, solve_pcg)[0]
 
 
 def conservation_check(report: MetricsReport, k: StubbornnessVector, s) -> tuple[float, float]:

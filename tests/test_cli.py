@@ -39,23 +39,29 @@ def test_metrics_exact_fixture(fixture_files, tmp_path, capsys):
 
 
 def test_metrics_approx_round_trip(fixture_files, tmp_path):
+    # (1, -1) is not weighted-centered for k = (2, 1); approx mode still
+    # reports the metrics of the opinions as given, as exact mode does.
     graph, stub, opinions = fixture_files
-    out = tmp_path / "report.json"
-    rc = cli.main(
-        [
-            "metrics",
-            "--graph", str(graph),
-            "--stubbornness", str(stub),
-            "--opinions", str(opinions),
-            "--mode", "approx",
-            "--eps", "1e-6",
-            "--out", str(out),
-        ]
-    )
-    assert rc == 0
-    report = MetricsReport.from_json(out.read_text())
-    assert report.mode == "approx"
-    assert report.centered  # (1, -1) is not weighted-centered for k = (2, 1)
+    reports = {}
+    for mode in ("exact", "approx"):
+        out = tmp_path / f"{mode}.json"
+        rc = cli.main(
+            [
+                "metrics",
+                "--graph", str(graph),
+                "--stubbornness", str(stub),
+                "--opinions", str(opinions),
+                "--mode", mode,
+                "--eps", "1e-6",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        reports[mode] = MetricsReport.from_json(out.read_text())
+    approx, exact = reports["approx"], reports["exact"]
+    assert approx.mode == "approx" and not approx.centered
+    for key in ("conflict", "disagreement", "polarization", "pd_index"):
+        assert getattr(approx, key) == pytest.approx(getattr(exact, key), rel=1e-6)
 
 
 def test_missing_file_exits_1(tmp_path):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from conftest import dense_laplacian, make_instance
-from fjopinion.dynamics import center_opinions
 from fjopinion.errors import GraphInputError, SizeGuardError
 from fjopinion.graph import StubbornnessVector, build_graph
 from fjopinion.metrics import (
@@ -41,10 +40,6 @@ class TestExact:
     def test_cap_refusal_without_fallback(self, path2, k21):
         with pytest.raises(SizeGuardError):
             metrics_exact(path2, k21, np.zeros(2), cap=1)
-
-    def test_solver_fallback_above_cap(self, path2, k21):
-        r = metrics_exact(path2, k21, np.array([1.0, -1.0]), cap=1, solver_fallback=True)
-        assert r.conflict == pytest.approx(24.0 / 25.0, abs=1e-9)
 
     def test_pd_identity(self):
         rng = np.random.default_rng(53)
@@ -107,29 +102,53 @@ class TestApproxim:
         assert r.polarization == pytest.approx(24.0 / 25.0, rel=1e-6)
 
     def test_zero_after_centering_guard(self, path2, k21):
+        # (0.4, 0.4) centers to a rounding residue of about 6e-17, which the
+        # guard turns into exact zero: no solve, only polarization is left.
         r = approxim(path2, k21, np.full(2, 0.4), eps=1e-6)
-        assert r.centered
-        assert r.conflict == r.disagreement == r.polarization == 0.0
+        assert r.solver_iterations == 0 and r.delta_used == 0.0
+        assert r.conflict == r.disagreement == 0.0
+        assert r.polarization == pytest.approx(0.48, rel=1e-12)
 
-    def test_all_metrics_within_eps(self):
+    @pytest.mark.parametrize("shift", [0.0, 0.5], ids=["raw", "shifted"])
+    def test_all_metrics_within_eps(self, shift):
         rng = np.random.default_rng(61)
         for _ in range(5):
             g, k, s = make_instance(rng, n_max=80)
-            s0 = center_opinions(s, k)
-            exact = metrics_exact(g, k, s0)
-            approx = approxim(g, k, s0, eps=1e-6)
+            exact = metrics_exact(g, k, s + shift)
+            approx = approxim(g, k, s + shift, eps=1e-6)
             assert approx.conflict == pytest.approx(exact.conflict, rel=1e-6)
             assert approx.disagreement == pytest.approx(exact.disagreement, rel=1e-6)
             assert approx.polarization == pytest.approx(exact.polarization, rel=1e-6)
             assert approx.pd_index == pytest.approx(exact.pd_index, rel=1e-6)
 
-    def test_auto_centering_is_reported(self, path2, k21):
-        r = approxim(path2, k21, np.array([1.0, -1.0]), eps=1e-6)
-        assert r.centered
-
     def test_eps_range_enforced(self, path2, k21):
         with pytest.raises(GraphInputError):
             approxim(path2, k21, np.array([1.0, -1.0]), eps=0.7)
+
+
+def run_mode(mode, g, k, s):
+    return metrics_exact(g, k, s) if mode == "exact" else approxim(g, k, s, eps=1e-6)
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+class TestModesAgree:
+    """Both modes report the metrics of the opinions as given."""
+
+    def test_readme_quick_start(self, path2, k21, mode):
+        r = run_mode(mode, path2, k21, np.array([1.0, -1.0]))
+        assert not r.centered
+        assert r.conflict == pytest.approx(0.96, rel=1e-6)
+        assert r.disagreement == pytest.approx(0.64, rel=1e-6)
+        assert r.polarization == pytest.approx(0.76, rel=1e-6)
+        assert r.pd_index == pytest.approx(1.40, rel=1e-6)
+
+    def test_constant_opinions(self, path2, k21, mode):
+        # z = s = c: polarization is c^2 sum(k), everything else vanishes.
+        r = run_mode(mode, path2, k21, np.full(2, 0.4))
+        assert r.conflict == pytest.approx(0.0, abs=1e-12)
+        assert r.disagreement == pytest.approx(0.0, abs=1e-12)
+        assert r.polarization == pytest.approx(0.4**2 * 3.0, rel=1e-6)
+        assert r.pd_index == pytest.approx(0.48, rel=1e-6)
 
 
 class TestConservation:
