@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from fjopinion.errors import GraphInputError
-from fjopinion.graph import Graph, StubbornnessVector, build_graph
+from fjopinion.graph import Graph, StubbornnessVector
 
 DISTRIBUTIONS = ("uniform", "powerlaw", "normal", "exponential")
 
@@ -66,8 +66,7 @@ def random_regular_graph(n: int, degree: int, seed: int) -> Graph:
     u = stubs[0::2]
     v = stubs[1::2]
     keep = u != v
-    triples = list(zip(u[keep].tolist(), v[keep].tolist(), [1.0] * int(keep.sum())))
-    return build_graph(triples, declared_nodes=range(n))
+    return Graph.from_arrays(u[keep], v[keep], np.ones(np.count_nonzero(keep)), n)
 
 
 def random_gnp_graph(n: int, p: float, seed: int, weight_range=(0.5, 2.0)) -> Graph:
@@ -75,24 +74,22 @@ def random_gnp_graph(n: int, p: float, seed: int, weight_range=(0.5, 2.0)) -> Gr
     rng = np.random.default_rng(seed)
     iu, iv = np.triu_indices(n, k=1)
     mask = rng.random(iu.size) < p
-    iu, iv = iu[mask], iv[mask]
-    w = rng.uniform(weight_range[0], weight_range[1], size=iu.size)
-    triples = list(zip(iu.tolist(), iv.tolist(), w.tolist()))
-    return build_graph(triples, declared_nodes=range(n))
+    w = rng.uniform(weight_range[0], weight_range[1], size=np.count_nonzero(mask))
+    return Graph.from_arrays(iu[mask], iv[mask], w, n)
 
 
 def random_connected_gnp(n: int, p: float, seed: int, weight_range=(0.5, 2.0)) -> Graph:
     """G(n, p) plus a random spanning path so the result is connected."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
-    triples = [
-        (int(order[i]), int(order[i + 1]), float(rng.uniform(*weight_range)))
-        for i in range(n - 1)
-    ]
+    path_u, path_v = order[:-1], order[1:]
+    path_w = rng.uniform(*weight_range, size=path_v.size)
     iu, iv = np.triu_indices(n, k=1)
     mask = rng.random(iu.size) < p
-    for u, v, w in zip(
-        iu[mask].tolist(), iv[mask].tolist(), rng.uniform(*weight_range, size=int(mask.sum()))
-    ):
-        triples.append((u, v, float(w)))
-    return build_graph(triples, declared_nodes=range(n))
+    w = rng.uniform(*weight_range, size=np.count_nonzero(mask))
+    return Graph.from_arrays(
+        np.concatenate([path_u, iu[mask]]),
+        np.concatenate([path_v, iv[mask]]),
+        np.concatenate([path_w, w]),
+        n,
+    )

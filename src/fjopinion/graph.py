@@ -8,8 +8,8 @@ stubbornness diagonal with its cached extremes.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,11 +51,70 @@ class Graph:
     def d_max(self) -> float:
         return float(self.degrees.max()) if self.n else 0.0
 
-    def neighbors(self, i: int):
-        """Pairs (j, w_ij) for node i, in CSR order."""
-        a = self._adj
-        lo, hi = a.indptr[i], a.indptr[i + 1]
-        return zip(a.indices[lo:hi], a.data[lo:hi])
+    @classmethod
+    def from_arrays(cls, u, v, w, n: int, ids=None) -> "Graph":
+        """Build a Graph on nodes [0, n) from parallel edge arrays.
+
+        ``u`` and ``v`` hold integer endpoints, ``w`` weights that must be
+        finite and > 0.  Self-loops are dropped (counted) and parallel edges
+        merged by summing their weights in input order.  ``ids`` gives the
+        external label of each node (default: the indices themselves).
+        """
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        w = np.asarray(w, dtype=np.float64)
+        n = int(n)
+        if n < 1:
+            raise GraphInputError("empty input: no edges and no declared nodes")
+        ids = tuple(range(n)) if ids is None else tuple(ids)
+        if len(ids) != n:
+            raise GraphInputError(f"{len(ids)} node ids for n={n} nodes")
+        if u.ndim != 1 or u.shape != v.shape or u.shape != w.shape:
+            raise GraphInputError("edge arrays u, v, w must be 1-d and of one length")
+        if u.size and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
+            raise GraphInputError(f"edge endpoints must lie in [0, {n})")
+        bad = np.flatnonzero(~(np.isfinite(w) & (w > 0.0)))
+        if bad.size:
+            i = bad[0]
+            raise GraphInputError(
+                f"edge {i + 1}: weight must be finite and > 0, "
+                f"got {float(w[i])!r} for ({ids[u[i]]!r}, {ids[v[i]]!r})"
+            )
+
+        keep = u != v
+        loops = keep.size - int(np.count_nonzero(keep))
+        u, v, w = u[keep], v[keep], w[keep]
+        # Pair keys lo * n + hi sort like (lo, hi); bincount adds each pair's
+        # weights in input order, starting from 0.0.
+        keys, slot = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_inverse=True)
+        # (bincount gives int64 for no edges at all.)
+        edge_w = np.bincount(slot, weights=w, minlength=keys.size).astype(np.float64, copy=False)
+        edge_u, edge_v = np.divmod(keys, n)
+
+        rows = np.concatenate([edge_u, edge_v])
+        cols = np.concatenate([edge_v, edge_u])
+        vals = np.concatenate([edge_w, edge_w])
+        adj = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        adj.sum_duplicates()
+        adj.sort_indices()
+
+        # Degrees as row sums of the adjacency view, same summation order.
+        degrees = np.asarray(adj.sum(axis=1)).ravel()
+
+        for arr in (edge_u, edge_v, edge_w, degrees):
+            arr.setflags(write=False)
+
+        return cls(
+            n=n,
+            m=keys.size,
+            edge_u=edge_u,
+            edge_v=edge_v,
+            edge_w=edge_w,
+            degrees=degrees,
+            ids=ids,
+            self_loops_dropped=loops,
+            _adj=adj,
+        )
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()
@@ -114,76 +173,116 @@ def build_graph(edge_triples, declared_nodes=None) -> Graph:
     summation, node ids remapped to contiguous indices in first-seen order.
     ``declared_nodes`` adds isolated nodes not touched by any edge.
     """
-    index = {}
-    ids = []
+    labels = list(declared_nodes or ())
+    declared = len(labels)
+    weights = []
+    for u, v, weight in edge_triples:
+        labels += (u, v)
+        weights.append(weight)
+    node, firsts = _first_seen(labels)
+    ends = node[declared:]
+    w = np.fromiter(map(float, weights), np.float64, len(weights))
+    return Graph.from_arrays(ends[0::2], ends[1::2], w, firsts.size, [labels[i] for i in firsts])
 
-    def idx(node):
-        i = index.get(node)
-        if i is None:
-            i = len(ids)
-            index[node] = i
-            ids.append(node)
-        return i
 
-    if declared_nodes:
-        for node in declared_nodes:
-            idx(node)
+def _first_seen(keys):
+    """Number equal keys as one node, in order of first appearance.
 
-    merged = {}
-    loops = 0
-    for lineno, triple in enumerate(edge_triples, start=1):
-        u, v, w = triple
-        w = float(w)
-        if not math.isfinite(w) or w <= 0.0:
-            raise GraphInputError(
-                f"edge {lineno}: weight must be finite and > 0, got {w!r} for ({u!r}, {v!r})"
-            )
-        iu, iv = idx(u), idx(v)
-        if iu == iv:
-            loops += 1
-            continue
-        key = (iu, iv) if iu < iv else (iv, iu)
-        merged[key] = merged.get(key, 0.0) + w
+    Returns each key's node index and the position of each node's first key.
+    Keys are grouped by hash with ``np.unique``; the rare key that differs
+    from the first key of its hash group (a hash collision) is regrouped by
+    equality.
+    """
+    keys = np.fromiter(keys, dtype=object, count=len(keys))
+    hashes = np.fromiter(map(hash, keys), np.int64, keys.size)
+    _, first, group = np.unique(hashes, return_index=True, return_inverse=True)
+    pos = first[group]
+    collided = {}
+    for i in np.flatnonzero(keys != keys[pos]):
+        pos[i] = collided.setdefault(keys[i], i)
+    firsts, node = np.unique(pos, return_inverse=True)
+    return node, firsts
 
-    n = len(ids)
-    if n == 0:
-        raise GraphInputError("empty input: no edges and no declared nodes")
 
-    if merged:
-        keys = sorted(merged)
-        edge_u = np.array([k[0] for k in keys], dtype=np.int64)
-        edge_v = np.array([k[1] for k in keys], dtype=np.int64)
-        edge_w = np.array([merged[k] for k in keys], dtype=np.float64)
-    else:
-        edge_u = np.empty(0, dtype=np.int64)
-        edge_v = np.empty(0, dtype=np.int64)
-        edge_w = np.empty(0, dtype=np.float64)
-    m = edge_u.size
+def _read_table(path):
+    """Whitespace-separated tokens of a text file, located by line.
 
-    rows = np.concatenate([edge_u, edge_v])
-    cols = np.concatenate([edge_v, edge_u])
-    vals = np.concatenate([edge_w, edge_w])
-    adj = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    adj.sum_duplicates()
-    adj.sort_indices()
+    Returns the tokens as an object array and, for each line that is neither
+    blank nor a comment (first token starting with ``#`` or ``%``), its
+    1-based number, the index of its first token and its token count.
+    """
+    with open(path) as fh:
+        text = fh.read()
+    # Each line end becomes a token of its own: a character the text does not
+    # hold.  One-char Latin-1 strings are shared objects in CPython, so these
+    # tokens cost no memory; a lone surrogate cannot occur in decoded text.
+    # NUL is skipped because numpy drops it from string scalars.
+    mark = next((c for c in map(chr, range(1, 256)) if not c.isspace() and c not in text), "\ud800")
+    text = text.replace("\n", f" {mark} ")
+    tokens = np.array(text.split(), dtype=object)
+    del text
+    stops = np.append(np.flatnonzero(tokens == mark), tokens.size)
+    starts = np.concatenate(([0], stops[:-1] + 1))
+    lines = np.flatnonzero(stops > starts)
+    heads = tokens[starts[lines]]
+    lines = lines[~np.fromiter(map(str.startswith, heads, repeat(("#", "%"))), bool, heads.size)]
+    return tokens, lines + 1, starts[lines], (stops - starts)[lines]
 
-    # Degrees as row sums of the adjacency view, same summation order.
-    degrees = np.asarray(adj.sum(axis=1)).ravel()
 
-    for arr in (edge_u, edge_v, edge_w, degrees):
-        arr.setflags(write=False)
+class _FirstBadLine:
+    """The first line of a file that fails a check, over checks made in the
+    order the file format applies them within a line.
 
-    return Graph(
-        n=n,
-        m=m,
-        edge_u=edge_u,
-        edge_v=edge_v,
-        edge_w=edge_w,
-        degrees=degrees,
-        ids=tuple(ids),
-        self_loops_dropped=loops,
-        _adj=adj,
-    )
+    A check counts only for lines before the earliest failure found so far,
+    so the line reported is the first bad one, with the message of the first
+    check it fails: the error a line-by-line reader would raise.  Lines from
+    ``end`` on may be left out of later checks.
+    """
+
+    def __init__(self, path, linenos):
+        self.path = path
+        self.linenos = linenos
+        self.end = len(linenos)
+        self.message = None
+
+    def check(self, bad, message):
+        """``bad``: the ascending indices of the lines that fail the check;
+        ``message(i)``: its error text for line i."""
+        if bad.size and bad[0] < self.end:
+            self.end = int(bad[0])
+            self.message = message(self.end)
+
+    def raise_first(self):
+        if self.message is not None:
+            raise GraphInputError(f"{self.path}:{self.linenos[self.end]}: {self.message}")
+
+
+def _parse_id(tok):
+    try:
+        return int(tok)
+    except ValueError:
+        return tok
+
+
+def _floats(tokens):
+    """float() of each token, and the indices of the tokens it rejects."""
+    try:
+        return np.fromiter(map(float, tokens), np.float64, len(tokens)), np.empty(0, np.intp)
+    except ValueError:
+        pass
+    values = np.full(len(tokens), np.nan)
+    rejected = []
+    for i, tok in enumerate(tokens):
+        try:
+            values[i] = float(tok)
+        except ValueError:
+            rejected.append(i)
+    return values, np.array(rejected, dtype=np.intp)
+
+
+def _line_text(path, lineno):
+    with open(path) as fh:
+        return next(islice(fh, lineno - 1, None)).strip()
 
 
 def load_edge_list(path) -> Graph:
@@ -193,61 +292,59 @@ def load_edge_list(path) -> Graph:
     (SNAP and Koblenz headers).  Node ids are kept as strings unless they
     parse as integers.
     """
-
-    def parse_id(tok):
-        try:
-            return int(tok)
-        except ValueError:
-            return tok
-
-    triples = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("%"):
-                continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise GraphInputError(f"{path}:{lineno}: expected 'u v [w]', got {line!r}")
-            try:
-                w = float(parts[2]) if len(parts) == 3 else 1.0
-            except ValueError:
-                raise GraphInputError(f"{path}:{lineno}: bad weight {parts[2]!r}") from None
-            if not math.isfinite(w) or w <= 0.0:
-                raise GraphInputError(f"{path}:{lineno}: weight must be finite and > 0")
-            triples.append((parse_id(parts[0]), parse_id(parts[1]), w))
-    if not triples:
+    tokens, linenos, starts, ncols = _read_table(path)
+    errors = _FirstBadLine(path, linenos)
+    errors.check(
+        np.flatnonzero((ncols < 2) | (ncols > 3)),
+        lambda i: f"expected 'u v [w]', got {_line_text(path, linenos[i])!r}",
+    )
+    weighted = np.flatnonzero(ncols == 3)
+    parsed, rejected = _floats(tokens[starts[weighted] + 2])
+    w = np.ones(starts.size)
+    w[weighted] = parsed
+    errors.check(weighted[rejected], lambda i: f"bad weight {tokens[starts[i] + 2]!r}")
+    errors.check(
+        np.flatnonzero(~(np.isfinite(w) & (w > 0.0))),
+        lambda i: "weight must be finite and > 0",
+    )
+    errors.raise_first()
+    if not starts.size:
         raise GraphInputError(f"{path}: no edges found")
-    return build_graph(triples)
+
+    # Endpoint tokens in file order (u0 v0 u1 v1 ...) to distinct tokens, then
+    # distinct tokens to node ids: tokens of one integer ("1", "01") share a node.
+    ends = tokens[np.stack((starts, starts + 1), axis=1).ravel()]
+    del tokens  # the weight tokens; freed before the graph's arrays are built
+    slot, firsts = _first_seen(ends)
+    labels = list(map(_parse_id, ends[firsts]))
+    del ends
+    node_of_slot, firsts = _first_seen(labels)
+    node = node_of_slot[slot]
+    return Graph.from_arrays(node[0::2], node[1::2], w, firsts.size, [labels[i] for i in firsts])
 
 
 def load_node_values(path, g: Graph, name="value", lo=None, hi=None) -> np.ndarray:
     """Parse a ``node value`` per-line file into a vector indexed like g."""
-    index = {node: i for i, node in enumerate(g.ids)}
+    tokens, linenos, starts, ncols = _read_table(path)
+    errors = _FirstBadLine(path, linenos)
+    errors.check(np.flatnonzero(ncols != 2), lambda i: f"expected 'node {name}'")
+    starts = starts[: errors.end]
+    nodes = list(map(_parse_id, tokens[starts]))
+    index = dict(zip(g.ids, range(g.n)))
+    pos = np.fromiter(map(index.get, nodes, repeat(-1)), np.intp, len(nodes))
+    errors.check(np.flatnonzero(pos < 0), lambda i: f"unknown node {nodes[i]!r}")
+    values, rejected = _floats(tokens[starts[: errors.end] + 1])
+    errors.check(rejected, lambda i: f"bad {name} {tokens[starts[i] + 1]!r}")
+    errors.check(np.flatnonzero(~np.isfinite(values)), lambda i: f"non-finite {name}")
+    if lo is not None:
+        errors.check(
+            np.flatnonzero(~((lo <= values) & (values <= hi))),
+            lambda i: f"{name} {float(values[i])} outside [{lo}, {hi}]",
+        )
+    errors.raise_first()
+
     out = np.full(g.n, np.nan)
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("%"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphInputError(f"{path}:{lineno}: expected 'node {name}'")
-            try:
-                node = int(parts[0])
-            except ValueError:
-                node = parts[0]
-            if node not in index:
-                raise GraphInputError(f"{path}:{lineno}: unknown node {node!r}")
-            try:
-                val = float(parts[1])
-            except ValueError:
-                raise GraphInputError(f"{path}:{lineno}: bad {name} {parts[1]!r}") from None
-            if not math.isfinite(val):
-                raise GraphInputError(f"{path}:{lineno}: non-finite {name}")
-            if lo is not None and not (lo <= val <= hi):
-                raise GraphInputError(f"{path}:{lineno}: {name} {val} outside [{lo}, {hi}]")
-            out[index[node]] = val
+    out[pos] = values  # a node given twice keeps its last value
     if np.any(np.isnan(out)):
         missing = [g.ids[i] for i in np.flatnonzero(np.isnan(out))[:5]]
         raise GraphInputError(f"{path}: missing {name} for nodes {missing}")

@@ -236,9 +236,13 @@ def test_scalability_of_approximate_path():
         rng = np.random.default_rng(n)
         k = StubbornnessVector.from_values(rng.uniform(0.5, 2.0, size=g.n))
         s = generate_opinions(g.n, "uniform", n + 1)
-        t1 = time.perf_counter()
-        approxim(g, k, s, eps=1e-6)
-        times.append(time.perf_counter() - t1)
+        # Min of three calls: a single call's time swings with machine load.
+        best = float("inf")
+        for _ in range(3):
+            t1 = time.perf_counter()
+            approxim(g, k, s, eps=1e-6)
+            best = min(best, time.perf_counter() - t1)
+        times.append(best)
         ms.append(g.m)
     slope = float(np.polyfit(np.log(ms), np.log(times), 1)[0])
     big, kbig = random_regular_graph(20_000, 4, seed=18), StubbornnessVector.uniform(20_000, 1.0)

@@ -73,3 +73,23 @@ def test_connected_gnp_is_connected():
     g = random_connected_gnp(30, 0.1, 4)
     n_comp, _ = csgraph.connected_components(g.adjacency, directed=False)
     assert n_comp == 1
+
+
+# make_instance, random_instance and the verify sweep rely on a seed giving
+# the same graph, weights and edge order included.
+@pytest.mark.parametrize(
+    "make, args, fingerprint",
+    [
+        (random_gnp_graph, (40, 0.2, 8), "5dbe1cd24eb90203"),
+        (random_gnp_graph, (25, 0.5, 0), "078b6e037f8b55f9"),
+        (random_connected_gnp, (30, 0.1, 4), "e4a3e99412468615"),
+        (random_connected_gnp, (2, 0.0, 1), "99f2d78e67e28066"),
+        (random_connected_gnp, (60, 0.05, 123), "7ee6ff808fb42ea9"),
+        (random_regular_graph, (500, 4, 2), "ab34f4333c28b3e7"),
+        (random_regular_graph, (1000, 3, 7), "3dca78d4a72fb18f"),
+    ],
+)
+def test_seeded_graphs_keep_their_fingerprints(make, args, fingerprint):
+    g = make(*args)
+    assert g.fingerprint() == fingerprint
+    assert g.ids == tuple(range(g.n)) and g.self_loops_dropped == 0

@@ -1,3 +1,6 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,13 +8,24 @@ from hypothesis import given, settings, strategies as st
 from conftest import dense_laplacian, make_instance
 from fjopinion.errors import GraphInputError
 from fjopinion.graph import (
+    Graph,
     StubbornnessVector,
     build_graph,
     eigen_bounds,
     laplacian_apply,
     load_edge_list,
+    load_node_values,
     operator_matrix,
 )
+
+
+def assert_same_graph(a, b):
+    """Bit-identical edge arrays and degrees, equal ids of equal types."""
+    for name in ("edge_u", "edge_v", "edge_w", "degrees"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    assert a.ids == b.ids and [type(i) for i in a.ids] == [type(i) for i in b.ids]
+    assert (a.n, a.m, a.self_loops_dropped) == (b.n, b.m, b.self_loops_dropped)
 
 
 class TestBuildGraph:
@@ -48,12 +62,170 @@ class TestBuildGraph:
         g = build_graph([("a", "b", 1.0), ("b", "c", 2.0)])
         assert g.ids == ("a", "b", "c")
 
+    def test_weight_error_names_edge_and_labels(self):
+        with pytest.raises(GraphInputError) as exc:
+            build_graph([(1, 2, 1.0), ("a", 3, -0.5)])
+        assert str(exc.value) == "edge 2: weight must be finite and > 0, got -0.5 for ('a', 3)"
+
+    def test_labels_with_equal_hashes_stay_apart(self):
+        # hash(-1) == hash(-2) in CPython.
+        g = build_graph([(-1, -2, 1.0), (-2, 5, 2.0), (-1, 5, 1.0), (-2, -1, 0.5)])
+        assert g.ids == (-1, -2, 5) and g.m == 3
+        assert g.edge_w.tolist() == [1.5, 1.0, 2.0]
+
+    def test_equal_labels_of_two_types_share_a_node(self):
+        g = build_graph([(1, 2, 1.0), (2.0, 1.0, 1.0)])
+        assert g.ids == (1, 2) and g.m == 1 and g.edge_w[0] == 2.0
+
     def test_deterministic_construction(self):
         triples = [(3, 1, 1.0), (1, 2, 0.5), (2, 3, 2.0)]
         assert build_graph(triples).fingerprint() == build_graph(triples).fingerprint()
 
 
+def merge_reference(u, v, w):
+    """Loop-dropping, weight-summing dict merge in input order."""
+    merged = {}
+    for a, b, x in zip(u, v, w):
+        if a != b:
+            key = (min(a, b), max(a, b))
+            merged[key] = merged.get(key, 0.0) + x
+    keys = sorted(merged)
+    return [k[0] for k in keys], [k[1] for k in keys], [merged[k] for k in keys]
+
+
+class TestFromArrays:
+    def test_merges_canonicalises_and_counts_loops(self):
+        g = Graph.from_arrays([2, 0, 1, 2, 2], [0, 2, 1, 1, 0], [1.0, 2.0, 5.0, 0.5, 0.25], 4)
+        assert g.edge_u.tolist() == [0, 1] and g.edge_v.tolist() == [2, 2]
+        assert g.edge_w.tolist() == [3.25, 0.5]
+        assert g.degrees.tolist() == [3.25, 0.5, 3.75, 0.0]
+        assert g.self_loops_dropped == 1 and g.ids == (0, 1, 2, 3)
+        assert not g.edge_w.flags.writeable
+
+    def test_no_edges(self):
+        g = Graph.from_arrays([], [], [], 3, ids=("a", "b", "c"))
+        assert (g.n, g.m) == (3, 0) and g.edge_w.dtype == np.float64
+        assert g.degrees.tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "u, v, w, n, ids, message",
+        [
+            ([0], [3], [1.0], 3, None, r"endpoints must lie in \[0, 3\)"),
+            ([-1], [0], [1.0], 3, None, r"endpoints must lie in \[0, 3\)"),
+            ([0, 1], [1], [1.0], 3, None, "of one length"),
+            ([0], [1], [1.0], 3, ("a", "b"), "2 node ids for n=3"),
+            ([], [], [], 0, None, "empty input"),
+            ([0, 1], [1, 2], [1.0, np.inf], 3, "abc", r"^edge 2: .* got inf for \('b', 'c'\)$"),
+        ],
+        ids=["endpoint-high", "endpoint-negative", "lengths", "ids", "empty", "weight"],
+    )
+    def test_rejects_bad_input(self, u, v, w, n, ids, message):
+        with pytest.raises(GraphInputError, match=message):
+            Graph.from_arrays(u, v, w, n, ids=ids)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        edges=st.lists(
+            st.tuples(st.integers(0, 11), st.integers(0, 11), st.floats(1e-3, 1e3)), max_size=60
+        ),
+    )
+    def test_matches_dict_merge(self, n, edges):
+        u = [a % n for a, _, _ in edges]
+        v = [b % n for _, b, _ in edges]
+        w = [x for _, _, x in edges]
+        g = Graph.from_arrays(u, v, w, n)
+        ref_u, ref_v, ref_w = merge_reference(u, v, w)
+        assert g.edge_u.tolist() == ref_u and g.edge_v.tolist() == ref_v
+        assert g.edge_w.tolist() == ref_w  # bit-equal: same summation order
+        assert g.self_loops_dropped == sum(a == b for a, b in zip(u, v))
+
+
+def _label(tok):
+    try:
+        return int(tok)
+    except ValueError:
+        return tok
+
+
+def reference_triples(path):
+    """The triples of an edge list read line by line, as the loader reads them."""
+    triples = []
+    with open(path) as fh:
+        for line in fh:
+            parts = line.split()
+            if parts and parts[0][0] not in "#%":
+                w = float(parts[2]) if len(parts) == 3 else 1.0
+                triples.append((_label(parts[0]), _label(parts[1]), w))
+    return triples
+
+
+ID_TOKENS = st.one_of(
+    st.integers(-3, 12).map(str),  # -1 and -2 have equal hashes
+    st.integers(0, 12).map(lambda i: f"0{i}"),  # "01" names the node "1" does
+    st.sampled_from(["a", "b", "node", "x1", "1a", "-", "#x", "%y"]),
+)
+WEIGHT_TOKENS = st.one_of(
+    st.floats(1e-3, 1e3).map(repr),
+    st.integers(1, 9).map(str),
+    st.sampled_from(["1e-3", "2.", ".5", "1_0", "3E2"]),
+)
+
+
+@st.composite
+def edge_list_text(draw):
+    """An edge list with the variety real files have."""
+    pairs, lines = [], []
+    for _ in range(draw(st.integers(1, 30))):
+        kind = draw(st.sampled_from(["edge", "edge", "edge", "reverse", "loop", "comment", "blank"]))
+        lead = draw(st.sampled_from(["", " ", "\t", "  "]))
+        if kind == "comment":
+            line = lead + draw(st.sampled_from(["#", "%", "# 1 2", "%% u v w"]))
+        elif kind == "blank":
+            line = lead
+        else:
+            if kind == "reverse" and pairs:
+                v, u = draw(st.sampled_from(pairs))
+            else:
+                u = draw(ID_TOKENS)
+                v = u if kind == "loop" else draw(ID_TOKENS)
+            pairs.append((u, v))
+            cols = [u, v] + ([draw(WEIGHT_TOKENS)] if draw(st.booleans()) else [])
+            seps = [draw(st.sampled_from([" ", "\t", "  ", " \t ", "\x0c", "\xa0"])) for _ in cols]
+            line = lead + "".join(c + s for c, s in zip(cols, seps)).rstrip(" ")
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n"])))
+    text = "".join(lines)
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
 class TestEdgeList:
+    @settings(max_examples=200, deadline=None)
+    @given(text=edge_list_text())
+    def test_same_graph_as_triples_read_line_by_line(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "g.txt")
+            with open(path, "wb") as fh:
+                fh.write(text.encode())
+            triples = reference_triples(path)
+            if not triples:
+                with pytest.raises(GraphInputError, match="no edges found"):
+                    load_edge_list(path)
+                return
+            assert_same_graph(load_edge_list(path), build_graph(triples))
+
+    def test_file_holding_every_latin1_character(self, tmp_path):
+        path = tmp_path / "g.txt"
+        printable = "".join(c for c in map(chr, range(1, 256)) if not c.isspace())
+        path.write_text(f"#{printable}\n1 2\n{printable} 1 2.5\n", encoding="utf-8")
+        assert_same_graph(load_edge_list(path), build_graph(reference_triples(path)))
+
+    def test_integer_spellings_share_a_node(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("01 2\n1 3\n-1 -2\n-2 -01 2.5\n")
+        g = load_edge_list(path)
+        assert g.ids == (1, 2, 3, -1, -2) and g.m == 3
+        assert g.edge_w.tolist() == [1.0, 1.0, 3.5]
+
     def test_parse_with_comments_and_default_weight(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("# snap header\n% koblenz header\n1 2\n2 3 2.5\n")
@@ -72,6 +244,72 @@ class TestEdgeList:
         path.write_text("# nothing\n")
         with pytest.raises(GraphInputError):
             load_edge_list(path)
+
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# c\n\n1 2\n2 3 0.5\n3 4 5 6\n", ":5: expected 'u v [w]', got '3 4 5 6'"),
+            ("\t1\t2 3  4 \n", ":1: expected 'u v [w]', got '1\\t2 3  4'"),
+            ("1 2\n1\n", ":2: expected 'u v [w]', got '1'"),
+            ("  % c\n1 2\n\n2 3 x\n", ":4: bad weight 'x'"),
+            ("1 2\n2 3 -1\n", ":2: weight must be finite and > 0"),
+            ("1 2 nan\n", ":1: weight must be finite and > 0"),
+            ("1 2 x\n1 2 3 4\n", ":1: bad weight 'x'"),
+            ("1 2 3 4\n1 2 x\n", ":1: expected 'u v [w]', got '1 2 3 4'"),
+            ("1 2 0\n1 2 x\n", ":1: weight must be finite and > 0"),
+            ("# only\n\n", ": no edges found"),
+        ],
+    )
+    def test_error_names_first_bad_line(self, tmp_path, text, message):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        with pytest.raises(GraphInputError) as exc:
+            load_edge_list(path)
+        assert str(exc.value) == f"{path}{message}"
+
+
+class TestNodeValues:
+    @pytest.fixture
+    def g(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("1 2\n2 3\n")
+        return load_edge_list(path)
+
+    def test_values_in_node_order(self, g, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text("# s\n3 0.25\n\n 1\t-0.5\r\n02 1\n")
+        out = load_node_values(path, g, name="opinion", lo=-1.0, hi=1.0)
+        assert out.tolist() == [-0.5, 1.0, 0.25]
+
+    def test_repeated_node_keeps_last_value(self, g, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text("1 0.5\n2 0.1\n3 0.2\n1 -0.5\n")
+        assert load_node_values(path, g).tolist() == [-0.5, 0.1, 0.2]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# h\n\n1 0.5\n2 0.1 9\n", ":4: expected 'node opinion'"),
+            ("1 0.5\n2\n", ":2: expected 'node opinion'"),
+            ("1 0.5\n7 0.2\n", ":2: unknown node 7"),
+            ("1 0.5\nx 0.2\n", ":2: unknown node 'x'"),
+            ("1 0.5\n2 abc\n", ":2: bad opinion 'abc'"),
+            ("1 nan\n", ":1: non-finite opinion"),
+            ("1 0.5\n2 -inf\n", ":2: non-finite opinion"),
+            ("1 0.5\n2 1.5\n", ":2: opinion 1.5 outside [-1.0, 1.0]"),
+            ("1 0.5\n9 abc\n2 x\n", ":2: unknown node 9"),
+            ("1 abc\n2 0.1 extra\n", ":1: bad opinion 'abc'"),
+            ("1 2\n2 0.1\n", ":1: opinion 2.0 outside [-1.0, 1.0]"),
+            ("1 0.5\n3 0.1\n", ": missing opinion for nodes [2]"),
+        ],
+    )
+    def test_error_names_first_bad_line(self, g, tmp_path, text, message):
+        path = tmp_path / "s.txt"
+        path.write_text(text)
+        with pytest.raises(GraphInputError) as exc:
+            load_node_values(path, g, name="opinion", lo=-1.0, hi=1.0)
+        assert str(exc.value) == f"{path}{message}"
 
 
 class TestLaplacian:
