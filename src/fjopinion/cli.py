@@ -97,13 +97,7 @@ def cmd_simulate(args) -> int:
     k = _load_stubbornness(g, args.stubbornness, args.seed)
     s = _load_opinions(g, args)
     state, trace = simulate_until(g, k, s, z0=s.copy(), eps=args.eps)
-    est = spectral_radius(g, k) if g.m else None
-    bound = (
-        convergence_bound(est, trace.f_norms[0], args.eps)
-        if est and 0.0 < est.rho_max < 1.0 and trace.f_norms[0] > args.eps
-        else 0
-    )
-    print(f"stopped at t={state.t} (bound {bound}), |f| = {trace.f_norms[-1]:.3e}")
+    print(f"stopped at t={state.t} (bound {trace.bound}), |f| = {trace.f_norms[-1]:.3e}")
     if args.out:
         lines = [
             json.dumps({"t": t, "e_norm": e, "f_norm": f})

@@ -17,7 +17,7 @@ import scipy.sparse.linalg as spla
 
 from fjopinion.errors import GraphInputError, NumericalError, SizeGuardError
 from fjopinion.graph import Graph, StubbornnessVector, eigen_bounds, operator_matrix
-from fjopinion.solver import SolverRequest, solve
+from fjopinion.solver import solve
 
 DENSE_CAP = 10_000
 POWER_ITERATION_CAP = 100_000
@@ -38,19 +38,6 @@ class OpinionState:
 
 
 @dataclass(frozen=True)
-class ScalingDiagonal:
-    """q_i = 1 / (k_i + d_i), the diagonal scaling of the update rule."""
-
-    q: np.ndarray
-
-    @classmethod
-    def of(cls, g: Graph, k: StubbornnessVector) -> "ScalingDiagonal":
-        if len(k) != g.n:
-            raise GraphInputError("stubbornness length does not match graph")
-        return cls(q=1.0 / (k.k + g.degrees))
-
-
-@dataclass(frozen=True)
 class SpectralEstimate:
     """Estimated spectral radius of QA with iteration diagnostics."""
 
@@ -66,10 +53,18 @@ class ErrorTrace:
 
     e_norms: list = field(default_factory=list)
     f_norms: list = field(default_factory=list)
+    bound: int = 0  # the convergence-time bound checked, 0 when no check ran
 
     def record(self, e_norm: float, f_norm: float):
         self.e_norms.append(float(e_norm))
         self.f_norms.append(float(f_norm))
+
+
+def _scaling(g: Graph, k: StubbornnessVector) -> np.ndarray:
+    """q_i = 1 / (k_i + d_i), the diagonal scaling of the update rule."""
+    if len(k) != g.n:
+        raise GraphInputError("stubbornness length does not match graph")
+    return 1.0 / (k.k + g.degrees)
 
 
 def step(g: Graph, k: StubbornnessVector, state: OpinionState) -> OpinionState:
@@ -80,7 +75,7 @@ def step(g: Graph, k: StubbornnessVector, state: OpinionState) -> OpinionState:
     """
     if state.s.size != g.n:
         raise GraphInputError("state dimensions do not match graph")
-    q = ScalingDiagonal.of(g, k).q
+    q = _scaling(g, k)
     z_new = q * (g.adjacency @ state.z) + q * (k.k * state.s)
     return OpinionState(s=state.s, z=z_new, t=state.t + 1)
 
@@ -106,12 +101,13 @@ def equilibrium(
     if mode == "exact":
         if g.n > cap:
             raise SizeGuardError(f"exact mode refused: n={g.n} exceeds cap {cap}")
-        return spla.spsolve(t.tocsc(), k.k * s)
+        # L + K is symmetric: order on its own pattern, not on T^T T.
+        return spla.spsolve(t.tocsc(), k.k * s, permc_spec="MMD_AT_PLUS_A")
     if mode != "iterative":
         raise GraphInputError(f"unknown mode {mode!r}")
     if not (delta > 0.0):
         raise GraphInputError("delta must be > 0 for iterative mode")
-    res = solve(SolverRequest(matrix=t, b=k.k * s, delta=delta, bounds=eigen_bounds(g, k)))
+    res = solve(t, k.k * s, delta, eigen_bounds(g, k))
     if not res.certified:
         raise NumericalError(
             f"solver did not certify delta={delta} (residual {res.residual_norm:.3e} "
@@ -128,24 +124,13 @@ def fundamental_matrix(g: Graph, k: StubbornnessVector, cap: int = DENSE_CAP) ->
     return np.linalg.solve(t, np.diag(k.k))
 
 
-def center_opinions(
-    s: np.ndarray, k: StubbornnessVector, divide_by_n: bool = False
-) -> np.ndarray:
-    """Shift s by a constant so the weighted sum 1^T K s vanishes.
-
-    Default divisor is 1^T K 1, which actually zeroes the weighted sum.
-    ``divide_by_n`` uses the node count as divisor instead; that variant
-    only zeroes the weighted sum when trace(K) = n.
-    """
+def center_opinions(s: np.ndarray, k: StubbornnessVector) -> np.ndarray:
+    """Shift s by (1^T K s) / (1^T K 1) so the weighted sum 1^T K s vanishes."""
     s = np.asarray(s, dtype=np.float64)
-    weighted_sum = float(k.k @ s)
-    divisor = float(s.size) if divide_by_n else float(k.k.sum())
-    return s - (weighted_sum / divisor)
+    return s - float(k.k @ s) / float(k.k.sum())
 
 
-def spectral_radius(
-    g: Graph, k: StubbornnessVector, tol: float = 1e-10, maxiter: int = POWER_ITERATION_CAP
-) -> SpectralEstimate:
+def spectral_radius(g: Graph, k: StubbornnessVector, tol: float = 1e-10) -> SpectralEstimate:
     """Estimate the spectral radius of QA by power iteration.
 
     Runs on the symmetric similarity Q^{1/2} A Q^{1/2} (same spectrum),
@@ -153,17 +138,17 @@ def spectral_radius(
     bipartite graphs.  The symmetric residual bound certifies
     |estimate - rho_max| <= residual.
     """
+    q = _scaling(g, k)
     if g.m == 0:
         return SpectralEstimate(rho_max=0.0, iterations=0, residual=0.0, converged=True)
-    q_sqrt = np.sqrt(ScalingDiagonal.of(g, k).q)
-    scale = sp.diags(q_sqrt)
+    scale = sp.diags(np.sqrt(q))
     sym = (scale @ g.adjacency @ scale).tocsr()
 
     x = np.full(g.n, 1.0 / math.sqrt(g.n))
     mu = 0.0
     residual = math.inf
     iters = 0
-    while iters < maxiter:
+    while iters < POWER_ITERATION_CAP:
         y = sym @ x + x  # (S + I) x
         mu = float(x @ y)
         residual = float(np.linalg.norm(y - mu * x))
@@ -197,13 +182,12 @@ def simulate_until(
     s: np.ndarray,
     z0: np.ndarray,
     eps: float,
-    maxiter: int = SIMULATION_CAP,
 ) -> tuple[OpinionState, ErrorTrace]:
     """Iterate the update until |f(t)| <= eps, recording the error trace.
 
     f is the scaled error f_i(t) = e_i(t) sqrt(k_i + d_i) whose norm decays
     geometrically with ratio rho_max.  The observed stop time is checked
-    against the convergence-time bound.
+    against the convergence-time bound, which the trace keeps as ``bound``.
     """
     if eps <= 0.0:
         raise GraphInputError("eps must be > 0")
@@ -220,18 +204,19 @@ def simulate_until(
     f0_norm = f_norm
 
     while f_norm > eps:
-        if state.t >= maxiter:
-            raise NumericalError(f"simulation did not reach eps={eps} within {maxiter} steps")
+        if state.t >= SIMULATION_CAP:
+            raise NumericalError(
+                f"simulation did not reach eps={eps} within {SIMULATION_CAP} steps"
+            )
         state = step(g, k, state)
         e = state.z - z_star
         f_norm = float(np.linalg.norm(weight * e))
         trace.record(np.linalg.norm(e), f_norm)
 
     if g.m >= 1 and f0_norm > eps:
-        est = spectral_radius(g, k)
-        bound = convergence_bound(est, f0_norm, eps)
-        if state.t > bound:
+        trace.bound = convergence_bound(spectral_radius(g, k), f0_norm, eps)
+        if state.t > trace.bound:
             raise NumericalError(
-                f"observed stop time {state.t} exceeds the convergence bound {bound}"
+                f"observed stop time {state.t} exceeds the convergence bound {trace.bound}"
             )
     return state, trace

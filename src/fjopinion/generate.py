@@ -13,6 +13,9 @@ DISTRIBUTIONS = ("uniform", "powerlaw", "normal", "exponential")
 POWERLAW_EXPONENT = 2.5
 NORMAL_SIGMA = 1.0 / 3.0
 
+# Edge weights of the G(n, p) generators are uniform on this range.
+EDGE_WEIGHTS = (0.5, 2.0)
+
 
 def generate_opinions(n: int, distribution: str, seed: int) -> np.ndarray:
     """Deterministic innate opinions mapped into [-1, 1].
@@ -69,24 +72,24 @@ def random_regular_graph(n: int, degree: int, seed: int) -> Graph:
     return Graph.from_arrays(u[keep], v[keep], np.ones(np.count_nonzero(keep)), n)
 
 
-def random_gnp_graph(n: int, p: float, seed: int, weight_range=(0.5, 2.0)) -> Graph:
+def random_gnp_graph(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi graph with uniform random edge weights, seeded."""
     rng = np.random.default_rng(seed)
     iu, iv = np.triu_indices(n, k=1)
     mask = rng.random(iu.size) < p
-    w = rng.uniform(weight_range[0], weight_range[1], size=np.count_nonzero(mask))
+    w = rng.uniform(*EDGE_WEIGHTS, size=np.count_nonzero(mask))
     return Graph.from_arrays(iu[mask], iv[mask], w, n)
 
 
-def random_connected_gnp(n: int, p: float, seed: int, weight_range=(0.5, 2.0)) -> Graph:
+def random_connected_gnp(n: int, p: float, seed: int) -> Graph:
     """G(n, p) plus a random spanning path so the result is connected."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     path_u, path_v = order[:-1], order[1:]
-    path_w = rng.uniform(*weight_range, size=path_v.size)
+    path_w = rng.uniform(*EDGE_WEIGHTS, size=path_v.size)
     iu, iv = np.triu_indices(n, k=1)
     mask = rng.random(iu.size) < p
-    w = rng.uniform(*weight_range, size=np.count_nonzero(mask))
+    w = rng.uniform(*EDGE_WEIGHTS, size=np.count_nonzero(mask))
     return Graph.from_arrays(
         np.concatenate([path_u, iu[mask]]),
         np.concatenate([path_v, iv[mask]]),

@@ -18,7 +18,7 @@ import numpy as np
 from fjopinion.errors import GraphInputError, NumericalError, SizeGuardError
 from fjopinion.dynamics import DENSE_CAP, equilibrium
 from fjopinion.graph import Graph, StubbornnessVector, eigen_bounds, operator_matrix
-from fjopinion.solver import SolverRequest, solve
+from fjopinion.solver import solve
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,8 @@ def delta_budget(g: Graph, k: StubbornnessVector, s: np.ndarray, eps: float) -> 
     Requires eps in (0, 1/2) and a nonzero opinion vector.  The thresholds
     assume the weighted sum k.s vanishes; ``approxim`` meets that by passing
     the centered s0 = s - (k.s)/sum(k), whose equilibrium differs from that
-    of s by exactly that constant.
+    of s by exactly that constant.  A graph with no edges has C = D = 0 for
+    every solve, so delta2 and delta3 do not apply there and are inf.
     """
     if not (0.0 < eps < 0.5):
         raise GraphInputError(f"eps must be in (0, 1/2), got {eps}")
@@ -95,9 +96,11 @@ def delta_budget(g: Graph, k: StubbornnessVector, s: np.ndarray, eps: float) -> 
     n = float(g.n)
     w_min, w_max = g.w_min, g.w_max
     k_min, k_max = k.k_min, k.k_max
-    cap = k_max + n * w_max
+    cap = eigen_bounds(g, k).coarse_upper  # k_max + n w_max
 
     delta1 = eps / (3.0 * math.sqrt(cap / (k_min * k_max)))
+    if g.m == 0:
+        return DeltaBudget(delta1=delta1, delta2=math.inf, delta3=math.inf)
     delta2 = eps * k_min * s_norm / (3.0 * n * cap) * math.sqrt(w_min / (n * cap))
     delta3 = (
         eps
@@ -131,6 +134,8 @@ def _pipeline(g, k, s, mode, eps, solve_centered):
     s = np.asarray(s, dtype=np.float64)
     if s.shape != (g.n,):
         raise GraphInputError("opinion vector length does not match graph")
+    if len(k) != g.n:
+        raise GraphInputError("stubbornness length does not match graph")
     k_sum = float(k.k.sum())
     c = float(k.k @ s) / k_sum
     s0 = s - c
@@ -210,14 +215,7 @@ def approxim(g: Graph, k: StubbornnessVector, s: np.ndarray, eps: float) -> Metr
 
     def solve_pcg(s0):
         budget = delta_budget(g, k, s0, eps)
-        res = solve(
-            SolverRequest(
-                matrix=operator_matrix(g, k),
-                b=k.k * s0,
-                delta=budget.delta,
-                bounds=eigen_bounds(g, k),
-            )
-        )
+        res = solve(operator_matrix(g, k), k.k * s0, budget.delta, eigen_bounds(g, k))
         return res.y, {
             "delta_used": budget.delta,
             "certified": res.certified,

@@ -18,21 +18,12 @@ import scipy.sparse as sp
 from fjopinion.errors import GraphInputError
 from fjopinion.graph import SpectralBounds
 
+MAX_ITERATIONS = 50_000
+
 # A residual that stops shrinking by at least this factor over the stagnation
 # window means the attainable floor in double precision has been reached.
 STAGNATION_WINDOW = 60
 STAGNATION_FACTOR = 0.999
-
-
-@dataclass(frozen=True)
-class SolverRequest:
-    """One linear solve T y = b with a relative T-norm error target delta."""
-
-    matrix: sp.spmatrix
-    b: np.ndarray
-    delta: float
-    bounds: SpectralBounds
-    maxiter: int = 50_000
 
 
 @dataclass(frozen=True)
@@ -44,31 +35,32 @@ class SolverResult:
     stop_tolerance: float
 
 
-def solve(req: SolverRequest) -> SolverResult:
-    """Run PCG until the delta contract's sufficient condition is met.
+def solve(
+    matrix: sp.spmatrix, b: np.ndarray, delta: float, bounds: SpectralBounds
+) -> SolverResult:
+    """Run PCG on ``matrix`` y = b until the delta contract's sufficient condition is met.
 
     If the target is unattainable (it may sit far below the double-precision
     floor), iteration continues until the residual stagnates and the best
     iterate is returned uncertified.  Deterministic for fixed inputs.
     """
-    if not (0.0 < req.delta < 1.0):
-        raise GraphInputError(f"delta must be in (0, 1), got {req.delta}")
-    t = req.matrix
-    b = np.asarray(req.b, dtype=np.float64)
+    if not (0.0 < delta < 1.0):
+        raise GraphInputError(f"delta must be in (0, 1), got {delta}")
+    b = np.asarray(b, dtype=np.float64)
     n = b.size
-    if t.shape != (n, n):
+    if matrix.shape != (n, n):
         raise GraphInputError("right-hand side length does not match operator")
 
     b_norm = float(np.linalg.norm(b))
-    lo, hi = req.bounds.lower, min(req.bounds.upper, req.bounds.coarse_upper)
-    tol = req.delta * np.sqrt(lo / hi) * b_norm
+    lo, hi = bounds.lower, min(bounds.upper, bounds.coarse_upper)
+    tol = delta * np.sqrt(lo / hi) * b_norm
 
     if b_norm == 0.0:
         return SolverResult(
             y=np.zeros(n), iterations=0, residual_norm=0.0, certified=True, stop_tolerance=tol
         )
 
-    inv_diag = 1.0 / t.diagonal()
+    inv_diag = 1.0 / matrix.diagonal()
 
     x = np.zeros(n)
     r = b.copy()
@@ -83,8 +75,8 @@ def solve(req: SolverRequest) -> SolverResult:
     since_check = 0
 
     iters = 0
-    while r_norm > tol and iters < req.maxiter:
-        tp = t @ p
+    while r_norm > tol and iters < MAX_ITERATIONS:
+        tp = matrix @ p
         ptp = float(p @ tp)
         if ptp <= 0.0:
             break
@@ -110,7 +102,7 @@ def solve(req: SolverRequest) -> SolverResult:
         rz = rz_new
 
     # Recompute the true residual of the best iterate; the recurrence drifts.
-    true_norm = float(np.linalg.norm(b - t @ best_x))
+    true_norm = float(np.linalg.norm(b - matrix @ best_x))
     return SolverResult(
         y=best_x,
         iterations=iters,

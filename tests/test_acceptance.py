@@ -33,7 +33,7 @@ from fjopinion.graph import (
     operator_matrix,
 )
 from fjopinion.metrics import approxim, conservation_check, metrics_exact
-from fjopinion.solver import SolverRequest, solve
+from fjopinion.solver import solve
 
 
 def report(name, ok, detail):
@@ -265,7 +265,7 @@ def test_solver_energy_norm_contract():
         t = operator_matrix(g, k)
         b = rng.standard_normal(g.n)
         delta = float(10.0 ** rng.uniform(-8, -2))
-        res = solve(SolverRequest(matrix=t, b=b, delta=delta, bounds=eigen_bounds(g, k)))
+        res = solve(t, b, delta, eigen_bounds(g, k))
         assert res.certified
         err = res.y - np.linalg.solve(t.toarray(), b)
         x_star = np.linalg.solve(t.toarray(), b)

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from fjopinion import cli, verify
+from fjopinion import cli, dynamics, verify
+from fjopinion.graph import StubbornnessVector, build_graph
 from fjopinion.metrics import MetricsReport
 
 
@@ -64,6 +65,26 @@ def test_metrics_approx_round_trip(fixture_files, tmp_path):
         assert getattr(approx, key) == pytest.approx(getattr(exact, key), rel=1e-6)
 
 
+def test_metrics_approx_on_graph_without_edges(tmp_path):
+    # Self-loops only: the loader drops them, leaving two isolated nodes.
+    graph = tmp_path / "loops.txt"
+    graph.write_text("1 1\n2 2\n")
+    opinions = tmp_path / "op.txt"
+    opinions.write_text("1 0.5\n2 -0.25\n")
+    reports = {}
+    for mode in ("exact", "approx"):
+        out = tmp_path / f"{mode}.json"
+        argv = ["metrics", "--graph", str(graph), "--opinions", str(opinions),
+                "--stubbornness", "random:0.5,2", "--mode", mode, "--out", str(out)]
+        assert cli.main(argv) == 0
+        reports[mode] = MetricsReport.from_json(out.read_text())
+    approx, exact = reports["approx"], reports["exact"]
+    assert approx.m == 0 and approx.certified
+    assert exact.sum_z == pytest.approx(0.25, rel=1e-12)  # z = s
+    for key in ("conflict", "disagreement", "polarization", "pd_index", "sum_z"):
+        assert getattr(approx, key) == pytest.approx(getattr(exact, key), rel=1e-12, abs=1e-24)
+
+
 def test_missing_file_exits_1(tmp_path):
     rc = cli.main(["metrics", "--graph", str(tmp_path / "nope.txt"), "--dist", "uniform"])
     assert rc == 1
@@ -108,6 +129,33 @@ def test_simulate(fixture_files, tmp_path, capsys):
     assert lines[0]["t"] == 0
     assert lines[-1]["f_norm"] <= 1e-8
     assert "stopped at t=" in capsys.readouterr().out
+
+
+def test_simulate_runs_power_iteration_once(fixture_files, monkeypatch, capsys):
+    graph, stub, opinions = fixture_files
+    true_fn = dynamics.spectral_radius
+    calls = []
+
+    def counted(g, k, *args, **kwargs):
+        calls.append(1)
+        return true_fn(g, k, *args, **kwargs)
+
+    # Count calls through both names: simulate_until's and the CLI's own.
+    monkeypatch.setattr(dynamics, "spectral_radius", counted)
+    monkeypatch.setattr(cli, "spectral_radius", counted)
+    argv = ["simulate", "--graph", str(graph), "--stubbornness", str(stub),
+            "--opinions", str(opinions), "--eps", "1e-8"]
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
+
+    g = build_graph([(0, 1, 1.0)])
+    k = StubbornnessVector.from_values([2.0, 1.0])
+    s = np.array([1.0, -1.0])
+    state, trace = dynamics.simulate_until(g, k, s, z0=s.copy(), eps=1e-8)
+    bound = dynamics.convergence_bound(true_fn(g, k), trace.f_norms[0], 1e-8)
+    assert bound > 0
+    expected = f"stopped at t={state.t} (bound {bound}), |f| = {trace.f_norms[-1]:.3e}"
+    assert capsys.readouterr().out.splitlines() == [expected]
 
 
 def test_spectrum(fixture_files, tmp_path):

@@ -6,7 +6,6 @@ import pytest
 from conftest import make_instance
 from fjopinion.dynamics import (
     OpinionState,
-    ScalingDiagonal,
     center_opinions,
     convergence_bound,
     equilibrium,
@@ -46,7 +45,7 @@ class TestStep:
         g, k, s = make_instance(rng)
         z = rng.uniform(-1, 1, g.n)
         out = step(g, k, OpinionState(s=s, z=z))
-        q = ScalingDiagonal.of(g, k).q
+        q = 1.0 / (k.k + g.degrees)
         expected = q * (g.adjacency @ z) + q * k.k * s
         assert np.allclose(out.z, expected, atol=1e-15)
 
@@ -121,11 +120,6 @@ class TestCentering:
     def test_uniform_ones_to_zero(self):
         k = StubbornnessVector.uniform(4, 2.0)
         assert np.allclose(center_opinions(np.ones(4), k), 0.0)
-
-    def test_divide_by_n_reproduces_literal_formula(self, k21):
-        s = np.array([1.0, 0.0])
-        out = center_opinions(s, k21, divide_by_n=True)
-        assert np.allclose(out, s - (2.0 / 2.0))  # divisor n = 2
 
 
 class TestSpectralRadius:

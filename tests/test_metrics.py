@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_laplacian, make_instance
+from fjopinion import dynamics
 from fjopinion.errors import GraphInputError, SizeGuardError
 from fjopinion.graph import StubbornnessVector, build_graph
 from fjopinion.metrics import (
@@ -88,6 +89,13 @@ class TestDeltaBudget:
         with pytest.raises(GraphInputError):
             delta_budget(path2, k11, np.zeros(2), eps=0.1)
 
+    def test_edgeless_graph_uses_first_threshold(self):
+        # No edges: C = D = 0 whatever the solve returns, so only delta1 applies.
+        g = build_graph([], declared_nodes=[0, 1])
+        b = delta_budget(g, StubbornnessVector.from_values([2.0, 1.0]), np.array([1.0, -2.0]), 0.1)
+        assert b.delta2 == b.delta3 == math.inf
+        assert b.delta == b.delta1 == pytest.approx(0.1 / 3.0, rel=1e-12)  # cap = k_max
+
     def test_eps_range_enforced(self, path2, k11):
         for eps in (0.0, 0.5, 1.0, -0.1):
             with pytest.raises(GraphInputError):
@@ -124,6 +132,36 @@ class TestApproxim:
     def test_eps_range_enforced(self, path2, k21):
         with pytest.raises(GraphInputError):
             approxim(path2, k21, np.array([1.0, -1.0]), eps=0.7)
+
+    def test_edgeless_graph_matches_exact(self):
+        g = build_graph([], declared_nodes=[0, 1, 2])
+        k = StubbornnessVector.from_values([0.5, 1.0, 2.0])
+        s = np.array([0.5, -0.25, 1.0])
+        exact = metrics_exact(g, k, s)
+        approx = approxim(g, k, s, eps=1e-6)
+        assert approx.certified and approx.solver_iterations >= 1
+        assert approx.disagreement == 0.0 and approx.conflict == pytest.approx(0.0, abs=1e-24)
+        assert approx.sum_z == pytest.approx(s.sum(), rel=1e-12)  # z = s
+        for key in ("polarization", "pd_index", "sum_z", "weighted_sum_z"):
+            assert getattr(approx, key) == pytest.approx(getattr(exact, key), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, k, s: dynamics.step(g, k, dynamics.OpinionState(s=s, z=s)),
+        lambda g, k, s: dynamics.spectral_radius(g, k),
+        lambda g, k, s: dynamics.equilibrium(g, k, s),
+        lambda g, k, s: dynamics.simulate_until(g, k, s, z0=s, eps=1e-8),
+        lambda g, k, s: metrics_exact(g, k, s),
+        lambda g, k, s: approxim(g, k, s, eps=1e-6),
+    ],
+    ids=["step", "spectral_radius", "equilibrium", "simulate_until", "metrics_exact", "approxim"],
+)
+def test_wrong_length_stubbornness_is_an_input_error(path2, call):
+    k3 = StubbornnessVector.from_values([1.0, 2.0, 3.0])
+    with pytest.raises(GraphInputError, match="stubbornness length does not match graph"):
+        call(path2, k3, np.array([1.0, -1.0]))
 
 
 def run_mode(mode, g, k, s):
