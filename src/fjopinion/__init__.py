@@ -27,7 +27,7 @@ from fjopinion.dynamics import (
     spectral_radius,
     step,
 )
-from fjopinion.solver import SolverResult, solve
+from fjopinion.solver import Certificate, SolverResult, energy_norm_certificate, solve
 from fjopinion.metrics import (
     DeltaBudget,
     MetricsReport,
@@ -57,7 +57,9 @@ __all__ = [
     "spectral_radius",
     "convergence_bound",
     "simulate_until",
+    "Certificate",
     "SolverResult",
+    "energy_norm_certificate",
     "solve",
     "MetricsReport",
     "DeltaBudget",

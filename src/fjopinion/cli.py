@@ -79,7 +79,11 @@ def cmd_metrics(args) -> int:
     else:
         report = approxim(g, k, s, args.eps)
     print(f"graph            {args.graph}  (n={g.n}, m={g.m})")
-    print(f"mode             {report.mode}  certified={report.certified}")
+    print(
+        f"mode             {report.mode}  certified={report.certified}  "
+        f"bound={report.error_bound:.3g}  iterations={report.solver_iterations}  "
+        f"stop={report.stop_reason or '-'}"
+    )
     print(f"conflict         {report.conflict:.12g}")
     print(f"disagreement     {report.disagreement:.12g}")
     print(f"polarization     {report.polarization:.12g}")

@@ -16,8 +16,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from fjopinion.errors import GraphInputError, NumericalError, SizeGuardError
-from fjopinion.graph import Graph, StubbornnessVector, eigen_bounds, operator_matrix
-from fjopinion.solver import solve
+from fjopinion.graph import Graph, StubbornnessVector, operator_matrix
+from fjopinion.solver import energy_norm_certificate, solve
 
 DENSE_CAP = 10_000
 POWER_ITERATION_CAP = 100_000
@@ -92,7 +92,8 @@ def equilibrium(
 
     Exact mode uses a direct sparse factorization of L + K and is refused
     above ``cap`` nodes.  Iterative mode delegates to the PCG solver with
-    right-hand side Ks and relative energy-norm tolerance ``delta``.
+    right-hand side Ks, which stops once it proves a relative energy-norm
+    error of at most ``delta``; ``delta`` must lie in (0, 1).
     """
     s = np.asarray(s, dtype=np.float64)
     if s.shape != (g.n,):
@@ -107,11 +108,12 @@ def equilibrium(
         raise GraphInputError(f"unknown mode {mode!r}")
     if not (delta > 0.0):
         raise GraphInputError("delta must be > 0 for iterative mode")
-    res = solve(t, k.k * s, delta, eigen_bounds(g, k))
+    b = k.k * s
+    res = solve(t, b, k, energy_norm_certificate(b, delta))
     if not res.certified:
         raise NumericalError(
-            f"solver did not certify delta={delta} (residual {res.residual_norm:.3e} "
-            f"vs tolerance {res.stop_tolerance:.3e} after {res.iterations} iterations)"
+            f"solver did not certify delta={delta}: {res.stop_reason} after "
+            f"{res.iterations} iterations with proved relative error {res.bound:.3e}"
         )
     return res.y
 
@@ -187,7 +189,9 @@ def simulate_until(
 
     f is the scaled error f_i(t) = e_i(t) sqrt(k_i + d_i) whose norm decays
     geometrically with ratio rho_max.  The observed stop time is checked
-    against the convergence-time bound, which the trace keeps as ``bound``.
+    against the convergence-time bound, which the trace keeps as ``bound``;
+    it takes rho_max from ``spectral_radius`` when that converged, and the
+    proved row-sum bound max_i d_i / (k_i + d_i) when it did not.
     """
     if eps <= 0.0:
         raise GraphInputError("eps must be > 0")
@@ -214,7 +218,11 @@ def simulate_until(
         trace.record(np.linalg.norm(e), f_norm)
 
     if g.m >= 1 and f0_norm > eps:
-        trace.bound = convergence_bound(spectral_radius(g, k), f0_norm, eps)
+        est = spectral_radius(g, k)
+        # Power iteration approaches rho from below; unconverged, its value
+        # is no bound.  The row sums of QA, d_i / (k_i + d_i), bound rho.
+        rho = est.rho_max if est.converged else float((g.degrees * _scaling(g, k)).max())
+        trace.bound = convergence_bound(rho, f0_norm, eps)
         if state.t > trace.bound:
             raise NumericalError(
                 f"observed stop time {state.t} exceeds the convergence bound {trace.bound}"

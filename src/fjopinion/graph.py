@@ -156,9 +156,8 @@ class StubbornnessVector:
 class SpectralBounds:
     """Bracket for the spectrum of L + K.
 
-    ``upper`` is the Gershgorin-type bound k_max + 2 d_max, used for solver
-    stopping heuristics.  ``coarse_upper`` is the coarser k_max + n w_max used
-    by the approximation budget.
+    ``upper`` is the Gershgorin-type bound k_max + 2 d_max.  ``coarse_upper``
+    is the coarser k_max + n w_max used by the paper's approximation budget.
     """
 
     lower: float

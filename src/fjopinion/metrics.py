@@ -1,9 +1,10 @@
 """Conflict, disagreement, and polarization metrics: exact and approximate.
 
 Both modes run one pipeline: center the opinions, solve for the centered
-equilibrium (a direct sparse solve in exact mode, one PCG solve at the
-proved per-metric tolerance in approximate mode), read the four metrics of
-the opinions as given off that one vector, and build one report.
+equilibrium (a direct sparse solve in exact mode, one PCG solve in
+approximate mode that stops once an a-posteriori certificate proves every
+metric to the requested relative eps), read the four metrics of the
+opinions as given off that one vector, and build one report.
 """
 
 from __future__ import annotations
@@ -18,7 +19,11 @@ import numpy as np
 from fjopinion.errors import GraphInputError, NumericalError, SizeGuardError
 from fjopinion.dynamics import DENSE_CAP, equilibrium
 from fjopinion.graph import Graph, StubbornnessVector, eigen_bounds, operator_matrix
-from fjopinion.solver import solve
+from fjopinion.solver import Certificate, solve
+
+# Edges per slice when summing the disagreement, so that no edge-sized
+# temporary is allocated next to the solver's vectors.
+EDGE_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -27,6 +32,11 @@ class MetricsReport:
 
     The metrics are those of the opinion vector as given, in both modes.
     ``centered`` is always False; it is kept so that reports keep their keys.
+    ``error_bound`` is what the approximate solve proved: each of the four
+    metrics is off by at most that fraction of its value, and the
+    conservation law by at most that fraction of sum k_i s_i^2 (0.0 in
+    exact mode).  ``stop_reason`` says why the iterative solve stopped (""
+    when none ran); see ``solver.SolverResult``.
     """
 
     conflict: float
@@ -45,6 +55,8 @@ class MetricsReport:
     n: int = 0
     m: int = 0
     solver_iterations: int = 0
+    error_bound: float = 0.0
+    stop_reason: str = ""
     solve_seconds: float = 0.0
     norms_seconds: float = 0.0
 
@@ -62,11 +74,13 @@ class MetricsReport:
 
 @dataclass(frozen=True)
 class DeltaBudget:
-    """Per-metric solver tolerances and their minimum.
+    """The paper's a-priori per-metric solver tolerances and their minimum.
 
     delta1 certifies the polarization norm, delta2 the disagreement norm,
     delta3 the conflict norm; the listing of the approximation algorithm
-    sets delta = delta3, but the minimum is always safe and is what we use.
+    sets delta = delta3.  ``approxim`` reports the minimum as ``delta_used``
+    for provenance; its solve stops on the a-posteriori certificate instead,
+    because the minimum sits far below double precision for n >= 1e4.
     """
 
     delta1: float
@@ -119,6 +133,70 @@ def conservation_residual_of(conflict, disagreement, polarization, k, s):
     return abs(conflict + 2.0 * disagreement + polarization - budget), budget
 
 
+def _disagreement(g, q):
+    """D = sum_e w_e (q_u - q_v)^2, summed over slices of the edge arrays."""
+    total = 0.0
+    for lo in range(0, g.m, EDGE_CHUNK):
+        hi = lo + EDGE_CHUNK
+        dq = q[g.edge_u[lo:hi]] - q[g.edge_v[lo:hi]]
+        total += float(g.edge_w[lo:hi] @ (dq * dq))
+    return total
+
+
+def _norms(g, k, s0, q):
+    """C = k.(q - s0)^2, D and k.q^2 of a centered solve q.
+
+    Without edges L = 0, so q = s0 and C = D = 0 exactly; the computed C
+    would only hold the solve's rounding residue.
+    """
+    sq = q * q
+    p0 = float(k.k @ sq)
+    if g.m == 0:
+        return 0.0, 0.0, p0
+    np.subtract(q, s0, out=sq)
+    sq *= sq
+    return float(k.k @ sq), _disagreement(g, q), p0
+
+
+def _relative_bound(value, shift, rho):
+    """Proved relative error of value + shift when sqrt(value) is off by <= rho.
+
+    For M = value + shift: |M~ - M| <= (2 sqrt(value) + rho) rho and
+    M >= max(sqrt(value) - rho, 0)^2 + shift.
+    """
+    err = (2.0 * math.sqrt(value) + rho) * rho
+    if err == 0.0:
+        return 0.0
+    low = max(math.sqrt(value) - rho, 0.0) ** 2 + shift
+    return err / low if low > 0.0 else math.inf
+
+
+def _metrics_certificate(g, k, s0, b, shift, eps):
+    """Certify C, D, P and P + D of a solve of (L+K) q = b = K s0 to relative eps.
+
+    With rho = ||K^{-1/2} r|| the error e = q - q~ has ||e||_{L+K} <= rho, and
+    ||e||_{L+K}^2 = ||K^{1/2} e||^2 + ||L^{1/2} e||^2, so sqrt(C), sqrt(D),
+    sqrt(k.q^2) and sqrt(k.q^2 + D) = ||q||_{L+K} are each off by at most
+    rho; P and P + D also hold the exact shift = c^2 sum(k).  The law
+    C + 2D + P = sum k_i s_i^2 is off by exactly 2|q~.r|, which is checked
+    against eps times that sum as well.
+    """
+    budget = float(s0 @ b) + shift  # sum k_i s_i^2 of s as given, as k.s0 = 0
+
+    def bound(q, r, rho):
+        conflict, disagreement, p0 = _norms(g, k, s0, q)
+        rho_cd = rho if g.m else 0.0  # no edges: C = D = 0 whatever q is
+        return max(
+            _relative_bound(conflict, 0.0, rho_cd),
+            _relative_bound(disagreement, 0.0, rho_cd),
+            _relative_bound(p0, shift, rho),
+            _relative_bound(p0 + disagreement, shift, rho),
+            2.0 * abs(float(q @ r)) / budget,
+        )
+
+    return Certificate(target=eps, bound=bound)
+
+
 def _pipeline(g, k, s, mode, eps, solve_centered):
     """Center, solve, take the norms, report: the one path of both modes.
 
@@ -127,9 +205,10 @@ def _pipeline(g, k, s, mode, eps, solve_centered):
     identity gives k.q = k.s0 = 0.  So every metric of s as given is read
     off q: C = k.(q - s0)^2, D on the edge arrays, P = k.q^2 + c^2 sum(k).
     Taking P in that form keeps the 2c k.q term, zero at the solution, out
-    of an approximate q's error, so the delta budget of s0 covers P too.
-    ``solve_centered(s0)`` returns q and the report's solve provenance; it
-    is not called when s0 = 0.  Returns the report and z = q + c.
+    of an approximate q's error, so a bound on sqrt(k.q^2) covers P too.
+    ``solve_centered(s0, shift)`` with shift = c^2 sum(k) returns q and the
+    report's solve provenance; it is not called when s0 = 0.  Returns the
+    report and z = q + c.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.shape != (g.n,):
@@ -138,6 +217,7 @@ def _pipeline(g, k, s, mode, eps, solve_centered):
         raise GraphInputError("stubbornness length does not match graph")
     k_sum = float(k.k.sum())
     c = float(k.k @ s) / k_sum
+    shift = c * c * k_sum
     s0 = s - c
     # Centering a (numerically) constant vector leaves only rounding
     # residue; treat it as exactly zero.
@@ -146,15 +226,13 @@ def _pipeline(g, k, s, mode, eps, solve_centered):
 
     t0 = time.perf_counter()
     if s0.any():
-        q, provenance = solve_centered(s0)
+        q, provenance = solve_centered(s0, shift)
     else:
         q, provenance = np.zeros(g.n), {"delta_used": 0.0}
     t1 = time.perf_counter()
 
-    conflict = float(k.k @ (q - s0) ** 2)
-    dq = q[g.edge_u] - q[g.edge_v]
-    disagreement = float(g.edge_w @ dq**2)
-    polarization = float(k.k @ q**2) + c * c * k_sum
+    conflict, disagreement, p0 = _norms(g, k, s0, q)
+    polarization = p0 + shift
     z = q + c
     residual, _ = conservation_residual_of(conflict, disagreement, polarization, k, s)
     t2 = time.perf_counter()
@@ -187,7 +265,7 @@ def metrics_exact(
         raise SizeGuardError(f"exact metrics refused: n={g.n} exceeds cap {cap}")
     report, z = _pipeline(
         g, k, s, "exact", 0.0,
-        lambda s0: (equilibrium(g, k, s0, mode="exact", cap=cap), {"delta_used": 0.0}),
+        lambda s0, _: (equilibrium(g, k, s0, mode="exact", cap=cap), {"delta_used": 0.0}),
     )
 
     # Identity I_pd = sum k_i s_i z_i, a free cross-check of the solve.
@@ -201,25 +279,29 @@ def metrics_exact(
 
 
 def approxim(g: Graph, k: StubbornnessVector, s: np.ndarray, eps: float) -> MetricsReport:
-    """Approximate all four metrics from one tolerance-budgeted solve.
+    """Approximate all four metrics from one certified solve.
 
-    One PCG solve of (L+K) q = K s0 for the weighted-centered s0 = s - c,
-    at delta = min(delta1, delta2, delta3) of that centered right-hand
-    side, gives the equilibrium of s as given exactly as q + c, so the
-    metrics are those of s itself, as in exact mode.  A solve that cannot
-    certify its tolerance is reported with ``certified=False``; the values
-    are still the best attainable in double precision.
+    One PCG solve of (L+K) q = K s0 for the weighted-centered s0 = s - c
+    gives the equilibrium of s as given as q + c, so the metrics are those
+    of s itself, as in exact mode.  The solve stops as soon as its residual
+    proves each metric's relative error, and the conservation law's, to be
+    at most eps; the report's ``error_bound`` is that proved bound.  A solve
+    that stagnates first is reported with ``certified=False``; the values
+    are then the best attainable in double precision.  ``delta_used`` is the
+    paper's a-priori tolerance, reported as provenance.
     """
     if not (0.0 < eps < 0.5):
         raise GraphInputError(f"eps must be in (0, 1/2), got {eps}")
 
-    def solve_pcg(s0):
-        budget = delta_budget(g, k, s0, eps)
-        res = solve(operator_matrix(g, k), k.k * s0, budget.delta, eigen_bounds(g, k))
+    def solve_pcg(s0, shift):
+        b = k.k * s0
+        res = solve(operator_matrix(g, k), b, k, _metrics_certificate(g, k, s0, b, shift, eps))
         return res.y, {
-            "delta_used": budget.delta,
+            "delta_used": delta_budget(g, k, s0, eps).delta,
             "certified": res.certified,
             "solver_iterations": res.iterations,
+            "error_bound": res.bound,
+            "stop_reason": res.stop_reason,
         }
 
     return _pipeline(g, k, s, "approx", eps, solve_pcg)[0]

@@ -29,11 +29,10 @@ from fjopinion.generate import (
 from fjopinion.graph import (
     StubbornnessVector,
     build_graph,
-    eigen_bounds,
     operator_matrix,
 )
 from fjopinion.metrics import approxim, conservation_check, metrics_exact
-from fjopinion.solver import solve
+from fjopinion.solver import energy_norm_certificate, solve
 
 
 def report(name, ok, detail):
@@ -265,7 +264,7 @@ def test_solver_energy_norm_contract():
         t = operator_matrix(g, k)
         b = rng.standard_normal(g.n)
         delta = float(10.0 ** rng.uniform(-8, -2))
-        res = solve(t, b, delta, eigen_bounds(g, k))
+        res = solve(t, b, k, energy_norm_certificate(b, delta))
         assert res.certified
         err = res.y - np.linalg.solve(t.toarray(), b)
         x_star = np.linalg.solve(t.toarray(), b)

@@ -61,6 +61,8 @@ def test_metrics_approx_round_trip(fixture_files, tmp_path):
         reports[mode] = MetricsReport.from_json(out.read_text())
     approx, exact = reports["approx"], reports["exact"]
     assert approx.mode == "approx" and not approx.centered
+    assert approx.certified and approx.stop_reason == "certified"
+    assert 0.0 <= approx.error_bound <= 1e-6
     for key in ("conflict", "disagreement", "polarization", "pd_index"):
         assert getattr(approx, key) == pytest.approx(getattr(exact, key), rel=1e-6)
 
@@ -220,3 +222,19 @@ def test_bench_small(tmp_path, capsys):
 def test_run_suite_names_are_unique():
     names = [name for name, _, _ in verify.SMALL_SUITE + verify.FULL_EXTRA]
     assert len(names) == len(set(names))
+
+
+def test_metrics_prints_bound_iterations_and_stop_reason(fixture_files, capsys):
+    graph, stub, opinions = fixture_files
+    base = ["metrics", "--graph", str(graph), "--stubbornness", str(stub),
+            "--opinions", str(opinions)]
+    assert cli.main(base + ["--mode", "approx", "--eps", "1e-6"]) == 0
+    line = [x for x in capsys.readouterr().out.splitlines() if x.startswith("mode")][0]
+    fields = dict(f.split("=") for f in line.split()[2:])
+    assert line.split()[1] == "approx"
+    assert fields["certified"] == "True" and fields["stop"] == "certified"
+    assert 0.0 <= float(fields["bound"]) <= 1e-6 and int(fields["iterations"]) >= 1
+
+    assert cli.main(base + ["--mode", "exact"]) == 0
+    line = [x for x in capsys.readouterr().out.splitlines() if x.startswith("mode")][0]
+    assert line.split()[1:] == ["exact", "certified=True", "bound=0", "iterations=0", "stop=-"]

@@ -14,7 +14,8 @@ from fjopinion.dynamics import (
     spectral_radius,
     step,
 )
-from fjopinion.errors import GraphInputError, SizeGuardError
+from fjopinion.errors import GraphInputError, NumericalError, SizeGuardError
+from fjopinion.generate import generate_opinions
 from fjopinion.graph import StubbornnessVector, build_graph
 
 
@@ -71,6 +72,11 @@ class TestEquilibrium:
         z_exact = equilibrium(g, k, s, mode="exact")
         z_iter = equilibrium(g, k, s, mode="iterative", delta=1e-10)
         assert np.abs(z_exact - z_iter).max() < 1e-8
+
+    def test_iterative_failure_names_reason_and_bound(self, path2, k21):
+        with pytest.raises(NumericalError, match=r"stagnated after \d+ iterations with "
+                           r"proved relative error \d\.\d{3}e-\d+"):
+            equilibrium(path2, k21, np.array([1.0, 2.0]), mode="iterative", delta=1e-300)
 
     def test_cap_refusal(self, path2, k21):
         with pytest.raises(SizeGuardError):
@@ -186,6 +192,19 @@ class TestSimulateUntil:
         k = StubbornnessVector.from_values([2.0])
         state, _ = simulate_until(g, k, np.array([0.3]), z0=np.array([-1.0]), eps=1e-12)
         assert state.t <= 1
+
+    def test_unconverged_spectral_radius_uses_row_sum_bound(self):
+        # Power iteration stops below rho on this path (0.99502374 against
+        # 0.99502402), so the stop time is checked against max d/(k+d).
+        n = 2000
+        g = build_graph([(i, i + 1, 1.0) for i in range(n - 1)])
+        k = StubbornnessVector.uniform(n, 0.01)
+        s = generate_opinions(n, "uniform", 3)
+        assert not spectral_radius(g, k).converged
+        state, trace = simulate_until(g, k, s, z0=s.copy(), eps=1e-8)
+        row_sum = float((g.degrees / (k.k + g.degrees)).max())
+        assert trace.bound == convergence_bound(row_sum, trace.f_norms[0], 1e-8) == 4411
+        assert state.t <= trace.bound
 
     def test_geometric_decay_along_trace(self):
         rng = np.random.default_rng(23)

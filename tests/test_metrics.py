@@ -1,11 +1,19 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import dense_laplacian, make_instance
 from fjopinion import dynamics
 from fjopinion.errors import GraphInputError, SizeGuardError
+from fjopinion.generate import (
+    generate_opinions,
+    generate_stubbornness,
+    random_connected_gnp,
+    random_regular_graph,
+)
 from fjopinion.graph import StubbornnessVector, build_graph
 from fjopinion.metrics import (
     MetricsReport,
@@ -102,6 +110,20 @@ class TestDeltaBudget:
                 delta_budget(path2, k11, np.array([1.0, -1.0]), eps=eps)
 
 
+METRIC_KEYS = ("conflict", "disagreement", "polarization", "pd_index")
+
+# Relative rounding error allowed to the exact path when it is the reference:
+# a bound proved near the floor may be smaller than the reference's own error.
+REFERENCE_ROUNDING = 1e-12
+
+
+def relative_errors(approx, exact):
+    return {
+        key: abs(getattr(approx, key) - getattr(exact, key)) / abs(getattr(exact, key))
+        for key in METRIC_KEYS
+    }
+
+
 class TestApproxim:
     def test_precentered_two_node(self, path2, k21):
         s = np.array([1.0, -2.0])  # weighted sum 2 - 2 = 0
@@ -144,6 +166,52 @@ class TestApproxim:
         assert approx.sum_z == pytest.approx(s.sum(), rel=1e-12)  # z = s
         for key in ("polarization", "pd_index", "sum_z", "weighted_sum_z"):
             assert getattr(approx, key) == pytest.approx(getattr(exact, key), rel=1e-12)
+
+
+class TestCertifiedStop:
+    """approxim stops once its residual proves every metric to eps."""
+
+    @pytest.fixture(scope="class")
+    def at_exact_cap(self):
+        g = random_regular_graph(10_000, 4, seed=5)
+        k = generate_stubbornness(g.n, 0.01, 1.0, 6)
+        s = generate_opinions(g.n, "powerlaw", 7)
+        return g, k, s, metrics_exact(g, k, s)
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-8])
+    def test_certified_at_the_exact_cap(self, at_exact_cap, eps):
+        g, k, s, exact = at_exact_cap
+        approx = approxim(g, k, s, eps)
+        assert approx.certified and approx.stop_reason == "certified"
+        assert 0.0 < approx.error_bound <= eps
+        for key, err in relative_errors(approx, exact).items():
+            assert err <= max(approx.error_bound, REFERENCE_ROUNDING), key
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(2, 30),
+        k_low=st.floats(0.05, 5.0),
+        shift=st.floats(-1.0, 1.0),
+        log_eps=st.floats(-10.0, -2.0),
+    )
+    def test_certified_bound_holds(self, seed, n, k_low, shift, log_eps):
+        rng = np.random.default_rng(seed)
+        g = random_connected_gnp(n, 0.3, seed)
+        k = StubbornnessVector.from_values(rng.uniform(k_low, 4.0 * k_low, size=n))
+        s = rng.uniform(-1.0, 1.0, size=n) + shift
+        eps = 10.0**log_eps
+        approx = approxim(g, k, s, eps)
+        if not approx.certified:
+            return
+        assert approx.error_bound <= eps
+        for key, err in relative_errors(approx, metrics_exact(g, k, s)).items():
+            assert err <= max(approx.error_bound, REFERENCE_ROUNDING), key
+        assert approx.conservation_residual <= eps * float(k.k @ s**2)
+
+    def test_exact_mode_reports_no_bound(self, path2, k21):
+        r = metrics_exact(path2, k21, np.array([1.0, -1.0]))
+        assert r.error_bound == 0.0 and r.stop_reason == ""
 
 
 @pytest.mark.parametrize(
@@ -222,6 +290,13 @@ class TestReportSerialization:
         r = metrics_exact(path2, k21, np.array([1.0, -1.0]))
         again = MetricsReport.from_json(r.to_json())
         assert again == r
+
+    def test_report_without_solver_fields_loads(self, path2, k21):
+        # Reports written before error_bound and stop_reason existed.
+        d = metrics_exact(path2, k21, np.array([1.0, -1.0])).to_dict()
+        del d["error_bound"], d["stop_reason"]
+        again = MetricsReport.from_json(json.dumps(d))
+        assert again.error_bound == 0.0 and again.stop_reason == ""
 
     def test_flat_keys(self, path2, k21):
         r = approxim(path2, k21, np.array([1.0, -2.0]), eps=1e-6)

@@ -1,42 +1,43 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import make_instance
 from fjopinion.errors import GraphInputError
-from fjopinion.graph import (
-    StubbornnessVector,
-    build_graph,
-    eigen_bounds,
-    operator_matrix,
-)
-from fjopinion.solver import solve
+from fjopinion.graph import StubbornnessVector, build_graph, operator_matrix
+from fjopinion.solver import Certificate, energy_norm_certificate, solve
+
+
+def solve_to(g, k, b, delta):
+    """Solve (L+K) y = b to a certified relative energy-norm error delta."""
+    return solve(operator_matrix(g, k), b, k, energy_norm_certificate(b, delta))
 
 
 def test_diagonal_system():
     g = build_graph([], declared_nodes=[0, 1])
     k = StubbornnessVector.from_values([2.0, 1.0])
-    res = solve(operator_matrix(g, k), np.array([2.0, 1.0]), 1e-6, eigen_bounds(g, k))
+    res = solve_to(g, k, np.array([2.0, 1.0]), 1e-6)
     assert np.allclose(res.y, [1.0, 1.0], atol=1e-10)
     assert res.certified
 
 
 def test_two_node_equilibrium_rhs(path2, k21):
-    res = solve(
-        operator_matrix(path2, k21), np.array([2.0, -1.0]), 1e-10, eigen_bounds(path2, k21)
-    )
+    res = solve_to(path2, k21, np.array([2.0, -1.0]), 1e-10)
     assert res.certified
     assert np.allclose(res.y, [0.6, -0.2], atol=1e-9)
 
 
 def test_zero_rhs_short_circuits(path2, k21):
-    res = solve(operator_matrix(path2, k21), np.zeros(2), 1e-8, eigen_bounds(path2, k21))
+    res = solve_to(path2, k21, np.zeros(2), 1e-8)
     assert res.iterations == 0 and res.certified
     assert np.all(res.y == 0.0)
 
 
 def test_rejects_bad_delta(path2, k21):
     with pytest.raises(GraphInputError):
-        solve(operator_matrix(path2, k21), np.ones(2), 0.0, eigen_bounds(path2, k21))
+        solve_to(path2, k21, np.ones(2), 0.0)
 
 
 def test_energy_norm_contract_random():
@@ -46,7 +47,7 @@ def test_energy_norm_contract_random():
         t = operator_matrix(g, k)
         b = rng.standard_normal(g.n)
         delta = float(10.0 ** rng.uniform(-8, -2))
-        res = solve(t, b, delta, eigen_bounds(g, k))
+        res = solve(t, b, k, energy_norm_certificate(b, delta))
         assert res.certified
         x_star = np.linalg.solve(t.toarray(), b)
         err = res.y - x_star
@@ -55,19 +56,18 @@ def test_energy_norm_contract_random():
 
 
 def test_unattainable_target_returns_uncertified(path2, k21):
-    res = solve(
-        operator_matrix(path2, k21), np.array([1.0, 2.0]), 1e-300, eigen_bounds(path2, k21)
-    )
-    assert not res.certified
+    res = solve_to(path2, k21, np.array([1.0, 2.0]), 1e-300)
+    assert not res.certified and res.stop_reason == "stagnated"
     assert res.residual_norm < 1e-10  # still converged to the double-precision floor
+    assert 1e-300 < res.bound < 1e-10  # the proved bound is reported all the same
 
 
 def test_deterministic():
     rng = np.random.default_rng(43)
     g, k, _ = make_instance(rng, n_max=60)
     b = rng.standard_normal(g.n)
-    r1 = solve(operator_matrix(g, k), b, 1e-9, eigen_bounds(g, k))
-    r2 = solve(operator_matrix(g, k), b, 1e-9, eigen_bounds(g, k))
+    r1 = solve_to(g, k, b, 1e-9)
+    r2 = solve_to(g, k, b, 1e-9)
     assert np.array_equal(r1.y, r2.y)
     assert r1.iterations == r2.iterations
 
@@ -81,8 +81,53 @@ def test_iteration_scaling_on_path_family():
         g = build_graph([(i, i + 1, 1.0) for i in range(n - 1)])
         k = StubbornnessVector.uniform(n, 1.0)
         b = np.sin(np.arange(n))
-        res = solve(operator_matrix(g, k), b, 1e-8, eigen_bounds(g, k))
+        res = solve_to(g, k, b, 1e-8)
         assert res.certified
         iters.append(res.iterations)
     slope = np.polyfit(np.log(sizes), np.log(iters), 1)[0]
     assert slope < 0.75
+
+
+def test_certified_stop_reports_its_bound():
+    rng = np.random.default_rng(47)
+    g, k, _ = make_instance(rng, n_max=120)
+    t = operator_matrix(g, k)
+    b = rng.standard_normal(g.n)
+    for delta in (1e-3, 1e-6, 1e-9):
+        res = solve_to(g, k, b, delta)
+        assert res.certified and res.stop_reason == "certified"
+        assert 0.0 <= res.bound <= delta
+        assert res.residual_norm == pytest.approx(np.linalg.norm(b - t @ res.y), rel=1e-12)
+
+
+def test_stops_early_on_a_loose_target():
+    # The certificate stops as soon as it holds, not at the rounding floor.
+    g = build_graph([(i, i + 1, 1.0) for i in range(399)])
+    k = StubbornnessVector.uniform(400, 0.1)
+    b = np.sin(np.arange(400.0))
+    loose, tight = solve_to(g, k, b, 1e-3), solve_to(g, k, b, 1e-12)
+    assert loose.certified and tight.certified
+    assert loose.iterations < tight.iterations
+
+
+def test_certificate_is_judged_on_the_true_residual():
+    g, k, _ = make_instance(np.random.default_rng(53), n_max=80)
+    t = operator_matrix(g, k)
+    b = np.sin(np.arange(g.n))
+    seen = []
+
+    def bound(y, r, rho):
+        # Bit for bit b - (L+K) y: the recurrence residual drifts from it.
+        seen.append(np.array_equal(r, b - t @ y))
+        return rho / math.sqrt(float(y @ (b - r)))
+
+    res = solve(t, b, k, Certificate(target=1e-8, bound=bound))
+    assert res.certified and seen and all(seen)
+
+
+def test_breakdown_on_an_indefinite_operator(k11):
+    # -I is no L + K: p.(-I)p < 0 stops the iteration at once.
+    res = solve(-sp.identity(2, format="csr"), np.ones(2), k11,
+                energy_norm_certificate(np.ones(2), 1e-6))
+    assert not res.certified and res.stop_reason == "breakdown"
+    assert res.iterations == 0 and res.bound == math.inf
