@@ -116,17 +116,19 @@ def cmd_spectrum(args) -> int:
     k = _load_stubbornness(g, args.stubbornness, args.seed)
     est = spectral_radius(g, k)
     bounds = eigen_bounds(g, k)
-    print(f"rho_max          {est.rho_max:.12g}  (residual {est.residual:.2e}, "
-          f"{est.iterations} iterations, converged={est.converged})")
+    print(f"rho in           [{est.lower:.12g}, {est.upper:.12g}]  "
+          f"({est.iterations} iterations, converged={est.converged})")
     print(f"spectrum of L+K  [{bounds.lower:.6g}, {bounds.upper:.6g}]  "
           f"(coarse upper {bounds.coarse_upper:.6g})")
-    if 0.0 < est.rho_max < 1.0:
+    if 0.0 < est.upper < 1.0:
         print(f"steps to 1e-6    {convergence_bound(est, 1.0, 1e-6)} (from |f(0)|=1)")
     _write_out(
         args.out,
         json.dumps(
             {
                 "rho_max": est.rho_max,
+                "rho_lower": est.lower,
+                "rho_upper": est.upper,
                 "residual": est.residual,
                 "iterations": est.iterations,
                 "converged": est.converged,

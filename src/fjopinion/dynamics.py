@@ -2,8 +2,8 @@
 
 Covers the synchronous update z(t+1) = QAz(t) + QKs, equilibrium
 computation z = (L+K)^{-1} K s, the fundamental matrix, weighted centering,
-spectral-radius estimation for the iteration matrix QA, the convergence-time
-bound, and error-trace simulation.
+a proved bracket on the spectral radius of the iteration matrix QA, the
+convergence-time bound it gives, and error-trace simulation.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ from fjopinion.graph import Graph, StubbornnessVector, operator_matrix
 from fjopinion.solver import energy_norm_certificate, solve
 
 DENSE_CAP = 10_000
-POWER_ITERATION_CAP = 100_000
+POWER_STEPS = 1_000
+CHECK_EVERY = 10  # power steps between two evaluations of the bracket
+INVERSE_SOLVES = 100
 SIMULATION_CAP = 1_000_000
 
 
@@ -39,12 +41,22 @@ class OpinionState:
 
 @dataclass(frozen=True)
 class SpectralEstimate:
-    """Estimated spectral radius of QA with iteration diagnostics."""
+    """A proved bracket lower <= rho(QA) <= upper with iteration diagnostics."""
 
-    rho_max: float
+    lower: float
+    upper: float
     iterations: int
-    residual: float
     converged: bool
+
+    @property
+    def rho_max(self) -> float:
+        """Midpoint of the bracket, within ``residual`` of rho(QA)."""
+        return 0.5 * (self.lower + self.upper)
+
+    @property
+    def residual(self) -> float:
+        """Half-width of the bracket."""
+        return 0.5 * (self.upper - self.lower)
 
 
 @dataclass
@@ -60,11 +72,11 @@ class ErrorTrace:
         self.f_norms.append(float(f_norm))
 
 
-def _scaling(g: Graph, k: StubbornnessVector) -> np.ndarray:
-    """q_i = 1 / (k_i + d_i), the diagonal scaling of the update rule."""
+def _diagonal(g: Graph, k: StubbornnessVector) -> np.ndarray:
+    """k_i + d_i, the diagonal of K + D; the update rule scales by its inverse Q."""
     if len(k) != g.n:
         raise GraphInputError("stubbornness length does not match graph")
-    return 1.0 / (k.k + g.degrees)
+    return k.k + g.degrees
 
 
 def step(g: Graph, k: StubbornnessVector, state: OpinionState) -> OpinionState:
@@ -75,7 +87,7 @@ def step(g: Graph, k: StubbornnessVector, state: OpinionState) -> OpinionState:
     """
     if state.s.size != g.n:
         raise GraphInputError("state dimensions do not match graph")
-    q = _scaling(g, k)
+    q = 1.0 / _diagonal(g, k)
     z_new = q * (g.adjacency @ state.z) + q * (k.k * state.s)
     return OpinionState(s=state.s, z=z_new, t=state.t + 1)
 
@@ -133,42 +145,80 @@ def center_opinions(s: np.ndarray, k: StubbornnessVector) -> np.ndarray:
 
 
 def spectral_radius(g: Graph, k: StubbornnessVector, tol: float = 1e-10) -> SpectralEstimate:
-    """Estimate the spectral radius of QA by power iteration.
+    """A proved bracket lower <= rho(QA) <= upper on the iteration matrix QA.
 
-    Runs on the symmetric similarity Q^{1/2} A Q^{1/2} (same spectrum),
-    shifted by +I so the dominant eigenvalue is simple-signed even on
-    bipartite graphs.  The symmetric residual bound certifies
-    |estimate - rho_max| <= residual.
+    rho is the largest eigenvalue of the pencil A x = lambda (K+D) x.  Each
+    positive vector x gives two bounds, with y = QAx:
+
+    * lower = x.(K+D)y / x.(K+D)x, the Rayleigh quotient of the symmetric
+      Q^{1/2} A Q^{1/2}, which never exceeds its largest eigenvalue; it holds
+      on disconnected graphs too, where no per-node ratio reaches rho;
+    * upper = max_i y_i / x_i, the Collatz-Wielandt bound (Varga, Matrix
+      Iterative Analysis, ch. 2); at x = 1 it is the row-sum bound
+      max_i d_i / (k_i + d_i).
+
+    x starts at 1 and is refined by up to ``POWER_STEPS`` power steps
+    x <- QAx + x, the bracket evaluated every ``CHECK_EVERY`` of them.  If
+    the bracket is still wider than ``tol`` and n <= ``DENSE_CAP``, up to
+    ``INVERSE_SOLVES`` steps x <- M^{-1}(K+D)x follow, with M = sigma(K+D) - A
+    factored once at sigma = upper: inverse iteration with a near-singular
+    shift (Parlett, The Symmetric Eigenvalue Problem, ch. 4).  M is then a
+    nonsingular M-matrix, so x stays positive.  Both ends are widened to
+    cover the rounding of the products and sums that form them.
+
+    ``converged`` means upper - lower <= tol.  A bracket left wider (above
+    ``DENSE_CAP`` the power steps alone must close it) is still proved.
     """
-    q = _scaling(g, k)
-    if g.m == 0:
-        return SpectralEstimate(rho_max=0.0, iterations=0, residual=0.0, converged=True)
-    scale = sp.diags(np.sqrt(q))
-    sym = (scale @ g.adjacency @ scale).tocsr()
+    b = _diagonal(g, k)
+    qa = (sp.diags(1.0 / b) @ g.adjacency).tocsr()
+    # Relative rounding of y (row sums of at most `terms` products) and of
+    # numpy's pairwise sums (depth <= 25 + log2 n), in units of eps = 2u.
+    terms = int(np.diff(qa.indptr).max())
+    slack = (terms + g.n.bit_length() + 32) * float(np.finfo(np.float64).eps)
+    lower, upper = 0.0, math.inf
 
-    x = np.full(g.n, 1.0 / math.sqrt(g.n))
-    mu = 0.0
-    residual = math.inf
-    iters = 0
-    while iters < POWER_ITERATION_CAP:
-        y = sym @ x + x  # (S + I) x
-        mu = float(x @ y)
-        residual = float(np.linalg.norm(y - mu * x))
-        if residual <= tol:
-            break
-        x = y / np.linalg.norm(y)
-        iters += 1
+    def refine(x):
+        nonlocal lower, upper
+        y = qa @ x
+        bx = b * x
+        lower = max(lower, float((bx * y).sum() / (bx * x).sum()) * (1.0 - slack))
+        upper = min(upper, float((y / x).max()) * (1.0 + slack))
 
-    rho = mu - 1.0
-    converged = residual <= tol
+    x = np.ones(g.n)
+    refine(x)
+    iterations = 0
+    while upper - lower > tol and iterations < POWER_STEPS:
+        for _ in range(CHECK_EVERY):
+            x = qa @ x + x
+        x = _rescale(x)
+        refine(x)
+        iterations += CHECK_EVERY
+    if upper - lower > tol and g.n <= DENSE_CAP:
+        m = (sp.diags(upper * b) - g.adjacency).tocsc()
+        lu = spla.splu(m, permc_spec="MMD_AT_PLUS_A")
+        solves = 0
+        while upper - lower > tol and solves < INVERSE_SOLVES:
+            x = _rescale(lu.solve(b * x))
+            refine(x)
+            solves += 1
+        iterations += solves
     return SpectralEstimate(
-        rho_max=rho, iterations=iters, residual=residual, converged=converged
+        lower=lower, upper=upper, iterations=iterations, converged=upper - lower <= tol
     )
 
 
+def _rescale(x: np.ndarray) -> np.ndarray:
+    """x scaled to max 1 and kept >= 2^-600, so that no entry underflows to 0."""
+    return np.maximum(x / x.max(), 2.0**-600)
+
+
 def convergence_bound(rho: SpectralEstimate | float, f0_norm: float, eps: float) -> int:
-    """Upper bound on the convergence time: ceil((ln eps - ln |f(0)|) / ln rho)."""
-    rho_val = rho.rho_max if isinstance(rho, SpectralEstimate) else float(rho)
+    """Upper bound on the convergence time: ceil((ln eps - ln |f(0)|) / ln rho).
+
+    A ``SpectralEstimate`` contributes its proved upper end: a step bound
+    needs an upper bound on rho.
+    """
+    rho_val = rho.upper if isinstance(rho, SpectralEstimate) else float(rho)
     if not (0.0 < rho_val < 1.0):
         raise GraphInputError(f"rho must be in (0, 1), got {rho_val}")
     if eps <= 0.0:
@@ -188,10 +238,10 @@ def simulate_until(
     """Iterate the update until |f(t)| <= eps, recording the error trace.
 
     f is the scaled error f_i(t) = e_i(t) sqrt(k_i + d_i) whose norm decays
-    geometrically with ratio rho_max.  The observed stop time is checked
+    geometrically with ratio rho(QA).  The observed stop time is checked
     against the convergence-time bound, which the trace keeps as ``bound``;
-    it takes rho_max from ``spectral_radius`` when that converged, and the
-    proved row-sum bound max_i d_i / (k_i + d_i) when it did not.
+    it takes rho from the upper end of the ``spectral_radius`` bracket, which
+    is proved whether or not the bracket converged.
     """
     if eps <= 0.0:
         raise GraphInputError("eps must be > 0")
@@ -218,11 +268,7 @@ def simulate_until(
         trace.record(np.linalg.norm(e), f_norm)
 
     if g.m >= 1 and f0_norm > eps:
-        est = spectral_radius(g, k)
-        # Power iteration approaches rho from below; unconverged, its value
-        # is no bound.  The row sums of QA, d_i / (k_i + d_i), bound rho.
-        rho = est.rho_max if est.converged else float((g.degrees * _scaling(g, k)).max())
-        trace.bound = convergence_bound(rho, f0_norm, eps)
+        trace.bound = convergence_bound(spectral_radius(g, k), f0_norm, eps)
         if state.t > trace.bound:
             raise NumericalError(
                 f"observed stop time {state.t} exceeds the convergence bound {trace.bound}"

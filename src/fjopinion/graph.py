@@ -34,6 +34,7 @@ class Graph:
     ids: tuple
     self_loops_dropped: int = 0
     _adj: sp.csr_matrix = field(repr=False, compare=False, default=None)
+    _fingerprint: str = field(init=False, repr=False, compare=False, default=None)
 
     @property
     def adjacency(self) -> sp.csr_matrix:
@@ -117,12 +118,15 @@ class Graph:
         )
 
     def fingerprint(self) -> str:
-        h = hashlib.sha256()
-        h.update(np.int64([self.n, self.m]).tobytes())
-        h.update(self.edge_u.tobytes())
-        h.update(self.edge_v.tobytes())
-        h.update(self.edge_w.tobytes())
-        return h.hexdigest()[:16]
+        """16 hex digits of a SHA-256 over n, m and the edge arrays, hashed once."""
+        if self._fingerprint is None:
+            h = hashlib.sha256()
+            h.update(np.int64([self.n, self.m]).tobytes())
+            h.update(self.edge_u.tobytes())
+            h.update(self.edge_v.tobytes())
+            h.update(self.edge_w.tobytes())
+            object.__setattr__(self, "_fingerprint", h.hexdigest()[:16])
+        return self._fingerprint
 
 
 @dataclass(frozen=True)

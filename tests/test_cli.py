@@ -171,6 +171,23 @@ def test_spectrum(fixture_files, tmp_path):
     assert data["rho_max"] == pytest.approx((1.0 / 6.0) ** 0.5, abs=1e-9)
 
 
+def test_spectrum_reports_the_proved_bracket(fixture_files, tmp_path, capsys):
+    graph, stub, _ = fixture_files
+    out = tmp_path / "spec.json"
+    argv = ["spectrum", "--graph", str(graph), "--stubbornness", str(stub), "--out", str(out)]
+    assert cli.main(argv) == 0
+    data = json.loads(out.read_text())
+    rho = (1.0 / 6.0) ** 0.5
+    assert data["rho_lower"] <= rho <= data["rho_upper"]
+    assert data["rho_upper"] - data["rho_lower"] <= 1e-10 and data["converged"]
+    # lower and upper stay the bracket on the spectrum of L + K: [k_min, k_max + 2 d_max].
+    assert (data["lower"], data["upper"]) == (1.0, 4.0)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"rho in           [{data['rho_lower']:.12g}, {data['rho_upper']:.12g}]")
+    steps = dynamics.convergence_bound(data["rho_upper"], 1.0, 1e-6)
+    assert lines[2] == f"steps to 1e-6    {steps} (from |f(0)|=1)"
+
+
 def test_verify_small(capsys):
     rc = cli.main(["verify", "--scale", "small", "--seed", "3"])
     assert rc == 0

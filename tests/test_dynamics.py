@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_instance
 from fjopinion.dynamics import (
@@ -15,12 +17,64 @@ from fjopinion.dynamics import (
     step,
 )
 from fjopinion.errors import GraphInputError, NumericalError, SizeGuardError
-from fjopinion.generate import generate_opinions
-from fjopinion.graph import StubbornnessVector, build_graph
+from fjopinion.generate import generate_opinions, random_connected_gnp
+from fjopinion.graph import Graph, StubbornnessVector, build_graph
 
 
 def isolated_node():
     return build_graph([], declared_nodes=[0])
+
+
+def long_path(n=2000):
+    return build_graph([(i, i + 1, 1.0) for i in range(n - 1)])
+
+
+def dense_rho(g, k):
+    """Largest eigenvalue of Q^{1/2} A Q^{1/2}, Q = (K + D)^{-1}: rho(QA)."""
+    q = 1.0 / np.sqrt(k.k + g.degrees)
+    return float(np.linalg.eigvalsh(q[:, None] * g.adjacency.toarray() * q[None, :])[-1])
+
+
+# Rounding slack of the dense reference: eigvalsh is itself off by a few ulp.
+RHO_SLACK = 1e-13
+
+
+@st.composite
+def bracket_instances(draw):
+    """(family, graph, stubbornness) on at most 32 nodes."""
+    family = draw(st.sampled_from(
+        ["connected", "disconnected", "path", "even cycle", "uniform rows", "edgeless"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 15))
+    seed = int(rng.integers(2**31))
+    if family == "connected":
+        g = random_connected_gnp(2 * n, 0.2, seed)
+        return family, g, StubbornnessVector.from_values(rng.uniform(0.01, 3.0, g.n))
+    if family == "disconnected":
+        # Two components and an isolated node, stubborn to different degrees,
+        # so that their spectral radii differ.
+        a, b = random_connected_gnp(n, 0.3, seed), random_connected_gnp(n + 1, 0.3, seed + 1)
+        g = Graph.from_arrays(np.r_[a.edge_u, b.edge_u + n], np.r_[a.edge_v, b.edge_v + n],
+                              np.r_[a.edge_w, b.edge_w], 2 * n + 2)
+        k = np.r_[rng.uniform(0.01, 0.1, n), rng.uniform(1.0, 3.0, n + 1), rng.uniform(0.01, 3.0)]
+        return family, g, StubbornnessVector.from_values(k)
+    if family in ("path", "even cycle"):
+        m = 2 * n if family == "even cycle" else n
+        u = np.arange(m if family == "even cycle" else m - 1)
+        g = Graph.from_arrays(u, (u + 1) % m, rng.uniform(0.5, 2.0, u.size), m)
+        return family, g, StubbornnessVector.from_values(rng.uniform(0.01, 3.0, m))
+    if family == "uniform rows":
+        # Equal row sums d / (k + d) of QA: a weighted cycle or a complete
+        # graph with one weight, and one stubbornness.
+        if draw(st.booleans()):
+            u = np.arange(n + 1)
+            g = Graph.from_arrays(u, (u + 1) % (n + 1), np.full(n + 1, rng.uniform(0.5, 2.0)), n + 1)
+        else:
+            u, v = np.triu_indices(n, 1)
+            g = Graph.from_arrays(u, v, np.full(u.size, rng.uniform(0.5, 2.0)), n)
+        return family, g, StubbornnessVector.uniform(g.n, rng.uniform(0.01, 3.0))
+    return family, Graph.from_arrays([], [], [], n), StubbornnessVector.from_values(
+        rng.uniform(0.01, 3.0, n))
 
 
 class TestStep:
@@ -154,6 +208,34 @@ class TestSpectralRadius:
             est = spectral_radius(g, k)
             assert 0.0 < est.rho_max < 1.0
 
+    @settings(max_examples=300, deadline=None)
+    @given(instance=bracket_instances(), tol=st.sampled_from([1e-12, 1e-10, 1e-6]))
+    def test_bracket_holds_the_dense_rho(self, instance, tol):
+        family, g, k = instance
+        est = spectral_radius(g, k, tol=tol)
+        rho = dense_rho(g, k)
+        assert 0.0 <= est.lower <= est.upper
+        assert est.lower - RHO_SLACK <= rho <= est.upper + RHO_SLACK
+        assert est.converged == (est.upper - est.lower <= tol)
+        if family in ("uniform rows", "edgeless"):
+            # x = 1 is the Perron vector: the bracket closes before any step.
+            assert est.converged and est.iterations == 0
+
+    def test_long_path_bracket_converges(self):
+        # Power iteration alone stalls here (it once stopped below rho after
+        # 100 000 steps); shifted inverse iteration closes the bracket.
+        n = 2000
+        g = long_path(n)
+        k = StubbornnessVector.uniform(n, 0.01)
+        est = spectral_radius(g, k)
+        assert est.converged and est.upper - est.lower <= 1e-10
+        q = 1.0 / np.sqrt(k.k + g.degrees)
+        rho = sla.eigvalsh_tridiagonal(np.zeros(n), q[:-1] * q[1:], select="i",
+                                       select_range=(n - 1, n - 1))[0]
+        assert est.lower - RHO_SLACK <= rho <= est.upper + RHO_SLACK
+        row_sum = float((g.degrees / (k.k + g.degrees)).max())
+        assert est.upper < row_sum
+
 
 class TestConvergenceBound:
     def test_halving_thrice(self):
@@ -193,18 +275,19 @@ class TestSimulateUntil:
         state, _ = simulate_until(g, k, np.array([0.3]), z0=np.array([-1.0]), eps=1e-12)
         assert state.t <= 1
 
-    def test_unconverged_spectral_radius_uses_row_sum_bound(self):
-        # Power iteration stops below rho on this path (0.99502374 against
-        # 0.99502402), so the stop time is checked against max d/(k+d).
+    def test_long_path_bound_uses_the_proved_upper_end(self):
+        # The stop time is checked against the bracket's upper end, which is
+        # never above the row-sum bound max d/(k+d).
         n = 2000
-        g = build_graph([(i, i + 1, 1.0) for i in range(n - 1)])
+        g = long_path(n)
         k = StubbornnessVector.uniform(n, 0.01)
         s = generate_opinions(n, "uniform", 3)
-        assert not spectral_radius(g, k).converged
+        est = spectral_radius(g, k)
+        assert est.converged
         state, trace = simulate_until(g, k, s, z0=s.copy(), eps=1e-8)
         row_sum = float((g.degrees / (k.k + g.degrees)).max())
-        assert trace.bound == convergence_bound(row_sum, trace.f_norms[0], 1e-8) == 4411
-        assert state.t <= trace.bound
+        assert trace.bound == convergence_bound(est, trace.f_norms[0], 1e-8)
+        assert state.t <= trace.bound <= convergence_bound(row_sum, trace.f_norms[0], 1e-8) == 4411
 
     def test_geometric_decay_along_trace(self):
         rng = np.random.default_rng(23)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.stats import skew
@@ -89,7 +91,11 @@ def test_connected_gnp_is_connected():
         (random_regular_graph, (1000, 3, 7), "3dca78d4a72fb18f"),
     ],
 )
-def test_seeded_graphs_keep_their_fingerprints(make, args, fingerprint):
+def test_seeded_graphs_keep_their_fingerprints(make, args, fingerprint, monkeypatch):
     g = make(*args)
+    hashes = []
+    sha256 = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda: hashes.append(1) or sha256())
     assert g.fingerprint() == fingerprint
+    assert g.fingerprint() == fingerprint and len(hashes) == 1  # hashed once
     assert g.ids == tuple(range(g.n)) and g.self_loops_dropped == 0
