@@ -1,5 +1,5 @@
 """Command-line surface: ingestion, metric runs, simulation, spectral
-analysis, verification sweeps, and the desk-scale benchmark harness.
+analysis, verification sweeps and seeded opinion files.
 
 Exit codes: 1 input error, 2 numerical failure, 3 size guard exceeded.
 """
@@ -9,24 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-
-import numpy as np
 
 from fjopinion.errors import GraphInputError, NumericalError, SizeGuardError
 from fjopinion import verify as verify_mod
-from fjopinion.dynamics import (
-    DENSE_CAP,
-    convergence_bound,
-    simulate_until,
-    spectral_radius,
-)
-from fjopinion.generate import (
-    DISTRIBUTIONS,
-    generate_opinions,
-    generate_stubbornness,
-    random_regular_graph,
-)
+from fjopinion.dynamics import convergence_bound, simulate_until, spectral_radius
+from fjopinion.generate import DISTRIBUTIONS, generate_opinions, generate_stubbornness
 from fjopinion.graph import (
     StubbornnessVector,
     eigen_bounds,
@@ -48,11 +35,19 @@ def _load_graph(args):
 
 def _load_stubbornness(g, spec, seed):
     """file path | uniform:C | random:LO,HI (seeded)."""
-    if spec.startswith("uniform:"):
-        return StubbornnessVector.uniform(g.n, float(spec.split(":", 1)[1]))
-    if spec.startswith("random:"):
-        lo, hi = (float(x) for x in spec.split(":", 1)[1].split(","))
-        return generate_stubbornness(g.n, lo, hi, seed)
+    form, colon, params = spec.partition(":")
+    if colon and form in ("uniform", "random"):
+        try:
+            values = [float(x) for x in params.split(",")]
+        except ValueError:
+            values = []
+        if form == "uniform" and len(values) == 1:
+            return StubbornnessVector.uniform(g.n, values[0])
+        if form == "random" and len(values) == 2:
+            return generate_stubbornness(g.n, *values, seed)
+        raise GraphInputError(
+            f"bad --stubbornness {spec!r}: expected a file path, uniform:C or random:LO,HI"
+        )
     return StubbornnessVector.from_values(load_node_values(g=g, path=spec, name="stubbornness"))
 
 
@@ -144,7 +139,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify_mod.run_suite(scale=args.scale, seed=args.seed)
+    results = verify_mod.run_suite(seed=args.seed)
     failed = 0
     for name, passed, total in results:
         status = "PASS" if passed == total else "FAIL"
@@ -155,48 +150,6 @@ def cmd_verify(args) -> int:
         print(f"{failed} properties failed")
         return EXIT_NUMERICAL
     print("all properties passed")
-    return 0
-
-
-def cmd_bench(args) -> int:
-    sizes = [int(x) for x in args.sizes.split(",")]
-    rows = []
-    for n in sizes:
-        g = random_regular_graph(n, args.degree, args.seed)
-        k = generate_stubbornness(g.n, 0.5, 2.0, args.seed + 1)
-        s = generate_opinions(g.n, args.dist, args.seed + 2)
-        if g.n <= DENSE_CAP:
-            t0 = time.perf_counter()
-            metrics_exact(g, k, s)
-            exact_s = time.perf_counter() - t0
-        else:
-            exact_s = None  # refused above the dense cap
-        t0 = time.perf_counter()
-        report = approxim(g, k, s, args.eps)
-        approx_s = time.perf_counter() - t0
-        rows.append(
-            {
-                "n": g.n,
-                "m": g.m,
-                "exact_seconds": exact_s,
-                "approx_seconds": approx_s,
-                "solver_iterations": report.solver_iterations,
-                "certified": report.certified,
-            }
-        )
-        exact_str = f"{exact_s:10.3f}" if exact_s is not None else f"{'-':>10}"
-        print(f"n={g.n:>8}  m={g.m:>9}  exact {exact_str}s  approx {approx_s:10.3f}s")
-    exponent = None
-    if len(rows) >= 2:
-        logm = np.log([r["m"] for r in rows])
-        logt = np.log([r["approx_seconds"] for r in rows])
-        exponent = float(np.polyfit(logm, logt, 1)[0])
-        print(f"approx time vs m: log-log slope {exponent:.3f}")
-    _write_out(
-        args.out,
-        "\n".join(json.dumps(r, sort_keys=True) for r in rows)
-        + ("\n" + json.dumps({"slope": exponent}) if exponent is not None else ""),
-    )
     return 0
 
 
@@ -214,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fjopinion",
         description="Opinion dynamics with heterogeneous stubbornness: metrics, "
-        "simulation, spectral analysis, verification, benchmarks.",
+        "simulation, spectral analysis, verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -249,17 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("verify", help="run the cross-module property suites")
-    common(p, graph=False)
-    p.add_argument("--scale", choices=("small", "full"), default="small")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench", help="timing table on synthetic regular graphs")
-    common(p, graph=False)
-    p.add_argument("--sizes", required=True, help="comma-separated node counts")
-    p.add_argument("--degree", type=int, default=4)
-    p.add_argument("--dist", choices=DISTRIBUTIONS, default="uniform")
-    p.add_argument("--eps", type=float, default=1e-6)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gen-opinions", help="write a seeded innate-opinion file")
     common(p, graph=False)
@@ -274,7 +218,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphInputError, FileNotFoundError) as exc:
+    except (GraphInputError, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SizeGuardError as exc:

@@ -20,6 +20,7 @@ from fjopinion.graph import Graph, StubbornnessVector, operator_matrix
 from fjopinion.solver import energy_norm_certificate, solve
 
 DENSE_CAP = 10_000
+EQUILIBRIUM_DELTA = 1e-12  # relative energy-norm error proved above DENSE_CAP
 POWER_STEPS = 1_000
 CHECK_EVERY = 10  # power steps between two evaluations of the bracket
 INVERSE_SOLVES = 100
@@ -92,48 +93,35 @@ def step(g: Graph, k: StubbornnessVector, state: OpinionState) -> OpinionState:
     return OpinionState(s=state.s, z=z_new, t=state.t + 1)
 
 
-def equilibrium(
-    g: Graph,
-    k: StubbornnessVector,
-    s: np.ndarray,
-    mode: str = "exact",
-    delta: float = 1e-10,
-    cap: int = DENSE_CAP,
-) -> np.ndarray:
+def equilibrium(g: Graph, k: StubbornnessVector, s: np.ndarray) -> np.ndarray:
     """Equilibrium expressed opinions z = (L+K)^{-1} K s.
 
-    Exact mode uses a direct sparse factorization of L + K and is refused
-    above ``cap`` nodes.  Iterative mode delegates to the PCG solver with
-    right-hand side Ks, which stops once it proves a relative energy-norm
-    error of at most ``delta``; ``delta`` must lie in (0, 1).
+    Up to ``DENSE_CAP`` nodes a direct sparse factorization of L + K solves
+    it.  Above the cap the PCG solver does, with right-hand side Ks; it stops
+    once it proves a relative energy-norm error of at most
+    ``EQUILIBRIUM_DELTA`` and raises ``NumericalError`` if it cannot.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.shape != (g.n,):
         raise GraphInputError("opinion vector length does not match graph")
     t = operator_matrix(g, k)
-    if mode == "exact":
-        if g.n > cap:
-            raise SizeGuardError(f"exact mode refused: n={g.n} exceeds cap {cap}")
-        # L + K is symmetric: order on its own pattern, not on T^T T.
-        return spla.spsolve(t.tocsc(), k.k * s, permc_spec="MMD_AT_PLUS_A")
-    if mode != "iterative":
-        raise GraphInputError(f"unknown mode {mode!r}")
-    if not (delta > 0.0):
-        raise GraphInputError("delta must be > 0 for iterative mode")
     b = k.k * s
-    res = solve(t, b, k, energy_norm_certificate(b, delta))
+    if g.n <= DENSE_CAP:
+        # L + K is symmetric: order on its own pattern, not on T^T T.
+        return spla.spsolve(t.tocsc(), b, permc_spec="MMD_AT_PLUS_A")
+    res = solve(t, b, k, energy_norm_certificate(b, EQUILIBRIUM_DELTA))
     if not res.certified:
         raise NumericalError(
-            f"solver did not certify delta={delta}: {res.stop_reason} after "
+            f"solver did not certify delta={EQUILIBRIUM_DELTA}: {res.stop_reason} after "
             f"{res.iterations} iterations with proved relative error {res.bound:.3e}"
         )
     return res.y
 
 
-def fundamental_matrix(g: Graph, k: StubbornnessVector, cap: int = DENSE_CAP) -> np.ndarray:
+def fundamental_matrix(g: Graph, k: StubbornnessVector) -> np.ndarray:
     """Dense fundamental matrix (L+K)^{-1} K: row-stochastic, positive for connected graphs."""
-    if g.n > cap:
-        raise SizeGuardError(f"dense fundamental matrix refused: n={g.n} exceeds cap {cap}")
+    if g.n > DENSE_CAP:
+        raise SizeGuardError(f"dense fundamental matrix refused: n={g.n} exceeds cap {DENSE_CAP}")
     t = operator_matrix(g, k).toarray()
     return np.linalg.solve(t, np.diag(k.k))
 
@@ -247,7 +235,7 @@ def simulate_until(
         raise GraphInputError("eps must be > 0")
     s = np.asarray(s, dtype=np.float64)
     z0 = np.asarray(z0, dtype=np.float64)
-    z_star = equilibrium(g, k, s, mode="exact" if g.n <= DENSE_CAP else "iterative", delta=1e-12)
+    z_star = equilibrium(g, k, s)
     weight = np.sqrt(k.k + g.degrees)
 
     trace = ErrorTrace()

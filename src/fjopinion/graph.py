@@ -169,23 +169,20 @@ class SpectralBounds:
     coarse_upper: float
 
 
-def build_graph(edge_triples, declared_nodes=None) -> Graph:
+def build_graph(edge_triples) -> Graph:
     """Build a Graph from (u, v, w) triples with arbitrary hashable node ids.
 
     Self-loops are dropped (counted), parallel edges merged by weight
     summation, node ids remapped to contiguous indices in first-seen order.
-    ``declared_nodes`` adds isolated nodes not touched by any edge.
     """
-    labels = list(declared_nodes or ())
-    declared = len(labels)
+    labels = []
     weights = []
     for u, v, weight in edge_triples:
         labels += (u, v)
         weights.append(weight)
     node, firsts = _first_seen(labels)
-    ends = node[declared:]
     w = np.fromiter(map(float, weights), np.float64, len(weights))
-    return Graph.from_arrays(ends[0::2], ends[1::2], w, firsts.size, [labels[i] for i in firsts])
+    return Graph.from_arrays(node[0::2], node[1::2], w, firsts.size, [labels[i] for i in firsts])
 
 
 def _first_seen(keys):

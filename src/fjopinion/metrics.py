@@ -257,15 +257,12 @@ def _pipeline(g, k, s, mode, eps, solve_centered):
     return report, z
 
 
-def metrics_exact(
-    g: Graph, k: StubbornnessVector, s: np.ndarray, cap: int = DENSE_CAP
-) -> MetricsReport:
-    """Exact metrics from a direct sparse solve; refused above ``cap`` nodes."""
-    if g.n > cap:
-        raise SizeGuardError(f"exact metrics refused: n={g.n} exceeds cap {cap}")
+def metrics_exact(g: Graph, k: StubbornnessVector, s: np.ndarray) -> MetricsReport:
+    """Exact metrics from a direct sparse solve; refused above ``DENSE_CAP`` nodes."""
+    if g.n > DENSE_CAP:
+        raise SizeGuardError(f"exact metrics refused: n={g.n} exceeds cap {DENSE_CAP}")
     report, z = _pipeline(
-        g, k, s, "exact", 0.0,
-        lambda s0, _: (equilibrium(g, k, s0, mode="exact", cap=cap), {"delta_used": 0.0}),
+        g, k, s, "exact", 0.0, lambda s0, _: (equilibrium(g, k, s0), {"delta_used": 0.0})
     )
 
     # Identity I_pd = sum k_i s_i z_i, a free cross-check of the solve.

@@ -2,8 +2,8 @@
 
 Each check tests one named invariant on one seeded random instance and
 returns whether it held; ``run_suite`` runs it over a batch of trials and
-reports (name, passed, total).  ``full`` scale adds the spanning-forest
-sweep certifying the fundamental matrix combinatorially.
+reports (name, passed, total).  The last check is the spanning-forest sweep
+that certifies the fundamental matrix combinatorially.
 """
 
 from __future__ import annotations
@@ -193,7 +193,7 @@ def check_forest_oracle(rng):
     )
 
 
-SMALL_SUITE = [
+SUITE = [
     ("laplacian annihilates constants", check_laplacian_ones, 20),
     ("incidence composition equals laplacian", check_incidence_composition, 20),
     ("spectrum of L+K inside bounds", check_eigen_bounds, 20),
@@ -210,20 +210,14 @@ SMALL_SUITE = [
     ("quadratic forms match defining sums", check_quadratic_forms, 20),
     ("approximate metrics within eps of exact", check_approx_vs_exact, 5),
     ("solver energy-norm contract", check_solver_contract, 20),
-]
-
-FULL_EXTRA = [
     ("forest oracle matches dense inverse", check_forest_oracle, 50),
 ]
 
 
-def run_suite(scale="small", seed=0):
+def run_suite(seed=0):
     """Run every property; returns a list of (name, passed, total)."""
-    checks = list(SMALL_SUITE)
-    if scale == "full":
-        checks += FULL_EXTRA
     results = []
-    for name, check, trials in checks:
+    for name, check, trials in SUITE:
         rng = np.random.default_rng(seed)
         passed = sum(bool(check(rng)) for _ in range(trials))
         results.append((name, passed, trials))

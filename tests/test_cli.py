@@ -100,17 +100,35 @@ def test_bad_opinion_value_exits_1(fixture_files, tmp_path):
     assert rc == 1
 
 
-def test_exact_above_cap_exits_3(tmp_path, monkeypatch):
-    from fjopinion import metrics as metrics_mod
-
+def test_exact_above_cap_exits_3(tmp_path):
     graph = tmp_path / "big.txt"
-    graph.write_text("\n".join(f"{i} {i + 1}" for i in range(30)))
-    monkeypatch.setattr(
-        "fjopinion.cli.metrics_exact",
-        lambda g, k, s: metrics_mod.metrics_exact(g, k, s, cap=10),
-    )
+    graph.write_text("\n".join(f"{i} {i + 1}" for i in range(dynamics.DENSE_CAP)))
     rc = cli.main(["metrics", "--graph", str(graph), "--dist", "uniform", "--mode", "exact"])
     assert rc == 3
+
+
+@pytest.mark.parametrize("spec", ["uniform:abc", "random:0.5", "random:a,b"])
+def test_malformed_stubbornness_spec_exits_1(fixture_files, spec, capsys):
+    graph, _, opinions = fixture_files
+    argv = ["metrics", "--graph", str(graph), "--opinions", str(opinions), "--stubbornness", spec]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and repr(spec) in err
+    assert all(form in err for form in ("file path", "uniform:C", "random:LO,HI"))
+
+
+@pytest.mark.parametrize("flag", ["--graph", "--opinions"])
+@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+def test_unreadable_path_exits_1(fixture_files, tmp_path, flag, kind, capsys):
+    graph, _, opinions = fixture_files
+    bad = tmp_path
+    if kind == "non-utf8":
+        bad = tmp_path / "binary.txt"
+        bad.write_bytes(b"\xff\xfe\x00")
+    # The last of a repeated flag wins.
+    argv = ["metrics", "--graph", str(graph), "--opinions", str(opinions), flag, str(bad)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("input error:")
 
 
 def test_simulate(fixture_files, tmp_path, capsys):
@@ -189,7 +207,7 @@ def test_spectrum_reports_the_proved_bracket(fixture_files, tmp_path, capsys):
 
 
 def test_verify_small(capsys):
-    rc = cli.main(["verify", "--scale", "small", "--seed", "3"])
+    rc = cli.main(["verify", "--seed", "3"])
     assert rc == 0
     assert "all properties passed" in capsys.readouterr().out
 
@@ -201,13 +219,13 @@ def test_verify_detects_injected_fault(monkeypatch, capsys):
 
     true_fn = dynamics.fundamental_matrix
 
-    def perturbed(g, k, cap=10_000):
-        phi = true_fn(g, k, cap)
+    def perturbed(g, k):
+        phi = true_fn(g, k)
         phi[0, 0] += 1e-3
         return phi
 
     monkeypatch.setattr(dynamics, "fundamental_matrix", perturbed)
-    rc = cli.main(["verify", "--scale", "small", "--seed", "3"])
+    rc = cli.main(["verify", "--seed", "3"])
     assert rc == 2
     out = capsys.readouterr().out
     assert "[FAIL] fundamental matrix row-stochastic positive" in out
@@ -223,21 +241,8 @@ def test_gen_opinions_round_trip(tmp_path):
     assert np.array_equal(values, generate_opinions(50, "normal", 7))
 
 
-def test_bench_small(tmp_path, capsys):
-    out = tmp_path / "bench.jsonl"
-    rc = cli.main(
-        ["bench", "--sizes", "100,200", "--degree", "4", "--dist", "uniform", "--out", str(out)]
-    )
-    assert rc == 0
-    lines = out.read_text().splitlines()
-    rows = [json.loads(line) for line in lines[:-1]]
-    assert [r["n"] for r in rows] == [100, 200]
-    assert all(r["exact_seconds"] is not None for r in rows)
-    assert "slope" in json.loads(lines[-1])
-
-
 def test_run_suite_names_are_unique():
-    names = [name for name, _, _ in verify.SMALL_SUITE + verify.FULL_EXTRA]
+    names = [name for name, _, _ in verify.SUITE]
     assert len(names) == len(set(names))
 
 

@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_instance
+from fjopinion import dynamics
 from fjopinion.dynamics import (
+    DENSE_CAP,
+    EQUILIBRIUM_DELTA,
     OpinionState,
     center_opinions,
     convergence_bound,
@@ -16,13 +20,14 @@ from fjopinion.dynamics import (
     spectral_radius,
     step,
 )
-from fjopinion.errors import GraphInputError, NumericalError, SizeGuardError
+from fjopinion.errors import GraphInputError, NumericalError
 from fjopinion.generate import generate_opinions, random_connected_gnp
-from fjopinion.graph import Graph, StubbornnessVector, build_graph
+from fjopinion.graph import Graph, StubbornnessVector, build_graph, operator_matrix
+from fjopinion.solver import energy_norm_certificate, solve
 
 
 def isolated_node():
-    return build_graph([], declared_nodes=[0])
+    return Graph.from_arrays([], [], [], 1)
 
 
 def long_path(n=2000):
@@ -120,21 +125,22 @@ class TestEquilibrium:
         z = equilibrium(g, k, np.full(g.n, 0.7))
         assert np.allclose(z, 0.7, atol=1e-10)
 
-    def test_iterative_matches_exact(self):
+    def test_above_cap_is_the_certified_pcg_solve(self):
+        g = long_path(DENSE_CAP + 1)
         rng = np.random.default_rng(9)
-        g, k, s = make_instance(rng, n_max=60)
-        z_exact = equilibrium(g, k, s, mode="exact")
-        z_iter = equilibrium(g, k, s, mode="iterative", delta=1e-10)
-        assert np.abs(z_exact - z_iter).max() < 1e-8
+        k = StubbornnessVector.from_values(rng.uniform(0.5, 2.0, g.n))
+        s = rng.uniform(-1.0, 1.0, g.n)
+        z = equilibrium(g, k, s)
+        t, b = operator_matrix(g, k), k.k * s
+        assert np.array_equal(z, solve(t, b, k, energy_norm_certificate(b, EQUILIBRIUM_DELTA)).y)
+        assert np.abs(z - spla.spsolve(t.tocsc(), b)).max() <= 1e-8
 
-    def test_iterative_failure_names_reason_and_bound(self, path2, k21):
+    def test_iterative_failure_names_reason_and_bound(self, monkeypatch):
+        g = long_path(DENSE_CAP + 1)
+        monkeypatch.setattr(dynamics, "EQUILIBRIUM_DELTA", 1e-300)
         with pytest.raises(NumericalError, match=r"stagnated after \d+ iterations with "
                            r"proved relative error \d\.\d{3}e-\d+"):
-            equilibrium(path2, k21, np.array([1.0, 2.0]), mode="iterative", delta=1e-300)
-
-    def test_cap_refusal(self, path2, k21):
-        with pytest.raises(SizeGuardError):
-            equilibrium(path2, k21, np.zeros(2), mode="exact", cap=1)
+            equilibrium(g, StubbornnessVector.uniform(g.n, 1.0), np.linspace(-1.0, 1.0, g.n))
 
     def test_fixed_point_property(self):
         rng = np.random.default_rng(13)

@@ -5,7 +5,7 @@ from fjopinion.dynamics import fundamental_matrix
 from fjopinion.errors import SizeGuardError
 from fjopinion.forest import MappedDigraph, enumerate_forests, forest_matrix
 from fjopinion.generate import random_connected_gnp
-from fjopinion.graph import StubbornnessVector, build_graph
+from fjopinion.graph import Graph, StubbornnessVector, build_graph
 
 
 def test_mapped_digraph_arcs(path2, k21):
@@ -45,7 +45,7 @@ def test_two_node_forest_matrix(path2, k21):
 
 
 def test_single_node():
-    g = build_graph([], declared_nodes=[0])
+    g = Graph.from_arrays([], [], [], 1)
     d = MappedDigraph.of(g, StubbornnessVector.from_values([4.0]))
     enum = enumerate_forests(d)
     assert enum.total_weight == 1.0 and enum.forest_count == 1
@@ -53,7 +53,7 @@ def test_single_node():
 
 
 def test_edgeless_graph_gives_identity():
-    g = build_graph([], declared_nodes=range(4))
+    g = Graph.from_arrays([], [], [], 4)
     d = MappedDigraph.of(g, StubbornnessVector.uniform(4, 2.0))
     assert np.allclose(forest_matrix(d), np.eye(4))
 

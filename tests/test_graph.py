@@ -55,7 +55,7 @@ class TestBuildGraph:
             build_graph([])
 
     def test_declared_isolated_nodes(self):
-        g = build_graph([], declared_nodes=[0, 1, 2])
+        g = Graph.from_arrays([], [], [], 3)
         assert g.n == 3 and g.m == 0
 
     def test_id_remap_retained(self):
@@ -374,7 +374,7 @@ class TestEigenBounds:
         assert bounds.coarse_upper == 2.0 + 2 * 1.0
 
     def test_single_node(self):
-        g = build_graph([], declared_nodes=[0])
+        g = Graph.from_arrays([], [], [], 1)
         k = StubbornnessVector.from_values([5.0])
         bounds = eigen_bounds(g, k)
         assert (bounds.lower, bounds.upper) == (5.0, 5.0)

@@ -14,7 +14,7 @@ from fjopinion.generate import (
     random_connected_gnp,
     random_regular_graph,
 )
-from fjopinion.graph import StubbornnessVector, build_graph
+from fjopinion.graph import Graph, StubbornnessVector, build_graph
 from fjopinion.metrics import (
     MetricsReport,
     approxim,
@@ -46,9 +46,11 @@ class TestExact:
         r = metrics_exact(path2, k21, np.zeros(2))
         assert (r.conflict, r.disagreement, r.polarization, r.pd_index) == (0, 0, 0, 0)
 
-    def test_cap_refusal_without_fallback(self, path2, k21):
+    def test_cap_refusal_without_fallback(self):
+        n = dynamics.DENSE_CAP + 1
+        g = build_graph([(i, i + 1, 1.0) for i in range(n - 1)])
         with pytest.raises(SizeGuardError):
-            metrics_exact(path2, k21, np.zeros(2), cap=1)
+            metrics_exact(g, StubbornnessVector.uniform(n, 1.0), np.zeros(n))
 
     def test_pd_identity(self):
         rng = np.random.default_rng(53)
@@ -99,7 +101,7 @@ class TestDeltaBudget:
 
     def test_edgeless_graph_uses_first_threshold(self):
         # No edges: C = D = 0 whatever the solve returns, so only delta1 applies.
-        g = build_graph([], declared_nodes=[0, 1])
+        g = Graph.from_arrays([], [], [], 2)
         b = delta_budget(g, StubbornnessVector.from_values([2.0, 1.0]), np.array([1.0, -2.0]), 0.1)
         assert b.delta2 == b.delta3 == math.inf
         assert b.delta == b.delta1 == pytest.approx(0.1 / 3.0, rel=1e-12)  # cap = k_max
@@ -156,7 +158,7 @@ class TestApproxim:
             approxim(path2, k21, np.array([1.0, -1.0]), eps=0.7)
 
     def test_edgeless_graph_matches_exact(self):
-        g = build_graph([], declared_nodes=[0, 1, 2])
+        g = Graph.from_arrays([], [], [], 3)
         k = StubbornnessVector.from_values([0.5, 1.0, 2.0])
         s = np.array([0.5, -0.25, 1.0])
         exact = metrics_exact(g, k, s)

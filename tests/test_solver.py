@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from conftest import make_instance
 from fjopinion.errors import GraphInputError
-from fjopinion.graph import StubbornnessVector, build_graph, operator_matrix
+from fjopinion.graph import Graph, StubbornnessVector, build_graph, operator_matrix
 from fjopinion.solver import Certificate, energy_norm_certificate, solve
 
 
@@ -16,7 +16,7 @@ def solve_to(g, k, b, delta):
 
 
 def test_diagonal_system():
-    g = build_graph([], declared_nodes=[0, 1])
+    g = Graph.from_arrays([], [], [], 2)
     k = StubbornnessVector.from_values([2.0, 1.0])
     res = solve_to(g, k, np.array([2.0, 1.0]), 1e-6)
     assert np.allclose(res.y, [1.0, 1.0], atol=1e-10)
