@@ -218,7 +218,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphInputError, OSError, UnicodeDecodeError) as exc:
+    except (GraphInputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SizeGuardError as exc:

@@ -13,7 +13,7 @@ DISTRIBUTIONS = ("uniform", "powerlaw", "normal", "exponential")
 POWERLAW_EXPONENT = 2.5
 NORMAL_SIGMA = 1.0 / 3.0
 
-# Edge weights of the G(n, p) generators are uniform on this range.
+# Edge weights of random_connected_gnp are uniform on this range.
 EDGE_WEIGHTS = (0.5, 2.0)
 
 
@@ -70,15 +70,6 @@ def random_regular_graph(n: int, degree: int, seed: int) -> Graph:
     v = stubs[1::2]
     keep = u != v
     return Graph.from_arrays(u[keep], v[keep], np.ones(np.count_nonzero(keep)), n)
-
-
-def random_gnp_graph(n: int, p: float, seed: int) -> Graph:
-    """Erdos-Renyi graph with uniform random edge weights, seeded."""
-    rng = np.random.default_rng(seed)
-    iu, iv = np.triu_indices(n, k=1)
-    mask = rng.random(iu.size) < p
-    w = rng.uniform(*EDGE_WEIGHTS, size=np.count_nonzero(mask))
-    return Graph.from_arrays(iu[mask], iv[mask], w, n)
 
 
 def random_connected_gnp(n: int, p: float, seed: int) -> Graph:

@@ -33,12 +33,8 @@ class Graph:
     degrees: np.ndarray
     ids: tuple
     self_loops_dropped: int = 0
-    _adj: sp.csr_matrix = field(repr=False, compare=False, default=None)
+    adjacency: sp.csr_matrix = field(repr=False, compare=False, default=None)
     _fingerprint: str = field(init=False, repr=False, compare=False, default=None)
-
-    @property
-    def adjacency(self) -> sp.csr_matrix:
-        return self._adj
 
     @property
     def w_min(self) -> float:
@@ -114,7 +110,7 @@ class Graph:
             degrees=degrees,
             ids=ids,
             self_loops_dropped=loops,
-            _adj=adj,
+            adjacency=adj,
         )
 
     def fingerprint(self) -> str:
@@ -211,8 +207,13 @@ def _read_table(path):
     blank nor a comment (first token starting with ``#`` or ``%``), its
     1-based number, the index of its first token and its token count.
     """
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphInputError(
+            f"{path}: cannot decode as {exc.encoding} at byte {exc.start}: {exc.reason}"
+        ) from None
     # Each line end becomes a token of its own: a character the text does not
     # hold.  One-char Latin-1 strings are shared objects in CPython, so these
     # tokens cost no memory; a lone surrogate cannot occur in decoded text.
@@ -359,11 +360,6 @@ def laplacian_apply(g: Graph, x: np.ndarray) -> np.ndarray:
     return g.degrees * x - g.adjacency @ x
 
 
-def laplacian_matrix(g: Graph) -> sp.csr_matrix:
-    """Sparse L = D - A."""
-    return sp.diags(g.degrees, format="csr") - g.adjacency
-
-
 def operator_matrix(g: Graph, k: StubbornnessVector) -> sp.csr_matrix:
     """Sparse L + K."""
     if len(k) != g.n:
@@ -382,7 +378,4 @@ def eigen_bounds(g: Graph, k: StubbornnessVector) -> SpectralBounds:
         raise GraphInputError("stubbornness length does not match graph")
     upper = k.k_max + 2.0 * g.d_max
     coarse_upper = k.k_max + g.n * g.w_max
-    if g.m == 0:
-        upper = k.k_max
-        coarse_upper = k.k_max
     return SpectralBounds(lower=k.k_min, upper=upper, coarse_upper=coarse_upper)

@@ -11,14 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from fjopinion import dynamics, forest, metrics
-from fjopinion.generate import random_connected_gnp, random_gnp_graph
-from fjopinion.graph import (
-    StubbornnessVector,
-    eigen_bounds,
-    laplacian_apply,
-    laplacian_matrix,
-    operator_matrix,
-)
+from fjopinion.generate import random_connected_gnp
+from fjopinion.graph import StubbornnessVector, eigen_bounds, laplacian_apply, operator_matrix
 from fjopinion.solver import energy_norm_certificate, solve
 
 
@@ -26,13 +20,9 @@ from fjopinion.solver import energy_norm_certificate, solve
 EXACT_ROUNDING = 1e-12
 
 
-def _instance(rng, n_max=40, connected=True):
+def _instance(rng, n_max=40):
     n = int(rng.integers(3, n_max + 1))
-    seed = int(rng.integers(0, 2**31))
-    if connected:
-        g = random_connected_gnp(n, 0.25, seed)
-    else:
-        g = random_gnp_graph(n, 0.25, seed)
+    g = random_connected_gnp(n, 0.25, int(rng.integers(0, 2**31)))
     k = StubbornnessVector.from_values(rng.uniform(0.5, 3.0, size=g.n))
     s = rng.uniform(-1.0, 1.0, size=g.n)
     return g, k, s
@@ -144,7 +134,7 @@ def check_quadratic_forms(rng):
     g, k, s = _instance(rng)
     report = metrics.metrics_exact(g, k, s)
     t_inv_ks = np.linalg.solve(operator_matrix(g, k).toarray(), k.k * s)
-    lap = laplacian_matrix(g).toarray()
+    lap = np.diag(g.degrees) - g.adjacency.toarray()
     pairs = [
         (float(t_inv_ks @ (lap @ ((1.0 / k.k) * (lap @ t_inv_ks)))), report.conflict),
         (float(t_inv_ks @ (lap @ t_inv_ks)), report.disagreement),

@@ -117,18 +117,38 @@ def test_malformed_stubbornness_spec_exits_1(fixture_files, spec, capsys):
     assert all(form in err for form in ("file path", "uniform:C", "random:LO,HI"))
 
 
-@pytest.mark.parametrize("flag", ["--graph", "--opinions"])
+@pytest.mark.parametrize("flag", ["--graph", "--opinions", "--stubbornness"])
 @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
 def test_unreadable_path_exits_1(fixture_files, tmp_path, flag, kind, capsys):
-    graph, _, opinions = fixture_files
+    graph, stub, opinions = fixture_files
     bad = tmp_path
     if kind == "non-utf8":
         bad = tmp_path / "binary.txt"
         bad.write_bytes(b"\xff\xfe\x00")
     # The last of a repeated flag wins.
-    argv = ["metrics", "--graph", str(graph), "--opinions", str(opinions), flag, str(bad)]
+    argv = ["metrics", "--graph", str(graph), "--stubbornness", str(stub),
+            "--opinions", str(opinions), flag, str(bad)]
     assert cli.main(argv) == 1
-    assert capsys.readouterr().err.startswith("input error:")
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and str(bad) in err
+
+
+def test_missing_input_flag_exits_1(fixture_files, capsys):
+    graph, _, _ = fixture_files
+    assert cli.main(["metrics", "--dist", "uniform"]) == 1
+    assert capsys.readouterr().err == "input error: --graph is required\n"
+    assert cli.main(["metrics", "--graph", str(graph)]) == 1
+    assert capsys.readouterr().err == "input error: provide --opinions FILE or --dist NAME\n"
+
+
+def test_simulation_past_its_cap_exits_2(fixture_files, monkeypatch, capsys):
+    graph, _, opinions = fixture_files
+    monkeypatch.setattr(dynamics, "SIMULATION_CAP", 2)
+    argv = ["simulate", "--graph", str(graph), "--opinions", str(opinions), "--eps", "1e-12"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: simulation did not reach eps=1e-12 within 2 steps\n"
+    )
 
 
 def test_simulate(fixture_files, tmp_path, capsys):
@@ -239,6 +259,16 @@ def test_gen_opinions_round_trip(tmp_path):
     from fjopinion.generate import generate_opinions
 
     assert np.array_equal(values, generate_opinions(50, "normal", 7))
+
+
+def test_gen_opinions_to_stdout(capsys):
+    assert cli.main(["gen-opinions", "--n", "20", "--dist", "powerlaw", "--seed", "3"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [int(i) for i, _ in rows] == list(range(20))
+    values = np.array([float(v) for _, v in rows])
+    from fjopinion.generate import generate_opinions
+
+    assert np.array_equal(values, generate_opinions(20, "powerlaw", 3))
 
 
 def test_run_suite_names_are_unique():

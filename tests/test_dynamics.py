@@ -20,7 +20,7 @@ from fjopinion.dynamics import (
     spectral_radius,
     step,
 )
-from fjopinion.errors import GraphInputError, NumericalError
+from fjopinion.errors import GraphInputError, NumericalError, SizeGuardError
 from fjopinion.generate import generate_opinions, random_connected_gnp
 from fjopinion.graph import Graph, StubbornnessVector, build_graph, operator_matrix
 from fjopinion.solver import energy_norm_certificate, solve
@@ -332,3 +332,29 @@ class TestOpinionProperties:
         k = StubbornnessVector.uniform(g.n, 1.7)
         z = equilibrium(g, k, s)
         assert abs(z.sum() - s.sum()) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda g, k: OpinionState(s=np.zeros(2), z=np.zeros(3)), GraphInputError,
+         "innate and expressed vectors must be 1-d and equal length"),
+        (lambda g, k: step(g, k, OpinionState(s=np.zeros(3), z=np.zeros(3))), GraphInputError,
+         "state dimensions do not match graph"),
+        (lambda g, k: equilibrium(g, k, np.zeros(3)), GraphInputError,
+         "opinion vector length does not match graph"),
+        (lambda g, k: fundamental_matrix(Graph.from_arrays([], [], [], DENSE_CAP + 1),
+                                         StubbornnessVector.uniform(DENSE_CAP + 1, 1.0)),
+         SizeGuardError,
+         f"dense fundamental matrix refused: n={DENSE_CAP + 1} exceeds cap {DENSE_CAP}"),
+        (lambda g, k: convergence_bound(0.5, 1.0, 0.0), GraphInputError, "eps must be > 0"),
+        (lambda g, k: simulate_until(g, k, np.ones(2), z0=np.zeros(2), eps=0.0),
+         GraphInputError, "eps must be > 0"),
+    ],
+    ids=["state", "step", "equilibrium", "fundamental_matrix", "convergence_bound",
+         "simulate_until"],
+)
+def test_input_checks(path2, k21, call, error, message):
+    with pytest.raises(error) as exc:
+        call(path2, k21)
+    assert str(exc.value) == message

@@ -3,7 +3,7 @@ import pytest
 
 from fjopinion.dynamics import fundamental_matrix
 from fjopinion.errors import SizeGuardError
-from fjopinion.forest import MappedDigraph, enumerate_forests, forest_matrix
+from fjopinion.forest import COMBINATION_CAP, MappedDigraph, enumerate_forests, forest_matrix
 from fjopinion.generate import random_connected_gnp
 from fjopinion.graph import Graph, StubbornnessVector, build_graph
 
@@ -89,3 +89,11 @@ def test_agrees_with_fundamental_matrix():
         phi_forest = forest_matrix(MappedDigraph.of(g, k))
         phi_dyn = fundamental_matrix(g, k)
         assert np.abs(phi_forest - phi_dyn).max() <= 1e-9
+
+
+def test_choice_space_guard():
+    g = build_graph([(i, j, 1.0) for i in range(12) for j in range(i + 1, 12)])
+    d = MappedDigraph.of(g, StubbornnessVector.uniform(g.n, 1.0))
+    with pytest.raises(SizeGuardError) as exc:
+        enumerate_forests(d)
+    assert str(exc.value) == f"forest enumeration refused: choice space exceeds {COMBINATION_CAP}"

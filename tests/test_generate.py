@@ -10,7 +10,6 @@ from fjopinion.generate import (
     generate_opinions,
     generate_stubbornness,
     random_connected_gnp,
-    random_gnp_graph,
     random_regular_graph,
 )
 
@@ -63,12 +62,6 @@ def test_regular_graph_near_regular():
     assert g.degrees.mean() > 3.5  # few stubs lost to loops/parallels
 
 
-def test_gnp_graphs_seeded():
-    g1 = random_gnp_graph(40, 0.2, 8)
-    g2 = random_gnp_graph(40, 0.2, 8)
-    assert g1.fingerprint() == g2.fingerprint()
-
-
 def test_connected_gnp_is_connected():
     import scipy.sparse.csgraph as csgraph
 
@@ -82,8 +75,8 @@ def test_connected_gnp_is_connected():
 @pytest.mark.parametrize(
     "make, args, fingerprint",
     [
-        (random_gnp_graph, (40, 0.2, 8), "5dbe1cd24eb90203"),
-        (random_gnp_graph, (25, 0.5, 0), "078b6e037f8b55f9"),
+        (random_connected_gnp, (40, 0.25, 8), "9c8b4699a2c5a658"),
+        (random_connected_gnp, (3, 0.25, 0), "8809e4a4bd6290a5"),
         (random_connected_gnp, (30, 0.1, 4), "e4a3e99412468615"),
         (random_connected_gnp, (2, 0.0, 1), "99f2d78e67e28066"),
         (random_connected_gnp, (60, 0.05, 123), "7ee6ff808fb42ea9"),
@@ -99,3 +92,23 @@ def test_seeded_graphs_keep_their_fingerprints(make, args, fingerprint, monkeypa
     assert g.fingerprint() == fingerprint
     assert g.fingerprint() == fingerprint and len(hashes) == 1  # hashed once
     assert g.ids == tuple(range(g.n)) and g.self_loops_dropped == 0
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: generate_opinions(0, "uniform", 0), "n must be >= 1"),
+        (lambda: random_regular_graph(5, 3, 0), "need n >= 2 and n * degree even"),
+    ],
+    ids=["no-opinions", "odd-stub-count"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(GraphInputError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("dist", ["exponential", "powerlaw"])
+def test_single_rescaled_opinion_is_zero(dist):
+    # One sample has no spread to rescale: min == max maps it to 0.
+    assert generate_opinions(1, dist, 0).tolist() == [0.0]

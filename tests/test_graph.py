@@ -394,3 +394,19 @@ class TestEigenBounds:
             eig = np.linalg.eigvalsh(operator_matrix(g, k).toarray())
             assert eig.min() >= bounds.lower - 1e-9
             assert eig.max() <= bounds.coarse_upper + 1e-9
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda g: StubbornnessVector.from_values([]),
+         "stubbornness vector must be non-empty and 1-d"),
+        (lambda g: eigen_bounds(g, StubbornnessVector.uniform(3, 1.0)),
+         "stubbornness length does not match graph"),
+    ],
+    ids=["empty-stubbornness", "eigen_bounds"],
+)
+def test_input_checks(path2, call, message):
+    with pytest.raises(GraphInputError) as exc:
+        call(path2)
+    assert str(exc.value) == message

@@ -305,3 +305,14 @@ class TestReportSerialization:
         d = r.to_dict()
         assert all(not isinstance(v, (dict, list)) for v in d.values())
         assert d["mode"] == "approx" and d["eps_requested"] == 1e-6
+
+
+@pytest.mark.parametrize(
+    "call",
+    [metrics_exact, lambda g, k, s: approxim(g, k, s, eps=1e-6)],
+    ids=["metrics_exact", "approxim"],
+)
+def test_wrong_length_opinions_is_an_input_error(path2, k21, call):
+    with pytest.raises(GraphInputError) as exc:
+        call(path2, k21, np.array([1.0, 0.0, -1.0]))
+    assert str(exc.value) == "opinion vector length does not match graph"

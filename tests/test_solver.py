@@ -131,3 +131,18 @@ def test_breakdown_on_an_indefinite_operator(k11):
                 energy_norm_certificate(np.ones(2), 1e-6))
     assert not res.certified and res.stop_reason == "breakdown"
     assert res.iterations == 0 and res.bound == math.inf
+
+
+@pytest.mark.parametrize(
+    "b, k, message",
+    [
+        (np.ones(3), [1.0, 1.0], "right-hand side length does not match operator"),
+        (np.ones(2), [1.0, 1.0, 1.0], "stubbornness length does not match operator"),
+    ],
+    ids=["b", "k"],
+)
+def test_wrong_lengths_are_input_errors(path2, k11, b, k, message):
+    t = operator_matrix(path2, k11)
+    with pytest.raises(GraphInputError) as exc:
+        solve(t, b, StubbornnessVector.from_values(k), energy_norm_certificate(b, 1e-6))
+    assert str(exc.value) == message
