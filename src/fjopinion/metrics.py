@@ -36,7 +36,9 @@ class MetricsReport:
     metrics is off by at most that fraction of its value, and the
     conservation law by at most that fraction of sum k_i s_i^2 (0.0 in
     exact mode).  ``stop_reason`` says why the iterative solve stopped (""
-    when none ran); see ``solver.SolverResult``.
+    when none ran): "stagnated" when the true residual stopped shrinking
+    before eps could be proved, in which case ``error_bound`` is still the
+    bound proved for the last iterate; see ``solver.SolverResult``.
     """
 
     conflict: float
@@ -283,9 +285,10 @@ def approxim(g: Graph, k: StubbornnessVector, s: np.ndarray, eps: float) -> Metr
     of s itself, as in exact mode.  The solve stops as soon as its residual
     proves each metric's relative error, and the conservation law's, to be
     at most eps; the report's ``error_bound`` is that proved bound.  A solve
-    that stagnates first is reported with ``certified=False``; the values
-    are then the best attainable in double precision.  ``delta_used`` is the
-    paper's a-priori tolerance, reported as provenance.
+    whose true residual stagnates first is reported with ``certified=False``
+    and the values of its last iterate, near the best attainable in double
+    precision.  ``delta_used`` is the paper's a-priori tolerance, reported
+    as provenance.
     """
     if not (0.0 < eps < 0.5):
         raise GraphInputError(f"eps must be in (0, 1/2), got {eps}")

@@ -14,9 +14,12 @@ off y) and the solve stops as soon as that bound is at most the target.
 rho costs O(n) per iteration along the recurrence residual, but a
 certificate counts only on the true residual b - (L+K) y, which is formed
 when the recurrence rho has fallen to where the certificate can hold.  If
-the target lies below the double-precision floor, iteration runs until the
-residual stagnates and the best iterate is returned uncertified (Strakos &
-Tichy, ETNA 2002; Arioli, Numer. Math. 2004).
+the target lies below the double-precision floor, the recurrence rho keeps
+shrinking while the true one levels off (Greenbaum, SIMAX 1997), so
+stagnation is judged on the true residual: a failed check whose rho is no
+smaller than at the previous failed check stops the solve, and the last
+iterate is returned uncertified (Strakos & Tichy, ETNA 2002; Arioli,
+Numer. Math. 2004).
 """
 
 from __future__ import annotations
@@ -32,11 +35,6 @@ from fjopinion.errors import GraphInputError
 from fjopinion.graph import StubbornnessVector
 
 MAX_ITERATIONS = 50_000
-
-# A residual that stops shrinking by at least this factor over the stagnation
-# window means the attainable floor in double precision has been reached.
-STAGNATION_WINDOW = 60
-STAGNATION_FACTOR = 0.999
 
 
 @dataclass(frozen=True)
@@ -72,13 +70,15 @@ def energy_norm_certificate(b: np.ndarray, delta: float) -> Certificate:
 class SolverResult:
     """The returned iterate and how it was obtained.
 
-    ``stop_reason`` is "certified" exactly when ``certified`` is true, and
-    otherwise says why iteration ended: "stagnated" (the residual stopped
-    shrinking, or vanished in the recurrence), "maxiter", or "breakdown"
-    (a direction of non-positive curvature: the matrix is not positive
-    definite).  ``bound`` is the certificate's proved bound for ``y``, also
-    when it misses the target; ``residual_norm`` is the 2-norm of its true
-    residual.
+    ``y`` is the last iterate.  ``stop_reason`` is "certified" exactly when
+    ``certified`` is true, and otherwise says why iteration ended:
+    "stagnated" (a failed check found the true residual's rho no smaller
+    than at the previous failed check, or the recurrence residual or search
+    direction underflowed to zero), "maxiter", or "breakdown" (a direction
+    of negative curvature, or NaN: the matrix is not positive definite).
+    ``bound`` is the certificate's proved bound for ``y``, judged on its
+    true residual, also when it misses the target; ``residual_norm`` is the
+    2-norm of that residual.
     """
 
     y: np.ndarray
@@ -119,10 +119,11 @@ def solve(
         return math.sqrt(max(float(r @ scratch), 0.0))
 
     def check(y, scratch):
-        """Certificate bound of y and the 2-norm of its true residual."""
+        """Certificate bound of y, and rho and the 2-norm of its true residual."""
         r = matrix @ y
         np.subtract(b, r, out=r)
-        return certify.bound(y, r, rho_of(r, scratch)), float(np.linalg.norm(r))
+        rho = rho_of(r, scratch)
+        return certify.bound(y, r, rho), rho, float(np.linalg.norm(r))
 
     # z holds the preconditioned residual; between its uses it is scratch,
     # so the loop allocates nothing beyond the product (L+K) p.
@@ -136,10 +137,9 @@ def solve(
     # holds above target * rho0; the first true-residual check waits for it.
     goal = target * rho
 
-    best_x = x.copy()
-    best_rho = rho
-    window_best = rho
-    since_check = 0
+    # rho of the true residual at the last failed check: the recurrence rho
+    # keeps shrinking past the attainable floor, the true one does not.
+    failed_rho = math.inf
 
     iters = 0
     y, reason = None, "maxiter"
@@ -147,7 +147,8 @@ def solve(
         tp = matrix @ p
         ptp = float(p @ tp)
         if not ptp > 0.0:
-            reason = "breakdown"
+            # p.(L+K)p = 0 only once p has underflowed; < 0 or NaN is no SPD matrix.
+            reason = "stagnated" if ptp == 0.0 else "breakdown"
             break
         alpha = rz / ptp
         np.multiply(p, alpha, out=z)
@@ -158,25 +159,19 @@ def solve(
         iters += 1
         rho = rho_of(r, z)
         if rho <= goal:
-            bound, r_norm = check(x, z)
+            bound, true_rho, r_norm = check(x, z)
             if bound <= target:
                 y, reason = x, "certified"
                 break
+            if true_rho >= failed_rho:  # no gain since the last failed check
+                y, reason = x, "stagnated"
+                break
+            failed_rho = true_rho
             # The bound grows at least linearly in rho: aim where it would hold.
             goal = rho * (target / bound if math.isfinite(bound) else target)
-        if rho < best_rho:
-            best_rho = rho
-            np.copyto(best_x, x)
-        since_check += 1
-        if since_check >= STAGNATION_WINDOW:
-            if best_rho > window_best * STAGNATION_FACTOR:
-                reason = "stagnated"
-                break
-            window_best = best_rho
-            since_check = 0
         np.multiply(inv_diag, r, out=z)
         rz_new = float(r @ z)
-        if rz_new == 0.0:  # the recurrence residual vanished: nothing left to gain
+        if rz_new == 0.0:  # the recurrence residual vanished; the next rz_new / rz would be 0/0
             reason = "stagnated"
             break
         p *= rz_new / rz
@@ -184,9 +179,9 @@ def solve(
         rz = rz_new
 
     if y is None:
-        # The recurrence residual drifts: judge the best iterate on its true one.
-        y = best_x
-        bound, r_norm = check(y, z)
+        # Judge the last iterate on its true residual, not on the drifting recurrence.
+        y = x
+        bound, _, r_norm = check(y, z)
         if bound <= target:
             reason = "certified"
     return SolverResult(

@@ -151,6 +151,20 @@ def test_simulation_past_its_cap_exits_2(fixture_files, monkeypatch, capsys):
     )
 
 
+def test_stop_time_past_its_bound_exits_2(fixture_files, monkeypatch, capsys):
+    # rho(QA) = 1/sqrt(6) here; a bracket whose upper end is below it gives
+    # simulate_until a bound that the observed stop time exceeds.
+    graph, stub, opinions = fixture_files
+    bracket = dynamics.SpectralEstimate(lower=0.0, upper=0.1, iterations=0, converged=False)
+    monkeypatch.setattr(dynamics, "spectral_radius", lambda g, k: bracket)
+    argv = ["simulate", "--graph", str(graph), "--stubbornness", str(stub),
+            "--opinions", str(opinions), "--eps", "1e-8"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: observed stop time ")
+    assert " exceeds the convergence bound 9\n" in err
+
+
 def test_simulate(fixture_files, tmp_path, capsys):
     graph, stub, opinions = fixture_files
     out = tmp_path / "trace.jsonl"
@@ -290,3 +304,15 @@ def test_metrics_prints_bound_iterations_and_stop_reason(fixture_files, capsys):
     assert cli.main(base + ["--mode", "exact"]) == 0
     line = [x for x in capsys.readouterr().out.splitlines() if x.startswith("mode")][0]
     assert line.split()[1:] == ["exact", "certified=True", "bound=0", "iterations=0", "stop=-"]
+
+
+def test_metrics_below_the_floor_prints_stagnated(tmp_path, capsys):
+    # L + K is positive definite, so an eps below double precision is no breakdown.
+    graph = tmp_path / "path.txt"
+    graph.write_text("".join(f"{i} {i + 1}\n" for i in range(4999)))
+    argv = ["metrics", "--graph", str(graph), "--stubbornness", "uniform:0.05",
+            "--dist", "powerlaw", "--seed", "3", "--mode", "approx", "--eps", "1e-15"]
+    assert cli.main(argv) == 0
+    line = [x for x in capsys.readouterr().out.splitlines() if x.startswith("mode")][0]
+    fields = dict(f.split("=") for f in line.split()[2:])
+    assert fields["certified"] == "False" and fields["stop"] == "stagnated"

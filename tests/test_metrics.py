@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import dense_laplacian, make_instance
-from fjopinion import dynamics
-from fjopinion.errors import GraphInputError, SizeGuardError
+from fjopinion import dynamics, metrics
+from fjopinion.errors import GraphInputError, NumericalError, SizeGuardError
 from fjopinion.generate import (
     generate_opinions,
     generate_stubbornness,
@@ -214,6 +214,35 @@ class TestCertifiedStop:
     def test_exact_mode_reports_no_bound(self, path2, k21):
         r = metrics_exact(path2, k21, np.array([1.0, -1.0]))
         assert r.error_bound == 0.0 and r.stop_reason == ""
+
+
+class TestBelowTheFloor:
+    """An eps no double-precision residual can prove ends in a prompt "stagnated"."""
+
+    def test_stagnates_soon_after_the_attainable_accuracy(self):
+        g = random_regular_graph(3000, 4, 1)
+        k = generate_stubbornness(g.n, 0.5, 2.0, 2)
+        s = generate_opinions(g.n, "powerlaw", 3)
+        near, below = approxim(g, k, s, 1e-13), approxim(g, k, s, 1e-15)
+        assert near.certified
+        assert not below.certified and below.stop_reason == "stagnated"
+        assert below.solver_iterations <= 2 * near.solver_iterations
+        assert below.error_bound <= near.error_bound
+
+    def test_spd_operator_never_reports_breakdown(self):
+        # L + K is positive definite: running out of accuracy is no breakdown.
+        n = 5000
+        g = build_graph([(i, i + 1, 1.0) for i in range(n - 1)])
+        k = StubbornnessVector.uniform(n, 0.05)
+        r = approxim(g, k, generate_opinions(n, "powerlaw", 3), 1e-15)
+        assert not r.certified and r.stop_reason == "stagnated"
+
+
+def test_pd_index_cross_check_catches_a_wrong_equilibrium(monkeypatch, path2, k21):
+    true_fn = metrics.equilibrium
+    monkeypatch.setattr(metrics, "equilibrium", lambda g, k, s: 1.001 * true_fn(g, k, s))
+    with pytest.raises(NumericalError, match="pd-index cross-check failed"):
+        metrics_exact(path2, k21, np.array([1.0, -1.0]))
 
 
 @pytest.mark.parametrize(

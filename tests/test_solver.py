@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import make_instance
+from fjopinion import solver
 from fjopinion.errors import GraphInputError
 from fjopinion.graph import Graph, StubbornnessVector, build_graph, operator_matrix
 from fjopinion.solver import Certificate, energy_norm_certificate, solve
@@ -131,6 +132,19 @@ def test_breakdown_on_an_indefinite_operator(k11):
                 energy_norm_certificate(np.ones(2), 1e-6))
     assert not res.certified and res.stop_reason == "breakdown"
     assert res.iterations == 0 and res.bound == math.inf
+
+
+def test_maxiter_returns_the_last_iterate_with_its_bound(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", 3)
+    g = build_graph([(i, i + 1, 1.0) for i in range(399)])
+    k = StubbornnessVector.uniform(400, 0.1)
+    t, b = operator_matrix(g, k), np.sin(np.arange(400.0))
+    certify = energy_norm_certificate(b, 1e-12)
+    res = solve(t, b, k, certify)
+    assert res.iterations == 3 and not res.certified and res.stop_reason == "maxiter"
+    r = b - t @ res.y
+    assert res.bound == certify.bound(res.y, r, math.sqrt(float(r @ (r / k.k))))
+    assert res.bound > 1e-12 and res.residual_norm == float(np.linalg.norm(r))
 
 
 @pytest.mark.parametrize(
