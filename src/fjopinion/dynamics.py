@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from fjopinion.errors import GraphInputError, NumericalError, SizeGuardError
 from fjopinion.graph import Graph, StubbornnessVector, operator_matrix
@@ -93,22 +94,46 @@ def step(g: Graph, k: StubbornnessVector, state: OpinionState) -> OpinionState:
     return OpinionState(s=state.s, z=z_new, t=state.t + 1)
 
 
+def _splu_symmetric(m: sp.spmatrix):
+    """SuperLU factor of an SPD m, ordered on its own pattern, no pivoting."""
+    return spla.splu(m.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options=dict(SymmetricMode=True))
+
+
+_last_factor: list = []  # at most one (g, k, factor of L + K)
+
+
+def _factor(g: Graph, k: StubbornnessVector):
+    """The factor of L + K (SPD, as k > 0), kept for the last (g, k) only.
+
+    A call hits only for the same ``Graph`` and ``StubbornnessVector``
+    objects, which are frozen with read-only arrays.  The old factor is
+    dropped before a new one is built.
+    """
+    if _last_factor and _last_factor[0][0] is g and _last_factor[0][1] is k:
+        return _last_factor[0][2]
+    _last_factor.clear()
+    lu = _splu_symmetric(operator_matrix(g, k))
+    _last_factor.append((g, k, lu))
+    return lu
+
+
 def equilibrium(g: Graph, k: StubbornnessVector, s: np.ndarray) -> np.ndarray:
     """Equilibrium expressed opinions z = (L+K)^{-1} K s.
 
-    Up to ``DENSE_CAP`` nodes a direct sparse factorization of L + K solves
-    it.  Above the cap the PCG solver does, with right-hand side Ks; it stops
-    once it proves a relative energy-norm error of at most
-    ``EQUILIBRIUM_DELTA`` and raises ``NumericalError`` if it cannot.
+    Up to ``DENSE_CAP`` nodes the sparse factor from ``_factor`` solves it,
+    so calls on the same (g, k) factor L + K once.  Above the cap the PCG
+    solver does, with right-hand side Ks; it stops once it proves a relative
+    energy-norm error of at most ``EQUILIBRIUM_DELTA`` and raises
+    ``NumericalError`` if it cannot.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.shape != (g.n,):
         raise GraphInputError("opinion vector length does not match graph")
+    if g.n <= DENSE_CAP:
+        return _factor(g, k).solve(k.k * s)
     t = operator_matrix(g, k)
     b = k.k * s
-    if g.n <= DENSE_CAP:
-        # L + K is symmetric: order on its own pattern, not on T^T T.
-        return spla.spsolve(t.tocsc(), b, permc_spec="MMD_AT_PLUS_A")
     res = solve(t, b, k, energy_norm_certificate(b, EQUILIBRIUM_DELTA))
     if not res.certified:
         raise NumericalError(
@@ -122,8 +147,8 @@ def fundamental_matrix(g: Graph, k: StubbornnessVector) -> np.ndarray:
     """Dense fundamental matrix (L+K)^{-1} K: row-stochastic, positive for connected graphs."""
     if g.n > DENSE_CAP:
         raise SizeGuardError(f"dense fundamental matrix refused: n={g.n} exceeds cap {DENSE_CAP}")
-    t = operator_matrix(g, k).toarray()
-    return np.linalg.solve(t, np.diag(k.k))
+    # Scale the columns of the inverse: no dense diag(k) next to it.
+    return np.linalg.inv(operator_matrix(g, k).toarray()) * k.k
 
 
 def center_opinions(s: np.ndarray, k: StubbornnessVector) -> np.ndarray:
@@ -147,7 +172,8 @@ def spectral_radius(g: Graph, k: StubbornnessVector, tol: float = 1e-10) -> Spec
 
     x starts at 1 and is refined by up to ``POWER_STEPS`` power steps
     x <- QAx + x, the bracket evaluated every ``CHECK_EVERY`` of them.  If
-    the bracket is still wider than ``tol`` and n <= ``DENSE_CAP``, up to
+    the bracket is still wider than ``tol`` and n <= ``DENSE_CAP`` or g is a
+    forest (whose minimum-degree factorization has no fill), up to
     ``INVERSE_SOLVES`` steps x <- M^{-1}(K+D)x follow, with M = sigma(K+D) - A
     factored once at sigma = upper: inverse iteration with a near-singular
     shift (Parlett, The Symmetric Eigenvalue Problem, ch. 4).  M is then a
@@ -155,7 +181,8 @@ def spectral_radius(g: Graph, k: StubbornnessVector, tol: float = 1e-10) -> Spec
     cover the rounding of the products and sums that form them.
 
     ``converged`` means upper - lower <= tol.  A bracket left wider (above
-    ``DENSE_CAP`` the power steps alone must close it) is still proved.
+    ``DENSE_CAP`` on a graph with a cycle the power steps alone must close
+    it) is still proved.
     """
     b = _diagonal(g, k)
     qa = (sp.diags(1.0 / b) @ g.adjacency).tocsr()
@@ -181,9 +208,12 @@ def spectral_radius(g: Graph, k: StubbornnessVector, tol: float = 1e-10) -> Spec
         x = _rescale(x)
         refine(x)
         iterations += CHECK_EVERY
-    if upper - lower > tol and g.n <= DENSE_CAP:
-        m = (sp.diags(upper * b) - g.adjacency).tocsc()
-        lu = spla.splu(m, permc_spec="MMD_AT_PLUS_A")
+    if upper - lower > tol and (
+        g.n <= DENSE_CAP
+        or g.m == g.n - connected_components(g.adjacency, directed=False, return_labels=False)
+    ):
+        # M is SPD, as sigma > rho.
+        lu = _splu_symmetric(sp.diags(upper * b) - g.adjacency)
         solves = 0
         while upper - lower > tol and solves < INVERSE_SOLVES:
             x = _rescale(lu.solve(b * x))

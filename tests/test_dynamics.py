@@ -21,8 +21,9 @@ from fjopinion.dynamics import (
     step,
 )
 from fjopinion.errors import GraphInputError, NumericalError, SizeGuardError
-from fjopinion.generate import generate_opinions, random_connected_gnp
+from fjopinion.generate import generate_opinions, random_connected_gnp, random_regular_graph
 from fjopinion.graph import Graph, StubbornnessVector, build_graph, operator_matrix
+from fjopinion.metrics import metrics_exact
 from fjopinion.solver import energy_norm_certificate, solve
 
 
@@ -38,6 +39,31 @@ def dense_rho(g, k):
     """Largest eigenvalue of Q^{1/2} A Q^{1/2}, Q = (K + D)^{-1}: rho(QA)."""
     q = 1.0 / np.sqrt(k.k + g.degrees)
     return float(np.linalg.eigvalsh(q[:, None] * g.adjacency.toarray() * q[None, :])[-1])
+
+
+def path_rho(g, k):
+    """rho(QA) of a path from the tridiagonal Q^{1/2} A Q^{1/2} (unit weights)."""
+    q = 1.0 / np.sqrt(k.k + g.degrees)
+    return sla.eigvalsh_tridiagonal(np.zeros(g.n), q[:-1] * q[1:], select="i",
+                                    select_range=(g.n - 1, g.n - 1))[0]
+
+
+def count_splu(monkeypatch):
+    """Record every matrix that ``splu`` factors from now on."""
+    calls, real = [], spla.splu
+
+    def counted(m, **kwargs):
+        calls.append(m)
+        return real(m, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted)
+    return calls
+
+
+def factors_of(calls, g, k):
+    """How many of the recorded factorizations were of L + K for (g, k)."""
+    t = operator_matrix(g, k)
+    return sum(m.shape == t.shape and abs(m - t).max() == 0.0 for m in calls)
 
 
 # Rounding slack of the dense reference: eigvalsh is itself off by a few ulp.
@@ -173,6 +199,14 @@ class TestFundamentalMatrix:
             assert phi.min() > 0.0
 
 
+    def test_matches_the_solve_with_diag_k(self):
+        rng = np.random.default_rng(22)
+        g, k, _ = make_instance(rng, n_max=80, k_range=(0.01, 5.0))
+        assert len(set(g.edge_w)) > 1 and k.k_max > 10.0 * k.k_min
+        expected = np.linalg.solve(operator_matrix(g, k).toarray(), np.diag(k.k))
+        assert np.abs(fundamental_matrix(g, k) - expected).max() <= 1e-13
+
+
 class TestCentering:
     def test_weighted_centering(self, k21):
         out = center_opinions(np.array([1.0, 0.0]), k21)
@@ -235,12 +269,66 @@ class TestSpectralRadius:
         k = StubbornnessVector.uniform(n, 0.01)
         est = spectral_radius(g, k)
         assert est.converged and est.upper - est.lower <= 1e-10
-        q = 1.0 / np.sqrt(k.k + g.degrees)
-        rho = sla.eigvalsh_tridiagonal(np.zeros(n), q[:-1] * q[1:], select="i",
-                                       select_range=(n - 1, n - 1))[0]
+        rho = path_rho(g, k)
         assert est.lower - RHO_SLACK <= rho <= est.upper + RHO_SLACK
         row_sum = float((g.degrees / (k.k + g.degrees)).max())
         assert est.upper < row_sum
+
+
+    def test_forest_above_cap_runs_the_inverse_phase(self):
+        # The power steps alone leave this bracket at width 2.2e-7; a forest's
+        # factor has no fill, so the inverse phase runs above DENSE_CAP too.
+        g = long_path(20_000)
+        k = StubbornnessVector.uniform(g.n, 0.01)
+        est = spectral_radius(g, k)
+        assert est.converged and est.iterations > dynamics.POWER_STEPS
+        rho = path_rho(g, k)
+        assert est.lower - RHO_SLACK <= rho <= est.upper + RHO_SLACK
+
+    def test_cycles_above_cap_skip_the_inverse_phase(self, monkeypatch):
+        g = random_regular_graph(20_000, 4, 5)
+        k = StubbornnessVector.from_values(np.random.default_rng(5).uniform(0.5, 2.0, g.n))
+        calls = count_splu(monkeypatch)
+        est = spectral_radius(g, k, tol=0.0)  # no bracket is that narrow
+        assert not est.converged and est.iterations == dynamics.POWER_STEPS
+        assert calls == []
+
+
+class TestFactorMemo:
+    """``equilibrium`` keeps the factor of L + K for the last (g, k) only."""
+
+    def test_metrics_then_simulation_factor_once(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        g, k, s = make_instance(rng)
+        calls = count_splu(monkeypatch)
+        metrics_exact(g, k, s)
+        simulate_until(g, k, s, z0=np.zeros(g.n), eps=1e-8)
+        assert factors_of(calls, g, k) == 1
+
+    def test_new_objects_factor_again(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        g, k, s = make_instance(rng)
+        other, _, _ = make_instance(rng)
+        z = equilibrium(g, k, s)
+        calls = count_splu(monkeypatch)
+        k_equal = StubbornnessVector.from_values(k.k)
+        assert np.array_equal(equilibrium(g, k_equal, s), z)
+        assert factors_of(calls, g, k) == 1
+        k_other = StubbornnessVector.from_values(rng.uniform(0.5, 3.0, other.n))
+        s_other = rng.uniform(-1.0, 1.0, other.n)
+        z_other = equilibrium(other, k_other, s_other)
+        assert factors_of(calls, other, k_other) == 1
+        dynamics._last_factor.clear()  # a fresh solve
+        assert np.array_equal(equilibrium(other, k_other, s_other), z_other)
+        assert np.array_equal(equilibrium(g, k, s), z)
+
+    def test_one_slot(self):
+        rng = np.random.default_rng(33)
+        for _ in range(4):
+            g, k, s = make_instance(rng)
+            equilibrium(g, k, s)
+            assert len(dynamics._last_factor) == 1
+            assert dynamics._last_factor[0][0] is g and dynamics._last_factor[0][1] is k
 
 
 class TestConvergenceBound:

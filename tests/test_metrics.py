@@ -238,6 +238,24 @@ class TestBelowTheFloor:
         assert not r.certified and r.stop_reason == "stagnated"
 
 
+@pytest.mark.parametrize(
+    "make_graph",
+    [lambda: build_graph([(i, i + 1, 1.0) for i in range(1999)]),
+     lambda: random_regular_graph(3000, 4, 1)],
+    ids=["path-2000", "regular-3000"],
+)
+def test_tiny_stubbornness_factors_without_pivoting(make_graph):
+    # Certified PCG could not prove 1e-12 on these inputs; the unpivoted
+    # factor of L + K must still solve them to dense-solver accuracy.
+    g = make_graph()
+    k = StubbornnessVector.uniform(g.n, 1e-4)
+    s = generate_opinions(g.n, "powerlaw", 4)
+    expected = np.linalg.solve(dense_laplacian(g) + np.diag(k.k), k.k * s)
+    z = dynamics.equilibrium(g, k, s)
+    assert np.linalg.norm(z - expected) <= 1e-10 * np.linalg.norm(expected)
+    metrics_exact(g, k, s)  # raises if its pd-index cross-check fails
+
+
 def test_pd_index_cross_check_catches_a_wrong_equilibrium(monkeypatch, path2, k21):
     true_fn = metrics.equilibrium
     monkeypatch.setattr(metrics, "equilibrium", lambda g, k, s: 1.001 * true_fn(g, k, s))
