@@ -1,7 +1,7 @@
 """Command-line surface: ingestion, metric runs, simulation, spectral
 analysis, verification sweeps and seeded opinion files.
 
-Exit codes: 1 input error, 2 numerical failure, 3 size guard exceeded.
+Exit codes: 1 input error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from fjopinion.errors import GraphInputError, NumericalError, SizeGuardError
+from fjopinion.errors import GraphInputError, NumericalError
 from fjopinion import verify as verify_mod
 from fjopinion.dynamics import convergence_bound, simulate_until, spectral_radius
 from fjopinion.generate import DISTRIBUTIONS, generate_opinions, generate_stubbornness
@@ -24,7 +24,6 @@ from fjopinion.metrics import approxim, metrics_exact
 
 EXIT_INPUT = 1
 EXIT_NUMERICAL = 2
-EXIT_SIZE_GUARD = 3
 
 
 def _load_graph(args):
@@ -186,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--opinions", help="'node value' file, values in [-1, 1]")
     p.add_argument("--dist", choices=DISTRIBUTIONS)
-    p.add_argument("--eps", type=float, default=1e-6)
+    p.add_argument("--eps", type=float, default=1e-6,
+                   help="relative error approx mode proves; --mode exact always proves 1e-12")
     p.add_argument("--mode", choices=("exact", "approx"), default="exact")
     p.set_defaults(func=cmd_metrics)
 
@@ -221,9 +221,6 @@ def main(argv=None) -> int:
     except (GraphInputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except SizeGuardError as exc:
-        print(f"size guard: {exc}", file=sys.stderr)
-        return EXIT_SIZE_GUARD
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -100,22 +100,23 @@ def _splu_symmetric(m: sp.spmatrix):
                      options=dict(SymmetricMode=True))
 
 
-_last_factor: list = []  # at most one (g, k, factor of L + K)
+_last_factor: list = []  # at most one (g, k, factor of L + K, L + K)
 
 
 def _factor(g: Graph, k: StubbornnessVector):
-    """The factor of L + K (SPD, as k > 0), kept for the last (g, k) only.
+    """The factor of L + K (SPD, as k > 0) and L + K, kept for the last (g, k) only.
 
     A call hits only for the same ``Graph`` and ``StubbornnessVector``
     objects, which are frozen with read-only arrays.  The old factor is
     dropped before a new one is built.
     """
     if _last_factor and _last_factor[0][0] is g and _last_factor[0][1] is k:
-        return _last_factor[0][2]
+        return _last_factor[0][2:]
     _last_factor.clear()
-    lu = _splu_symmetric(operator_matrix(g, k))
-    _last_factor.append((g, k, lu))
-    return lu
+    t = operator_matrix(g, k)
+    lu = _splu_symmetric(t)
+    _last_factor.append((g, k, lu, t))
+    return lu, t
 
 
 def equilibrium(g: Graph, k: StubbornnessVector, s: np.ndarray) -> np.ndarray:
@@ -131,7 +132,7 @@ def equilibrium(g: Graph, k: StubbornnessVector, s: np.ndarray) -> np.ndarray:
     if s.shape != (g.n,):
         raise GraphInputError("opinion vector length does not match graph")
     if g.n <= DENSE_CAP:
-        return _factor(g, k).solve(k.k * s)
+        return _factor(g, k)[0].solve(k.k * s)
     t = operator_matrix(g, k)
     b = k.k * s
     res = solve(t, b, k, energy_norm_certificate(b, EQUILIBRIUM_DELTA))

@@ -1,10 +1,10 @@
 """Conflict, disagreement, and polarization metrics: exact and approximate.
 
 Both modes run one pipeline: center the opinions, solve for the centered
-equilibrium (a direct sparse solve in exact mode, one PCG solve in
-approximate mode that stops once an a-posteriori certificate proves every
-metric to the requested relative eps), read the four metrics of the
-opinions as given off that one vector, and build one report.
+equilibrium, prove each metric's relative error from that solve's true
+residual with one a-posteriori certificate, read the four metrics of the
+opinions as given off that one vector, and build one report.  Approximate
+mode proves the requested eps, exact mode ``EQUILIBRIUM_DELTA`` (1e-12).
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from fjopinion.errors import GraphInputError, NumericalError, SizeGuardError
-from fjopinion.dynamics import DENSE_CAP, equilibrium
+from fjopinion.errors import GraphInputError, NumericalError
+from fjopinion.dynamics import DENSE_CAP, EQUILIBRIUM_DELTA, _factor
 from fjopinion.graph import Graph, StubbornnessVector, eigen_bounds, operator_matrix
-from fjopinion.solver import Certificate, solve
+from fjopinion.solver import Certificate, check, solve
 
 # Edges per slice when summing the disagreement, so that no edge-sized
 # temporary is allocated next to the solver's vectors.
@@ -32,13 +32,13 @@ class MetricsReport:
 
     The metrics are those of the opinion vector as given, in both modes.
     ``centered`` is always False; it is kept so that reports keep their keys.
-    ``error_bound`` is what the approximate solve proved: each of the four
-    metrics is off by at most that fraction of its value, and the
-    conservation law by at most that fraction of sum k_i s_i^2 (0.0 in
-    exact mode).  ``stop_reason`` says why the iterative solve stopped (""
-    when none ran): "stagnated" when the true residual stopped shrinking
-    before eps could be proved, in which case ``error_bound`` is still the
-    bound proved for the last iterate; see ``solver.SolverResult``.
+    ``error_bound`` is what the solve proved on its true residual, in both
+    modes: each of the four metrics is off by at most that fraction of its
+    value, and the conservation law by at most that fraction of
+    sum k_i s_i^2.  ``certified`` means ``error_bound <= eps_requested``.
+    ``stop_reason`` says why the iterative solve stopped ("" when none ran):
+    "stagnated" when the true residual stopped shrinking before eps could
+    be proved; see ``solver.SolverResult``.
     """
 
     conflict: float
@@ -80,9 +80,10 @@ class DeltaBudget:
 
     delta1 certifies the polarization norm, delta2 the disagreement norm,
     delta3 the conflict norm; the listing of the approximation algorithm
-    sets delta = delta3.  ``approxim`` reports the minimum as ``delta_used``
-    for provenance; its solve stops on the a-posteriori certificate instead,
-    because the minimum sits far below double precision for n >= 1e4.
+    sets delta = delta3.  Both modes report the minimum as ``delta_used``
+    for provenance; their solves are judged by the a-posteriori certificate
+    instead, because the minimum sits far below double precision for
+    n >= 1e4.
     """
 
     delta1: float
@@ -98,9 +99,9 @@ def delta_budget(g: Graph, k: StubbornnessVector, s: np.ndarray, eps: float) -> 
     """Solve-tolerance thresholds guaranteeing eps-approximation of each metric.
 
     Requires eps in (0, 1/2) and a nonzero opinion vector.  The thresholds
-    assume the weighted sum k.s vanishes; ``approxim`` meets that by passing
-    the centered s0 = s - (k.s)/sum(k), whose equilibrium differs from that
-    of s by exactly that constant.  A graph with no edges has C = D = 0 for
+    assume the weighted sum k.s vanishes; the metrics pipeline meets that by
+    passing the centered s0 = s - (k.s)/sum(k), whose equilibrium differs
+    from that of s by exactly that constant.  A graph with no edges has C = D = 0 for
     every solve, so delta2 and delta3 do not apply there and are inf.
     """
     if not (0.0 < eps < 0.5):
@@ -199,8 +200,8 @@ def _metrics_certificate(g, k, s0, b, shift, eps):
     return Certificate(target=eps, bound=bound)
 
 
-def _pipeline(g, k, s, mode, eps, solve_centered):
-    """Center, solve, take the norms, report: the one path of both modes.
+def _pipeline(g, k, s, mode, eps):
+    """Center, solve, certify, take the norms, report: the one path of both modes.
 
     With c = (k.s) / sum(k) and s0 = s - c, the equilibrium of s is exactly
     q + c for q = (L+K)^{-1} K s0, because 1^T (L+K) = 1^T K; the same
@@ -208,10 +209,12 @@ def _pipeline(g, k, s, mode, eps, solve_centered):
     off q: C = k.(q - s0)^2, D on the edge arrays, P = k.q^2 + c^2 sum(k).
     Taking P in that form keeps the 2c k.q term, zero at the solution, out
     of an approximate q's error, so a bound on sqrt(k.q^2) covers P too.
-    ``solve_centered(s0, shift)`` with shift = c^2 sum(k) returns q and the
-    report's solve provenance; it is not called when s0 = 0.  Returns the
-    report and z = q + c.
+    Exact mode up to ``DENSE_CAP`` nodes solves with the kept sparse factor
+    of L + K, every other solve is certified PCG; either q is judged by the
+    same certificate on its true residual.  Returns the report and z = q + c.
     """
+    if not (0.0 < eps < 0.5):
+        raise GraphInputError(f"eps must be in (0, 1/2), got {eps}")
     s = np.asarray(s, dtype=np.float64)
     if s.shape != (g.n,):
         raise GraphInputError("opinion vector length does not match graph")
@@ -227,10 +230,19 @@ def _pipeline(g, k, s, mode, eps, solve_centered):
         s0 = np.zeros(g.n)
 
     t0 = time.perf_counter()
+    q, provenance = np.zeros(g.n), {"delta_used": 0.0}
     if s0.any():
-        q, provenance = solve_centered(s0, shift)
-    else:
-        q, provenance = np.zeros(g.n), {"delta_used": 0.0}
+        b = k.k * s0
+        certificate = _metrics_certificate(g, k, s0, b, shift, eps)
+        if mode == "exact" and g.n <= DENSE_CAP:
+            lu, t = _factor(g, k)
+            q = lu.solve(b)
+            iterations, bound, stop_reason = 0, check(t, b, k, q, certificate)[0], ""
+        else:
+            res = solve(operator_matrix(g, k), b, k, certificate)
+            q, iterations, bound, stop_reason = res.y, res.iterations, res.bound, res.stop_reason
+        provenance = dict(delta_used=delta_budget(g, k, s0, eps).delta, certified=bound <= eps,
+                          solver_iterations=iterations, error_bound=bound, stop_reason=stop_reason)
     t1 = time.perf_counter()
 
     conflict, disagreement, p0 = _norms(g, k, s0, q)
@@ -260,12 +272,12 @@ def _pipeline(g, k, s, mode, eps, solve_centered):
 
 
 def metrics_exact(g: Graph, k: StubbornnessVector, s: np.ndarray) -> MetricsReport:
-    """Exact metrics from a direct sparse solve; refused above ``DENSE_CAP`` nodes."""
-    if g.n > DENSE_CAP:
-        raise SizeGuardError(f"exact metrics refused: n={g.n} exceeds cap {DENSE_CAP}")
-    report, z = _pipeline(
-        g, k, s, "exact", 0.0, lambda s0, _: (equilibrium(g, k, s0), {"delta_used": 0.0})
-    )
+    """All four metrics proved to relative ``EQUILIBRIUM_DELTA``, at any n.
+
+    Up to ``DENSE_CAP`` nodes a direct sparse solve, above it certified PCG;
+    a solve whose bound misses the target is reported ``certified=False``.
+    """
+    report, z = _pipeline(g, k, s, "exact", EQUILIBRIUM_DELTA)
 
     # Identity I_pd = sum k_i s_i z_i, a free cross-check of the solve.
     pd_identity = float(k.k @ (np.asarray(s, dtype=np.float64) * z))
@@ -278,33 +290,13 @@ def metrics_exact(g: Graph, k: StubbornnessVector, s: np.ndarray) -> MetricsRepo
 
 
 def approxim(g: Graph, k: StubbornnessVector, s: np.ndarray, eps: float) -> MetricsReport:
-    """Approximate all four metrics from one certified solve.
+    """All four metrics proved to relative eps by one certified PCG solve.
 
-    One PCG solve of (L+K) q = K s0 for the weighted-centered s0 = s - c
-    gives the equilibrium of s as given as q + c, so the metrics are those
-    of s itself, as in exact mode.  The solve stops as soon as its residual
-    proves each metric's relative error, and the conservation law's, to be
-    at most eps; the report's ``error_bound`` is that proved bound.  A solve
-    whose true residual stagnates first is reported with ``certified=False``
-    and the values of its last iterate, near the best attainable in double
-    precision.  ``delta_used`` is the paper's a-priori tolerance, reported
-    as provenance.
+    A solve whose true residual stagnates first is reported with
+    ``certified=False`` and the values of its last iterate, near the best
+    attainable in double precision.
     """
-    if not (0.0 < eps < 0.5):
-        raise GraphInputError(f"eps must be in (0, 1/2), got {eps}")
-
-    def solve_pcg(s0, shift):
-        b = k.k * s0
-        res = solve(operator_matrix(g, k), b, k, _metrics_certificate(g, k, s0, b, shift, eps))
-        return res.y, {
-            "delta_used": delta_budget(g, k, s0, eps).delta,
-            "certified": res.certified,
-            "solver_iterations": res.iterations,
-            "error_bound": res.bound,
-            "stop_reason": res.stop_reason,
-        }
-
-    return _pipeline(g, k, s, "approx", eps, solve_pcg)[0]
+    return _pipeline(g, k, s, "approx", eps)[0]
 
 
 def conservation_check(report: MetricsReport, k: StubbornnessVector, s) -> tuple[float, float]:

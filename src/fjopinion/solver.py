@@ -89,6 +89,24 @@ class SolverResult:
     stop_reason: str
 
 
+def _rho(r: np.ndarray, k: StubbornnessVector, scratch: np.ndarray) -> float:
+    """rho = ||K^{-1/2} r||, with ``scratch`` overwritten."""
+    np.divide(r, k.k, out=scratch)
+    return math.sqrt(max(float(r @ scratch), 0.0))
+
+
+def check(matrix: sp.spmatrix, b: np.ndarray, k: StubbornnessVector, y: np.ndarray,
+          certify: Certificate) -> tuple[float, float, float]:
+    """``certify``'s bound of y, and rho and the 2-norm of its true residual b - matrix y.
+
+    Every solve of (L+K) y = b, iterative or direct, is judged by this.
+    """
+    r = matrix @ y
+    np.subtract(b, r, out=r)
+    rho = _rho(r, k, np.empty_like(r))
+    return certify.bound(y, r, rho), rho, float(np.linalg.norm(r))
+
+
 def solve(
     matrix: sp.spmatrix, b: np.ndarray, k: StubbornnessVector, certify: Certificate
 ) -> SolverResult:
@@ -114,17 +132,6 @@ def solve(
 
     inv_diag = 1.0 / matrix.diagonal()
 
-    def rho_of(r, scratch):
-        np.divide(r, k.k, out=scratch)
-        return math.sqrt(max(float(r @ scratch), 0.0))
-
-    def check(y, scratch):
-        """Certificate bound of y, and rho and the 2-norm of its true residual."""
-        r = matrix @ y
-        np.subtract(b, r, out=r)
-        rho = rho_of(r, scratch)
-        return certify.bound(y, r, rho), rho, float(np.linalg.norm(r))
-
     # z holds the preconditioned residual; between its uses it is scratch,
     # so the loop allocates nothing beyond the product (L+K) p.
     x = np.zeros(n)
@@ -132,7 +139,7 @@ def solve(
     z = inv_diag * r
     p = z.copy()
     rz = float(r @ z)
-    rho = rho_of(r, z)
+    rho = _rho(r, k, z)
     # ||x*||_{L+K} <= rho0 for x* = (L+K)^{-1} b, so no relative certificate
     # holds above target * rho0; the first true-residual check waits for it.
     goal = target * rho
@@ -157,9 +164,9 @@ def solve(
         r -= tp
         del tp
         iters += 1
-        rho = rho_of(r, z)
+        rho = _rho(r, k, z)
         if rho <= goal:
-            bound, true_rho, r_norm = check(x, z)
+            bound, true_rho, r_norm = check(matrix, b, k, x, certify)
             if bound <= target:
                 y, reason = x, "certified"
                 break
@@ -181,7 +188,7 @@ def solve(
     if y is None:
         # Judge the last iterate on its true residual, not on the drifting recurrence.
         y = x
-        bound, _, r_norm = check(y, z)
+        bound, _, r_norm = check(matrix, b, k, y, certify)
         if bound <= target:
             reason = "certified"
     return SolverResult(

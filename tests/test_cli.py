@@ -100,11 +100,12 @@ def test_bad_opinion_value_exits_1(fixture_files, tmp_path):
     assert rc == 1
 
 
-def test_exact_above_cap_exits_3(tmp_path):
+def test_exact_above_cap_is_certified(tmp_path, capsys):
     graph = tmp_path / "big.txt"
     graph.write_text("\n".join(f"{i} {i + 1}" for i in range(dynamics.DENSE_CAP)))
-    rc = cli.main(["metrics", "--graph", str(graph), "--dist", "uniform", "--mode", "exact"])
-    assert rc == 3
+    assert cli.main(["metrics", "--graph", str(graph), "--dist", "uniform"]) == 0
+    line = [x for x in capsys.readouterr().out.splitlines() if x.startswith("mode")][0]
+    assert line.split()[1:3] == ["exact", "certified=True"]
 
 
 @pytest.mark.parametrize("spec", ["uniform:abc", "random:0.5", "random:a,b"])
@@ -303,7 +304,10 @@ def test_metrics_prints_bound_iterations_and_stop_reason(fixture_files, capsys):
 
     assert cli.main(base + ["--mode", "exact"]) == 0
     line = [x for x in capsys.readouterr().out.splitlines() if x.startswith("mode")][0]
-    assert line.split()[1:] == ["exact", "certified=True", "bound=0", "iterations=0", "stop=-"]
+    fields = dict(f.split("=") for f in line.split()[2:])
+    assert line.split()[1] == "exact"
+    assert fields["certified"] == "True" and fields["stop"] == "-"
+    assert 0.0 <= float(fields["bound"]) <= 1e-12 and fields["iterations"] == "0"
 
 
 def test_metrics_below_the_floor_prints_stagnated(tmp_path, capsys):

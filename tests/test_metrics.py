@@ -1,5 +1,6 @@
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import dense_laplacian, make_instance
 from fjopinion import dynamics, metrics
-from fjopinion.errors import GraphInputError, NumericalError, SizeGuardError
+from fjopinion.errors import GraphInputError, NumericalError
 from fjopinion.generate import (
     generate_opinions,
     generate_stubbornness,
@@ -46,11 +47,16 @@ class TestExact:
         r = metrics_exact(path2, k21, np.zeros(2))
         assert (r.conflict, r.disagreement, r.polarization, r.pd_index) == (0, 0, 0, 0)
 
-    def test_cap_refusal_without_fallback(self):
+    def test_above_cap_is_the_certified_solve(self):
         n = dynamics.DENSE_CAP + 1
         g = build_graph([(i, i + 1, 1.0) for i in range(n - 1)])
-        with pytest.raises(SizeGuardError):
-            metrics_exact(g, StubbornnessVector.uniform(n, 1.0), np.zeros(n))
+        k = StubbornnessVector.uniform(n, 1.0)
+        s = generate_opinions(n, "powerlaw", 5)
+        exact, approx = metrics_exact(g, k, s), approxim(g, k, s, 1e-12)
+        assert exact.mode == "exact" and exact.certified and exact.stop_reason == "certified"
+        assert exact.solver_iterations >= 1 and exact.error_bound <= 1e-12
+        for key, err in relative_errors(exact, approx).items():
+            assert err <= exact.error_bound + approx.error_bound, key
 
     def test_pd_identity(self):
         rng = np.random.default_rng(53)
@@ -211,9 +217,20 @@ class TestCertifiedStop:
             assert err <= max(approx.error_bound, REFERENCE_ROUNDING), key
         assert approx.conservation_residual <= eps * float(k.k @ s**2)
 
-    def test_exact_mode_reports_no_bound(self, path2, k21):
-        r = metrics_exact(path2, k21, np.array([1.0, -1.0]))
-        assert r.error_bound == 0.0 and r.stop_reason == ""
+    def test_exact_mode_reports_its_proved_bound(self):
+        # The direct solve is judged by the same certificate, at target 1e-12.
+        g = build_graph([(i, i + 1, 1.0) for i in range(1999)])
+        k = StubbornnessVector.uniform(g.n, 0.05)
+        s = generate_opinions(g.n, "powerlaw", 4)
+        r = metrics_exact(g, k, s)
+        assert r.certified and 0.0 < r.error_bound <= 1e-12
+        assert r.solver_iterations == 0 and r.stop_reason == ""
+        assert r.eps_requested == dynamics.EQUILIBRIUM_DELTA
+        s0 = dynamics.center_opinions(s, k)
+        assert r.delta_used == delta_budget(g, k, s0, dynamics.EQUILIBRIUM_DELTA).delta
+        approx = approxim(g, k, s, 1e-12)
+        for key, err in relative_errors(r, approx).items():
+            assert err <= r.error_bound + approx.error_bound, key
 
 
 class TestBelowTheFloor:
@@ -239,26 +256,41 @@ class TestBelowTheFloor:
 
 
 @pytest.mark.parametrize(
-    "make_graph",
-    [lambda: build_graph([(i, i + 1, 1.0) for i in range(1999)]),
-     lambda: random_regular_graph(3000, 4, 1)],
+    "make_graph, certified",
+    # The path proves 3.0e-12 and the regular graph 3.7e-13: only the
+    # latter meets exact mode's 1e-12.
+    [(lambda: build_graph([(i, i + 1, 1.0) for i in range(1999)]), False),
+     (lambda: random_regular_graph(3000, 4, 1), True)],
     ids=["path-2000", "regular-3000"],
 )
-def test_tiny_stubbornness_factors_without_pivoting(make_graph):
+def test_tiny_stubbornness_factors_without_pivoting(make_graph, certified):
     # Certified PCG could not prove 1e-12 on these inputs; the unpivoted
     # factor of L + K must still solve them to dense-solver accuracy.
     g = make_graph()
     k = StubbornnessVector.uniform(g.n, 1e-4)
     s = generate_opinions(g.n, "powerlaw", 4)
-    expected = np.linalg.solve(dense_laplacian(g) + np.diag(k.k), k.k * s)
+    lap = dense_laplacian(g)
+    expected = np.linalg.solve(lap + np.diag(k.k), k.k * s)
     z = dynamics.equilibrium(g, k, s)
     assert np.linalg.norm(z - expected) <= 1e-10 * np.linalg.norm(expected)
-    metrics_exact(g, k, s)  # raises if its pd-index cross-check fails
+    r = metrics_exact(g, k, s)  # raises if its pd-index cross-check fails
+    # The reported bound covers the error against the dense solve, taken
+    # centered as the pipeline does, so that no cancellation blurs it.
+    c = float(k.k @ s) / float(k.k.sum())
+    s0 = s - c
+    q = np.linalg.solve(lap + np.diag(k.k), k.k * s0)
+    dense = {"conflict": k.k @ (q - s0) ** 2, "disagreement": q @ lap @ q,
+             "polarization": k.k @ q**2 + c * c * k.k.sum()}
+    dense["pd_index"] = dense["polarization"] + dense["disagreement"]
+    for key, value in dense.items():
+        assert abs(getattr(r, key) - value) <= r.error_bound * abs(value), key
+    assert r.certified == certified
 
 
 def test_pd_index_cross_check_catches_a_wrong_equilibrium(monkeypatch, path2, k21):
-    true_fn = metrics.equilibrium
-    monkeypatch.setattr(metrics, "equilibrium", lambda g, k, s: 1.001 * true_fn(g, k, s))
+    lu, t = dynamics._factor(path2, k21)
+    wrong = types.SimpleNamespace(solve=lambda b: 1.001 * lu.solve(b))
+    monkeypatch.setattr(metrics, "_factor", lambda g, k: (wrong, t))
     with pytest.raises(NumericalError, match="pd-index cross-check failed"):
         metrics_exact(path2, k21, np.array([1.0, -1.0]))
 
