@@ -21,7 +21,7 @@ from fjopinion.graph import Graph, StubbornnessVector, operator_matrix
 from fjopinion.solver import energy_norm_certificate, solve
 
 DENSE_CAP = 10_000
-EQUILIBRIUM_DELTA = 1e-12  # relative energy-norm error proved above DENSE_CAP
+EQUILIBRIUM_DELTA = 1e-12  # relative energy-norm error proved where L + K is not factored
 POWER_STEPS = 1_000
 CHECK_EVERY = 10  # power steps between two evaluations of the bracket
 INVERSE_SOLVES = 100
@@ -74,11 +74,12 @@ class ErrorTrace:
         self.f_norms.append(float(f_norm))
 
 
-def _diagonal(g: Graph, k: StubbornnessVector) -> np.ndarray:
-    """k_i + d_i, the diagonal of K + D; the update rule scales by its inverse Q."""
+def _update_matrix(g: Graph, k: StubbornnessVector) -> tuple[sp.csr_matrix, np.ndarray]:
+    """QA in CSR and k + d, the diagonal of K + D whose inverse is Q."""
     if len(k) != g.n:
         raise GraphInputError("stubbornness length does not match graph")
-    return k.k + g.degrees
+    b = k.k + g.degrees
+    return (sp.diags(1.0 / b) @ g.adjacency).tocsr(), b
 
 
 def step(g: Graph, k: StubbornnessVector, state: OpinionState) -> OpinionState:
@@ -89,9 +90,8 @@ def step(g: Graph, k: StubbornnessVector, state: OpinionState) -> OpinionState:
     """
     if state.s.size != g.n:
         raise GraphInputError("state dimensions do not match graph")
-    q = 1.0 / _diagonal(g, k)
-    z_new = q * (g.adjacency @ state.z) + q * (k.k * state.s)
-    return OpinionState(s=state.s, z=z_new, t=state.t + 1)
+    qa, b = _update_matrix(g, k)
+    return OpinionState(s=state.s, z=qa @ state.z + k.k * state.s / b, t=state.t + 1)
 
 
 def _splu_symmetric(m: sp.spmatrix):
@@ -119,19 +119,30 @@ def _factor(g: Graph, k: StubbornnessVector):
     return lu, t
 
 
+def _factored(g: Graph) -> bool:
+    """Factor L + K (not PCG) if n <= ``DENSE_CAP`` or g is a forest, whose factor has no fill.
+
+    Only m < n admits a forest, so only then are the components counted.
+    """
+    return g.n <= DENSE_CAP or (
+        g.m < g.n
+        and g.m == g.n - connected_components(g.adjacency, directed=False, return_labels=False)
+    )
+
+
 def equilibrium(g: Graph, k: StubbornnessVector, s: np.ndarray) -> np.ndarray:
     """Equilibrium expressed opinions z = (L+K)^{-1} K s.
 
-    Up to ``DENSE_CAP`` nodes the sparse factor from ``_factor`` solves it,
-    so calls on the same (g, k) factor L + K once.  Above the cap the PCG
-    solver does, with right-hand side Ks; it stops once it proves a relative
+    Where ``_factored`` holds, the sparse factor from ``_factor`` solves it,
+    so calls on the same (g, k) factor L + K once.  Elsewhere the PCG solver
+    does, with right-hand side Ks; it stops once it proves a relative
     energy-norm error of at most ``EQUILIBRIUM_DELTA`` and raises
     ``NumericalError`` if it cannot.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.shape != (g.n,):
         raise GraphInputError("opinion vector length does not match graph")
-    if g.n <= DENSE_CAP:
+    if _factored(g):
         return _factor(g, k)[0].solve(k.k * s)
     t = operator_matrix(g, k)
     b = k.k * s
@@ -173,20 +184,18 @@ def spectral_radius(g: Graph, k: StubbornnessVector, tol: float = 1e-10) -> Spec
 
     x starts at 1 and is refined by up to ``POWER_STEPS`` power steps
     x <- QAx + x, the bracket evaluated every ``CHECK_EVERY`` of them.  If
-    the bracket is still wider than ``tol`` and n <= ``DENSE_CAP`` or g is a
-    forest (whose minimum-degree factorization has no fill), up to
+    the bracket is still wider than ``tol`` and ``_factored`` holds, up to
     ``INVERSE_SOLVES`` steps x <- M^{-1}(K+D)x follow, with M = sigma(K+D) - A
     factored once at sigma = upper: inverse iteration with a near-singular
     shift (Parlett, The Symmetric Eigenvalue Problem, ch. 4).  M is then a
     nonsingular M-matrix, so x stays positive.  Both ends are widened to
     cover the rounding of the products and sums that form them.
 
-    ``converged`` means upper - lower <= tol.  A bracket left wider (above
-    ``DENSE_CAP`` on a graph with a cycle the power steps alone must close
-    it) is still proved.
+    ``converged`` means upper - lower <= tol.  A bracket left wider (where
+    ``_factored`` fails, the power steps alone must close it) is still
+    proved.
     """
-    b = _diagonal(g, k)
-    qa = (sp.diags(1.0 / b) @ g.adjacency).tocsr()
+    qa, b = _update_matrix(g, k)
     # Relative rounding of y (row sums of at most `terms` products) and of
     # numpy's pairwise sums (depth <= 25 + log2 n), in units of eps = 2u.
     terms = int(np.diff(qa.indptr).max())
@@ -209,10 +218,7 @@ def spectral_radius(g: Graph, k: StubbornnessVector, tol: float = 1e-10) -> Spec
         x = _rescale(x)
         refine(x)
         iterations += CHECK_EVERY
-    if upper - lower > tol and (
-        g.n <= DENSE_CAP
-        or g.m == g.n - connected_components(g.adjacency, directed=False, return_labels=False)
-    ):
+    if upper - lower > tol and _factored(g):
         # M is SPD, as sigma > rho.
         lu = _splu_symmetric(sp.diags(upper * b) - g.adjacency)
         solves = 0
@@ -267,29 +273,33 @@ def simulate_until(
     s = np.asarray(s, dtype=np.float64)
     z0 = np.asarray(z0, dtype=np.float64)
     z_star = equilibrium(g, k, s)
-    weight = np.sqrt(k.k + g.degrees)
+    if z0.shape != s.shape:
+        raise GraphInputError("innate and expressed vectors must be 1-d and equal length")
+    qa, b = _update_matrix(g, k)
+    qks, weight = k.k * s / b, np.sqrt(b)  # as ``step`` forms QKs
 
     trace = ErrorTrace()
-    state = OpinionState(s=s, z=z0, t=0)
-    e = state.z - z_star
+    z, t = z0, 0
+    e = z - z_star
     f_norm = float(np.linalg.norm(weight * e))
     trace.record(np.linalg.norm(e), f_norm)
     f0_norm = f_norm
 
     while f_norm > eps:
-        if state.t >= SIMULATION_CAP:
+        if t >= SIMULATION_CAP:
             raise NumericalError(
                 f"simulation did not reach eps={eps} within {SIMULATION_CAP} steps"
             )
-        state = step(g, k, state)
-        e = state.z - z_star
+        z = qa @ z + qks
+        t += 1
+        e = z - z_star
         f_norm = float(np.linalg.norm(weight * e))
         trace.record(np.linalg.norm(e), f_norm)
 
     if g.m >= 1 and f0_norm > eps:
         trace.bound = convergence_bound(spectral_radius(g, k), f0_norm, eps)
-        if state.t > trace.bound:
+        if t > trace.bound:
             raise NumericalError(
-                f"observed stop time {state.t} exceeds the convergence bound {trace.bound}"
+                f"observed stop time {t} exceeds the convergence bound {trace.bound}"
             )
-    return state, trace
+    return OpinionState(s=s, z=z, t=t), trace

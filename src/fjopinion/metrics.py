@@ -17,7 +17,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from fjopinion.errors import GraphInputError, NumericalError
-from fjopinion.dynamics import DENSE_CAP, EQUILIBRIUM_DELTA, _factor
+from fjopinion.dynamics import EQUILIBRIUM_DELTA, _factor, _factored
 from fjopinion.graph import Graph, StubbornnessVector, eigen_bounds, operator_matrix
 from fjopinion.solver import Certificate, check, solve
 
@@ -209,8 +209,8 @@ def _pipeline(g, k, s, mode, eps):
     off q: C = k.(q - s0)^2, D on the edge arrays, P = k.q^2 + c^2 sum(k).
     Taking P in that form keeps the 2c k.q term, zero at the solution, out
     of an approximate q's error, so a bound on sqrt(k.q^2) covers P too.
-    Exact mode up to ``DENSE_CAP`` nodes solves with the kept sparse factor
-    of L + K, every other solve is certified PCG; either q is judged by the
+    Exact mode solves with the kept sparse factor of L + K where ``_factored``
+    holds, every other solve is certified PCG; either q is judged by the
     same certificate on its true residual.  Returns the report and z = q + c.
     """
     if not (0.0 < eps < 0.5):
@@ -234,7 +234,7 @@ def _pipeline(g, k, s, mode, eps):
     if s0.any():
         b = k.k * s0
         certificate = _metrics_certificate(g, k, s0, b, shift, eps)
-        if mode == "exact" and g.n <= DENSE_CAP:
+        if mode == "exact" and _factored(g):
             lu, t = _factor(g, k)
             q = lu.solve(b)
             iterations, bound, stop_reason = 0, check(t, b, k, q, certificate)[0], ""
@@ -274,7 +274,7 @@ def _pipeline(g, k, s, mode, eps):
 def metrics_exact(g: Graph, k: StubbornnessVector, s: np.ndarray) -> MetricsReport:
     """All four metrics proved to relative ``EQUILIBRIUM_DELTA``, at any n.
 
-    Up to ``DENSE_CAP`` nodes a direct sparse solve, above it certified PCG;
+    A direct sparse solve where ``_factored`` holds, else certified PCG;
     a solve whose bound misses the target is reported ``certified=False``.
     """
     report, z = _pipeline(g, k, s, "exact", EQUILIBRIUM_DELTA)

@@ -99,7 +99,7 @@ def check(matrix: sp.spmatrix, b: np.ndarray, k: StubbornnessVector, y: np.ndarr
           certify: Certificate) -> tuple[float, float, float]:
     """``certify``'s bound of y, and rho and the 2-norm of its true residual b - matrix y.
 
-    Every solve of (L+K) y = b, iterative or direct, is judged by this.
+    It judges every PCG solve and the metrics' direct solve, not ``equilibrium``'s.
     """
     r = matrix @ y
     np.subtract(b, r, out=r)

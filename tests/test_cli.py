@@ -106,6 +106,16 @@ def test_exact_above_cap_is_certified(tmp_path, capsys):
     assert cli.main(["metrics", "--graph", str(graph), "--dist", "uniform"]) == 0
     line = [x for x in capsys.readouterr().out.splitlines() if x.startswith("mode")][0]
     assert line.split()[1:3] == ["exact", "certified=True"]
+    assert "iterations=0" in line.split()  # a path is a forest: factored at any n
+
+
+def test_simulate_on_a_forest_above_cap_exits_0(tmp_path):
+    # Certified PCG cannot prove 1e-12 here, the factor of the path can.
+    graph = tmp_path / "big.txt"
+    graph.write_text("\n".join(f"{i} {i + 1}" for i in range(dynamics.DENSE_CAP)))
+    argv = ["simulate", "--graph", str(graph), "--dist", "uniform",
+            "--stubbornness", "uniform:0.0001", "--eps", "1000"]
+    assert cli.main(argv) == 0
 
 
 @pytest.mark.parametrize("spec", ["uniform:abc", "random:0.5", "random:a,b"])

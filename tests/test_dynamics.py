@@ -35,6 +35,11 @@ def long_path(n=2000):
     return build_graph([(i, i + 1, 1.0) for i in range(n - 1)])
 
 
+def cycle(n):
+    """n nodes on a ring: m = n, so no forest."""
+    return build_graph([(i, (i + 1) % n, 1.0) for i in range(n)])
+
+
 def dense_rho(g, k):
     """Largest eigenvalue of Q^{1/2} A Q^{1/2}, Q = (K + D)^{-1}: rho(QA)."""
     q = 1.0 / np.sqrt(k.k + g.degrees)
@@ -152,7 +157,7 @@ class TestEquilibrium:
         assert np.allclose(z, 0.7, atol=1e-10)
 
     def test_above_cap_is_the_certified_pcg_solve(self):
-        g = long_path(DENSE_CAP + 1)
+        g = cycle(DENSE_CAP + 1)
         rng = np.random.default_rng(9)
         k = StubbornnessVector.from_values(rng.uniform(0.5, 2.0, g.n))
         s = rng.uniform(-1.0, 1.0, g.n)
@@ -162,11 +167,25 @@ class TestEquilibrium:
         assert np.abs(z - spla.spsolve(t.tocsc(), b)).max() <= 1e-8
 
     def test_iterative_failure_names_reason_and_bound(self, monkeypatch):
-        g = long_path(DENSE_CAP + 1)
+        g = cycle(DENSE_CAP + 1)
         monkeypatch.setattr(dynamics, "EQUILIBRIUM_DELTA", 1e-300)
         with pytest.raises(NumericalError, match=r"stagnated after \d+ iterations with "
                            r"proved relative error \d\.\d{3}e-\d+"):
             equilibrium(g, StubbornnessVector.uniform(g.n, 1.0), np.linspace(-1.0, 1.0, g.n))
+
+    def test_forest_above_cap_is_factored(self):
+        # Certified PCG stagnates at a proved 4.1e-11 here; a path factors
+        # with no fill, so it is solved directly like a graph below the cap.
+        g = long_path(DENSE_CAP + 1)
+        k = StubbornnessVector.uniform(g.n, 1e-4)
+        s = generate_opinions(g.n, "powerlaw", 4)
+        banded = np.zeros((2, g.n))
+        banded[0, 1:], banded[1] = -1.0, g.degrees + k.k
+        expected = sla.solveh_banded(banded, k.k * s)
+        z = equilibrium(g, k, s)
+        assert np.linalg.norm(z - expected) <= 1e-10 * np.linalg.norm(expected)
+        r = metrics_exact(g, k, s)
+        assert r.solver_iterations == 0 and r.error_bound <= 1e-11
 
     def test_fixed_point_property(self):
         rng = np.random.default_rng(13)
@@ -289,9 +308,13 @@ class TestSpectralRadius:
         g = random_regular_graph(20_000, 4, 5)
         k = StubbornnessVector.from_values(np.random.default_rng(5).uniform(0.5, 2.0, g.n))
         calls = count_splu(monkeypatch)
+        components, real = [], dynamics.connected_components
+        monkeypatch.setattr(dynamics, "connected_components",
+                            lambda *a, **kw: components.append(1) or real(*a, **kw))
         est = spectral_radius(g, k, tol=0.0)  # no bracket is that narrow
         assert not est.converged and est.iterations == dynamics.POWER_STEPS
         assert calls == []
+        assert components == []  # m >= n: no forest, so no component count
 
 
 class TestFactorMemo:
@@ -382,6 +405,27 @@ class TestSimulateUntil:
         row_sum = float((g.degrees / (k.k + g.degrees)).max())
         assert trace.bound == convergence_bound(est, trace.f_norms[0], 1e-8)
         assert state.t <= trace.bound <= convergence_bound(row_sum, trace.f_norms[0], 1e-8) == 4411
+
+    @pytest.mark.parametrize("instance", ["random", "path-2000"])
+    def test_simulation_is_the_repeated_step(self, instance):
+        # One update kernel: simulate_until stops where repeated ``step`` does.
+        if instance == "random":
+            rng = np.random.default_rng(41)
+            cases = [make_instance(rng) for _ in range(5)]
+        else:
+            g = long_path(2000)
+            k, s = StubbornnessVector.uniform(g.n, 0.05), generate_opinions(g.n, "uniform", 3)
+            cases = [(g, k, s)]
+        for g, k, s in cases:
+            state, _ = simulate_until(g, k, s, z0=s.copy(), eps=1e-8)
+            z_star, weight = equilibrium(g, k, s), np.sqrt(k.k + g.degrees)
+            stepped = OpinionState(s=s, z=s.copy())
+            while np.linalg.norm(weight * (stepped.z - z_star)) > 1e-8:
+                stepped = step(g, k, stepped)
+            assert state.t == stepped.t
+            assert np.linalg.norm(state.z - stepped.z) <= 1e-12 * np.linalg.norm(stepped.z)
+        if instance == "path-2000":
+            assert state.t == 798
 
     def test_geometric_decay_along_trace(self):
         rng = np.random.default_rng(23)

@@ -48,8 +48,9 @@ class TestExact:
         assert (r.conflict, r.disagreement, r.polarization, r.pd_index) == (0, 0, 0, 0)
 
     def test_above_cap_is_the_certified_solve(self):
+        # A cycle (m = n) is no forest, so above the cap it is not factored.
         n = dynamics.DENSE_CAP + 1
-        g = build_graph([(i, i + 1, 1.0) for i in range(n - 1)])
+        g = build_graph([(i, (i + 1) % n, 1.0) for i in range(n)])
         k = StubbornnessVector.uniform(n, 1.0)
         s = generate_opinions(n, "powerlaw", 5)
         exact, approx = metrics_exact(g, k, s), approxim(g, k, s, 1e-12)
