@@ -165,8 +165,14 @@ def fundamental_matrix(g: Graph, k: StubbornnessVector) -> np.ndarray:
 
 def center_opinions(s: np.ndarray, k: StubbornnessVector) -> np.ndarray:
     """Shift s by (1^T K s) / (1^T K 1) so the weighted sum 1^T K s vanishes."""
+    return _center(s, k)[0]
+
+
+def _center(s, k):
+    """center_opinions(s, k) and the shift c = (1^T K s) / (1^T K 1) it subtracts."""
     s = np.asarray(s, dtype=np.float64)
-    return s - float(k.k @ s) / float(k.k.sum())
+    c = float(k.k @ s) / float(k.k.sum())
+    return s - c, c
 
 
 def spectral_radius(g: Graph, k: StubbornnessVector, tol: float = 1e-10) -> SpectralEstimate:

@@ -8,6 +8,9 @@ stubbornness diagonal with its cached extremes.
 from __future__ import annotations
 
 import hashlib
+import io
+import re
+import warnings
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 
@@ -35,6 +38,7 @@ class Graph:
     self_loops_dropped: int = 0
     adjacency: sp.csr_matrix = field(repr=False, compare=False, default=None)
     _fingerprint: str = field(init=False, repr=False, compare=False, default=None)
+    _int_index: tuple = field(init=False, repr=False, compare=False, default=None)
 
     @property
     def w_min(self) -> float:
@@ -124,6 +128,22 @@ class Graph:
             object.__setattr__(self, "_fingerprint", h.hexdigest()[:16])
         return self._fingerprint
 
+    def _sorted_int_ids(self):
+        """``ids`` as sorted int64 with the node of each, built once; None
+        unless every id is a Python int that fits in int64."""
+        if self._int_index is None:
+            index = ()
+            if set(map(type, self.ids)) == {int}:
+                try:
+                    ids = np.fromiter(self.ids, np.int64, self.n)
+                except OverflowError:
+                    pass
+                else:
+                    order = np.argsort(ids)
+                    index = (ids[order], order)
+            object.__setattr__(self, "_int_index", index)
+        return self._int_index or None
+
 
 @dataclass(frozen=True)
 class StubbornnessVector:
@@ -200,20 +220,103 @@ def _first_seen(keys):
     return node, firsts
 
 
-def _read_table(path):
-    """Whitespace-separated tokens of a text file, located by line.
+def _read_text(path):
+    """The decoded text of a file; an undecodable file is an input error."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphInputError(
+            f"{path}: cannot decode as {exc.encoding} at byte {exc.start}: {exc.reason}"
+        ) from None
+
+
+# Each is matched from a given position and never backtracks: a failed
+# check costs one pass over the text.
+_HEADER = re.compile(r"(?:[#%][^\n]*\n)*")  # lines starting with "#" or "%"
+_NUMBERS = re.compile(r"[-+.eE0-9 \t\n]*")  # the characters of ints, floats, whitespace
+_FIRST_LINE = re.compile(r"\s*(.*)")
+_EDGE_ROWS = {2: "i8,i8", 3: "i8,i8,f8"}
+_VALUE_ROWS = {2: "i8,f8"}
+
+
+def _numeric_rows(text, row_dtypes):
+    """The rows of an all-numeric file, parsed by numpy's C reader.
+
+    ``row_dtypes`` maps each accepted column count, taken from the first data
+    line, to the row dtype.  Returns None for any file this does not take
+    whole (a later comment, a ragged line, an id that is not an int64, any
+    warning), which the line reader then reads.
+    """
+    start = _HEADER.match(text).end()
+    if _NUMBERS.match(text, start).end() < len(text):
+        return None
+    dtype = row_dtypes.get(len(_FIRST_LINE.match(text, start)[1].split()))
+    if dtype is None:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(io.StringIO(text), dtype=dtype, comments=None,
+                              skiprows=text.count("\n", 0, start), ndmin=1)
+    except (ValueError, OverflowError, Warning):
+        return None
+
+
+def _numeric_edge_list(text):
+    """load_edge_list's graph for an all-numeric file, or None."""
+    rows = _numeric_rows(text, _EDGE_ROWS)
+    if rows is None:
+        return None
+    w = rows["f2"] if len(rows.dtype) == 3 else np.ones(rows.size)
+    if not np.all(np.isfinite(w) & (w > 0.0)):
+        return None
+    # Distinct ids renumbered in order of first appearance, as _first_seen does.
+    ends = np.stack((rows["f0"], rows["f1"]), axis=1).ravel()
+    by_id = np.argsort(ends)
+    labels = ends[by_id]
+    new = np.concatenate(([True], labels[1:] != labels[:-1]))
+    first = np.minimum.reduceat(by_id, np.flatnonzero(new))  # of each distinct id, ascending
+    labels = labels[new]
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    node = np.empty_like(by_id)
+    node[by_id] = rank[np.cumsum(new) - 1]
+    del ends, by_id  # freed before the graph's arrays are built
+    g = Graph.from_arrays(node[0::2], node[1::2], w, labels.size, labels[order].tolist())
+    object.__setattr__(g, "_int_index", (labels, rank))  # what _sorted_int_ids builds
+    return g
+
+
+def _numeric_node_values(text, g, lo, hi):
+    """load_node_values' vector for an all-numeric file naming every node of
+    an integer-id graph with values in range, or None."""
+    rows = _numeric_rows(text, _VALUE_ROWS)
+    index = None if rows is None else g._sorted_int_ids()
+    if index is None:
+        return None
+    ids, order = index
+    nodes, values = rows["f0"], rows["f1"]
+    by_node = np.argsort(nodes)  # searchsorted runs fastest on sorted keys
+    at = np.empty_like(by_node)
+    at[by_node] = np.minimum(np.searchsorted(ids, nodes[by_node]), ids.size - 1)
+    if not (np.all(ids[at] == nodes) and np.all(np.isfinite(values))):
+        return None
+    if lo is not None and not np.all((lo <= values) & (values <= hi)):
+        return None
+    out = np.full(g.n, np.nan)
+    out[order[at]] = values  # a node given twice keeps its last value
+    return None if np.any(np.isnan(out)) else out
+
+
+def _read_table(text):
+    """Whitespace-separated tokens of a file's text, located by line.
 
     Returns the tokens as an object array and, for each line that is neither
     blank nor a comment (first token starting with ``#`` or ``%``), its
     1-based number, the index of its first token and its token count.
     """
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise GraphInputError(
-            f"{path}: cannot decode as {exc.encoding} at byte {exc.start}: {exc.reason}"
-        ) from None
     # Each line end becomes a token of its own: a character the text does not
     # hold.  One-char Latin-1 strings are shared objects in CPython, so these
     # tokens cost no memory; a lone surrogate cannot occur in decoded text.
@@ -291,9 +394,15 @@ def load_edge_list(path) -> Graph:
 
     Weight defaults to 1.0.  Lines starting with ``#`` or ``%`` are ignored
     (SNAP and Koblenz headers).  Node ids are kept as strings unless they
-    parse as integers.
+    parse as integers.  A file of integer ids and float weights under such a
+    header is parsed in C; any other file, and any error, is read line by
+    line, to the same graph.
     """
-    tokens, linenos, starts, ncols = _read_table(path)
+    text = _read_text(path)
+    g = _numeric_edge_list(text)
+    if g is not None:
+        return g
+    tokens, linenos, starts, ncols = _read_table(text)
     errors = _FirstBadLine(path, linenos)
     errors.check(
         np.flatnonzero((ncols < 2) | (ncols > 3)),
@@ -325,8 +434,16 @@ def load_edge_list(path) -> Graph:
 
 
 def load_node_values(path, g: Graph, name="value", lo=None, hi=None) -> np.ndarray:
-    """Parse a ``node value`` per-line file into a vector indexed like g."""
-    tokens, linenos, starts, ncols = _read_table(path)
+    """Parse a ``node value`` per-line file into a vector indexed like g.
+
+    As for load_edge_list, an all-numeric file for a graph of integer ids is
+    parsed in C, and the line reader reads every other file.
+    """
+    text = _read_text(path)
+    out = _numeric_node_values(text, g, lo, hi)
+    if out is not None:
+        return out
+    tokens, linenos, starts, ncols = _read_table(text)
     errors = _FirstBadLine(path, linenos)
     errors.check(np.flatnonzero(ncols != 2), lambda i: f"expected 'node {name}'")
     starts = starts[: errors.end]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from fjopinion.errors import GraphInputError, NumericalError
-from fjopinion.dynamics import EQUILIBRIUM_DELTA, _factor, _factored
+from fjopinion.dynamics import EQUILIBRIUM_DELTA, _center, _factor, _factored
 from fjopinion.graph import Graph, StubbornnessVector, eigen_bounds, operator_matrix
 from fjopinion.solver import Certificate, check, solve
 
@@ -220,10 +220,8 @@ def _pipeline(g, k, s, mode, eps):
         raise GraphInputError("opinion vector length does not match graph")
     if len(k) != g.n:
         raise GraphInputError("stubbornness length does not match graph")
-    k_sum = float(k.k.sum())
-    c = float(k.k @ s) / k_sum
-    shift = c * c * k_sum
-    s0 = s - c
+    s0, c = _center(s, k)
+    shift = c * c * float(k.k.sum())
     # Centering a (numerically) constant vector leaves only rounding
     # residue; treat it as exactly zero.
     if float(np.abs(s0).max(initial=0.0)) <= 1e-14 * float(np.abs(s).max(initial=0.0)):

@@ -129,13 +129,17 @@ def test_malformed_stubbornness_spec_exits_1(fixture_files, spec, capsys):
 
 
 @pytest.mark.parametrize("flag", ["--graph", "--opinions", "--stubbornness"])
-@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+@pytest.mark.parametrize("kind", ["directory", "non-utf8", "non-utf8-header"])
 def test_unreadable_path_exits_1(fixture_files, tmp_path, flag, kind, capsys):
     graph, stub, opinions = fixture_files
     bad = tmp_path
     if kind == "non-utf8":
         bad = tmp_path / "binary.txt"
         bad.write_bytes(b"\xff\xfe\x00")
+    elif kind == "non-utf8-header":
+        # Numbers under the header: the file the C reader would take.
+        bad = tmp_path / "header.txt"
+        bad.write_bytes(b"% \xff\n1 2\n")
     # The last of a repeated flag wins.
     argv = ["metrics", "--graph", str(graph), "--stubbornness", str(stub),
             "--opinions", str(opinions), flag, str(bad)]

@@ -1,5 +1,7 @@
 import os
 import tempfile
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from fjopinion.errors import GraphInputError
 from fjopinion.graph import (
     Graph,
     StubbornnessVector,
+    _numeric_edge_list,
+    _numeric_node_values,
     build_graph,
     eigen_bounds,
     laplacian_apply,
@@ -307,6 +311,189 @@ class TestNodeValues:
     def test_error_names_first_bad_line(self, g, tmp_path, text, message):
         path = tmp_path / "s.txt"
         path.write_text(text)
+        with pytest.raises(GraphInputError) as exc:
+            load_node_values(path, g, name="opinion", lo=-1.0, hi=1.0)
+        assert str(exc.value) == f"{path}{message}"
+
+
+NUMERIC_IDS = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.integers(0, 12).map(lambda i: f"0{i}"),
+    st.integers(0, 12).map(lambda i: f"+{i}"),
+)
+NUMERIC_WEIGHTS = st.one_of(
+    st.floats(1e-3, 1e3).map(repr),
+    st.sampled_from(["1e-3", "2.", ".5", "3E2", "7"]),
+)
+NUMERIC_VALUES = st.one_of(
+    st.floats(-1.0, 1.0).map(repr),
+    st.sampled_from(["-1", "1", "0", "-0.0", ".5", "-.25", "1e-3", "-2E-1"]),
+)
+
+
+def spellings(i):
+    """Ways of writing the integer i that int() reads back as i."""
+    sign = "-" if i < 0 else ""
+    return st.sampled_from([str(i), f"{sign}0{abs(i)}", f"{sign or '+'}{abs(i)}"])
+
+
+@st.composite
+def numeric_text(draw, rows):
+    """A file of only numbers under an optional ``#``/``%`` header: ``rows``
+    with spaces or tabs between fields, blank lines, \\n or \\r\\n endings."""
+    lines = draw(st.lists(st.sampled_from(["#", "%", "# u v w", "%% bip unweighted", "#1 2"]), max_size=3))
+    for fields in rows:
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+        seps = [draw(st.sampled_from([" ", "\t", "  ", " \t "])) for _ in fields]
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + "".join(f + s for f, s in zip(fields, seps)))
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+@st.composite
+def numeric_edge_list_text(draw):
+    columns = draw(st.sampled_from([2, 3]))
+    rows = draw(st.lists(st.tuples(NUMERIC_IDS, NUMERIC_IDS, NUMERIC_WEIGHTS), min_size=1, max_size=30))
+    return draw(numeric_text([row[:columns] for row in rows]))
+
+
+@st.composite
+def numeric_values_case(draw):
+    """Distinct integer ids and a values file naming each, some twice."""
+    ids = draw(st.lists(st.integers(-3, 12), min_size=2, max_size=12, unique=True))
+    rows = [(i, draw(NUMERIC_VALUES)) for i in ids]
+    rows += draw(st.lists(st.tuples(st.sampled_from(ids), NUMERIC_VALUES), max_size=10))
+    rows = [(draw(spellings(i)), value) for i, value in draw(st.permutations(rows))]
+    return ids, draw(numeric_text(rows))
+
+
+def write_temp(tmp, name, text):
+    path = os.path.join(tmp, name)
+    with open(path, "wb") as fh:
+        fh.write(text.encode())
+    return path
+
+
+class TestNumericFiles:
+    """Files of only numbers are parsed by numpy's C reader, to the result
+    the line reader gives; every other file and every error is the line
+    reader's."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=numeric_edge_list_text())
+    def test_graph_is_the_line_readers(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_temp(tmp, "g.txt", text)
+            with open(path) as fh:
+                assert _numeric_edge_list(fh.read()) is not None
+            g, reference = load_edge_list(path), build_graph(reference_triples(path))
+            assert_same_graph(g, reference)
+            assert g.fingerprint() == reference.fingerprint()
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=numeric_values_case())
+    def test_values_as_read_line_by_line_last_one_wins(self, case):
+        ids, text = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_temp(tmp, "s.txt", text)
+            last = {}
+            with open(path) as fh:
+                for line in fh:
+                    parts = line.split()
+                    if parts and parts[0][0] not in "#%":
+                        last[int(parts[0])] = float(parts[1])
+            expected = np.array([last[i] for i in ids])
+            edges = "".join(f"{a} {b}\n" for a, b in zip(ids, ids[1:]))
+            loaded = load_edge_list(write_temp(tmp, "g.txt", edges))
+            built = build_graph([(a, b, 1.0) for a, b in zip(ids, ids[1:])])
+            for g in (loaded, built):
+                assert g.ids == tuple(ids)
+                with open(path) as fh:
+                    assert _numeric_node_values(fh.read(), g, -1.0, 1.0) is not None
+                out = load_node_values(path, g, name="opinion", lo=-1.0, hi=1.0)
+                assert out.tobytes() == expected.tobytes()
+
+    def test_float_spelled_id_stays_a_string(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("1.0 2\n2 3\n")
+        assert _numeric_edge_list(path.read_text()) is None
+        assert load_edge_list(path).ids == ("1.0", 2, 3)
+
+    def test_id_beyond_int64_stays_a_python_int(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text(f"{2**63} 1\n1 2\n")
+        assert _numeric_edge_list(path.read_text()) is None
+        g = load_edge_list(path)
+        assert g.ids == (2**63, 1, 2) and all(type(i) is int for i in g.ids)
+        values = tmp_path / "s.txt"
+        values.write_text(f"1 0.5\n2 -0.5\n{2**63} 0.25\n")
+        assert _numeric_node_values(values.read_text(), g, None, None) is None
+        assert load_node_values(values, g).tolist() == [0.25, 0.5, -0.5]
+        values.write_text("1 0.5\n2 -0.5\n")  # taken by the C reader, but g has no int64 view
+        with pytest.raises(GraphInputError) as exc:
+            load_node_values(values, g)
+        assert str(exc.value) == f"{values}: missing value for nodes [{2**63}]"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1\x0c2\n2\x0c3\n", "1\xa02\n2 3\n", "1 2\n# c\n2 3\n", " # c\n1 2\n2 3\n", "1 2\n2 3 0.5\n"],
+        ids=["form-feed", "no-break-space", "later-comment", "indented-header", "mixed-columns"],
+    )
+    def test_other_files_are_read_line_by_line(self, tmp_path, text):
+        path = tmp_path / "g.txt"
+        path.write_text(text, encoding="utf-8")
+        with open(path) as fh:
+            assert _numeric_edge_list(fh.read()) is None
+        assert_same_graph(load_edge_list(path), build_graph(reference_triples(path)))
+
+    def test_any_warning_sends_the_file_to_the_line_reader(self, tmp_path, monkeypatch):
+        # numpy 1.24 reads the id 1.0 as the int 1, with a DeprecationWarning.
+        loadtxt = np.loadtxt
+
+        def warning_loadtxt(*args, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+        path = tmp_path / "g.txt"
+        path.write_text("1 2\n2 3\n")
+        assert _numeric_edge_list(path.read_text()) is None
+        assert_same_graph(load_edge_list(path), build_graph(reference_triples(path)))
+
+    def test_refusing_a_file_takes_one_pass(self):
+        # A check that backtracked would rescan the text once for each
+        # character of the first line: about 10 s here, not 1 ms.
+        text = "1 " * 2000 + "\n" + "1 2\n" * 50000 + "x"
+        t = time.perf_counter()
+        assert _numeric_edge_list(text) is None
+        assert time.perf_counter() - t < 1.0
+
+    def test_bad_weight_is_reported_by_line(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("1 2 1\n2 3 1\n3 4 -1\n")
+        assert _numeric_edge_list(path.read_text()) is None
+        with pytest.raises(GraphInputError) as exc:
+            load_edge_list(path)
+        assert str(exc.value) == f"{path}:3: weight must be finite and > 0"
+
+    @pytest.mark.parametrize(
+        "edges, text, message",
+        [
+            ("1 2\n2 3\n", "1 0.5\n2 0.1\n3 0.2\n7 0.2\n", ":4: unknown node 7"),
+            ("1 2\n2 3\n", "1 0.5\n2 1.5\n3 0\n", ":2: opinion 1.5 outside [-1.0, 1.0]"),
+            ("1 2\n2 3\n", "1 0.5\n2 1e999\n3 0\n", ":2: non-finite opinion"),
+            ("1 2\n2 3\n", "1 0.5\n3 0.1\n", ": missing opinion for nodes [2]"),
+            ("1 x\nx 2\n", "1 0.5\n2 0.1\n", ": missing opinion for nodes ['x']"),
+        ],
+        ids=["unknown-node", "out-of-range", "non-finite", "missing-node", "string-ids"],
+    )
+    def test_value_errors_are_reported_by_line(self, tmp_path, edges, text, message):
+        (tmp_path / "g.txt").write_text(edges)
+        g = load_edge_list(tmp_path / "g.txt")
+        path = tmp_path / "s.txt"
+        path.write_text(text)
+        assert _numeric_node_values(text, g, -1.0, 1.0) is None
         with pytest.raises(GraphInputError) as exc:
             load_node_values(path, g, name="opinion", lo=-1.0, hi=1.0)
         assert str(exc.value) == f"{path}{message}"
