@@ -13,15 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
 
 from fjopinion.errors import GraphInputError, NumericalError, SizeGuardError
 from fjopinion.graph import Graph, StubbornnessVector, operator_matrix
-from fjopinion.solver import energy_norm_certificate, solve
+from fjopinion.solver import Certificate, SolverResult, check, energy_norm_certificate, solve
 
 DENSE_CAP = 10_000
-EQUILIBRIUM_DELTA = 1e-12  # relative energy-norm error proved where L + K is not factored
+EQUILIBRIUM_DELTA = 1e-12  # relative error proved by exact-mode and equilibrium solves
 POWER_STEPS = 1_000
 CHECK_EVERY = 10  # power steps between two evaluations of the bracket
 INVERSE_SOLVES = 100
@@ -96,6 +94,7 @@ def step(g: Graph, k: StubbornnessVector, state: OpinionState) -> OpinionState:
 
 def _splu_symmetric(m: sp.spmatrix):
     """SuperLU factor of an SPD m, ordered on its own pattern, no pivoting."""
+    import scipy.sparse.linalg as spla  # only factoring needs it: a lazy import
     return spla.splu(m.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      options=dict(SymmetricMode=True))
 
@@ -119,35 +118,48 @@ def _factor(g: Graph, k: StubbornnessVector):
     return lu, t
 
 
-def _factored(g: Graph) -> bool:
-    """Factor L + K (not PCG) if n <= ``DENSE_CAP`` or g is a forest, whose factor has no fill.
+def _forest(g: Graph) -> bool:
+    """Whether g is a forest, whose factor of L + K has no fill.
 
     Only m < n admits a forest, so only then are the components counted.
     """
-    return g.n <= DENSE_CAP or (
-        g.m < g.n
-        and g.m == g.n - connected_components(g.adjacency, directed=False, return_labels=False)
-    )
+    if g.m >= g.n:
+        return False
+    from scipy.sparse.csgraph import connected_components  # imports scipy.sparse.linalg
+    return g.m == g.n - connected_components(g.adjacency, directed=False, return_labels=False)
+
+
+def _solve(g: Graph, k: StubbornnessVector, b: np.ndarray, certify: Certificate) -> SolverResult:
+    """Solve (L + K) y = b under ``certify``: the one rule for when L + K is factored.
+
+    Forests use the kept factor from ``_factor``; other graphs certified PCG,
+    and the kept factor if PCG stops uncertified on at most ``DENSE_CAP`` nodes.
+    That solution is judged by ``certify``, with stop_reason "" and PCG's iterations.
+    """
+    res = None if _forest(g) else solve(operator_matrix(g, k), b, k, certify)
+    if res is not None and (res.certified or g.n > DENSE_CAP):
+        return res
+    lu, t = _factor(g, k)
+    y = lu.solve(b)
+    bound, _, r_norm = check(t, b, k, y, certify)
+    return SolverResult(y=y, iterations=res.iterations if res else 0, residual_norm=r_norm,
+                        certified=bound <= certify.target, bound=bound, stop_reason="")
 
 
 def equilibrium(g: Graph, k: StubbornnessVector, s: np.ndarray) -> np.ndarray:
-    """Equilibrium expressed opinions z = (L+K)^{-1} K s.
+    """Equilibrium expressed opinions z = (L+K)^{-1} K s, solved by ``_solve``.
 
-    Where ``_factored`` holds, the sparse factor from ``_factor`` solves it,
-    so calls on the same (g, k) factor L + K once.  Elsewhere the PCG solver
-    does, with right-hand side Ks; it stops once it proves a relative
-    energy-norm error of at most ``EQUILIBRIUM_DELTA`` and raises
-    ``NumericalError`` if it cannot.
+    A factor's solution is returned as it is; a PCG solve that cannot prove a
+    relative energy-norm error of ``EQUILIBRIUM_DELTA`` raises ``NumericalError``.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.shape != (g.n,):
         raise GraphInputError("opinion vector length does not match graph")
-    if _factored(g):
-        return _factor(g, k)[0].solve(k.k * s)
-    t = operator_matrix(g, k)
+    if len(k) != g.n:
+        raise GraphInputError("stubbornness length does not match graph")
     b = k.k * s
-    res = solve(t, b, k, energy_norm_certificate(b, EQUILIBRIUM_DELTA))
-    if not res.certified:
+    res = _solve(g, k, b, energy_norm_certificate(b, EQUILIBRIUM_DELTA))
+    if res.stop_reason and not res.certified:
         raise NumericalError(
             f"solver did not certify delta={EQUILIBRIUM_DELTA}: {res.stop_reason} after "
             f"{res.iterations} iterations with proved relative error {res.bound:.3e}"
@@ -190,16 +202,17 @@ def spectral_radius(g: Graph, k: StubbornnessVector, tol: float = 1e-10) -> Spec
 
     x starts at 1 and is refined by up to ``POWER_STEPS`` power steps
     x <- QAx + x, the bracket evaluated every ``CHECK_EVERY`` of them.  If
-    the bracket is still wider than ``tol`` and ``_factored`` holds, up to
-    ``INVERSE_SOLVES`` steps x <- M^{-1}(K+D)x follow, with M = sigma(K+D) - A
-    factored once at sigma = upper: inverse iteration with a near-singular
-    shift (Parlett, The Symmetric Eigenvalue Problem, ch. 4).  M is then a
-    nonsingular M-matrix, so x stays positive.  Both ends are widened to
-    cover the rounding of the products and sums that form them.
+    the bracket is still wider than ``tol`` and n <= ``DENSE_CAP`` or g is a
+    forest, up to ``INVERSE_SOLVES`` steps x <- M^{-1}(K+D)x follow, with
+    M = sigma(K+D) - A factored once at sigma = upper: inverse iteration
+    with a near-singular shift (Parlett, The Symmetric Eigenvalue Problem,
+    ch. 4).  M is then a nonsingular M-matrix, so x stays positive.  Both
+    ends are widened to cover the rounding of the products and sums that
+    form them.
 
-    ``converged`` means upper - lower <= tol.  A bracket left wider (where
-    ``_factored`` fails, the power steps alone must close it) is still
-    proved.
+    ``converged`` means upper - lower <= tol.  A bracket left wider (on
+    graphs with cycles above the cap, the power steps alone must close it)
+    is still proved.
     """
     qa, b = _update_matrix(g, k)
     # Relative rounding of y (row sums of at most `terms` products) and of
@@ -224,7 +237,7 @@ def spectral_radius(g: Graph, k: StubbornnessVector, tol: float = 1e-10) -> Spec
         x = _rescale(x)
         refine(x)
         iterations += CHECK_EVERY
-    if upper - lower > tol and _factored(g):
+    if upper - lower > tol and (g.n <= DENSE_CAP or _forest(g)):
         # M is SPD, as sigma > rho.
         lu = _splu_symmetric(sp.diags(upper * b) - g.adjacency)
         solves = 0
@@ -286,22 +299,23 @@ def simulate_until(
 
     trace = ErrorTrace()
     z, t = z0, 0
-    e = z - z_star
-    f_norm = float(np.linalg.norm(weight * e))
-    trace.record(np.linalg.norm(e), f_norm)
-    f0_norm = f_norm
-
-    while f_norm > eps:
+    e, f = np.empty_like(z0), np.empty_like(z0)  # e(t) and f(t), overwritten each step
+    while True:
+        np.subtract(z, z_star, out=e)
+        np.multiply(weight, e, out=f)
+        f_norm = float(np.linalg.norm(f))
+        trace.record(np.linalg.norm(e), f_norm)
+        if not f_norm > eps:
+            break
         if t >= SIMULATION_CAP:
             raise NumericalError(
                 f"simulation did not reach eps={eps} within {SIMULATION_CAP} steps"
             )
-        z = qa @ z + qks
+        z = qa @ z  # a new vector, so z0 stays the caller's
+        z += qks
         t += 1
-        e = z - z_star
-        f_norm = float(np.linalg.norm(weight * e))
-        trace.record(np.linalg.norm(e), f_norm)
 
+    f0_norm = trace.f_norms[0]
     if g.m >= 1 and f0_norm > eps:
         trace.bound = convergence_bound(spectral_radius(g, k), f0_norm, eps)
         if t > trace.bound:

@@ -205,19 +205,39 @@ def _first_seen(keys):
     """Number equal keys as one node, in order of first appearance.
 
     Returns each key's node index and the position of each node's first key.
-    Keys are grouped by hash with ``np.unique``; the rare key that differs
-    from the first key of its hash group (a hash collision) is regrouped by
-    equality.
+    Keys are grouped by hash; the rare key that differs from the first key of
+    its hash group (a hash collision) is regrouped by equality.
     """
     keys = np.fromiter(keys, dtype=object, count=len(keys))
-    hashes = np.fromiter(map(hash, keys), np.int64, keys.size)
-    _, first, group = np.unique(hashes, return_index=True, return_inverse=True)
-    pos = first[group]
-    collided = {}
-    for i in np.flatnonzero(keys != keys[pos]):
-        pos[i] = collided.setdefault(keys[i], i)
-    firsts, node = np.unique(pos, return_inverse=True)
+    node, firsts, _ = _first_seen_ints(np.fromiter(map(hash, keys), np.int64, keys.size))
+    pos = firsts[node]
+    collided = np.flatnonzero(keys != keys[pos])
+    if collided.size:
+        seen = {}
+        for i in collided:
+            pos[i] = seen.setdefault(keys[i], i)
+        node, firsts, _ = _first_seen_ints(pos)
     return node, firsts
+
+
+def _first_seen_ints(values):
+    """Number equal int64 values as one node, in order of first appearance.
+
+    Returns each value's node index, the position of each node's first
+    value, and the node of each distinct value in ascending order.  A sort
+    plus ``np.minimum.reduceat``: ``np.unique``'s ``return_index`` forces a
+    stable sort, twice as slow.
+    """
+    by_value = np.argsort(values)
+    ordered = values[by_value]
+    new = np.concatenate((ordered[:1] == ordered[:1], ordered[1:] != ordered[:-1]))  # run starts
+    first = np.minimum.reduceat(by_value, np.flatnonzero(new))  # of each distinct value
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    node = np.empty_like(by_value)
+    node[by_value] = rank[np.cumsum(new) - 1]
+    return node, first[order], rank
 
 
 def _read_text(path):
@@ -271,21 +291,12 @@ def _numeric_edge_list(text):
     w = rows["f2"] if len(rows.dtype) == 3 else np.ones(rows.size)
     if not np.all(np.isfinite(w) & (w > 0.0)):
         return None
-    # Distinct ids renumbered in order of first appearance, as _first_seen does.
     ends = np.stack((rows["f0"], rows["f1"]), axis=1).ravel()
-    by_id = np.argsort(ends)
-    labels = ends[by_id]
-    new = np.concatenate(([True], labels[1:] != labels[:-1]))
-    first = np.minimum.reduceat(by_id, np.flatnonzero(new))  # of each distinct id, ascending
-    labels = labels[new]
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    node = np.empty_like(by_id)
-    node[by_id] = rank[np.cumsum(new) - 1]
-    del ends, by_id  # freed before the graph's arrays are built
-    g = Graph.from_arrays(node[0::2], node[1::2], w, labels.size, labels[order].tolist())
-    object.__setattr__(g, "_int_index", (labels, rank))  # what _sorted_int_ids builds
+    node, firsts, rank = _first_seen_ints(ends)
+    ids = ends[firsts]
+    del ends  # freed before the graph's arrays are built
+    g = Graph.from_arrays(node[0::2], node[1::2], w, ids.size, ids.tolist())
+    object.__setattr__(g, "_int_index", (ids[rank], rank))  # what _sorted_int_ids builds
     return g
 
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from fjopinion.errors import GraphInputError, NumericalError
-from fjopinion.dynamics import EQUILIBRIUM_DELTA, _center, _factor, _factored
+from fjopinion.dynamics import EQUILIBRIUM_DELTA, _center, _solve
 from fjopinion.graph import Graph, StubbornnessVector, eigen_bounds, operator_matrix
-from fjopinion.solver import Certificate, check, solve
+from fjopinion.solver import Certificate, solve
 
 # Edges per slice when summing the disagreement, so that no edge-sized
 # temporary is allocated next to the solver's vectors.
@@ -36,9 +36,9 @@ class MetricsReport:
     modes: each of the four metrics is off by at most that fraction of its
     value, and the conservation law by at most that fraction of
     sum k_i s_i^2.  ``certified`` means ``error_bound <= eps_requested``.
-    ``stop_reason`` says why the iterative solve stopped ("" when none ran):
-    "stagnated" when the true residual stopped shrinking before eps could
-    be proved; see ``solver.SolverResult``.
+    ``stop_reason`` says why PCG stopped ("" when the factor of L + K gave
+    the solution): "stagnated" when the true residual stopped shrinking
+    before eps could be proved; see ``solver.SolverResult``.
     """
 
     conflict: float
@@ -209,9 +209,9 @@ def _pipeline(g, k, s, mode, eps):
     off q: C = k.(q - s0)^2, D on the edge arrays, P = k.q^2 + c^2 sum(k).
     Taking P in that form keeps the 2c k.q term, zero at the solution, out
     of an approximate q's error, so a bound on sqrt(k.q^2) covers P too.
-    Exact mode solves with the kept sparse factor of L + K where ``_factored``
-    holds, every other solve is certified PCG; either q is judged by the
-    same certificate on its true residual.  Returns the report and z = q + c.
+    Approximate mode solves by certified PCG, exact mode by ``dynamics._solve``;
+    either q is judged by the same certificate on its true residual.  Returns
+    the report and z = q + c.
     """
     if not (0.0 < eps < 0.5):
         raise GraphInputError(f"eps must be in (0, 1/2), got {eps}")
@@ -232,15 +232,14 @@ def _pipeline(g, k, s, mode, eps):
     if s0.any():
         b = k.k * s0
         certificate = _metrics_certificate(g, k, s0, b, shift, eps)
-        if mode == "exact" and _factored(g):
-            lu, t = _factor(g, k)
-            q = lu.solve(b)
-            iterations, bound, stop_reason = 0, check(t, b, k, q, certificate)[0], ""
+        if mode == "exact":
+            res = _solve(g, k, b, certificate)
         else:
             res = solve(operator_matrix(g, k), b, k, certificate)
-            q, iterations, bound, stop_reason = res.y, res.iterations, res.bound, res.stop_reason
-        provenance = dict(delta_used=delta_budget(g, k, s0, eps).delta, certified=bound <= eps,
-                          solver_iterations=iterations, error_bound=bound, stop_reason=stop_reason)
+        q = res.y
+        provenance = dict(delta_used=delta_budget(g, k, s0, eps).delta, certified=res.certified,
+                          solver_iterations=res.iterations, error_bound=res.bound,
+                          stop_reason=res.stop_reason)
     t1 = time.perf_counter()
 
     conflict, disagreement, p0 = _norms(g, k, s0, q)
@@ -272,8 +271,8 @@ def _pipeline(g, k, s, mode, eps):
 def metrics_exact(g: Graph, k: StubbornnessVector, s: np.ndarray) -> MetricsReport:
     """All four metrics proved to relative ``EQUILIBRIUM_DELTA``, at any n.
 
-    A direct sparse solve where ``_factored`` holds, else certified PCG;
-    a solve whose bound misses the target is reported ``certified=False``.
+    Certified PCG or the sparse factor of L + K, by ``dynamics._solve``; a
+    solve whose bound misses the target is reported ``certified=False``.
     """
     report, z = _pipeline(g, k, s, "exact", EQUILIBRIUM_DELTA)
 

@@ -75,7 +75,8 @@ class SolverResult:
     "stagnated" (a failed check found the true residual's rho no smaller
     than at the previous failed check, or the recurrence residual or search
     direction underflowed to zero), "maxiter", or "breakdown" (a direction
-    of negative curvature, or NaN: the matrix is not positive definite).
+    of negative curvature, or NaN: the matrix is not positive definite);
+    "" marks a sparse factor's solution from ``dynamics._solve``.
     ``bound`` is the certificate's proved bound for ``y``, judged on its
     true residual, also when it misses the target; ``residual_norm`` is the
     2-norm of that residual.
@@ -99,7 +100,7 @@ def check(matrix: sp.spmatrix, b: np.ndarray, k: StubbornnessVector, y: np.ndarr
           certify: Certificate) -> tuple[float, float, float]:
     """``certify``'s bound of y, and rho and the 2-norm of its true residual b - matrix y.
 
-    It judges every PCG solve and the metrics' direct solve, not ``equilibrium``'s.
+    It judges every PCG solve and every factor solve of ``dynamics._solve``.
     """
     r = matrix @ y
     np.subtract(b, r, out=r)

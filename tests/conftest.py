@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from fjopinion.generate import random_connected_gnp
-from fjopinion.graph import StubbornnessVector, build_graph
+from fjopinion.graph import StubbornnessVector, build_graph, operator_matrix
 
 
 @pytest.fixture
@@ -38,3 +39,21 @@ def dense_laplacian(g):
         lap[u, u] += w
         lap[v, v] += w
     return lap
+
+
+def count_splu(monkeypatch):
+    """Record every matrix that ``splu`` factors from now on."""
+    calls, real = [], spla.splu
+
+    def counted(m, **kwargs):
+        calls.append(m)
+        return real(m, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted)
+    return calls
+
+
+def factors_of(calls, g, k):
+    """How many of the recorded factorizations were of L + K for (g, k)."""
+    t = operator_matrix(g, k)
+    return sum(m.shape == t.shape and abs(m - t).max() == 0.0 for m in calls)

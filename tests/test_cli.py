@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -85,6 +88,18 @@ def test_metrics_approx_on_graph_without_edges(tmp_path):
     assert exact.sum_z == pytest.approx(0.25, rel=1e-12)  # z = s
     for key in ("conflict", "disagreement", "polarization", "pd_index", "sum_z"):
         assert getattr(approx, key) == pytest.approx(getattr(exact, key), rel=1e-12, abs=1e-24)
+
+
+def test_import_leaves_the_sparse_factor_out():
+    # Only factoring and the forest test need scipy.sparse.linalg; they import
+    # it when called.  (Some scipy releases load it with scipy.sparse.)
+    code = ("import sys, scipy.sparse; before = 'scipy.sparse.linalg' in sys.modules; "
+            "import fjopinion.cli; print(before, 'scipy.sparse.linalg' in sys.modules)")
+    path = [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout.split()
+    assert out[1] == out[0]
 
 
 def test_missing_file_exits_1(tmp_path):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_instance
+from conftest import count_splu, factors_of, make_instance
 from fjopinion import dynamics
 from fjopinion.dynamics import (
     DENSE_CAP,
@@ -53,22 +54,15 @@ def path_rho(g, k):
                                     select_range=(g.n - 1, g.n - 1))[0]
 
 
-def count_splu(monkeypatch):
-    """Record every matrix that ``splu`` factors from now on."""
-    calls, real = [], spla.splu
-
-    def counted(m, **kwargs):
-        calls.append(m)
-        return real(m, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", counted)
-    return calls
-
-
-def factors_of(calls, g, k):
-    """How many of the recorded factorizations were of L + K for (g, k)."""
-    t = operator_matrix(g, k)
-    return sum(m.shape == t.shape and abs(m - t).max() == 0.0 for m in calls)
+def make_tree(rng, n_max=40):
+    """Seeded random weighted tree with stubbornness and opinions: a forest,
+    so ``equilibrium`` and ``metrics_exact`` solve it with the kept factor."""
+    n = int(rng.integers(3, n_max + 1))
+    g = build_graph([(int(rng.integers(0, i)), i, float(rng.uniform(0.5, 2.0)))
+                     for i in range(1, n)])
+    k = StubbornnessVector.from_values(rng.uniform(0.5, 3.0, size=g.n))
+    s = rng.uniform(-1.0, 1.0, size=g.n)
+    return g, k, s
 
 
 # Rounding slack of the dense reference: eigvalsh is itself off by a few ulp.
@@ -172,6 +166,21 @@ class TestEquilibrium:
         with pytest.raises(NumericalError, match=r"stagnated after \d+ iterations with "
                            r"proved relative error \d\.\d{3}e-\d+"):
             equilibrium(g, StubbornnessVector.uniform(g.n, 1.0), np.linspace(-1.0, 1.0, g.n))
+
+    def test_regular_graph_takes_certified_pcg_without_a_factor(self, monkeypatch):
+        # PCG proves 1e-12 in a few dozen iterations, where the factor of
+        # L + K would fill in.
+        g = random_regular_graph(3000, 4, 1)
+        k = StubbornnessVector.from_values(np.random.default_rng(4).uniform(0.5, 2.0, g.n))
+        s = generate_opinions(g.n, "powerlaw", 3)
+        calls = count_splu(monkeypatch)
+        r = metrics_exact(g, k, s)
+        z = equilibrium(g, k, s)
+        assert calls == []
+        assert r.certified and r.stop_reason == "certified"
+        assert r.solver_iterations > 0 and r.error_bound <= 1e-12
+        t, b = operator_matrix(g, k), k.k * s
+        assert np.abs(z - spla.spsolve(t.tocsc(), b)).max() <= 1e-8
 
     def test_forest_above_cap_is_factored(self):
         # Certified PCG stagnates at a proved 4.1e-11 here; a path factors
@@ -308,8 +317,8 @@ class TestSpectralRadius:
         g = random_regular_graph(20_000, 4, 5)
         k = StubbornnessVector.from_values(np.random.default_rng(5).uniform(0.5, 2.0, g.n))
         calls = count_splu(monkeypatch)
-        components, real = [], dynamics.connected_components
-        monkeypatch.setattr(dynamics, "connected_components",
+        components, real = [], csgraph.connected_components
+        monkeypatch.setattr(csgraph, "connected_components",
                             lambda *a, **kw: components.append(1) or real(*a, **kw))
         est = spectral_radius(g, k, tol=0.0)  # no bracket is that narrow
         assert not est.converged and est.iterations == dynamics.POWER_STEPS
@@ -322,7 +331,7 @@ class TestFactorMemo:
 
     def test_metrics_then_simulation_factor_once(self, monkeypatch):
         rng = np.random.default_rng(31)
-        g, k, s = make_instance(rng)
+        g, k, s = make_tree(rng)
         calls = count_splu(monkeypatch)
         metrics_exact(g, k, s)
         simulate_until(g, k, s, z0=np.zeros(g.n), eps=1e-8)
@@ -330,8 +339,8 @@ class TestFactorMemo:
 
     def test_new_objects_factor_again(self, monkeypatch):
         rng = np.random.default_rng(32)
-        g, k, s = make_instance(rng)
-        other, _, _ = make_instance(rng)
+        g, k, s = make_tree(rng)
+        other, _, _ = make_tree(rng)
         z = equilibrium(g, k, s)
         calls = count_splu(monkeypatch)
         k_equal = StubbornnessVector.from_values(k.k)
@@ -348,7 +357,7 @@ class TestFactorMemo:
     def test_one_slot(self):
         rng = np.random.default_rng(33)
         for _ in range(4):
-            g, k, s = make_instance(rng)
+            g, k, s = make_tree(rng)
             equilibrium(g, k, s)
             assert len(dynamics._last_factor) == 1
             assert dynamics._last_factor[0][0] is g and dynamics._last_factor[0][1] is k

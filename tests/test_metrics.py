@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_laplacian, make_instance
-from fjopinion import dynamics, metrics
+from conftest import count_splu, dense_laplacian, factors_of, make_instance
+from fjopinion import dynamics
 from fjopinion.errors import GraphInputError, NumericalError
 from fjopinion.generate import (
     generate_opinions,
@@ -257,22 +257,33 @@ class TestBelowTheFloor:
 
 
 @pytest.mark.parametrize(
-    "make_graph, certified",
-    # The path proves 3.0e-12 and the regular graph 3.7e-13: only the
-    # latter meets exact mode's 1e-12.
-    [(lambda: build_graph([(i, i + 1, 1.0) for i in range(1999)]), False),
-     (lambda: random_regular_graph(3000, 4, 1), True)],
-    ids=["path-2000", "regular-3000"],
+    "make_graph, pcg_stops, report_stop, certified",
+    # The path is a forest and is factored at once; on the other graphs PCG
+    # cannot prove equilibrium's 1e-12 and the factor takes over.  The
+    # metrics prove 3.0e-12 on the path (factor), 6.4e-13 on the regular
+    # graph (PCG) and 1.1e-12 on the cycle (PCG stagnates, then the factor):
+    # only the regular graph meets exact mode's 1e-12.
+    [(lambda: build_graph([(i, i + 1, 1.0) for i in range(1999)]), [], "", False),
+     (lambda: random_regular_graph(3000, 4, 1), ["stagnated"], "certified", True),
+     (lambda: build_graph([(i, (i + 1) % 200, 1.0) for i in range(200)]), ["stagnated"], "",
+      False)],
+    ids=["path-2000", "regular-3000", "cycle-200"],
 )
-def test_tiny_stubbornness_factors_without_pivoting(make_graph, certified):
-    # Certified PCG could not prove 1e-12 on these inputs; the unpivoted
-    # factor of L + K must still solve them to dense-solver accuracy.
+def test_tiny_stubbornness_factors_without_pivoting(make_graph, pcg_stops, report_stop,
+                                                    certified, monkeypatch):
+    # The unpivoted factor of L + K must solve these to dense-solver accuracy.
     g = make_graph()
     k = StubbornnessVector.uniform(g.n, 1e-4)
     s = generate_opinions(g.n, "powerlaw", 4)
     lap = dense_laplacian(g)
     expected = np.linalg.solve(lap + np.diag(k.k), k.k * s)
+    stops, real_solve = [], dynamics.solve
+    monkeypatch.setattr(dynamics, "solve",
+                        lambda *args: stops.append(real_solve(*args)) or stops[-1])
+    calls = count_splu(monkeypatch)
     z = dynamics.equilibrium(g, k, s)
+    assert [res.stop_reason for res in stops] == pcg_stops
+    assert len(calls) == factors_of(calls, g, k) == 1
     assert np.linalg.norm(z - expected) <= 1e-10 * np.linalg.norm(expected)
     r = metrics_exact(g, k, s)  # raises if its pd-index cross-check fails
     # The reported bound covers the error against the dense solve, taken
@@ -285,13 +296,15 @@ def test_tiny_stubbornness_factors_without_pivoting(make_graph, certified):
     dense["pd_index"] = dense["polarization"] + dense["disagreement"]
     for key, value in dense.items():
         assert abs(getattr(r, key) - value) <= r.error_bound * abs(value), key
-    assert r.certified == certified
+    assert r.certified == certified and r.stop_reason == report_stop
+    assert (r.solver_iterations > 0) == bool(pcg_stops)  # the PCG iterations run
+    assert len(calls) == 1  # metrics_exact reused equilibrium's factor
 
 
 def test_pd_index_cross_check_catches_a_wrong_equilibrium(monkeypatch, path2, k21):
     lu, t = dynamics._factor(path2, k21)
     wrong = types.SimpleNamespace(solve=lambda b: 1.001 * lu.solve(b))
-    monkeypatch.setattr(metrics, "_factor", lambda g, k: (wrong, t))
+    monkeypatch.setattr(dynamics, "_factor", lambda g, k: (wrong, t))
     with pytest.raises(NumericalError, match="pd-index cross-check failed"):
         metrics_exact(path2, k21, np.array([1.0, -1.0]))
 
