@@ -99,25 +99,6 @@ def _splu_symmetric(m: sp.spmatrix):
                      options=dict(SymmetricMode=True))
 
 
-_last_factor: list = []  # at most one (g, k, factor of L + K, L + K)
-
-
-def _factor(g: Graph, k: StubbornnessVector):
-    """The factor of L + K (SPD, as k > 0) and L + K, kept for the last (g, k) only.
-
-    A call hits only for the same ``Graph`` and ``StubbornnessVector``
-    objects, which are frozen with read-only arrays.  The old factor is
-    dropped before a new one is built.
-    """
-    if _last_factor and _last_factor[0][0] is g and _last_factor[0][1] is k:
-        return _last_factor[0][2:]
-    _last_factor.clear()
-    t = operator_matrix(g, k)
-    lu = _splu_symmetric(t)
-    _last_factor.append((g, k, lu, t))
-    return lu, t
-
-
 def _forest(g: Graph) -> bool:
     """Whether g is a forest, whose factor of L + K has no fill.
 
@@ -132,15 +113,16 @@ def _forest(g: Graph) -> bool:
 def _solve(g: Graph, k: StubbornnessVector, b: np.ndarray, certify: Certificate) -> SolverResult:
     """Solve (L + K) y = b under ``certify``: the one rule for when L + K is factored.
 
-    Forests use the kept factor from ``_factor``; other graphs certified PCG,
-    and the kept factor if PCG stops uncertified on at most ``DENSE_CAP`` nodes.
-    That solution is judged by ``certify``, with stop_reason "" and PCG's iterations.
+    L + K is built once.  Forests are factored at once; other graphs get
+    certified PCG, and the factor only if PCG stops uncertified on at most
+    ``DENSE_CAP`` nodes.  A factor's solution is judged by ``certify``, with
+    stop_reason "" and PCG's iterations.  Nothing is kept after the call.
     """
-    res = None if _forest(g) else solve(operator_matrix(g, k), b, k, certify)
+    t = operator_matrix(g, k)
+    res = None if _forest(g) else solve(t, b, k, certify)
     if res is not None and (res.certified or g.n > DENSE_CAP):
         return res
-    lu, t = _factor(g, k)
-    y = lu.solve(b)
+    y = _splu_symmetric(t).solve(b)
     bound, _, r_norm = check(t, b, k, y, certify)
     return SolverResult(y=y, iterations=res.iterations if res else 0, residual_norm=r_norm,
                         certified=bound <= certify.target, bound=bound, stop_reason="")

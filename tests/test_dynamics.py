@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from conftest import count_splu, factors_of, make_instance
+from conftest import count_splu, make_instance
 from fjopinion import dynamics
 from fjopinion.dynamics import (
     DENSE_CAP,
@@ -52,17 +54,6 @@ def path_rho(g, k):
     q = 1.0 / np.sqrt(k.k + g.degrees)
     return sla.eigvalsh_tridiagonal(np.zeros(g.n), q[:-1] * q[1:], select="i",
                                     select_range=(g.n - 1, g.n - 1))[0]
-
-
-def make_tree(rng, n_max=40):
-    """Seeded random weighted tree with stubbornness and opinions: a forest,
-    so ``equilibrium`` and ``metrics_exact`` solve it with the kept factor."""
-    n = int(rng.integers(3, n_max + 1))
-    g = build_graph([(int(rng.integers(0, i)), i, float(rng.uniform(0.5, 2.0)))
-                     for i in range(1, n)])
-    k = StubbornnessVector.from_values(rng.uniform(0.5, 3.0, size=g.n))
-    s = rng.uniform(-1.0, 1.0, size=g.n)
-    return g, k, s
 
 
 # Rounding slack of the dense reference: eigvalsh is itself off by a few ulp.
@@ -196,6 +187,21 @@ class TestEquilibrium:
         r = metrics_exact(g, k, s)
         assert r.solver_iterations == 0 and r.error_bound <= 1e-11
 
+    @pytest.mark.parametrize("make_graph", [lambda: long_path(50), lambda: cycle(200)],
+                             ids=["path-50", "cycle-200"])
+    def test_nothing_outlives_a_solve(self, make_graph):
+        # The path is factored at once; on the cycle at k = 1e-4 PCG stops
+        # uncertified and the factor follows.  Neither keeps g or k alive.
+        g = make_graph()
+        k = StubbornnessVector.uniform(g.n, 1e-4)
+        s = generate_opinions(g.n, "powerlaw", 4)
+        refs = weakref.ref(g), weakref.ref(k)
+        equilibrium(g, k, s)
+        metrics_exact(g, k, s)
+        del g, k
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+
     def test_fixed_point_property(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
@@ -324,43 +330,6 @@ class TestSpectralRadius:
         assert not est.converged and est.iterations == dynamics.POWER_STEPS
         assert calls == []
         assert components == []  # m >= n: no forest, so no component count
-
-
-class TestFactorMemo:
-    """``equilibrium`` keeps the factor of L + K for the last (g, k) only."""
-
-    def test_metrics_then_simulation_factor_once(self, monkeypatch):
-        rng = np.random.default_rng(31)
-        g, k, s = make_tree(rng)
-        calls = count_splu(monkeypatch)
-        metrics_exact(g, k, s)
-        simulate_until(g, k, s, z0=np.zeros(g.n), eps=1e-8)
-        assert factors_of(calls, g, k) == 1
-
-    def test_new_objects_factor_again(self, monkeypatch):
-        rng = np.random.default_rng(32)
-        g, k, s = make_tree(rng)
-        other, _, _ = make_tree(rng)
-        z = equilibrium(g, k, s)
-        calls = count_splu(monkeypatch)
-        k_equal = StubbornnessVector.from_values(k.k)
-        assert np.array_equal(equilibrium(g, k_equal, s), z)
-        assert factors_of(calls, g, k) == 1
-        k_other = StubbornnessVector.from_values(rng.uniform(0.5, 3.0, other.n))
-        s_other = rng.uniform(-1.0, 1.0, other.n)
-        z_other = equilibrium(other, k_other, s_other)
-        assert factors_of(calls, other, k_other) == 1
-        dynamics._last_factor.clear()  # a fresh solve
-        assert np.array_equal(equilibrium(other, k_other, s_other), z_other)
-        assert np.array_equal(equilibrium(g, k, s), z)
-
-    def test_one_slot(self):
-        rng = np.random.default_rng(33)
-        for _ in range(4):
-            g, k, s = make_tree(rng)
-            equilibrium(g, k, s)
-            assert len(dynamics._last_factor) == 1
-            assert dynamics._last_factor[0][0] is g and dynamics._last_factor[0][1] is k
 
 
 class TestConvergenceBound:

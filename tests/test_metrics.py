@@ -280,11 +280,16 @@ def test_tiny_stubbornness_factors_without_pivoting(make_graph, pcg_stops, repor
     stops, real_solve = [], dynamics.solve
     monkeypatch.setattr(dynamics, "solve",
                         lambda *args: stops.append(real_solve(*args)) or stops[-1])
+    builds, real_operator = [], dynamics.operator_matrix
+    monkeypatch.setattr(dynamics, "operator_matrix",
+                        lambda *args: builds.append(1) or real_operator(*args))
     calls = count_splu(monkeypatch)
     z = dynamics.equilibrium(g, k, s)
     assert [res.stop_reason for res in stops] == pcg_stops
     assert len(calls) == factors_of(calls, g, k) == 1
+    assert len(builds) == 1  # one L + K, also where the factor follows PCG
     assert np.linalg.norm(z - expected) <= 1e-10 * np.linalg.norm(expected)
+    calls.clear()
     r = metrics_exact(g, k, s)  # raises if its pd-index cross-check fails
     # The reported bound covers the error against the dense solve, taken
     # centered as the pipeline does, so that no cancellation blurs it.
@@ -298,13 +303,14 @@ def test_tiny_stubbornness_factors_without_pivoting(make_graph, pcg_stops, repor
         assert abs(getattr(r, key) - value) <= r.error_bound * abs(value), key
     assert r.certified == certified and r.stop_reason == report_stop
     assert (r.solver_iterations > 0) == bool(pcg_stops)  # the PCG iterations run
-    assert len(calls) == 1  # metrics_exact reused equilibrium's factor
+    # metrics_exact factors again unless PCG proved its metrics.
+    assert len(calls) == factors_of(calls, g, k) == (0 if report_stop else 1)
 
 
 def test_pd_index_cross_check_catches_a_wrong_equilibrium(monkeypatch, path2, k21):
-    lu, t = dynamics._factor(path2, k21)
-    wrong = types.SimpleNamespace(solve=lambda b: 1.001 * lu.solve(b))
-    monkeypatch.setattr(dynamics, "_factor", lambda g, k: (wrong, t))
+    real = dynamics._splu_symmetric
+    monkeypatch.setattr(dynamics, "_splu_symmetric", lambda m: types.SimpleNamespace(
+        solve=lambda b: 1.001 * real(m).solve(b)))
     with pytest.raises(NumericalError, match="pd-index cross-check failed"):
         metrics_exact(path2, k21, np.array([1.0, -1.0]))
 
