@@ -95,7 +95,9 @@ def cmd_simulate(args) -> int:
     k = _load_stubbornness(g, args.stubbornness, args.seed)
     s = _load_opinions(g, args)
     state, trace = simulate_until(g, k, s, z0=s.copy(), eps=args.eps)
-    print(f"stopped at t={state.t} (bound {trace.bound}), |f| = {trace.f_norms[-1]:.3e}")
+    est = trace.spectral
+    bracket = f", rho in [{est.lower:.12g}, {est.upper:.12g}]" if est else ""
+    print(f"stopped at t={state.t} (bound {trace.bound}{bracket}), |f| = {trace.f_norms[-1]:.3e}")
     if args.out:
         lines = [
             json.dumps({"t": t, "e_norm": e, "f_norm": f})

@@ -66,6 +66,7 @@ class ErrorTrace:
     e_norms: list = field(default_factory=list)
     f_norms: list = field(default_factory=list)
     bound: int = 0  # the convergence-time bound checked, 0 when no check ran
+    spectral: SpectralEstimate | None = None  # the bracket that bound came from, None likewise
 
     def record(self, e_norm: float, f_norm: float):
         self.e_norms.append(float(e_norm))
@@ -169,7 +170,13 @@ def _center(s, k):
     return s - c, c
 
 
-def spectral_radius(g: Graph, k: StubbornnessVector, tol: float = 1e-10) -> SpectralEstimate:
+def spectral_radius(
+    g: Graph,
+    k: StubbornnessVector,
+    tol: float = 1e-10,
+    *,
+    goal: tuple[float, float] | None = None,
+) -> SpectralEstimate:
     """A proved bracket lower <= rho(QA) <= upper on the iteration matrix QA.
 
     rho is the largest eigenvalue of the pencil A x = lambda (K+D) x.  Each
@@ -182,19 +189,26 @@ def spectral_radius(g: Graph, k: StubbornnessVector, tol: float = 1e-10) -> Spec
       Iterative Analysis, ch. 2); at x = 1 it is the row-sum bound
       max_i d_i / (k_i + d_i).
 
-    x starts at 1 and is refined by up to ``POWER_STEPS`` power steps
-    x <- QAx + x, the bracket evaluated every ``CHECK_EVERY`` of them.  If
-    the bracket is still wider than ``tol`` and n <= ``DENSE_CAP`` or g is a
-    forest, up to ``INVERSE_SOLVES`` steps x <- M^{-1}(K+D)x follow, with
-    M = sigma(K+D) - A factored once at sigma = upper: inverse iteration
-    with a near-singular shift (Parlett, The Symmetric Eigenvalue Problem,
-    ch. 4).  M is then a nonsingular M-matrix, so x stays positive.  Both
-    ends are widened to cover the rounding of the products and sums that
-    form them.
+    x starts at 1.  On a graph with a cycle it is refined by up to
+    ``POWER_STEPS`` power steps x <- QAx + x, the bracket evaluated every
+    ``CHECK_EVERY`` of them; if the bracket is still open and n <=
+    ``DENSE_CAP``, up to ``INVERSE_SOLVES`` steps x <- M^{-1}(K+D)x follow,
+    with M = sigma(K+D) - A factored once at sigma = upper: inverse
+    iteration with a near-singular shift (Parlett, The Symmetric Eigenvalue
+    Problem, ch. 4).  A forest's factor of M has no fill, so on a forest of
+    any size the power steps are skipped and M is factored anew at the
+    current upper before each of up to ``INVERSE_SOLVES`` solves (the old
+    factor freed first); a fixed shift can stall there.  As sigma > rho, M
+    is a nonsingular M-matrix and x stays positive.  Both ends are widened
+    to cover the rounding of the products and sums that form them.
 
-    ``converged`` means upper - lower <= tol.  A bracket left wider (on
-    graphs with cycles above the cap, the power steps alone must close it)
-    is still proved.
+    Refinement stops once upper - lower <= ``tol`` or, given
+    ``goal=(f0_norm, eps)``, once both ends give the same
+    ``convergence_bound(., f0_norm, eps)``: rho lies in the bracket, so that
+    integer is then final, and a caller that needs only it stops early.
+    ``converged`` means upper - lower <= tol either way.  A bracket left
+    wider (a goal met early, or on graphs with cycles above the cap, where
+    the power steps alone must close it) is still proved.
     """
     qa, b = _update_matrix(g, k)
     # Relative rounding of y (row sums of at most `terms` products) and of
@@ -210,20 +224,31 @@ def spectral_radius(g: Graph, k: StubbornnessVector, tol: float = 1e-10) -> Spec
         lower = max(lower, float((bx * y).sum() / (bx * x).sum()) * (1.0 - slack))
         upper = min(upper, float((y / x).max()) * (1.0 + slack))
 
+    def settled():
+        # convergence_bound takes rho in (0, 1); a row-sum bound can round to 1.
+        return upper - lower <= tol or (
+            goal is not None and 0.0 < lower <= upper < 1.0
+            and convergence_bound(lower, *goal) == convergence_bound(upper, *goal))
+
     x = np.ones(g.n)
     refine(x)
     iterations = 0
-    while upper - lower > tol and iterations < POWER_STEPS:
+    forest = not settled() and _forest(g)
+    while not forest and not settled() and iterations < POWER_STEPS:
         for _ in range(CHECK_EVERY):
             x = qa @ x + x
         x = _rescale(x)
         refine(x)
         iterations += CHECK_EVERY
-    if upper - lower > tol and (g.n <= DENSE_CAP or _forest(g)):
-        # M is SPD, as sigma > rho.
-        lu = _splu_symmetric(sp.diags(upper * b) - g.adjacency)
-        solves = 0
-        while upper - lower > tol and solves < INVERSE_SOLVES:
+    if not settled() and (forest or g.n <= DENSE_CAP):
+        m = (sp.diags(b) - g.adjacency).tocsc()  # M, its diagonal set to upper * b below
+        on_diagonal = m.indices == np.repeat(np.arange(g.n), np.diff(m.indptr))
+        lu, solves = None, 0
+        while not settled() and solves < INVERSE_SOLVES:
+            if lu is None or forest:
+                lu = None  # free the old factor before the next is built
+                m.data[on_diagonal] = upper * b  # SPD, as sigma > rho
+                lu = _splu_symmetric(m)
             x = _rescale(lu.solve(b * x))
             refine(x)
             solves += 1
@@ -267,7 +292,9 @@ def simulate_until(
     geometrically with ratio rho(QA).  The observed stop time is checked
     against the convergence-time bound, which the trace keeps as ``bound``;
     it takes rho from the upper end of the ``spectral_radius`` bracket, which
-    is proved whether or not the bracket converged.
+    is proved whether or not the bracket converged.  The bracket is given
+    the goal (|f(0)|, eps), so it is refined only until both of its ends
+    give that bound; the trace keeps it as ``spectral``.
     """
     if eps <= 0.0:
         raise GraphInputError("eps must be > 0")
@@ -299,7 +326,8 @@ def simulate_until(
 
     f0_norm = trace.f_norms[0]
     if g.m >= 1 and f0_norm > eps:
-        trace.bound = convergence_bound(spectral_radius(g, k), f0_norm, eps)
+        trace.spectral = spectral_radius(g, k, goal=(f0_norm, eps))
+        trace.bound = convergence_bound(trace.spectral, f0_norm, eps)
         if t > trace.bound:
             raise NumericalError(
                 f"observed stop time {t} exceeds the convergence bound {trace.bound}"

@@ -5,10 +5,15 @@ line with the measured figure, and enforces the stated tolerance and time
 budget.  All randomness is seeded; the suite is deterministic.
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 
+import fjopinion
 from fjopinion.dynamics import (
     center_opinions,
     convergence_bound,
@@ -224,23 +229,41 @@ def test_hand_verified_fixtures():
     report("hand-verified two-node fixtures", worst <= 1e-12, f"max abs error {worst:.3e}")
 
 
+# Times approxim in CPU seconds of a child process whose BLAS runs on one
+# thread: wall time swings with the load other processes put on the host, and
+# a threaded BLAS adds its workers' time, spinning included, to process time.
+SCALING_PROBE = """
+import json, sys, time
+import numpy as np
+from fjopinion.generate import generate_opinions, random_regular_graph
+from fjopinion.graph import StubbornnessVector
+from fjopinion.metrics import approxim
+ms, times = [], []
+for n in json.loads(sys.argv[1]):
+    g = random_regular_graph(n, 4, seed=17)
+    rng = np.random.default_rng(n)
+    k = StubbornnessVector.from_values(rng.uniform(0.5, 2.0, size=g.n))
+    s = generate_opinions(g.n, "uniform", n + 1)
+    best = float("inf")  # min of three calls
+    for _ in range(3):
+        t = time.process_time()
+        approxim(g, k, s, eps=1e-6)
+        best = min(best, time.process_time() - t)
+    ms.append(g.m)
+    times.append(best)
+print(json.dumps([ms, times]))
+"""
+
+
 def test_scalability_of_approximate_path():
     t0 = time.perf_counter()
     sizes = [5_000, 15_000, 50_000, 150_000, 500_000]
-    ms, times = [], []
-    for n in sizes:
-        g = random_regular_graph(n, 4, seed=17)
-        rng = np.random.default_rng(n)
-        k = StubbornnessVector.from_values(rng.uniform(0.5, 2.0, size=g.n))
-        s = generate_opinions(g.n, "uniform", n + 1)
-        # Min of three calls: a single call's time swings with machine load.
-        best = float("inf")
-        for _ in range(3):
-            t1 = time.perf_counter()
-            approxim(g, k, s, eps=1e-6)
-            best = min(best, time.perf_counter() - t1)
-        times.append(best)
-        ms.append(g.m)
+    path = [os.path.dirname(os.path.dirname(fjopinion.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", SCALING_PROBE, json.dumps(sizes)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    ms, times = json.loads(out)
     slope = float(np.polyfit(np.log(ms), np.log(times), 1)[0])
     big, kbig = random_regular_graph(20_000, 4, seed=18), StubbornnessVector.uniform(20_000, 1.0)
     exact = metrics_exact(big, kbig, generate_opinions(big.n, "uniform", 19))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -186,7 +187,7 @@ def test_stop_time_past_its_bound_exits_2(fixture_files, monkeypatch, capsys):
     # simulate_until a bound that the observed stop time exceeds.
     graph, stub, opinions = fixture_files
     bracket = dynamics.SpectralEstimate(lower=0.0, upper=0.1, iterations=0, converged=False)
-    monkeypatch.setattr(dynamics, "spectral_radius", lambda g, k: bracket)
+    monkeypatch.setattr(dynamics, "spectral_radius", lambda g, k, **kw: bracket)
     argv = ["simulate", "--graph", str(graph), "--stubbornness", str(stub),
             "--opinions", str(opinions), "--eps", "1e-8"]
     assert cli.main(argv) == 2
@@ -238,7 +239,11 @@ def test_simulate_runs_power_iteration_once(fixture_files, monkeypatch, capsys):
     state, trace = dynamics.simulate_until(g, k, s, z0=s.copy(), eps=1e-8)
     bound = dynamics.convergence_bound(true_fn(g, k), trace.f_norms[0], 1e-8)
     assert bound > 0
-    expected = f"stopped at t={state.t} (bound {bound}), |f| = {trace.f_norms[-1]:.3e}"
+    # The bracket printed is the one the bound came from, kept by the trace.
+    est = trace.spectral
+    assert est.lower <= 1.0 / math.sqrt(6.0) <= est.upper
+    expected = (f"stopped at t={state.t} (bound {bound}, rho in [{est.lower:.12g}, "
+                f"{est.upper:.12g}]), |f| = {trace.f_norms[-1]:.3e}")
     assert capsys.readouterr().out.splitlines() == [expected]
 
 

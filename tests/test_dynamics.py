@@ -9,7 +9,7 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from conftest import count_splu, make_instance
+from conftest import count_splu, factors_of, make_instance
 from fjopinion import dynamics
 from fjopinion.dynamics import (
     DENSE_CAP,
@@ -54,6 +54,26 @@ def path_rho(g, k):
     q = 1.0 / np.sqrt(k.k + g.degrees)
     return sla.eigvalsh_tridiagonal(np.zeros(g.n), q[:-1] * q[1:], select="i",
                                     select_range=(g.n - 1, g.n - 1))[0]
+
+
+def tree_rho(parent, k, degrees):
+    """rho(QA) of a unit-weight tree whose node i + 1 hangs from parent[i] <= i.
+
+    Bisection on the inertia of sigma(K+D) - A: eliminated from the last node
+    up, its pivots need no fill, and by Sylvester's law the negative ones
+    count the eigenvalues of the pencil A x = lambda (K+D) x above sigma.
+    """
+    def above(sigma):
+        d = (sigma * (k.k + degrees)).tolist()
+        for i in range(len(d) - 1, 0, -1):
+            d[parent[i - 1]] -= 1.0 / d[i]
+        return sum(p < 0.0 for p in d)
+
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    return hi
 
 
 # Rounding slack of the dense reference: eigvalsh is itself off by a few ulp.
@@ -309,14 +329,35 @@ class TestSpectralRadius:
         assert est.upper < row_sum
 
 
-    def test_forest_above_cap_runs_the_inverse_phase(self):
+    def test_forest_above_cap_runs_the_inverse_phase(self, monkeypatch):
         # The power steps alone leave this bracket at width 2.2e-7; a forest's
-        # factor has no fill, so the inverse phase runs above DENSE_CAP too.
+        # factor has no fill, so the inverse phase runs above DENSE_CAP too,
+        # and in place of the power steps.
         g = long_path(20_000)
         k = StubbornnessVector.uniform(g.n, 0.01)
+        calls = count_splu(monkeypatch)
         est = spectral_radius(g, k)
-        assert est.converged and est.iterations > dynamics.POWER_STEPS
+        # Each inverse step on a forest factors M once: no step was a power step.
+        assert est.converged and est.iterations == len(calls) >= 1
         rho = path_rho(g, k)
+        assert est.lower - RHO_SLACK <= rho <= est.upper + RHO_SLACK
+
+    @pytest.mark.parametrize("shape", ["tree-5000", "star-1000"])
+    def test_forests_reshift_until_the_bracket_closes(self, shape):
+        # M factored once at the row-sum bound leaves the tree's bracket at
+        # width 1.4e-4 after INVERSE_SOLVES solves; re-shifted at each upper
+        # end it closes in a few.
+        rng = np.random.default_rng(1)
+        n = int(shape.split("-")[1])
+        u = np.arange(1, n)
+        parent = (rng.random(n - 1) * u).astype(np.int64) if shape.startswith("tree") else 0 * u
+        g = Graph.from_arrays(u, parent, np.ones(n - 1), n)
+        k = StubbornnessVector.from_values(rng.uniform(0.01, 3.0, n))
+        est = spectral_radius(g, k)
+        assert est.converged and est.iterations <= 10
+        rho = tree_rho(parent, k, g.degrees)
+        if shape.startswith("star"):
+            assert rho == pytest.approx(dense_rho(g, k), abs=RHO_SLACK)
         assert est.lower - RHO_SLACK <= rho <= est.upper + RHO_SLACK
 
     def test_cycles_above_cap_skip_the_inverse_phase(self, monkeypatch):
@@ -367,8 +408,50 @@ class TestSimulateUntil:
     def test_isolated_node_converges_in_one_step(self):
         g = isolated_node()
         k = StubbornnessVector.from_values([2.0])
-        state, _ = simulate_until(g, k, np.array([0.3]), z0=np.array([-1.0]), eps=1e-12)
+        state, trace = simulate_until(g, k, np.array([0.3]), z0=np.array([-1.0]), eps=1e-12)
         assert state.t <= 1
+        assert trace.bound == 0 and trace.spectral is None  # no edges: no check ran
+
+    @settings(max_examples=150, deadline=None)
+    @given(instance=bracket_instances(), f0=st.floats(1e-3, 1e3),
+           eps=st.sampled_from([1e-4, 1e-8, 1e-12]), seed=st.integers(0, 2**32 - 1))
+    def test_goal_stopped_bound_is_the_tight_brackets(self, instance, f0, eps, seed):
+        # The goal run follows the iterates of a tol=1e-12 run and stops once
+        # both ends give one bound; rho lies between them, so it is final.
+        _, g, k = instance
+        rng = np.random.default_rng(seed)
+        s = rng.uniform(-1.0, 1.0, g.n)
+        r = rng.standard_normal(g.n)
+        z0 = equilibrium(g, k, s) + r * (f0 / np.linalg.norm(np.sqrt(k.k + g.degrees) * r))
+        _, trace = simulate_until(g, k, s, z0=z0, eps=eps)
+        if g.m == 0:
+            assert trace.bound == 0 and trace.spectral is None
+            return
+        tight = spectral_radius(g, k, tol=1e-12)
+        assert trace.bound == convergence_bound(tight, trace.f_norms[0], eps)
+        assert trace.bound == convergence_bound(trace.spectral, trace.f_norms[0], eps)
+
+    def test_path_bound_settles_without_a_factor_of_m(self, monkeypatch):
+        # With these opinions the row-sum bound 2/2.05 and the Rayleigh
+        # quotient at x = 1 both give the bound 889: the bracket stops there.
+        g = long_path(2000)
+        k = StubbornnessVector.uniform(g.n, 0.05)
+        s = generate_opinions(g.n, "uniform", 0)
+        calls = count_splu(monkeypatch)
+        state, trace = simulate_until(g, k, s, z0=s.copy(), eps=1e-8)
+        assert trace.spectral.iterations == 0 and not trace.spectral.converged
+        assert state.t <= trace.bound == 889
+        assert len(calls) == factors_of(calls, g, k) == 1  # L + K, for the equilibrium
+
+    def test_row_sum_bound_rounding_to_one(self):
+        # At x = 1 the upper end max d/(k + d) rounds to 1, where no bound
+        # exists; the goal waits for a refined one.
+        g = build_graph([(0, 1, 1.0)])
+        k = StubbornnessVector.from_values([1e-16, 100.0])
+        state, trace = simulate_until(g, k, np.array([1.0, -1.0]), z0=np.zeros(2), eps=1e-8)
+        assert trace.spectral.upper < 1.0
+        tight = spectral_radius(g, k)
+        assert state.t <= trace.bound == convergence_bound(tight, trace.f_norms[0], 1e-8)
 
     def test_long_path_bound_uses_the_proved_upper_end(self):
         # The stop time is checked against the bracket's upper end, which is
