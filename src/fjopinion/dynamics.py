@@ -289,33 +289,43 @@ def simulate_until(
     """Iterate the update until |f(t)| <= eps, recording the error trace.
 
     f is the scaled error f_i(t) = e_i(t) sqrt(k_i + d_i) whose norm decays
-    geometrically with ratio rho(QA).  The observed stop time is checked
-    against the convergence-time bound, which the trace keeps as ``bound``;
+    geometrically with ratio rho(QA).  Before the first step the
+    convergence-time bound is computed, which the trace keeps as ``bound``;
     it takes rho from the upper end of the ``spectral_radius`` bracket, which
     is proved whether or not the bracket converged.  The bracket is given
     the goal (|f(0)|, eps), so it is refined only until both of its ends
-    give that bound; the trace keeps it as ``spectral``.
+    give that bound; the trace keeps it as ``spectral``.  At most ``bound``
+    steps run: a stop time past it raises ``NumericalError`` there, as does
+    a stop past ``SIMULATION_CAP``.
     """
     if eps <= 0.0:
         raise GraphInputError("eps must be > 0")
     s = np.asarray(s, dtype=np.float64)
     z0 = np.asarray(z0, dtype=np.float64)
-    z_star = equilibrium(g, k, s)
     if z0.shape != s.shape:
         raise GraphInputError("innate and expressed vectors must be 1-d and equal length")
+    z_star = equilibrium(g, k, s)
     qa, b = _update_matrix(g, k)
     qks, weight = k.k * s / b, np.sqrt(b)  # as ``step`` forms QKs
 
     trace = ErrorTrace()
-    z, t = z0, 0
     e, f = np.empty_like(z0), np.empty_like(z0)  # e(t) and f(t), overwritten each step
-    while True:
+
+    def record(z):
         np.subtract(z, z_star, out=e)
         np.multiply(weight, e, out=f)
-        f_norm = float(np.linalg.norm(f))
-        trace.record(np.linalg.norm(e), f_norm)
-        if not f_norm > eps:
-            break
+        trace.record(np.linalg.norm(e), np.linalg.norm(f))
+        return trace.f_norms[-1]
+
+    z, t = z0, 0
+    f_norm = record(z)
+    if g.m >= 1 and f_norm > eps:
+        trace.spectral = spectral_radius(g, k, goal=(f_norm, eps))
+        trace.bound = convergence_bound(trace.spectral, f_norm, eps)
+    while f_norm > eps:
+        if trace.spectral is not None and t >= trace.bound:
+            raise NumericalError(f"observed stop time (|f({t})| = {f_norm:.3e} > eps = {eps}) "
+                                 f"exceeds the convergence bound {trace.bound}")
         if t >= SIMULATION_CAP:
             raise NumericalError(
                 f"simulation did not reach eps={eps} within {SIMULATION_CAP} steps"
@@ -323,13 +333,5 @@ def simulate_until(
         z = qa @ z  # a new vector, so z0 stays the caller's
         z += qks
         t += 1
-
-    f0_norm = trace.f_norms[0]
-    if g.m >= 1 and f0_norm > eps:
-        trace.spectral = spectral_radius(g, k, goal=(f0_norm, eps))
-        trace.bound = convergence_bound(trace.spectral, f0_norm, eps)
-        if t > trace.bound:
-            raise NumericalError(
-                f"observed stop time {t} exceeds the convergence bound {trace.bound}"
-            )
+        f_norm = record(z)
     return OpinionState(s=s, z=z, t=t), trace

@@ -1,10 +1,11 @@
 """Conflict, disagreement, and polarization metrics: exact and approximate.
 
 Both modes run one pipeline: center the opinions, solve for the centered
-equilibrium, prove each metric's relative error from that solve's true
-residual with one a-posteriori certificate, read the four metrics of the
-opinions as given off that one vector, and build one report.  Approximate
-mode proves the requested eps, exact mode ``EQUILIBRIUM_DELTA`` (1e-12).
+equilibrium by ``dynamics._solve``, prove each metric's relative error from
+that solve's true residual with one a-posteriori certificate, read the four
+metrics of the opinions as given off that one vector, and build one report.
+The modes differ only in the accuracy proved: approximate mode the
+requested eps, exact mode ``EQUILIBRIUM_DELTA`` (1e-12).
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 
 from fjopinion.errors import GraphInputError, NumericalError
 from fjopinion.dynamics import EQUILIBRIUM_DELTA, _center, _solve
-from fjopinion.graph import Graph, StubbornnessVector, eigen_bounds, operator_matrix
-from fjopinion.solver import Certificate, solve
+from fjopinion.graph import Graph, StubbornnessVector, eigen_bounds
+from fjopinion.solver import Certificate
 
 # Edges per slice when summing the disagreement, so that no edge-sized
 # temporary is allocated next to the solver's vectors.
@@ -209,9 +210,9 @@ def _pipeline(g, k, s, mode, eps):
     off q: C = k.(q - s0)^2, D on the edge arrays, P = k.q^2 + c^2 sum(k).
     Taking P in that form keeps the 2c k.q term, zero at the solution, out
     of an approximate q's error, so a bound on sqrt(k.q^2) covers P too.
-    Approximate mode solves by certified PCG, exact mode by ``dynamics._solve``;
-    either q is judged by the same certificate on its true residual.  Returns
-    the report and z = q + c.
+    q comes from ``dynamics._solve`` under that certificate, judged on its
+    true residual; ``mode`` only labels the report.  Returns the report and
+    z = q + c.
     """
     if not (0.0 < eps < 0.5):
         raise GraphInputError(f"eps must be in (0, 1/2), got {eps}")
@@ -231,11 +232,7 @@ def _pipeline(g, k, s, mode, eps):
     q, provenance = np.zeros(g.n), {"delta_used": 0.0}
     if s0.any():
         b = k.k * s0
-        certificate = _metrics_certificate(g, k, s0, b, shift, eps)
-        if mode == "exact":
-            res = _solve(g, k, b, certificate)
-        else:
-            res = solve(operator_matrix(g, k), b, k, certificate)
+        res = _solve(g, k, b, _metrics_certificate(g, k, s0, b, shift, eps))
         q = res.y
         provenance = dict(delta_used=delta_budget(g, k, s0, eps).delta, certified=res.certified,
                           solver_iterations=res.iterations, error_bound=res.bound,
@@ -287,11 +284,12 @@ def metrics_exact(g: Graph, k: StubbornnessVector, s: np.ndarray) -> MetricsRepo
 
 
 def approxim(g: Graph, k: StubbornnessVector, s: np.ndarray, eps: float) -> MetricsReport:
-    """All four metrics proved to relative eps by one certified PCG solve.
+    """All four metrics proved to relative eps by one solve of ``dynamics._solve``.
 
-    A solve whose true residual stagnates first is reported with
-    ``certified=False`` and the values of its last iterate, near the best
-    attainable in double precision.
+    That is certified PCG, or the sparse factor of L + K on a forest and
+    where PCG stops uncertified on at most ``DENSE_CAP`` nodes.  A solve
+    whose bound misses eps is reported ``certified=False``, with values near
+    the best attainable in double precision.
     """
     return _pipeline(g, k, s, "approx", eps)[0]
 

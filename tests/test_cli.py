@@ -23,6 +23,16 @@ def fixture_files(tmp_path):
     return graph, stub, opinions
 
 
+@pytest.fixture
+def cycle_above_cap(tmp_path):
+    """A cycle of DENSE_CAP + 1 nodes: no forest, and too large for the factor,
+    so every metrics run on it is PCG alone."""
+    graph = tmp_path / "cycle.txt"
+    n = dynamics.DENSE_CAP + 1
+    graph.write_text("".join(f"{i} {(i + 1) % n}\n" for i in range(n)))
+    return graph
+
+
 def test_metrics_exact_fixture(fixture_files, tmp_path, capsys):
     graph, stub, opinions = fixture_files
     out = tmp_path / "report.json"
@@ -43,19 +53,19 @@ def test_metrics_exact_fixture(fixture_files, tmp_path, capsys):
     assert "polarization" in capsys.readouterr().out
 
 
-def test_metrics_approx_round_trip(fixture_files, tmp_path):
-    # (1, -1) is not weighted-centered for k = (2, 1); approx mode still
-    # reports the metrics of the opinions as given, as exact mode does.
-    graph, stub, opinions = fixture_files
+def test_metrics_approx_round_trip(cycle_above_cap, tmp_path):
+    # Seeded powerlaw opinions are not weighted-centered for seeded random k;
+    # approx mode still reports the metrics of the opinions as given, as
+    # exact mode does.
     reports = {}
     for mode in ("exact", "approx"):
         out = tmp_path / f"{mode}.json"
         rc = cli.main(
             [
                 "metrics",
-                "--graph", str(graph),
-                "--stubbornness", str(stub),
-                "--opinions", str(opinions),
+                "--graph", str(cycle_above_cap),
+                "--stubbornness", "random:0.5,2",
+                "--dist", "powerlaw",
                 "--mode", mode,
                 "--eps", "1e-6",
                 "--out", str(out),
@@ -325,17 +335,19 @@ def test_run_suite_names_are_unique():
     assert len(names) == len(set(names))
 
 
-def test_metrics_prints_bound_iterations_and_stop_reason(fixture_files, capsys):
-    graph, stub, opinions = fixture_files
-    base = ["metrics", "--graph", str(graph), "--stubbornness", str(stub),
-            "--opinions", str(opinions)]
-    assert cli.main(base + ["--mode", "approx", "--eps", "1e-6"]) == 0
+def test_metrics_prints_bound_iterations_and_stop_reason(fixture_files, cycle_above_cap, capsys):
+    argv = ["metrics", "--graph", str(cycle_above_cap), "--stubbornness", "random:0.5,2",
+            "--dist", "powerlaw", "--mode", "approx", "--eps", "1e-6"]
+    assert cli.main(argv) == 0
     line = [x for x in capsys.readouterr().out.splitlines() if x.startswith("mode")][0]
     fields = dict(f.split("=") for f in line.split()[2:])
     assert line.split()[1] == "approx"
     assert fields["certified"] == "True" and fields["stop"] == "certified"
     assert 0.0 <= float(fields["bound"]) <= 1e-6 and int(fields["iterations"]) >= 1
 
+    graph, stub, opinions = fixture_files
+    base = ["metrics", "--graph", str(graph), "--stubbornness", str(stub),
+            "--opinions", str(opinions)]
     assert cli.main(base + ["--mode", "exact"]) == 0
     line = [x for x in capsys.readouterr().out.splitlines() if x.startswith("mode")][0]
     fields = dict(f.split("=") for f in line.split()[2:])
@@ -344,11 +356,9 @@ def test_metrics_prints_bound_iterations_and_stop_reason(fixture_files, capsys):
     assert 0.0 <= float(fields["bound"]) <= 1e-12 and fields["iterations"] == "0"
 
 
-def test_metrics_below_the_floor_prints_stagnated(tmp_path, capsys):
+def test_metrics_below_the_floor_prints_stagnated(cycle_above_cap, capsys):
     # L + K is positive definite, so an eps below double precision is no breakdown.
-    graph = tmp_path / "path.txt"
-    graph.write_text("".join(f"{i} {i + 1}\n" for i in range(4999)))
-    argv = ["metrics", "--graph", str(graph), "--stubbornness", "uniform:0.05",
+    argv = ["metrics", "--graph", str(cycle_above_cap), "--stubbornness", "uniform:0.05",
             "--dist", "powerlaw", "--seed", "3", "--mode", "approx", "--eps", "1e-15"]
     assert cli.main(argv) == 0
     line = [x for x in capsys.readouterr().out.splitlines() if x.startswith("mode")][0]

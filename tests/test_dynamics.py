@@ -24,7 +24,12 @@ from fjopinion.dynamics import (
     step,
 )
 from fjopinion.errors import GraphInputError, NumericalError, SizeGuardError
-from fjopinion.generate import generate_opinions, random_connected_gnp, random_regular_graph
+from fjopinion.generate import (
+    generate_opinions,
+    generate_stubbornness,
+    random_connected_gnp,
+    random_regular_graph,
+)
 from fjopinion.graph import Graph, StubbornnessVector, build_graph, operator_matrix
 from fjopinion.metrics import metrics_exact
 from fjopinion.solver import energy_norm_certificate, solve
@@ -487,6 +492,27 @@ class TestSimulateUntil:
             assert np.linalg.norm(state.z - stepped.z) <= 1e-12 * np.linalg.norm(stepped.z)
         if instance == "path-2000":
             assert state.t == 798
+
+    def test_stop_past_its_bound_raises_at_the_bound(self, monkeypatch):
+        # |f(t)| stalls near 1e-11 against a 1e-12 equilibrium, so eps = 1e-12
+        # is never reached; the proved bound is 111 steps, far below the cap.
+        monkeypatch.setattr(dynamics, "SIMULATION_CAP", 10_000)
+        g = random_regular_graph(3000, 4, 1)
+        k = generate_stubbornness(g.n, 0.5, 2.0, 2)
+        s = generate_opinions(g.n, "powerlaw", 3)
+        with pytest.raises(NumericalError) as exc:
+            simulate_until(g, k, s, z0=s.copy(), eps=1e-12)
+        message = str(exc.value)
+        assert message.startswith("observed stop time ")
+        assert message.endswith(" exceeds the convergence bound 111")
+        assert "|f(111)|" in message  # raised after the bound's last step
+
+    def test_mismatched_z0_fails_before_the_solve(self, path2, k11, monkeypatch):
+        solves = []
+        monkeypatch.setattr(dynamics, "_solve", lambda *args: solves.append(args))
+        with pytest.raises(GraphInputError, match="innate and expressed vectors"):
+            simulate_until(path2, k11, np.array([1.0, -1.0]), z0=np.zeros(3), eps=1e-8)
+        assert solves == []
 
     def test_geometric_decay_along_trace(self):
         rng = np.random.default_rng(23)

@@ -15,14 +15,16 @@ from fjopinion.generate import (
     random_connected_gnp,
     random_regular_graph,
 )
-from fjopinion.graph import Graph, StubbornnessVector, build_graph
+from fjopinion.graph import Graph, StubbornnessVector, build_graph, operator_matrix
 from fjopinion.metrics import (
     MetricsReport,
+    _metrics_certificate,
     approxim,
     conservation_check,
     delta_budget,
     metrics_exact,
 )
+from fjopinion.solver import solve
 
 
 class TestExact:
@@ -133,6 +135,14 @@ def relative_errors(approx, exact):
     }
 
 
+def pcg_under_metrics_certificate(g, k, s, eps):
+    """Certified PCG alone on the pipeline's centered system, as no mode runs it on a forest."""
+    s0, c = dynamics._center(s, k)
+    b = k.k * s0
+    certificate = _metrics_certificate(g, k, s0, b, c * c * float(k.k.sum()), eps)
+    return solve(operator_matrix(g, k), b, k, certificate)
+
+
 class TestApproxim:
     def test_precentered_two_node(self, path2, k21):
         s = np.array([1.0, -2.0])  # weighted sum 2 - 2 = 0
@@ -170,7 +180,11 @@ class TestApproxim:
         s = np.array([0.5, -0.25, 1.0])
         exact = metrics_exact(g, k, s)
         approx = approxim(g, k, s, eps=1e-6)
-        assert approx.certified and approx.solver_iterations >= 1
+        assert approx.certified
+        # A graph without edges is a forest, so approxim factors it; PCG
+        # alone must certify it under the same certificate too.
+        pcg = pcg_under_metrics_certificate(g, k, s, 1e-6)
+        assert pcg.certified and pcg.iterations >= 1
         assert approx.disagreement == 0.0 and approx.conflict == pytest.approx(0.0, abs=1e-24)
         assert approx.sum_z == pytest.approx(s.sum(), rel=1e-12)  # z = s
         for key in ("polarization", "pd_index", "sum_z", "weighted_sum_z"):
@@ -238,7 +252,8 @@ class TestBelowTheFloor:
     """An eps no double-precision residual can prove ends in a prompt "stagnated"."""
 
     def test_stagnates_soon_after_the_attainable_accuracy(self):
-        g = random_regular_graph(3000, 4, 1)
+        # Above DENSE_CAP on a graph with cycles, approxim is PCG alone.
+        g = random_regular_graph(dynamics.DENSE_CAP + 1, 4, 1)
         k = generate_stubbornness(g.n, 0.5, 2.0, 2)
         s = generate_opinions(g.n, "powerlaw", 3)
         near, below = approxim(g, k, s, 1e-13), approxim(g, k, s, 1e-15)
@@ -252,8 +267,34 @@ class TestBelowTheFloor:
         n = 5000
         g = build_graph([(i, i + 1, 1.0) for i in range(n - 1)])
         k = StubbornnessVector.uniform(n, 0.05)
-        r = approxim(g, k, generate_opinions(n, "powerlaw", 3), 1e-15)
+        r = pcg_under_metrics_certificate(g, k, generate_opinions(n, "powerlaw", 3), 1e-15)
         assert not r.certified and r.stop_reason == "stagnated"
+
+    @pytest.mark.parametrize("n, factors", [(3000, 1), (dynamics.DENSE_CAP + 1, 0)],
+                             ids=["regular-3000", "above-the-cap"])
+    def test_stagnation_takes_one_factor_up_to_the_cap(self, n, factors, monkeypatch):
+        # approxim follows dynamics._solve: PCG stops uncertified, then the
+        # factor of L + K serves on at most DENSE_CAP nodes.
+        g = random_regular_graph(n, 4, 1)
+        k = generate_stubbornness(g.n, 0.5, 2.0, 2)
+        s = generate_opinions(g.n, "powerlaw", 3)
+        calls = count_splu(monkeypatch)
+        r = approxim(g, k, s, 1e-15)
+        assert not r.certified and r.solver_iterations > 0
+        assert len(calls) == factors_of(calls, g, k) == factors
+        assert r.stop_reason == ("" if factors else "stagnated")
+
+
+def test_approxim_on_a_forest_is_metrics_exact():
+    # At eps = EQUILIBRIUM_DELTA both modes are one pipeline on one factor.
+    g = build_graph([(i, i + 1, 1.0) for i in range(1999)])
+    k = StubbornnessVector.uniform(g.n, 0.05)
+    s = generate_opinions(g.n, "powerlaw", 4)
+    approx, exact = approxim(g, k, s, dynamics.EQUILIBRIUM_DELTA), metrics_exact(g, k, s)
+    for key in METRIC_KEYS + ("sum_z", "weighted_sum_z", "error_bound", "solver_iterations",
+                              "stop_reason"):
+        assert getattr(approx, key) == getattr(exact, key), key
+    assert approx.solver_iterations == 0 and approx.stop_reason == ""
 
 
 @pytest.mark.parametrize(
