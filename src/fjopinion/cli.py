@@ -16,6 +16,7 @@ from fjopinion.dynamics import convergence_bound, simulate_until, spectral_radiu
 from fjopinion.generate import DISTRIBUTIONS, generate_opinions, generate_stubbornness
 from fjopinion.graph import (
     StubbornnessVector,
+    ValueRowsAhead,
     eigen_bounds,
     load_edge_list,
     load_node_values,
@@ -26,33 +27,47 @@ EXIT_INPUT = 1
 EXIT_NUMERICAL = 2
 
 
-def _load_graph(args):
+def _load_inputs(args, opinions=None):
+    """The run's graph and stubbornness, and the rows of its value files
+    (``opinions`` among them) parsed while the edge list parses."""
     if not args.graph:
         raise GraphInputError("--graph is required")
-    return load_edge_list(args.graph)
+    files = [p for p in (_stubbornness_file(args.stubbornness), opinions) if p]
+    with ValueRowsAhead(files) as ahead:
+        g = load_edge_list(args.graph)
+        rows = ahead.rows()
+    return g, _load_stubbornness(g, args.stubbornness, args.seed, rows), rows
 
 
-def _load_stubbornness(g, spec, seed):
+def _stubbornness_file(spec):
+    """The path a --stubbornness spec names; None for uniform:C and random:LO,HI."""
+    form, colon, _ = spec.partition(":")
+    return None if colon and form in ("uniform", "random") else spec
+
+
+def _load_stubbornness(g, spec, seed, rows):
     """file path | uniform:C | random:LO,HI (seeded)."""
-    form, colon, params = spec.partition(":")
-    if colon and form in ("uniform", "random"):
-        try:
-            values = [float(x) for x in params.split(",")]
-        except ValueError:
-            values = []
-        if form == "uniform" and len(values) == 1:
-            return StubbornnessVector.uniform(g.n, values[0])
-        if form == "random" and len(values) == 2:
-            return generate_stubbornness(g.n, *values, seed)
-        raise GraphInputError(
-            f"bad --stubbornness {spec!r}: expected a file path, uniform:C or random:LO,HI"
-        )
-    return StubbornnessVector.from_values(load_node_values(g=g, path=spec, name="stubbornness"))
+    if _stubbornness_file(spec) is not None:
+        values = load_node_values(g=g, path=spec, name="stubbornness", rows=rows.get(spec))
+        return StubbornnessVector.from_values(values)
+    form, _, params = spec.partition(":")
+    try:
+        values = [float(x) for x in params.split(",")]
+    except ValueError:
+        values = []
+    if form == "uniform" and len(values) == 1:
+        return StubbornnessVector.uniform(g.n, values[0])
+    if form == "random" and len(values) == 2:
+        return generate_stubbornness(g.n, *values, seed)
+    raise GraphInputError(
+        f"bad --stubbornness {spec!r}: expected a file path, uniform:C or random:LO,HI"
+    )
 
 
-def _load_opinions(g, args):
+def _load_opinions(g, args, rows):
     if args.opinions:
-        return load_node_values(args.opinions, g, name="opinion", lo=-1.0, hi=1.0)
+        return load_node_values(args.opinions, g, name="opinion", lo=-1.0, hi=1.0,
+                                rows=rows.get(args.opinions))
     if args.dist:
         return generate_opinions(g.n, args.dist, args.seed)
     raise GraphInputError("provide --opinions FILE or --dist NAME")
@@ -65,9 +80,8 @@ def _write_out(path, text):
 
 
 def cmd_metrics(args) -> int:
-    g = _load_graph(args)
-    k = _load_stubbornness(g, args.stubbornness, args.seed)
-    s = _load_opinions(g, args)
+    g, k, rows = _load_inputs(args, args.opinions)
+    s = _load_opinions(g, args, rows)
     if args.mode == "exact":
         report = metrics_exact(g, k, s)
     else:
@@ -91,9 +105,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    g = _load_graph(args)
-    k = _load_stubbornness(g, args.stubbornness, args.seed)
-    s = _load_opinions(g, args)
+    g, k, rows = _load_inputs(args, args.opinions)
+    s = _load_opinions(g, args, rows)
     state, trace = simulate_until(g, k, s, z0=s.copy(), eps=args.eps)
     est = trace.spectral
     bracket = f", rho in [{est.lower:.12g}, {est.upper:.12g}]" if est else ""
@@ -108,8 +121,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    g = _load_graph(args)
-    k = _load_stubbornness(g, args.stubbornness, args.seed)
+    g, k, _ = _load_inputs(args)
     est = spectral_radius(g, k)
     bounds = eigen_bounds(g, k)
     print(f"rho in           [{est.lower:.12g}, {est.upper:.12g}]  "

@@ -92,8 +92,10 @@ class Graph:
         edge_w = np.bincount(slot, weights=w, minlength=keys.size).astype(np.float64, copy=False)
         edge_u, edge_v = np.divmod(keys, n)
 
-        rows = np.concatenate([edge_u, edge_v])
-        cols = np.concatenate([edge_v, edge_u])
+        # The keys are sorted, so with the reverse half first every row's
+        # columns arrive in ascending order and sort_indices has nothing to do.
+        rows = np.concatenate([edge_v, edge_u])
+        cols = np.concatenate([edge_u, edge_v])
         vals = np.concatenate([edge_w, edge_w])
         adj = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
         adj.sum_duplicates()
@@ -274,11 +276,11 @@ def _numeric_rows(text, row_dtypes):
     dtype = row_dtypes.get(len(_FIRST_LINE.match(text, start)[1].split()))
     if dtype is None:
         return None
+    body = io.BytesIO(text[start:].encode("ascii"))  # ASCII: _NUMBERS matched it all
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return np.loadtxt(io.StringIO(text), dtype=dtype, comments=None,
-                              skiprows=text.count("\n", 0, start), ndmin=1)
+            return np.loadtxt(body, dtype=dtype, comments=None, ndmin=1)
     except (ValueError, OverflowError, Warning):
         return None
 
@@ -300,10 +302,9 @@ def _numeric_edge_list(text):
     return g
 
 
-def _numeric_node_values(text, g, lo, hi):
-    """load_node_values' vector for an all-numeric file naming every node of
-    an integer-id graph with values in range, or None."""
-    rows = _numeric_rows(text, _VALUE_ROWS)
+def _numeric_node_values(rows, g, lo, hi):
+    """load_node_values' vector for the rows of an all-numeric file naming
+    every node of an integer-id graph with values in range, or None."""
     index = None if rows is None else g._sorted_int_ids()
     if index is None:
         return None
@@ -444,17 +445,21 @@ def load_edge_list(path) -> Graph:
     return Graph.from_arrays(node[0::2], node[1::2], w, firsts.size, [labels[i] for i in firsts])
 
 
-def load_node_values(path, g: Graph, name="value", lo=None, hi=None) -> np.ndarray:
+def load_node_values(path, g: Graph, name="value", lo=None, hi=None, rows=None) -> np.ndarray:
     """Parse a ``node value`` per-line file into a vector indexed like g.
 
     As for load_edge_list, an all-numeric file for a graph of integer ids is
-    parsed in C, and the line reader reads every other file.
+    parsed in C, and the line reader reads every other file.  ``rows`` are
+    the file's rows as ValueRowsAhead parsed them, if it did.
     """
-    text = _read_text(path)
-    out = _numeric_node_values(text, g, lo, hi)
+    text = None
+    if rows is None:
+        text = _read_text(path)
+        rows = _numeric_rows(text, _VALUE_ROWS)
+    out = _numeric_node_values(rows, g, lo, hi)
     if out is not None:
         return out
-    tokens, linenos, starts, ncols = _read_table(text)
+    tokens, linenos, starts, ncols = _read_table(_read_text(path) if text is None else text)
     errors = _FirstBadLine(path, linenos)
     errors.check(np.flatnonzero(ncols != 2), lambda i: f"expected 'node {name}'")
     starts = starts[: errors.end]
@@ -478,6 +483,99 @@ def load_node_values(path, g: Graph, name="value", lo=None, hi=None) -> np.ndarr
         missing = [g.ids[i] for i in np.flatnonzero(np.isnan(out))[:5]]
         raise GraphInputError(f"{path}: missing {name} for nodes {missing}")
     return out
+
+
+class ValueRowsAhead:
+    """Node-value files parsed by numpy's C reader in a forked child, while
+    this process parses the edge list::
+
+        with ValueRowsAhead(paths) as ahead:
+            g = load_edge_list(graph_path)
+            rows = ahead.rows()
+        values = load_node_values(path, g, rows=rows.get(path))
+
+    ``np.loadtxt`` holds the GIL, so only a second process overlaps it with
+    the edge list; a forked one, since a spawned one would first import
+    numpy again.  The child starts only where it can help and is safe: the
+    affinity mask holds two CPUs or more, and the file is a regular one,
+    which load_node_values can read again on its fallback (a FIFO cannot
+    be).  It sends ``_numeric_rows`` of each file and nothing else, so every
+    check, every error and the line reader stay in load_node_values.  What a
+    child that fails sent is dropped, and its files are parsed here.
+    Leaving the ``with`` block reaps the child, killing it first if
+    ``rows`` was not reached.
+
+    Imports are local, to add nothing to ``import fjopinion``.
+    """
+
+    def __init__(self, paths):
+        import os
+
+        self._pid = None
+        paths = [p for p in paths if os.path.isfile(p)]
+        if not (paths and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+                and len(os.sched_getaffinity(0)) >= 2):
+            return
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: the files are parsed here
+            os.close(read_end)
+            os.close(write_end)
+            return
+        if pid == 0:
+            os.close(read_end)
+            _send_rows(paths, write_end)
+        os.close(write_end)
+        self._pid, self._pipe = pid, open(read_end, "rb")
+
+    def __enter__(self):
+        return self
+
+    def rows(self) -> dict:
+        """The child's rows by path (None: not an all-numeric file); empty if
+        no child ran or it sent less than all of them."""
+        import pickle
+
+        if self._pid is None:
+            return {}
+        try:
+            rows = pickle.load(self._pipe)
+        except (EOFError, pickle.UnpicklingError):  # a short pipe: the child died
+            rows = {}
+        self._reap()
+        return rows
+
+    def __exit__(self, *exc):
+        if self._pid is not None:
+            import os
+            import signal
+
+            os.kill(self._pid, signal.SIGKILL)
+            self._reap()
+
+    def _reap(self):
+        import os
+
+        self._pipe.close()
+        pid, self._pid = self._pid, None
+        os.waitpid(pid, 0)
+
+
+def _send_rows(paths, fd):
+    """The forked child's whole run: pickle ``{path: _numeric_rows}`` down
+    ``fd`` and leave through ``os._exit``, which skips the parent's cleanup
+    (atexit handlers, buffered output) and never returns into its stack.  On
+    any error the pickle is left short, and the parent parses every file."""
+    import os
+    import pickle
+
+    try:
+        rows = {path: _numeric_rows(_read_text(path), _VALUE_ROWS) for path in paths}
+        with open(fd, "wb") as pipe:
+            pickle.dump(rows, pipe, pickle.HIGHEST_PROTOCOL)
+    finally:
+        os._exit(0)
 
 
 def laplacian_apply(g: Graph, x: np.ndarray) -> np.ndarray:

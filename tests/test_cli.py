@@ -1,14 +1,16 @@
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from fjopinion import cli, dynamics, verify
-from fjopinion.graph import StubbornnessVector, build_graph
+from fjopinion.graph import StubbornnessVector, _numeric_rows, _read_text, build_graph
 from fjopinion.metrics import MetricsReport
 
 
@@ -364,3 +366,158 @@ def test_metrics_below_the_floor_prints_stagnated(cycle_above_cap, capsys):
     line = [x for x in capsys.readouterr().out.splitlines() if x.startswith("mode")][0]
     fields = dict(f.split("=") for f in line.split()[2:])
     assert fields["certified"] == "False" and fields["stop"] == "stagnated"
+
+
+# --- value files parsed in a forked child while the edge list parses --------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+
+
+@pytest.fixture
+def value_run(tmp_path):
+    """A 300-node cycle with integer ids, numeric value files in another node
+    order, and the argv of a metrics run on them."""
+    rng = np.random.default_rng(7)
+    n = 300
+    ids = rng.choice(10**6, size=n, replace=False)
+    graph = tmp_path / "g.txt"
+    weights = rng.uniform(0.5, 2.0, n).tolist()
+    graph.write_text("% header\n" + "".join(
+        f"{ids[i]} {ids[(i + 1) % n]} {w!r}\n" for i, w in enumerate(weights)))
+    files = {}
+    for name, values in (("k", rng.uniform(0.1, 2.0, n)), ("s", rng.uniform(-1.0, 1.0, n))):
+        order = rng.permutation(n)
+        files[name] = tmp_path / f"{name}.txt"
+        files[name].write_text("".join(f"{ids[i]} {values[i].item()!r}\n" for i in order))
+    argv = ["metrics", "--graph", str(graph), "--stubbornness", str(files["k"]),
+            "--opinions", str(files["s"]), "--mode", "approx", "--eps", "1e-8"]
+    return argv, files
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Sets the CPUs the run may use, and records the pid of each child forked."""
+    pids = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+
+    def allow(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        return pids
+
+    return allow
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def report_lines(path):
+    """A --out report without its timing keys."""
+    return [line for line in path.read_text().splitlines()
+            if not line.lstrip().startswith(('"solve_seconds"', '"norms_seconds"'))]
+
+
+def run_both_ways(argv, out, forks, capsys):
+    """(exit code, report, stderr) of a run with a child, then of one without."""
+    results = []
+    for cpus in (2, 1):
+        pids = forks(cpus)
+        pids.clear()
+        rc = cli.main(argv + ["--out", str(out)])
+        assert len(pids) == (cpus > 1)
+        assert_no_child_left()
+        results.append((rc, report_lines(out) if rc == 0 else None, capsys.readouterr().err))
+        out.unlink(missing_ok=True)
+    return results
+
+
+@needs_fork
+def test_forked_parse_gives_the_in_process_report(value_run, tmp_path, forks, capsys):
+    argv, _ = value_run
+    forked, in_process = run_both_ways(argv, tmp_path / "r.json", forks, capsys)
+    assert forked == in_process and forked[0] == 0 and len(forked[1]) > 10
+
+
+@needs_fork
+@pytest.mark.parametrize("flag", ["--stubbornness", "--opinions"])
+@pytest.mark.parametrize(
+    "line, message",
+    [("-1 0.5", ":3: unknown node -1\n"), ("{} abc", ":3: bad "), ("{} 1e999", ":3: non-finite ")],
+    ids=["unknown-node", "bad-value", "non-finite"],
+)
+def test_value_file_errors_match_in_both_runs(value_run, tmp_path, forks, capsys,
+                                              flag, line, message):
+    # The C reader refuses the bad value; it parses the other two files, whose
+    # ids or values load_node_values then rejects.
+    argv, files = value_run
+    ids = [row.split()[0] for row in files["k"].read_text().splitlines()]
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"{ids[0]} 0.5\n{ids[1]} 0.5\n{line.format(ids[2])}\n")
+    forked, in_process = run_both_ways(argv + [flag, str(bad)], tmp_path / "r.json", forks, capsys)
+    assert forked == in_process and forked[0] == 1
+    assert forked[2].startswith(f"input error: {bad}{message}")
+
+
+@needs_fork
+@pytest.mark.parametrize("failure", ["dies", "short-pipe"])
+def test_a_failed_child_leaves_the_parse_to_the_parent(value_run, tmp_path, forks, monkeypatch,
+                                                       capsys, failure):
+    argv, _ = value_run
+    expected = run_both_ways(argv, tmp_path / "r.json", forks, capsys)[1]
+    parent = os.getpid()
+    if failure == "dies":
+        def dying(path):
+            if os.getpid() != parent:
+                os._exit(3)
+            return _read_text(path)
+
+        monkeypatch.setattr("fjopinion.graph._read_text", dying)
+    else:
+        def short_dump(obj, fh, protocol):
+            data = pickle.dumps(obj, protocol)
+            fh.write(data[: len(data) // 2])
+
+        monkeypatch.setattr(pickle, "dump", short_dump)
+    pids = forks(2)
+    pids.clear()
+    out = tmp_path / "r.json"
+    rc = cli.main(argv + ["--out", str(out)])
+    assert len(pids) == 1
+    assert_no_child_left()
+    assert (rc, report_lines(out), capsys.readouterr().err) == expected
+
+
+@needs_fork
+def test_no_child_outlives_main(value_run, tmp_path, forks, monkeypatch, capsys):
+    argv, _ = value_run
+    pids = forks(2)
+    assert cli.main(argv) == 0
+    assert len(pids) == 1
+    assert_no_child_left()
+
+    # A bad edge file raises while the child still parses: it is killed, not waited for.
+    parent = os.getpid()
+
+    def slow(text, row_dtypes):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return _numeric_rows(text, row_dtypes)
+
+    monkeypatch.setattr("fjopinion.graph._numeric_rows", slow)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("1 2 1.0\n2 3 -1.0\n")
+    t = time.perf_counter()
+    assert cli.main(argv + ["--graph", str(bad)]) == 1
+    assert time.perf_counter() - t < 30
+    assert len(pids) == 2
+    assert_no_child_left()
+    assert capsys.readouterr().err == f"input error: {bad}:2: weight must be finite and > 0\n"

@@ -12,8 +12,10 @@ from fjopinion.errors import GraphInputError
 from fjopinion.graph import (
     Graph,
     StubbornnessVector,
+    _VALUE_ROWS,
     _numeric_edge_list,
     _numeric_node_values,
+    _numeric_rows,
     build_graph,
     eigen_bounds,
     laplacian_apply,
@@ -368,6 +370,11 @@ def numeric_values_case(draw):
     return ids, draw(numeric_text(rows))
 
 
+def c_reader_values(text, g, lo, hi):
+    """load_node_values' vector from numpy's C reader, or None."""
+    return _numeric_node_values(_numeric_rows(text, _VALUE_ROWS), g, lo, hi)
+
+
 def write_temp(tmp, name, text):
     path = os.path.join(tmp, name)
     with open(path, "wb") as fh:
@@ -410,7 +417,7 @@ class TestNumericFiles:
             for g in (loaded, built):
                 assert g.ids == tuple(ids)
                 with open(path) as fh:
-                    assert _numeric_node_values(fh.read(), g, -1.0, 1.0) is not None
+                    assert c_reader_values(fh.read(), g, -1.0, 1.0) is not None
                 out = load_node_values(path, g, name="opinion", lo=-1.0, hi=1.0)
                 assert out.tobytes() == expected.tobytes()
 
@@ -428,7 +435,7 @@ class TestNumericFiles:
         assert g.ids == (2**63, 1, 2) and all(type(i) is int for i in g.ids)
         values = tmp_path / "s.txt"
         values.write_text(f"1 0.5\n2 -0.5\n{2**63} 0.25\n")
-        assert _numeric_node_values(values.read_text(), g, None, None) is None
+        assert c_reader_values(values.read_text(), g, None, None) is None
         assert load_node_values(values, g).tolist() == [0.25, 0.5, -0.5]
         values.write_text("1 0.5\n2 -0.5\n")  # taken by the C reader, but g has no int64 view
         with pytest.raises(GraphInputError) as exc:
@@ -493,7 +500,7 @@ class TestNumericFiles:
         g = load_edge_list(tmp_path / "g.txt")
         path = tmp_path / "s.txt"
         path.write_text(text)
-        assert _numeric_node_values(text, g, -1.0, 1.0) is None
+        assert c_reader_values(text, g, -1.0, 1.0) is None
         with pytest.raises(GraphInputError) as exc:
             load_node_values(path, g, name="opinion", lo=-1.0, hi=1.0)
         assert str(exc.value) == f"{path}{message}"
