@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
@@ -147,19 +147,25 @@ def _disagreement(g, q):
     return total
 
 
+def _pointwise(k, s0, q):
+    """C = k.(q - s0)^2 and k.q^2, the two norms that need no edge."""
+    sq = q * q
+    p0 = float(k.k @ sq)
+    np.subtract(q, s0, out=sq)
+    sq *= sq
+    return float(k.k @ sq), p0
+
+
 def _norms(g, k, s0, q):
     """C = k.(q - s0)^2, D and k.q^2 of a centered solve q.
 
     Without edges L = 0, so q = s0 and C = D = 0 exactly; the computed C
     would only hold the solve's rounding residue.
     """
-    sq = q * q
-    p0 = float(k.k @ sq)
     if g.m == 0:
-        return 0.0, 0.0, p0
-    np.subtract(q, s0, out=sq)
-    sq *= sq
-    return float(k.k @ sq), _disagreement(g, q), p0
+        return 0.0, 0.0, float(k.k @ (q * q))
+    conflict, p0 = _pointwise(k, s0, q)
+    return conflict, _disagreement(g, q), p0
 
 
 def _relative_bound(value, shift, rho):
@@ -175,6 +181,21 @@ def _relative_bound(value, shift, rho):
     return err / low if low > 0.0 else math.inf
 
 
+@dataclass(frozen=True)
+class _MetricsCertificate(Certificate):
+    """A ``Certificate`` that keeps the norms of the iterate it judged last.
+
+    ``judged`` holds that iterate and its (C, D, k.q^2) as ``bound`` took
+    them, so that the report need not take them again.
+    """
+
+    judged: list = field(default_factory=list)
+
+    def norms_of(self, q):
+        """(C, D, k.q^2) of q if q is the iterate ``bound`` judged last, else None."""
+        return self.judged[1] if self.judged and self.judged[0] is q else None
+
+
 def _metrics_certificate(g, k, s0, b, shift, eps):
     """Certify C, D, P and P + D of a solve of (L+K) q = b = K s0 to relative eps.
 
@@ -184,21 +205,37 @@ def _metrics_certificate(g, k, s0, b, shift, eps):
     rho; P and P + D also hold the exact shift = c^2 sum(k).  The law
     C + 2D + P = sum k_i s_i^2 is off by exactly 2|q~.r|, which is checked
     against eps times that sum as well.
-    """
-    budget = float(s0 @ b) + shift  # sum k_i s_i^2 of s as given, as k.s0 = 0
 
-    def bound(q, r, rho):
-        conflict, disagreement, p0 = _norms(g, k, s0, q)
+    The estimate is the same bound in O(n), with no pass over the edges: for
+    any q and its own residual r, C + 2D + k.q^2 = s0.b - 2 q.r, which gives
+    D from C and k.q^2.  Fed PCG's recurrence residual, it is only a guess.
+    """
+    s0_b = float(s0 @ b)
+    budget = s0_b + shift  # sum k_i s_i^2 of s as given, as k.s0 = 0
+    judged = []
+
+    def worst(conflict, disagreement, p0, qr, rho):
         rho_cd = rho if g.m else 0.0  # no edges: C = D = 0 whatever q is
         return max(
             _relative_bound(conflict, 0.0, rho_cd),
             _relative_bound(disagreement, 0.0, rho_cd),
             _relative_bound(p0, shift, rho),
             _relative_bound(p0 + disagreement, shift, rho),
-            2.0 * abs(float(q @ r)) / budget,
+            2.0 * abs(qr) / budget,
         )
 
-    return Certificate(target=eps, bound=bound)
+    def bound(q, r, rho):
+        norms = _norms(g, k, s0, q)
+        judged[:] = (q, norms)
+        return worst(*norms, float(q @ r), rho)
+
+    def estimate(q, r, rho):
+        conflict, p0 = _pointwise(k, s0, q)
+        qr = float(q @ r)
+        disagreement = max(0.5 * (s0_b - 2.0 * qr - conflict - p0), 0.0)
+        return worst(conflict, disagreement, p0, qr, rho)
+
+    return _MetricsCertificate(target=eps, bound=bound, estimate=estimate, judged=judged)
 
 
 def _pipeline(g, k, s, mode, eps):
@@ -211,8 +248,9 @@ def _pipeline(g, k, s, mode, eps):
     Taking P in that form keeps the 2c k.q term, zero at the solution, out
     of an approximate q's error, so a bound on sqrt(k.q^2) covers P too.
     q comes from ``dynamics._solve`` under that certificate, judged on its
-    true residual; ``mode`` only labels the report.  Returns the report and
-    z = q + c.
+    true residual; every solve ends on a check of the q it returns, so the
+    report takes C, D and k.q^2 from that check.  ``mode`` only labels the
+    report.  Returns the report and z = q + c.
     """
     if not (0.0 < eps < 0.5):
         raise GraphInputError(f"eps must be in (0, 1/2), got {eps}")
@@ -229,17 +267,18 @@ def _pipeline(g, k, s, mode, eps):
         s0 = np.zeros(g.n)
 
     t0 = time.perf_counter()
-    q, provenance = np.zeros(g.n), {"delta_used": 0.0}
+    q, norms, provenance = np.zeros(g.n), None, {"delta_used": 0.0}
     if s0.any():
         b = k.k * s0
-        res = _solve(g, k, b, _metrics_certificate(g, k, s0, b, shift, eps))
-        q = res.y
+        certificate = _metrics_certificate(g, k, s0, b, shift, eps)
+        res = _solve(g, k, b, certificate)
+        q, norms = res.y, certificate.norms_of(res.y)
         provenance = dict(delta_used=delta_budget(g, k, s0, eps).delta, certified=res.certified,
                           solver_iterations=res.iterations, error_bound=res.bound,
                           stop_reason=res.stop_reason)
     t1 = time.perf_counter()
 
-    conflict, disagreement, p0 = _norms(g, k, s0, q)
+    conflict, disagreement, p0 = norms or _norms(g, k, s0, q)
     polarization = p0 + shift
     z = q + c
     residual, _ = conservation_residual_of(conflict, disagreement, polarization, k, s)

@@ -11,15 +11,19 @@ error e = x* - y satisfies ||e||_{L+K}^2 = r^T (L+K)^{-1} r <= rho^2.  The
 caller's ``Certificate`` turns rho into a proved bound on whatever it needs
 (a relative energy-norm error, or the relative error of each metric read
 off y) and the solve stops as soon as that bound is at most the target.
-rho costs O(n) per iteration along the recurrence residual, but a
-certificate counts only on the true residual b - (L+K) y, which is formed
-when the recurrence rho has fallen to where the certificate can hold.  If
-the target lies below the double-precision floor, the recurrence rho keeps
-shrinking while the true one levels off (Greenbaum, SIMAX 1997), so
-stagnation is judged on the true residual: a failed check whose rho is no
-smaller than at the previous failed check stops the solve, and the last
-iterate is returned uncertified (Strakos & Tichy, ETNA 2002; Arioli,
-Numer. Math. 2004).
+A certificate counts only on the true residual b - (L+K) y, which costs an
+SpMV and the certificate's own pass over y, so it is formed only when the
+recurrence residual says the bound can hold: its rho must have reached a
+goal, and the certificate's optional ``estimate``, an unproved guess of
+the bound from the recurrence residual, must not lie above the target.
+A guess above it moves the goal instead.  Since diag(L+K) = deg + k >= k,
+PCG's own r.D^{-1}r is at most rho^2, so rho is formed only once that has
+reached the goal.  If the target lies below the double-precision floor,
+the recurrence rho keeps shrinking while the true one levels off
+(Greenbaum, SIMAX 1997), so stagnation is judged on the true residual: a
+failed check whose rho is no smaller than at the previous failed check
+stops the solve, and the last iterate is returned uncertified (Strakos &
+Tichy, ETNA 2002; Arioli, Numer. Math. 2004).
 """
 
 from __future__ import annotations
@@ -43,10 +47,16 @@ class Certificate:
 
     ``bound`` gets an iterate y, its true residual r = b - (L+K) y and
     rho = ||K^{-1/2} r||, and returns a proved bound that grows with rho.
+    ``estimate``, if given, takes the same arguments with PCG's recurrence
+    residual in place of the true one and returns a guess of ``bound``.  The
+    guess is not proved and only times the check: a finite guess above the
+    target defers the true residual to a goal it scales down linearly, and
+    any other guess forms the true residual and judges ``bound`` on it.
     """
 
     target: float
     bound: Callable[[np.ndarray, np.ndarray, float], float]
+    estimate: Callable[[np.ndarray, np.ndarray, float], float] | None = None
 
 
 def energy_norm_certificate(b: np.ndarray, delta: float) -> Certificate:
@@ -133,8 +143,9 @@ def solve(
 
     inv_diag = 1.0 / matrix.diagonal()
 
-    # z holds the preconditioned residual; between its uses it is scratch,
-    # so the loop allocates nothing beyond the product (L+K) p.
+    # z holds the preconditioned residual; between its uses it is scratch
+    # (rho is formed in it, then z is formed again), so the loop allocates
+    # nothing beyond the product (L+K) p.
     x = np.zeros(n)
     r = b.copy()
     z = inv_diag * r
@@ -165,20 +176,29 @@ def solve(
         r -= tp
         del tp
         iters += 1
-        rho = _rho(r, k, z)
-        if rho <= goal:
-            bound, true_rho, r_norm = check(matrix, b, k, x, certify)
-            if bound <= target:
-                y, reason = x, "certified"
-                break
-            if true_rho >= failed_rho:  # no gain since the last failed check
-                y, reason = x, "stagnated"
-                break
-            failed_rho = true_rho
-            # The bound grows at least linearly in rho: aim where it would hold.
-            goal = rho * (target / bound if math.isfinite(bound) else target)
         np.multiply(inv_diag, r, out=z)
         rz_new = float(r @ z)
+        # rz <= rho^2 (diag(L+K) >= k), so rho cannot be at the goal before
+        # sqrt(rz) is; the factor covers rounding where diag = k.
+        if math.sqrt(max(rz_new, 0.0)) <= goal * (1.0 + 1e-12):
+            rho = _rho(r, k, z)
+            if rho <= goal:
+                guess = math.nan if certify.estimate is None else certify.estimate(x, r, rho)
+                if math.isfinite(guess) and guess > target:
+                    # The recurrence says the bound cannot hold yet: aim lower, no SpMV.
+                    goal = rho * (target / guess)
+                else:
+                    bound, true_rho, r_norm = check(matrix, b, k, x, certify)
+                    if bound <= target:
+                        y, reason = x, "certified"
+                        break
+                    if true_rho >= failed_rho:  # no gain since the last failed check
+                        y, reason = x, "stagnated"
+                        break
+                    failed_rho = true_rho
+                    # The bound grows at least linearly in rho: aim where it would hold.
+                    goal = rho * (target / bound if math.isfinite(bound) else target)
+            np.multiply(inv_diag, r, out=z)
         if rz_new == 0.0:  # the recurrence residual vanished; the next rz_new / rz would be 0/0
             reason = "stagnated"
             break

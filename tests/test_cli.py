@@ -287,6 +287,30 @@ def test_spectrum_reports_the_proved_bracket(fixture_files, tmp_path, capsys):
     assert lines[2] == f"steps to 1e-6    {steps} (from |f(0)|=1)"
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_0_quietly(fixture_files, unbuffered):
+    # A reader that stops early, as `spectrum ... | grep -q` may, is no input
+    # error.  Unbuffered, the first print meets the closed pipe; buffered, the
+    # last flush does.
+    graph, stub, _ = fixture_files
+    path = [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fjopinion.cli", "spectrum", "--graph", str(graph),
+             "--stubbornness", str(stub)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_verify_small(capsys):
     rc = cli.main(["verify", "--seed", "3"])
     assert rc == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import types
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import count_splu, dense_laplacian, factors_of, make_instance
-from fjopinion import dynamics
+from fjopinion import dynamics, metrics, solver
 from fjopinion.errors import GraphInputError, NumericalError
 from fjopinion.generate import (
     generate_opinions,
@@ -283,6 +284,90 @@ class TestBelowTheFloor:
         assert not r.certified and r.solver_iterations > 0
         assert len(calls) == factors_of(calls, g, k) == factors
         assert r.stop_reason == ("" if factors else "stagnated")
+
+
+@pytest.fixture(scope="module")
+def regular_20k():
+    """perfbench's solve instance at n = 20 000: PCG alone, no factor."""
+    n = 20_000
+    return random_regular_graph(n, 4, 1), generate_stubbornness(n, 0.01, 1.0, 5)
+
+
+def count_checks(monkeypatch):
+    """Counts of true-residual checks and of passes over the edges."""
+    calls = {"check": 0, "disagreement": 0}
+
+    def counted(fn, key):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapped
+
+    check = counted(solver.check, "check")
+    monkeypatch.setattr(solver, "check", check)
+    monkeypatch.setattr(dynamics, "check", check)
+    monkeypatch.setattr(metrics, "_disagreement", counted(metrics._disagreement, "disagreement"))
+    return calls
+
+
+CERTIFIED_SOLVES = pytest.mark.parametrize(
+    "dist, eps", [(d, e) for d in ("uniform", "powerlaw") for e in (1e-4, 1e-8)])
+
+
+class TestOneCheckPerSolve:
+    """The estimate aims the one true residual; the report takes that check's norms."""
+
+    @pytest.mark.parametrize("dist, eps, iterations", [
+        ("uniform", 1e-4, 19), ("uniform", 1e-8, 32), ("powerlaw", 1e-4, 16),
+        ("powerlaw", 1e-8, 31)])
+    def test_one_true_residual_and_one_pass_over_the_edges(self, regular_20k, dist, eps,
+                                                           iterations, monkeypatch):
+        # The iterations are those of a PCG that forms rho at every step: rho
+        # is formed later, and the true residual less often, but no check moves.
+        g, k = regular_20k
+        calls = count_checks(monkeypatch)
+        r = approxim(g, k, generate_opinions(g.n, dist, 3), eps)
+        assert r.certified and r.solver_iterations == iterations
+        assert calls == {"check": 1, "disagreement": 1}
+
+    def test_a_factor_solve_reports_the_norms_of_its_check(self, monkeypatch):
+        g = build_graph([(i, i + 1, 1.0) for i in range(1999)])
+        k = StubbornnessVector.uniform(g.n, 0.05)
+        calls = count_checks(monkeypatch)
+        r = approxim(g, k, generate_opinions(g.n, "powerlaw", 4), 1e-8)
+        assert r.certified and r.stop_reason == ""
+        assert calls == {"check": 1, "disagreement": 1}
+
+    @CERTIFIED_SOLVES
+    def test_the_estimate_only_times_the_check(self, regular_20k, dist, eps, monkeypatch):
+        g, k = regular_20k
+        s = generate_opinions(g.n, dist, 3)
+        aimed = approxim(g, k, s, eps)
+        certificate = metrics._metrics_certificate
+        monkeypatch.setattr(metrics, "_metrics_certificate",
+                            lambda *args: dataclasses.replace(certificate(*args), estimate=None))
+        unaimed = approxim(g, k, s, eps)
+        for key in ("solver_iterations", "stop_reason", "error_bound", "certified"):
+            assert getattr(aimed, key) == getattr(unaimed, key), key
+        for key in METRIC_KEYS + ("sum_z", "weighted_sum_z", "conservation_residual"):
+            a, b = getattr(aimed, key), getattr(unaimed, key)
+            assert abs(a - b) <= math.ulp(b), key
+
+    @CERTIFIED_SOLVES
+    @pytest.mark.parametrize("guess", [0.0, math.inf, math.nan])
+    def test_a_guess_that_cannot_defer_the_check_is_no_guess(self, regular_20k, dist, eps,
+                                                             guess):
+        # Only a finite guess above the target defers the true residual.
+        g, k = regular_20k
+        s0, c = dynamics._center(generate_opinions(g.n, dist, 3), k)
+        b = k.k * s0
+        certificate = _metrics_certificate(g, k, s0, b, c * c * float(k.k.sum()), eps)
+        t = operator_matrix(g, k)
+        free = solve(t, b, k, dataclasses.replace(certificate, estimate=None))
+        forced = solve(t, b, k, dataclasses.replace(certificate, estimate=lambda y, r, rho: guess))
+        assert forced.y.tobytes() == free.y.tobytes()
+        for key in ("iterations", "residual_norm", "certified", "bound", "stop_reason"):
+            assert getattr(forced, key) == getattr(free, key), key
 
 
 def test_approxim_on_a_forest_is_metrics_exact():
