@@ -129,18 +129,26 @@ def _solve(g: Graph, k: StubbornnessVector, b: np.ndarray, certify: Certificate)
                         certified=bound <= certify.target, bound=bound, stop_reason="")
 
 
+def _opinions(g, k, x, mismatch="opinion vector length does not match graph"):
+    """x as a float64 vector on g's nodes, checked against g and k; a wrong
+    shape raises ``mismatch``, and a NaN or inf entry is an input error too."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (g.n,):
+        raise GraphInputError(mismatch)
+    if len(k) != g.n:
+        raise GraphInputError("stubbornness length does not match graph")
+    if not np.isfinite(x).all():
+        raise GraphInputError("opinions must be finite")
+    return x
+
+
 def equilibrium(g: Graph, k: StubbornnessVector, s: np.ndarray) -> np.ndarray:
     """Equilibrium expressed opinions z = (L+K)^{-1} K s, solved by ``_solve``.
 
     A factor's solution is returned as it is; a PCG solve that cannot prove a
     relative energy-norm error of ``EQUILIBRIUM_DELTA`` raises ``NumericalError``.
     """
-    s = np.asarray(s, dtype=np.float64)
-    if s.shape != (g.n,):
-        raise GraphInputError("opinion vector length does not match graph")
-    if len(k) != g.n:
-        raise GraphInputError("stubbornness length does not match graph")
-    b = k.k * s
+    b = k.k * _opinions(g, k, s)
     res = _solve(g, k, b, energy_norm_certificate(b, EQUILIBRIUM_DELTA))
     if res.stop_reason and not res.certified:
         raise NumericalError(
@@ -272,7 +280,7 @@ def convergence_bound(rho: SpectralEstimate | float, f0_norm: float, eps: float)
     rho_val = rho.upper if isinstance(rho, SpectralEstimate) else float(rho)
     if not (0.0 < rho_val < 1.0):
         raise GraphInputError(f"rho must be in (0, 1), got {rho_val}")
-    if eps <= 0.0:
+    if not eps > 0.0:  # NaN included
         raise GraphInputError("eps must be > 0")
     if eps >= f0_norm:
         return 0
@@ -298,12 +306,10 @@ def simulate_until(
     steps run: a stop time past it raises ``NumericalError`` there, as does
     a stop past ``SIMULATION_CAP``.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:  # NaN included
         raise GraphInputError("eps must be > 0")
-    s = np.asarray(s, dtype=np.float64)
-    z0 = np.asarray(z0, dtype=np.float64)
-    if z0.shape != s.shape:
-        raise GraphInputError("innate and expressed vectors must be 1-d and equal length")
+    s = _opinions(g, k, s)
+    z0 = _opinions(g, k, z0, "innate and expressed vectors must be 1-d and equal length")
     z_star = equilibrium(g, k, s)
     qa, b = _update_matrix(g, k)
     qks, weight = k.k * s / b, np.sqrt(b)  # as ``step`` forms QKs

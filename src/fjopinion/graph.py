@@ -25,7 +25,9 @@ class Graph:
     """Weighted undirected graph with dense node indices [0, n).
 
     Edges are stored canonically with u < v, merged and loop-free.  ``ids``
-    maps internal indices back to the external node labels seen on input.
+    maps internal indices back to the external node labels seen on input: a
+    read-only array, int64 when every label is an integer within 64 bits and
+    object otherwise, so ``ids.tolist()`` gives the labels as read.
     """
 
     n: int
@@ -34,11 +36,10 @@ class Graph:
     edge_v: np.ndarray
     edge_w: np.ndarray
     degrees: np.ndarray
-    ids: tuple
+    ids: np.ndarray
     self_loops_dropped: int = 0
     adjacency: sp.csr_matrix = field(repr=False, compare=False, default=None)
     _fingerprint: str = field(init=False, repr=False, compare=False, default=None)
-    _int_index: tuple = field(init=False, repr=False, compare=False, default=None)
 
     @property
     def w_min(self) -> float:
@@ -59,7 +60,8 @@ class Graph:
         ``u`` and ``v`` hold integer endpoints, ``w`` weights that must be
         finite and > 0.  Self-loops are dropped (counted) and parallel edges
         merged by summing their weights in input order.  ``ids`` gives the
-        external label of each node (default: the indices themselves).
+        external label of each node (default: the indices themselves); they
+        are copied into ``Graph.ids``, whose dtype ``_id_array`` decides.
         """
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
@@ -67,9 +69,9 @@ class Graph:
         n = int(n)
         if n < 1:
             raise GraphInputError("empty input: no edges and no declared nodes")
-        ids = tuple(range(n)) if ids is None else tuple(ids)
-        if len(ids) != n:
-            raise GraphInputError(f"{len(ids)} node ids for n={n} nodes")
+        ids = np.arange(n, dtype=np.int64) if ids is None else _id_array(ids)
+        if ids.size != n:
+            raise GraphInputError(f"{ids.size} node ids for n={n} nodes")
         if u.ndim != 1 or u.shape != v.shape or u.shape != w.shape:
             raise GraphInputError("edge arrays u, v, w must be 1-d and of one length")
         if u.size and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
@@ -79,7 +81,7 @@ class Graph:
             i = bad[0]
             raise GraphInputError(
                 f"edge {i + 1}: weight must be finite and > 0, "
-                f"got {float(w[i])!r} for ({ids[u[i]]!r}, {ids[v[i]]!r})"
+                f"got {float(w[i])!r} for {tuple(ids[[u[i], v[i]]].tolist())}"
             )
 
         keep = u != v
@@ -104,7 +106,7 @@ class Graph:
         # Degrees as row sums of the adjacency view, same summation order.
         degrees = np.asarray(adj.sum(axis=1)).ravel()
 
-        for arr in (edge_u, edge_v, edge_w, degrees):
+        for arr in (edge_u, edge_v, edge_w, degrees, ids):
             arr.setflags(write=False)
 
         return cls(
@@ -130,21 +132,19 @@ class Graph:
             object.__setattr__(self, "_fingerprint", h.hexdigest()[:16])
         return self._fingerprint
 
-    def _sorted_int_ids(self):
-        """``ids`` as sorted int64 with the node of each, built once; None
-        unless every id is a Python int that fits in int64."""
-        if self._int_index is None:
-            index = ()
-            if set(map(type, self.ids)) == {int}:
-                try:
-                    ids = np.fromiter(self.ids, np.int64, self.n)
-                except OverflowError:
-                    pass
-                else:
-                    order = np.argsort(ids)
-                    index = (ids[order], order)
-            object.__setattr__(self, "_int_index", index)
-        return self._int_index or None
+
+def _id_array(ids):
+    """The labels ``ids`` as a new array: int64 for a signed integer array
+    and for Python ints within 64 bits, object for anything else."""
+    if isinstance(ids, np.ndarray) and ids.dtype.kind == "i":
+        return ids.astype(np.int64)
+    labels = np.fromiter(ids, object)
+    if set(map(type, labels)) == {int}:
+        try:
+            return labels.astype(np.int64)
+        except OverflowError:  # beyond 64 bits
+            pass
+    return labels
 
 
 @dataclass(frozen=True)
@@ -211,24 +211,23 @@ def _first_seen(keys):
     its hash group (a hash collision) is regrouped by equality.
     """
     keys = np.fromiter(keys, dtype=object, count=len(keys))
-    node, firsts, _ = _first_seen_ints(np.fromiter(map(hash, keys), np.int64, keys.size))
+    node, firsts = _first_seen_ints(np.fromiter(map(hash, keys), np.int64, keys.size))
     pos = firsts[node]
     collided = np.flatnonzero(keys != keys[pos])
     if collided.size:
         seen = {}
         for i in collided:
             pos[i] = seen.setdefault(keys[i], i)
-        node, firsts, _ = _first_seen_ints(pos)
+        node, firsts = _first_seen_ints(pos)
     return node, firsts
 
 
 def _first_seen_ints(values):
     """Number equal int64 values as one node, in order of first appearance.
 
-    Returns each value's node index, the position of each node's first
-    value, and the node of each distinct value in ascending order.  A sort
-    plus ``np.minimum.reduceat``: ``np.unique``'s ``return_index`` forces a
-    stable sort, twice as slow.
+    Returns each value's node index and the position of each node's first
+    value.  A sort plus ``np.minimum.reduceat``: ``np.unique``'s
+    ``return_index`` forces a stable sort, twice as slow.
     """
     by_value = np.argsort(values)
     ordered = values[by_value]
@@ -239,7 +238,7 @@ def _first_seen_ints(values):
     rank[order] = np.arange(order.size)
     node = np.empty_like(by_value)
     node[by_value] = rank[np.cumsum(new) - 1]
-    return node, first[order], rank
+    return node, first[order]
 
 
 def _read_text(path):
@@ -294,21 +293,19 @@ def _numeric_edge_list(text):
     if not np.all(np.isfinite(w) & (w > 0.0)):
         return None
     ends = np.stack((rows["f0"], rows["f1"]), axis=1).ravel()
-    node, firsts, rank = _first_seen_ints(ends)
+    node, firsts = _first_seen_ints(ends)
     ids = ends[firsts]
     del ends  # freed before the graph's arrays are built
-    g = Graph.from_arrays(node[0::2], node[1::2], w, ids.size, ids.tolist())
-    object.__setattr__(g, "_int_index", (ids[rank], rank))  # what _sorted_int_ids builds
-    return g
+    return Graph.from_arrays(node[0::2], node[1::2], w, ids.size, ids)
 
 
 def _numeric_node_values(rows, g, lo, hi):
     """load_node_values' vector for the rows of an all-numeric file naming
-    every node of an integer-id graph with values in range, or None."""
-    index = None if rows is None else g._sorted_int_ids()
-    if index is None:
+    every node of a graph with int64 ids with values in range, or None."""
+    if rows is None or g.ids.dtype != np.int64:
         return None
-    ids, order = index
+    order = np.argsort(g.ids)
+    ids = g.ids[order]
     nodes, values = rows["f0"], rows["f1"]
     by_node = np.argsort(nodes)  # searchsorted runs fastest on sorted keys
     at = np.empty_like(by_node)
@@ -464,7 +461,7 @@ def load_node_values(path, g: Graph, name="value", lo=None, hi=None, rows=None) 
     errors.check(np.flatnonzero(ncols != 2), lambda i: f"expected 'node {name}'")
     starts = starts[: errors.end]
     nodes = list(map(_parse_id, tokens[starts]))
-    index = dict(zip(g.ids, range(g.n)))
+    index = dict(zip(g.ids.tolist(), range(g.n)))
     pos = np.fromiter(map(index.get, nodes, repeat(-1)), np.intp, len(nodes))
     errors.check(np.flatnonzero(pos < 0), lambda i: f"unknown node {nodes[i]!r}")
     values, rejected = _floats(tokens[starts[: errors.end] + 1])
@@ -480,7 +477,7 @@ def load_node_values(path, g: Graph, name="value", lo=None, hi=None, rows=None) 
     out = np.full(g.n, np.nan)
     out[pos] = values  # a node given twice keeps its last value
     if np.any(np.isnan(out)):
-        missing = [g.ids[i] for i in np.flatnonzero(np.isnan(out))[:5]]
+        missing = g.ids[np.flatnonzero(np.isnan(out))[:5]].tolist()
         raise GraphInputError(f"{path}: missing {name} for nodes {missing}")
     return out
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from fjopinion.errors import GraphInputError, NumericalError
-from fjopinion.dynamics import EQUILIBRIUM_DELTA, _center, _solve
+from fjopinion.dynamics import EQUILIBRIUM_DELTA, _center, _opinions, _solve
 from fjopinion.graph import Graph, StubbornnessVector, eigen_bounds
 from fjopinion.solver import Certificate
 
@@ -254,11 +254,7 @@ def _pipeline(g, k, s, mode, eps):
     """
     if not (0.0 < eps < 0.5):
         raise GraphInputError(f"eps must be in (0, 1/2), got {eps}")
-    s = np.asarray(s, dtype=np.float64)
-    if s.shape != (g.n,):
-        raise GraphInputError("opinion vector length does not match graph")
-    if len(k) != g.n:
-        raise GraphInputError("stubbornness length does not match graph")
+    s = _opinions(g, k, s)
     s0, c = _center(s, k)
     shift = c * c * float(k.k.sum())
     # Centering a (numerically) constant vector leaves only rounding

@@ -184,6 +184,13 @@ def test_missing_input_flag_exits_1(fixture_files, capsys):
     assert capsys.readouterr().err == "input error: provide --opinions FILE or --dist NAME\n"
 
 
+def test_simulate_with_nan_eps_exits_1(fixture_files, capsys):
+    graph, _, opinions = fixture_files
+    argv = ["simulate", "--graph", str(graph), "--opinions", str(opinions), "--eps", "nan"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "input error: eps must be > 0\n"
+
+
 def test_simulation_past_its_cap_exits_2(fixture_files, monkeypatch, capsys):
     graph, _, opinions = fixture_files
     monkeypatch.setattr(dynamics, "SIMULATION_CAP", 2)

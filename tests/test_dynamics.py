@@ -569,9 +569,22 @@ class TestOpinionProperties:
         (lambda g, k: convergence_bound(0.5, 1.0, 0.0), GraphInputError, "eps must be > 0"),
         (lambda g, k: simulate_until(g, k, np.ones(2), z0=np.zeros(2), eps=0.0),
          GraphInputError, "eps must be > 0"),
+        (lambda g, k: equilibrium(g, k, np.array([np.nan, 0.0])), GraphInputError,
+         "opinions must be finite"),
+        (lambda g, k: convergence_bound(0.5, 1.0, np.nan), GraphInputError, "eps must be > 0"),
+        (lambda g, k: simulate_until(g, k, np.ones(2), z0=np.zeros(2), eps=np.nan),
+         GraphInputError, "eps must be > 0"),
+        (lambda g, k: simulate_until(g, k, np.ones(2), z0=np.array([np.nan, 0.0]), eps=1e-8),
+         GraphInputError, "opinions must be finite"),
+        (lambda g, k: simulate_until(g, k, np.ones(2), z0=np.array([np.inf, 0.0]), eps=1e-8),
+         GraphInputError, "opinions must be finite"),
+        (lambda g, k: simulate_until(g, k, np.array([1.0, -np.inf]), z0=np.zeros(2), eps=1e-8),
+         GraphInputError, "opinions must be finite"),
     ],
     ids=["state", "step", "equilibrium", "fundamental_matrix", "convergence_bound",
-         "simulate_until"],
+         "simulate_until", "equilibrium-nan", "convergence_bound-nan-eps",
+         "simulate_until-nan-eps", "simulate_until-nan-z0", "simulate_until-inf-z0",
+         "simulate_until-inf-s"],
 )
 def test_input_checks(path2, k21, call, error, message):
     with pytest.raises(error) as exc:

@@ -91,7 +91,7 @@ def test_seeded_graphs_keep_their_fingerprints(make, args, fingerprint, monkeypa
     monkeypatch.setattr(hashlib, "sha256", lambda: hashes.append(1) or sha256())
     assert g.fingerprint() == fingerprint
     assert g.fingerprint() == fingerprint and len(hashes) == 1  # hashed once
-    assert g.ids == tuple(range(g.n)) and g.self_loops_dropped == 0
+    assert g.ids.tolist() == list(range(g.n)) and g.self_loops_dropped == 0
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import dense_laplacian, make_instance
 from fjopinion.errors import GraphInputError
+from fjopinion.generate import random_connected_gnp, random_regular_graph
 from fjopinion.graph import (
     Graph,
     StubbornnessVector,
@@ -30,7 +31,8 @@ def assert_same_graph(a, b):
     for name in ("edge_u", "edge_v", "edge_w", "degrees"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
-    assert a.ids == b.ids and [type(i) for i in a.ids] == [type(i) for i in b.ids]
+    x, y = a.ids.tolist(), b.ids.tolist()
+    assert a.ids.dtype == b.ids.dtype and x == y and list(map(type, x)) == list(map(type, y))
     assert (a.n, a.m, a.self_loops_dropped) == (b.n, b.m, b.self_loops_dropped)
 
 
@@ -66,7 +68,7 @@ class TestBuildGraph:
 
     def test_id_remap_retained(self):
         g = build_graph([("a", "b", 1.0), ("b", "c", 2.0)])
-        assert g.ids == ("a", "b", "c")
+        assert g.ids.tolist() == ["a", "b", "c"]
 
     def test_weight_error_names_edge_and_labels(self):
         with pytest.raises(GraphInputError) as exc:
@@ -76,12 +78,12 @@ class TestBuildGraph:
     def test_labels_with_equal_hashes_stay_apart(self):
         # hash(-1) == hash(-2) in CPython.
         g = build_graph([(-1, -2, 1.0), (-2, 5, 2.0), (-1, 5, 1.0), (-2, -1, 0.5)])
-        assert g.ids == (-1, -2, 5) and g.m == 3
+        assert g.ids.tolist() == [-1, -2, 5] and g.m == 3
         assert g.edge_w.tolist() == [1.5, 1.0, 2.0]
 
     def test_equal_labels_of_two_types_share_a_node(self):
         g = build_graph([(1, 2, 1.0), (2.0, 1.0, 1.0)])
-        assert g.ids == (1, 2) and g.m == 1 and g.edge_w[0] == 2.0
+        assert g.ids.tolist() == [1, 2] and g.m == 1 and g.edge_w[0] == 2.0
 
     def test_deterministic_construction(self):
         triples = [(3, 1, 1.0), (1, 2, 0.5), (2, 3, 2.0)]
@@ -105,7 +107,7 @@ class TestFromArrays:
         assert g.edge_u.tolist() == [0, 1] and g.edge_v.tolist() == [2, 2]
         assert g.edge_w.tolist() == [3.25, 0.5]
         assert g.degrees.tolist() == [3.25, 0.5, 3.75, 0.0]
-        assert g.self_loops_dropped == 1 and g.ids == (0, 1, 2, 3)
+        assert g.self_loops_dropped == 1 and g.ids.tolist() == [0, 1, 2, 3]
         assert not g.edge_w.flags.writeable
 
     def test_no_edges(self):
@@ -229,7 +231,7 @@ class TestEdgeList:
         path = tmp_path / "g.txt"
         path.write_text("01 2\n1 3\n-1 -2\n-2 -01 2.5\n")
         g = load_edge_list(path)
-        assert g.ids == (1, 2, 3, -1, -2) and g.m == 3
+        assert g.ids.tolist() == [1, 2, 3, -1, -2] and g.m == 3
         assert g.edge_w.tolist() == [1.0, 1.0, 3.5]
 
     def test_parse_with_comments_and_default_weight(self, tmp_path):
@@ -415,7 +417,7 @@ class TestNumericFiles:
             loaded = load_edge_list(write_temp(tmp, "g.txt", edges))
             built = build_graph([(a, b, 1.0) for a, b in zip(ids, ids[1:])])
             for g in (loaded, built):
-                assert g.ids == tuple(ids)
+                assert g.ids.tolist() == ids
                 with open(path) as fh:
                     assert c_reader_values(fh.read(), g, -1.0, 1.0) is not None
                 out = load_node_values(path, g, name="opinion", lo=-1.0, hi=1.0)
@@ -425,14 +427,14 @@ class TestNumericFiles:
         path = tmp_path / "g.txt"
         path.write_text("1.0 2\n2 3\n")
         assert _numeric_edge_list(path.read_text()) is None
-        assert load_edge_list(path).ids == ("1.0", 2, 3)
+        assert load_edge_list(path).ids.tolist() == ["1.0", 2, 3]
 
     def test_id_beyond_int64_stays_a_python_int(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text(f"{2**63} 1\n1 2\n")
         assert _numeric_edge_list(path.read_text()) is None
         g = load_edge_list(path)
-        assert g.ids == (2**63, 1, 2) and all(type(i) is int for i in g.ids)
+        assert g.ids.tolist() == [2**63, 1, 2] and all(type(i) is int for i in g.ids.tolist())
         values = tmp_path / "s.txt"
         values.write_text(f"1 0.5\n2 -0.5\n{2**63} 0.25\n")
         assert c_reader_values(values.read_text(), g, None, None) is None
@@ -504,6 +506,79 @@ class TestNumericFiles:
         with pytest.raises(GraphInputError) as exc:
             load_node_values(path, g, name="opinion", lo=-1.0, hi=1.0)
         assert str(exc.value) == f"{path}{message}"
+
+
+def write_graph(tmp_path, text):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    return load_edge_list(path)
+
+
+class TestIdArray:
+    """``Graph.ids`` is a read-only array, int64 where every label is an
+    integer within 64 bits and object otherwise."""
+
+    def test_read_only(self):
+        g = Graph.from_arrays([0], [1], [1.0], 2)
+        assert not g.ids.flags.writeable
+        with pytest.raises(ValueError):
+            g.ids[0] = 5
+
+    def test_callers_array_is_copied(self):
+        labels = np.array([7, 3, 5])
+        g = Graph.from_arrays([0], [1], [1.0], 3, ids=labels)
+        assert labels.flags.writeable and not np.shares_memory(labels, g.ids)
+        labels[0] = 9
+        assert g.ids.tolist() == [7, 3, 5]
+
+    @pytest.mark.parametrize(
+        "make, ids",
+        [
+            (lambda tmp: Graph.from_arrays([0], [1], [1.0], 3), [0, 1, 2]),
+            (lambda tmp: random_regular_graph(10, 3, 1), list(range(10))),
+            (lambda tmp: random_connected_gnp(8, 0.3, 2), list(range(8))),
+            (lambda tmp: write_graph(tmp, "# h\n10 -3\n-3 7 2.5\n"), [10, -3, 7]),
+            (lambda tmp: write_graph(tmp, "10 -3\n# c\n-3 7\n"), [10, -3, 7]),
+            (lambda tmp: build_graph([(4, 2, 1.0), (2, 9, 1.0)]), [4, 2, 9]),
+        ],
+        ids=["default", "regular", "gnp", "c-reader", "line-reader", "build_graph"],
+    )
+    def test_integer_ids_are_int64(self, tmp_path, make, ids):
+        g = make(tmp_path)
+        assert g.ids.dtype == np.int64 and g.ids.tolist() == ids
+
+    @pytest.mark.parametrize(
+        "make, ids",
+        [
+            (lambda tmp: build_graph([("a", "b", 1.0)]), ["a", "b"]),
+            (lambda tmp: write_graph(tmp, "1.0 2\n2 3\n"), ["1.0", 2, 3]),
+            (lambda tmp: write_graph(tmp, f"{2**63} 1\n1 2\n"), [2**63, 1, 2]),
+        ],
+        ids=["strings", "float-spelled", "beyond-int64"],
+    )
+    def test_other_ids_are_objects(self, tmp_path, make, ids):
+        g = make(tmp_path)
+        x = g.ids.tolist()
+        assert g.ids.dtype == object and x == ids and list(map(type, x)) == list(map(type, ids))
+
+    def test_line_read_integer_ids_take_the_c_value_path(self, tmp_path):
+        assert _numeric_edge_list("10 -3\n# c\n-3 7\n") is None  # a later comment
+        g = write_graph(tmp_path, "10 -3\n# c\n-3 7\n")
+        text = "7 0.5\n10 -0.25\n-3 1\n"
+        (tmp_path / "s.txt").write_text(text)
+        expected = [-0.25, 1.0, 0.5]
+        assert c_reader_values(text, g, -1.0, 1.0).tolist() == expected
+        assert load_node_values(tmp_path / "s.txt", g, lo=-1.0, hi=1.0).tolist() == expected
+
+    def test_messages_print_ids_as_read(self, tmp_path):
+        with pytest.raises(GraphInputError) as exc:
+            Graph.from_arrays([0], [1], [0.0], 2, ids=np.array([1, 2]))
+        assert str(exc.value) == "edge 1: weight must be finite and > 0, got 0.0 for (1, 2)"
+        g = write_graph(tmp_path, "1 5\n")
+        (tmp_path / "s.txt").write_text("1 0.5\n")
+        with pytest.raises(GraphInputError) as exc:
+            load_node_values(tmp_path / "s.txt", g)
+        assert str(exc.value) == f"{tmp_path / 's.txt'}: missing value for nodes [5]"
 
 
 class TestLaplacian:

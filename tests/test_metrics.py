@@ -532,12 +532,22 @@ class TestReportSerialization:
         assert d["mode"] == "approx" and d["eps_requested"] == 1e-6
 
 
+def approxim_1e6(g, k, s):
+    return approxim(g, k, s, eps=1e-6)
+
+
 @pytest.mark.parametrize(
-    "call",
-    [metrics_exact, lambda g, k, s: approxim(g, k, s, eps=1e-6)],
-    ids=["metrics_exact", "approxim"],
+    "call, s, message",
+    [
+        (metrics_exact, [1.0, 0.0, -1.0], "opinion vector length does not match graph"),
+        (approxim_1e6, [1.0, 0.0, -1.0], "opinion vector length does not match graph"),
+        (metrics_exact, [np.nan, 0.0], "opinions must be finite"),
+        (approxim_1e6, [np.nan, 0.0], "opinions must be finite"),
+        (approxim_1e6, [1.0, np.inf], "opinions must be finite"),
+    ],
+    ids=["metrics_exact", "approxim", "metrics_exact-nan", "approxim-nan", "approxim-inf"],
 )
-def test_wrong_length_opinions_is_an_input_error(path2, k21, call):
+def test_wrong_length_opinions_is_an_input_error(path2, k21, call, s, message):
     with pytest.raises(GraphInputError) as exc:
-        call(path2, k21, np.array([1.0, 0.0, -1.0]))
-    assert str(exc.value) == "opinion vector length does not match graph"
+        call(path2, k21, np.array(s))
+    assert str(exc.value) == message

@@ -1,4 +1,5 @@
-"""Per-layer ladder of one ``approxim`` solve, for the committed BENCH_*.json files.
+"""Per-layer ladder of one ``approxim`` solve and of loading its instance from
+files, for the committed BENCH_*.json files.
 
     python3 tools/bench_ladder.py --src CHECKOUT/src --n 10000 [--repeats 5]
 
@@ -11,6 +12,17 @@ per eps: the iterations, the true-residual checks per solve, the medians of
 the operator build, the PCG solve and the report's ``norms_seconds``, the
 median of 30 SpMVs with L + K, and the peak RSS so far.  Run each n in its
 own process, so that each peak RSS covers one instance.
+
+It then writes the instance to a temporary folder as the CLI reads it: an
+edge list ``u v`` per line with the node ids permuted over [0, 10n) (seed 11),
+and the stubbornness and opinion files, ``node value`` per line.  A child
+forked before the instance was built loads them as ``fjopinion metrics``
+does (the value files through ``ValueRowsAhead`` while the edge list
+parses), so that its ru_maxrss covers the loading alone, checks the vectors
+against the instance, and prints one more JSON line: the seconds of
+``load_edge_list``, of the wait for the value rows and of each
+``load_node_values`` call, the dtype of ``g.ids`` (its type where it is no
+array), and ru_maxrss after loading.
 """
 
 import argparse
@@ -23,7 +35,17 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import json  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
+import traceback  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ID_SEED = 11
+
+
+def maxrss_mb():
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
 def timed(fn, seconds):
@@ -36,6 +58,86 @@ def timed(fn, seconds):
     return wrapped
 
 
+def instance(n):
+    """The instance of the ladder: graph, stubbornness and opinions."""
+    from fjopinion import generate
+
+    return (generate.random_regular_graph(n, 4, 1),
+            generate.generate_stubbornness(n, 0.01, 1.0, 5),
+            generate.generate_opinions(n, "uniform", 7))
+
+
+def file_ids(n):
+    """The id of each node in the files: distinct, drawn from [0, 10n)."""
+    return np.random.default_rng(ID_SEED).choice(10 * n, n, replace=False)
+
+
+def write_files(folder, g, k, s):
+    ids = file_ids(g.n)
+    paths = [os.path.join(folder, name) for name in ("g.txt", "k.txt", "s.txt")]
+    np.savetxt(paths[0], np.stack((ids[g.edge_u], ids[g.edge_v]), axis=1), fmt="%d")
+    for path, values in zip(paths[1:], (k.k, s)):
+        with open(path, "w") as fh:
+            fh.writelines(f"{i} {x!r}\n" for i, x in zip(ids.tolist(), values.tolist()))
+    return paths
+
+
+def load_files(folder, n):
+    """The forked child's run: load the files as the CLI does, print the line."""
+    from fjopinion import graph
+
+    g_path, k_path, s_path = (os.path.join(folder, name) for name in ("g.txt", "k.txt", "s.txt"))
+    t0 = time.perf_counter()
+    with graph.ValueRowsAhead([k_path, s_path]) as ahead:
+        g = graph.load_edge_list(g_path)
+        t1 = time.perf_counter()
+        rows = ahead.rows()
+    t2 = time.perf_counter()
+    k = graph.load_node_values(k_path, g, name="stubbornness", rows=rows.get(k_path))
+    t3 = time.perf_counter()
+    s = graph.load_node_values(s_path, g, name="opinion", lo=-1.0, hi=1.0, rows=rows.get(s_path))
+    t4 = time.perf_counter()
+    rss = maxrss_mb()
+
+    _, k_ref, s_ref = instance(n)
+    ids = file_ids(n)
+    by_id = np.argsort(ids)
+    node = by_id[np.searchsorted(ids[by_id], g.ids)]  # the instance's node of each loaded node
+    if not (np.array_equal(k, k_ref.k[node]) and np.array_equal(s, s_ref[node])):
+        raise SystemExit("loaded values differ from the instance")
+    print(json.dumps({
+        "n": g.n, "m": g.m, "files": True,
+        "ids": str(getattr(g.ids, "dtype", type(g.ids).__name__)),
+        "load_edge_list_s": round(t1 - t0, 4),
+        "value_rows_wait_s": round(t2 - t1, 4),
+        "load_node_values_s": [round(t3 - t2, 4), round(t4 - t3, 4)],
+        "load_s": round(t4 - t0, 4),
+        "maxrss_after_load_mb": rss,
+    }), flush=True)
+
+
+def fork_loader(n):
+    """A child that waits for the folder's name on a pipe, then loads its
+    files; returns its pid and the pipe's write end."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(write_end)
+        code = 1
+        try:
+            with os.fdopen(read_end) as pipe:
+                folder = pipe.read()
+            if folder:  # empty: the parent stopped before writing the files
+                load_files(folder, n)
+            code = 0
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            os._exit(code)
+    os.close(read_end)
+    return pid, write_end
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--src", required=True)
@@ -44,15 +146,15 @@ def main():
     args = parser.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
 
-    import numpy as np
-    from fjopinion import dynamics, generate, metrics, solver
+    from fjopinion import dynamics, metrics, solver
 
+    # Forked while this process is small: a child's ru_maxrss starts from
+    # the parent's RSS at the fork.
+    loader, folder_pipe = fork_loader(args.n)
     t0 = time.perf_counter()
-    g = generate.random_regular_graph(args.n, 4, 1)
-    k = generate.generate_stubbornness(args.n, 0.01, 1.0, 5)
-    s = generate.generate_opinions(args.n, "uniform", 7)
+    g, k, s = instance(args.n)
     setup_s = time.perf_counter() - t0
-    rss_setup = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    rss_setup = maxrss_mb()
 
     t = dynamics.operator_matrix(g, k)
     p = np.ones(g.n)
@@ -90,9 +192,18 @@ def main():
             "solve_s": statistics.median(solve_s),
             "norms_s": statistics.median(norms),
             "spmv_ms": 1e3 * statistics.median(spmv),
-            "rss_after_setup_mb": round(rss_setup, 1),
-            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+            "rss_after_setup_mb": rss_setup,
+            "peak_rss_mb": maxrss_mb(),
         }), flush=True)
+
+    with tempfile.TemporaryDirectory() as folder:
+        write_files(folder, g, k, s)
+        del g, k, s  # the child's load runs with this process's instance freed
+        with os.fdopen(folder_pipe, "w") as pipe:
+            pipe.write(folder)
+        _, status = os.waitpid(loader, 0)
+    if status:
+        raise SystemExit(f"the loading child failed with status {status}")
 
 
 if __name__ == "__main__":
