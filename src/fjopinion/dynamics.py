@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from fjopinion.errors import GraphInputError, NumericalError, SizeGuardError
-from fjopinion.graph import Graph, StubbornnessVector, operator_matrix
+from fjopinion.graph import Graph, StubbornnessVector, _matvec_into, operator_matrix
 from fjopinion.solver import Certificate, SolverResult, check, energy_norm_certificate, solve
 
 DENSE_CAP = 10_000
@@ -26,9 +26,10 @@ INVERSE_SOLVES = 100
 SIMULATION_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OpinionState:
-    """Innate vector s (fixed) and expressed vector z at step t."""
+    """Innate vector s (fixed) and expressed vector z at step t; compared and
+    hashed by identity."""
 
     s: np.ndarray
     z: np.ndarray
@@ -67,10 +68,6 @@ class ErrorTrace:
     f_norms: list = field(default_factory=list)
     bound: int = 0  # the convergence-time bound checked, 0 when no check ran
     spectral: SpectralEstimate | None = None  # the bracket that bound came from, None likewise
-
-    def record(self, e_norm: float, f_norm: float):
-        self.e_norms.append(float(e_norm))
-        self.f_norms.append(float(f_norm))
 
 
 def _update_matrix(g: Graph, k: StubbornnessVector) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -217,6 +214,11 @@ def spectral_radius(
     ``converged`` means upper - lower <= tol either way.  A bracket left
     wider (a goal met early, or on graphs with cycles above the cap, where
     the power steps alone must close it) is still proved.
+
+    The power steps and the bracket's evaluations write QAx into one of two
+    buffers, allocated once, with ``graph._matvec_into``: scipy's compiled
+    CSR kernel with no ``@`` dispatch, bit-identical to ``qa @ x`` (QA is a
+    float64 CSR matrix).
     """
     qa, b = _update_matrix(g, k)
     # Relative rounding of y (row sums of at most `terms` products) and of
@@ -224,10 +226,11 @@ def spectral_radius(
     terms = int(np.diff(qa.indptr).max())
     slack = (terms + g.n.bit_length() + 32) * float(np.finfo(np.float64).eps)
     lower, upper = 0.0, math.inf
+    y = np.empty(g.n)  # QAx in refine; the power steps swap it with x, so it never is x
 
     def refine(x):
         nonlocal lower, upper
-        y = qa @ x
+        _matvec_into(qa, x, y)
         bx = b * x
         lower = max(lower, float((bx * y).sum() / (bx * x).sum()) * (1.0 - slack))
         upper = min(upper, float((y / x).max()) * (1.0 + slack))
@@ -244,7 +247,9 @@ def spectral_radius(
     forest = not settled() and _forest(g)
     while not forest and not settled() and iterations < POWER_STEPS:
         for _ in range(CHECK_EVERY):
-            x = qa @ x + x
+            _matvec_into(qa, x, y)
+            y += x
+            x, y = y, x
         x = _rescale(x)
         refine(x)
         iterations += CHECK_EVERY
@@ -305,6 +310,12 @@ def simulate_until(
     give that bound; the trace keeps it as ``spectral``.  At most ``bound``
     steps run: a stop time past it raises ``NumericalError`` there, as does
     a stop past ``SIMULATION_CAP``.
+
+    The steps allocate nothing: z(t) alternates between two buffers, neither
+    of them ``z0``, which stays the caller's, and QAz(t) is written into
+    them with ``graph._matvec_into``, scipy's compiled CSR kernel with no
+    ``@`` dispatch, bit-identical to ``qa @ z`` (QA is a float64 CSR
+    matrix).  Each norm is sqrt(v.v), as ``np.linalg.norm`` forms it.
     """
     if not eps > 0.0:  # NaN included
         raise GraphInputError("eps must be > 0")
@@ -320,7 +331,8 @@ def simulate_until(
     def record(z):
         np.subtract(z, z_star, out=e)
         np.multiply(weight, e, out=f)
-        trace.record(np.linalg.norm(e), np.linalg.norm(f))
+        trace.e_norms.append(math.sqrt(e @ e))
+        trace.f_norms.append(math.sqrt(f @ f))
         return trace.f_norms[-1]
 
     z, t = z0, 0
@@ -328,6 +340,7 @@ def simulate_until(
     if g.m >= 1 and f_norm > eps:
         trace.spectral = spectral_radius(g, k, goal=(f_norm, eps))
         trace.bound = convergence_bound(trace.spectral, f_norm, eps)
+    zs = np.empty_like(z0), np.empty_like(z0)  # z(t) for t >= 1, alternating; after the bracket's peak
     while f_norm > eps:
         if trace.spectral is not None and t >= trace.bound:
             raise NumericalError(f"observed stop time (|f({t})| = {f_norm:.3e} > eps = {eps}) "
@@ -336,7 +349,7 @@ def simulate_until(
             raise NumericalError(
                 f"simulation did not reach eps={eps} within {SIMULATION_CAP} steps"
             )
-        z = qa @ z  # a new vector, so z0 stays the caller's
+        z = _matvec_into(qa, z, zs[t % 2])
         z += qks
         t += 1
         f_norm = record(z)

@@ -3,6 +3,15 @@
 Holds every matrix view the rest of the package needs: the canonical edge
 arrays, adjacency, weighted degrees, Laplacian application, and the per-node
 stubbornness diagonal with its cached extremes.
+
+It also holds ``_matvec_into``, the sparse product of the step loops (the
+update and power steps in ``dynamics``, the PCG steps in ``solver``).  They
+run hundreds of products on vectors of a few thousand entries, where
+scipy's ``@`` dispatch costs as much as the product itself, so the helper
+calls scipy's compiled ``csr_matvec`` kernel on a caller's buffer.  That is
+the same call ``a @ x`` ends in, on a zeroed result, so the product is
+bit-identical to ``a @ x``.  It needs a float64 CSR matrix and float64
+vectors.  This module is the one place that imports the private kernel.
 """
 
 from __future__ import annotations
@@ -16,18 +25,20 @@ from itertools import islice, repeat
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 from fjopinion.errors import GraphInputError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Weighted undirected graph with dense node indices [0, n).
 
     Edges are stored canonically with u < v, merged and loop-free.  ``ids``
     maps internal indices back to the external node labels seen on input: a
     read-only array, int64 when every label is an integer within 64 bits and
-    object otherwise, so ``ids.tolist()`` gives the labels as read.
+    object otherwise, so ``ids.tolist()`` gives the labels as read.  Graphs
+    compare and hash by identity; ``fingerprint`` compares their edges.
     """
 
     n: int
@@ -38,8 +49,8 @@ class Graph:
     degrees: np.ndarray
     ids: np.ndarray
     self_loops_dropped: int = 0
-    adjacency: sp.csr_matrix = field(repr=False, compare=False, default=None)
-    _fingerprint: str = field(init=False, repr=False, compare=False, default=None)
+    adjacency: sp.csr_matrix = field(repr=False, default=None)
+    _fingerprint: str = field(init=False, repr=False, default=None)
 
     @property
     def w_min(self) -> float:
@@ -147,9 +158,10 @@ def _id_array(ids):
     return labels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StubbornnessVector:
-    """Per-node stubbornness k_i > 0 with cached extremes."""
+    """Per-node stubbornness k_i > 0 with cached extremes; compared and
+    hashed by identity."""
 
     k: np.ndarray
     k_min: float
@@ -581,6 +593,21 @@ def laplacian_apply(g: Graph, x: np.ndarray) -> np.ndarray:
     if x.shape != (g.n,):
         raise GraphInputError(f"vector of length {x.size} against graph with n={g.n}")
     return g.degrees * x - g.adjacency @ x
+
+
+def _matvec_into(a: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write a @ x into ``out`` and return it: no dispatch, no new array.
+
+    scipy's ``a @ x`` ends in ``_matmul_vector``, which calls the compiled
+    kernel ``csr_matvec`` on a new zeroed result, and the kernel adds each
+    row's products onto that result; so ``out`` is zero-filled first, and
+    the result is bit-identical to ``a @ x``.  ``a`` must be a float64 CSR
+    matrix, and ``out`` a C-contiguous float64 vector that is not ``x``:
+    the kernel writes a non-contiguous ``out`` into a copy of it.
+    """
+    out.fill(0.0)
+    csr_matvec(a.shape[0], a.shape[1], a.indptr, a.indices, a.data, x, out)
+    return out
 
 
 def operator_matrix(g: Graph, k: StubbornnessVector) -> sp.csr_matrix:

@@ -36,7 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from fjopinion.errors import GraphInputError
-from fjopinion.graph import StubbornnessVector
+from fjopinion.graph import StubbornnessVector, _matvec_into
 
 MAX_ITERATIONS = 50_000
 
@@ -123,12 +123,17 @@ def solve(
 ) -> SolverResult:
     """Run PCG on ``matrix`` y = b, with matrix = L + K, until ``certify`` holds.
 
-    Deterministic for fixed inputs.
+    Deterministic for fixed inputs.  The matrix is taken as CSR (free for
+    the CSR every caller passes), and each step writes its product
+    (L + K) p into one buffer with ``graph._matvec_into``: scipy's compiled
+    CSR kernel with no ``@`` dispatch, bit-identical to ``matrix @ p``.  It
+    needs float64 entries, as L + K has.
     """
     target = certify.target
     if not (0.0 < target < 1.0):
         raise GraphInputError(f"certificate target must be in (0, 1), got {target}")
     b = np.asarray(b, dtype=np.float64)
+    matrix = matrix.tocsr()
     n = b.size
     if matrix.shape != (n, n):
         raise GraphInputError("right-hand side length does not match operator")
@@ -144,12 +149,13 @@ def solve(
     inv_diag = 1.0 / matrix.diagonal()
 
     # z holds the preconditioned residual; between its uses it is scratch
-    # (rho is formed in it, then z is formed again), so the loop allocates
-    # nothing beyond the product (L+K) p.
+    # (rho is formed in it, then z is formed again), and tp holds (L+K) p,
+    # so a step allocates nothing; only a true-residual check does.
     x = np.zeros(n)
     r = b.copy()
     z = inv_diag * r
     p = z.copy()
+    tp = np.empty(n)
     rz = float(r @ z)
     rho = _rho(r, k, z)
     # ||x*||_{L+K} <= rho0 for x* = (L+K)^{-1} b, so no relative certificate
@@ -163,7 +169,7 @@ def solve(
     iters = 0
     y, reason = None, "maxiter"
     while iters < MAX_ITERATIONS:
-        tp = matrix @ p
+        _matvec_into(matrix, p, tp)
         ptp = float(p @ tp)
         if not ptp > 0.0:
             # p.(L+K)p = 0 only once p has underflowed; < 0 or NaN is no SPD matrix.
@@ -174,7 +180,6 @@ def solve(
         x += z
         tp *= alpha
         r -= tp
-        del tp
         iters += 1
         np.multiply(inv_diag, r, out=z)
         rz_new = float(r @ z)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from fjopinion.generate import random_connected_gnp
@@ -50,6 +51,18 @@ def count_splu(monkeypatch):
         return real(m, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counted)
+    return calls
+
+
+def count_matmul(monkeypatch):
+    """Record the operand of every ``csr_matrix @ x`` from now on."""
+    calls, real = [], sp.csr_matrix.__matmul__
+
+    def counted(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__", counted)
     return calls
 
 

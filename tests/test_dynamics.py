@@ -9,7 +9,7 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from conftest import count_splu, factors_of, make_instance
+from conftest import count_matmul, count_splu, factors_of, make_instance
 from fjopinion import dynamics
 from fjopinion.dynamics import (
     DENSE_CAP,
@@ -46,6 +46,18 @@ def long_path(n=2000):
 def cycle(n):
     """n nodes on a ring: m = n, so no forest."""
     return build_graph([(i, (i + 1) % n, 1.0) for i in range(n)])
+
+
+def step_instance(name):
+    """(g, k, s) of perfbench's ``exact-dynamics`` and of an even cycle."""
+    if name == "path-2000":
+        g = long_path(2000)
+        return g, StubbornnessVector.uniform(g.n, 0.05), generate_opinions(g.n, "uniform", 3)
+    if name == "regular-3000":
+        g = random_regular_graph(3000, 4, 1)
+        return g, generate_stubbornness(g.n, 0.5, 2.0, 2), generate_opinions(g.n, "powerlaw", 3)
+    g = cycle(1000)
+    return g, generate_stubbornness(g.n, 0.01, 1.0, 4), generate_opinions(g.n, "uniform", 5)
 
 
 def dense_rho(g, k):
@@ -365,6 +377,14 @@ class TestSpectralRadius:
             assert rho == pytest.approx(dense_rho(g, k), abs=RHO_SLACK)
         assert est.lower - RHO_SLACK <= rho <= est.upper + RHO_SLACK
 
+    def test_power_steps_make_no_sparse_product_call(self, monkeypatch):
+        # Neither the power steps nor the bracket's evaluations call ``@``.
+        g, k, _ = step_instance("regular-3000")
+        calls = count_matmul(monkeypatch)
+        est = spectral_radius(g, k)
+        assert est.converged and est.iterations >= 300
+        assert calls == []
+
     def test_cycles_above_cap_skip_the_inverse_phase(self, monkeypatch):
         g = random_regular_graph(20_000, 4, 5)
         k = StubbornnessVector.from_values(np.random.default_rng(5).uniform(0.5, 2.0, g.n))
@@ -472,24 +492,50 @@ class TestSimulateUntil:
         assert trace.bound == convergence_bound(est, trace.f_norms[0], 1e-8)
         assert state.t <= trace.bound <= convergence_bound(row_sum, trace.f_norms[0], 1e-8) == 4411
 
-    @pytest.mark.parametrize("instance", ["random", "path-2000"])
+    @pytest.mark.parametrize("stop", [1, 2])
+    def test_z0_stays_the_callers_at_either_buffer(self, stop):
+        # z(1) and z(2) land in different buffers; neither may be z0.
+        g = long_path(50)
+        k = StubbornnessVector.uniform(g.n, 0.5)
+        s = generate_opinions(g.n, "uniform", 3)
+        _, trace = simulate_until(g, k, s, z0=np.zeros(g.n), eps=1e-8)
+        assert trace.f_norms[stop - 1] > trace.f_norms[stop]
+        z0 = np.zeros(g.n)
+        state, _ = simulate_until(g, k, s, z0=z0, eps=trace.f_norms[stop])
+        assert state.t == stop
+        assert z0.tobytes() == np.zeros(g.n).tobytes()
+        assert state.z is not z0 and not np.shares_memory(state.z, z0)
+
+    def test_update_steps_make_no_sparse_product_call(self, monkeypatch):
+        g, k, s = step_instance("path-2000")
+        calls = count_matmul(monkeypatch)
+        state, _ = simulate_until(g, k, s, z0=s.copy(), eps=1e-8)
+        assert state.t == 798 and len(calls) < state.t
+
+    @pytest.mark.parametrize("instance", ["random", "path-2000", "regular-3000", "even cycle"])
     def test_simulation_is_the_repeated_step(self, instance):
-        # One update kernel: simulate_until stops where repeated ``step`` does.
+        # One update kernel: simulate_until's buffered loop is repeated
+        # ``step`` and ``np.linalg.norm`` to the last bit.
         if instance == "random":
             rng = np.random.default_rng(41)
             cases = [make_instance(rng) for _ in range(5)]
         else:
-            g = long_path(2000)
-            k, s = StubbornnessVector.uniform(g.n, 0.05), generate_opinions(g.n, "uniform", 3)
-            cases = [(g, k, s)]
+            cases = [step_instance(instance)]
         for g, k, s in cases:
-            state, _ = simulate_until(g, k, s, z0=s.copy(), eps=1e-8)
+            state, trace = simulate_until(g, k, s, z0=s.copy(), eps=1e-8)
             z_star, weight = equilibrium(g, k, s), np.sqrt(k.k + g.degrees)
-            stepped = OpinionState(s=s, z=s.copy())
-            while np.linalg.norm(weight * (stepped.z - z_star)) > 1e-8:
+            stepped, e_norms, f_norms = OpinionState(s=s, z=s.copy()), [], []
+            while True:
+                e = stepped.z - z_star
+                e_norms.append(float(np.linalg.norm(e)))
+                f_norms.append(float(np.linalg.norm(weight * e)))
+                if f_norms[-1] <= 1e-8:
+                    break
                 stepped = step(g, k, stepped)
             assert state.t == stepped.t
-            assert np.linalg.norm(state.z - stepped.z) <= 1e-12 * np.linalg.norm(stepped.z)
+            assert state.z.tobytes() == stepped.z.tobytes()
+            assert trace.e_norms == e_norms and trace.f_norms == f_norms
+            assert {type(v) for v in trace.e_norms + trace.f_norms} == {float}
         if instance == "path-2000":
             assert state.t == 798
 

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import dense_laplacian, make_instance
+from fjopinion.dynamics import OpinionState, _update_matrix
 from fjopinion.errors import GraphInputError
 from fjopinion.generate import random_connected_gnp, random_regular_graph
 from fjopinion.graph import (
     Graph,
     StubbornnessVector,
     _VALUE_ROWS,
+    _matvec_into,
     _numeric_edge_list,
     _numeric_node_values,
     _numeric_rows,
@@ -620,6 +622,34 @@ class TestLaplacian:
         x = rng.standard_normal(g.n)
         energy = float(x @ laplacian_apply(g, x))
         assert np.isclose(g.edge_w @ (x[g.edge_u] - x[g.edge_v]) ** 2, energy)
+
+
+class TestMatvecInto:
+    @pytest.mark.parametrize("index", [np.int32, np.int64])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_is_the_product_byte_for_byte(self, index, seed):
+        rng = np.random.default_rng(seed)
+        g, k, _ = make_instance(rng, n_max=60)
+        for a in (operator_matrix(g, k), _update_matrix(g, k)[0]):  # L + K and QA
+            a.indices, a.indptr = a.indices.astype(index), a.indptr.astype(index)
+            x = rng.standard_normal(g.n)
+            out = np.full(g.n, np.nan)  # garbage before the call
+            out[::2] = rng.standard_normal(out[::2].size) * 1e300
+            assert _matvec_into(a, x, out) is out
+            assert a.indices.dtype == a.indptr.dtype == index
+            assert out.tobytes() == (a @ x).tobytes()
+
+
+class TestIdentity:
+    def test_graph_stubbornness_and_state_compare_and_hash_by_identity(self):
+        for make in (lambda: build_graph([(0, 1, 1.0), (1, 2, 2.0)]),
+                     lambda: StubbornnessVector.uniform(3, 1.0),
+                     lambda: OpinionState(s=np.ones(3), z=np.zeros(3))):
+            a, b = make(), make()
+            assert a == a and not a != a
+            assert a != b and not a == b
+            assert hash(a) == hash(a) and isinstance(hash(b), int)
+            assert a in {a} and b not in {a} and len({a, b, a}) == 2
 
 
 class TestStubbornness:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import make_instance
+from conftest import count_matmul, make_instance
 from fjopinion import solver
 from fjopinion.errors import GraphInputError
+from fjopinion.generate import generate_opinions, generate_stubbornness, random_regular_graph
 from fjopinion.graph import Graph, StubbornnessVector, build_graph, operator_matrix
 from fjopinion.solver import Certificate, energy_norm_certificate, solve
 
@@ -124,6 +125,17 @@ def test_certificate_is_judged_on_the_true_residual():
 
     res = solve(t, b, k, Certificate(target=1e-8, bound=bound))
     assert res.certified and seen and all(seen)
+
+
+def test_pcg_steps_make_no_sparse_product_call(monkeypatch):
+    # Each step writes (L + K) p into one buffer; only the true-residual checks call ``@``.
+    g = random_regular_graph(3000, 4, 1)
+    k = generate_stubbornness(g.n, 0.01, 1.0, 2)
+    b = k.k * generate_opinions(g.n, "uniform", 3)
+    calls = count_matmul(monkeypatch)
+    res = solve_to(g, k, b, 1e-10)
+    assert res.certified and res.iterations > 20
+    assert 1 <= len(calls) < res.iterations
 
 
 def test_breakdown_on_an_indefinite_operator(k11):

@@ -1,5 +1,5 @@
-"""Per-layer ladder of one ``approxim`` solve and of loading its instance from
-files, for the committed BENCH_*.json files.
+"""Per-layer ladder of one ``approxim`` solve, of ``simulate_until`` and of
+loading their instance from files, for the committed BENCH_*.json files.
 
     python3 tools/bench_ladder.py --src CHECKOUT/src --n 10000 [--repeats 5]
 
@@ -12,6 +12,13 @@ per eps: the iterations, the true-residual checks per solve, the medians of
 the operator build, the PCG solve and the report's ``norms_seconds``, the
 median of 30 SpMVs with L + K, and the peak RSS so far.  Run each n in its
 own process, so that each peak RSS covers one instance.
+
+It then runs ``simulate_until`` at eps 1e-8 from z0 = s, ``--repeats`` times,
+and prints one JSON line: the medians of the ``equilibrium`` solve, of the
+spectral bracket (with its iterations: power steps, plus inverse solves on
+at most ``DENSE_CAP`` nodes, and its width) and of the rest, ``steps_s``,
+which is the QA build and the update steps with their norms; the update
+steps and ms per step, and the peak RSS so far.
 
 It then writes the instance to a temporary folder as the CLI reads it: an
 edge list ``u v`` per line with the node ids permuted over [0, 10n) (seed 11),
@@ -42,6 +49,7 @@ import traceback  # noqa: E402
 import numpy as np  # noqa: E402
 
 ID_SEED = 11
+SIMULATE_EPS = 1e-8
 
 
 def maxrss_mb():
@@ -49,10 +57,10 @@ def maxrss_mb():
 
 
 def timed(fn, seconds):
-    def wrapped(*args):
+    def wrapped(*args, **kwargs):
         t0 = time.perf_counter()
         try:
-            return fn(*args)
+            return fn(*args, **kwargs)
         finally:
             seconds.append(time.perf_counter() - t0)
     return wrapped
@@ -70,6 +78,34 @@ def instance(n):
 def file_ids(n):
     """The id of each node in the files: distinct, drawn from [0, 10n)."""
     return np.random.default_rng(ID_SEED).choice(10 * n, n, replace=False)
+
+
+def simulate(g, k, s, repeats):
+    """Time ``simulate_until`` from z0 = s by layer and print its line."""
+    from fjopinion import dynamics
+
+    # The names simulate_until looks up for its two stages.
+    equilibrium_s, bracket_s, total_s, brackets, steps = [], [], [], set(), set()
+    dynamics.equilibrium = timed(dynamics.equilibrium, equilibrium_s)
+    dynamics.spectral_radius = timed(dynamics.spectral_radius, bracket_s)
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        state, trace = dynamics.simulate_until(g, k, s, s, SIMULATE_EPS)
+        total_s.append(time.perf_counter() - t0)
+        steps.add(state.t)
+        brackets.add((trace.spectral.iterations, trace.spectral.upper - trace.spectral.lower))
+    steps_s = statistics.median(t - e - b for t, e, b in zip(total_s, equilibrium_s, bracket_s))
+    print(json.dumps({
+        "n": g.n, "m": g.m, "simulate_until": True, "eps": SIMULATE_EPS, "repeats": repeats,
+        "equilibrium_s": statistics.median(equilibrium_s),
+        "bracket_s": statistics.median(bracket_s),
+        "bracket_iterations": sorted(i for i, _ in brackets),
+        "bracket_width": max(w for _, w in brackets),
+        "update_steps": sorted(steps),
+        "steps_s": steps_s,
+        "step_ms": 1e3 * steps_s / max(steps),
+        "peak_rss_mb": maxrss_mb(),
+    }), flush=True)
 
 
 def write_files(folder, g, k, s):
@@ -195,6 +231,8 @@ def main():
             "rss_after_setup_mb": rss_setup,
             "peak_rss_mb": maxrss_mb(),
         }), flush=True)
+
+    simulate(g, k, s, args.repeats)
 
     with tempfile.TemporaryDirectory() as folder:
         write_files(folder, g, k, s)
