@@ -69,7 +69,9 @@ def random_regular_graph(n: int, degree: int, seed: int) -> Graph:
     u = stubs[0::2]
     v = stubs[1::2]
     keep = u != v
-    return Graph.from_arrays(u[keep], v[keep], np.ones(np.count_nonzero(keep)), n)
+    u, v = u[keep], v[keep]
+    del stubs, keep  # freed before the graph is built
+    return Graph.from_arrays(u, v, np.ones(u.size), n)
 
 
 def random_connected_gnp(n: int, p: float, seed: int) -> Graph:

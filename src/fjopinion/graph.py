@@ -4,6 +4,12 @@ Holds every matrix view the rest of the package needs: the canonical edge
 arrays, adjacency, weighted degrees, Laplacian application, and the per-node
 stubbornness diagonal with its cached extremes.
 
+``Graph.from_arrays`` is the one builder, under the generators, the triples
+adapter and both edge-file paths.  It sorts once: the sorted pair keys give
+the edge arrays, which are the upper triangle U of the adjacency in CSR
+order, and the adjacency is U + Uᵀ, two compiled scipy kernels.  So a build
+peaks at little above the size of the graph it returns.
+
 It also holds ``_matvec_into``, the sparse product of the step loops (the
 update and power steps in ``dynamics``, the PCG steps in ``solver``).  They
 run hundreds of products on vectors of a few thousand entries, where
@@ -73,6 +79,12 @@ class Graph:
         merged by summing their weights in input order.  ``ids`` gives the
         external label of each node (default: the indices themselves); they
         are copied into ``Graph.ids``, whose dtype ``_id_array`` decides.
+
+        One sort (``np.unique`` of the pair keys) orders the edges; the
+        adjacency is filled from them as U + Uᵀ, with no COO stage, and is
+        byte for byte the CSR that scipy's COO conversion gives, index dtype
+        included (``_index_dtype``).  The inputs are copied only where they
+        hold a loop, and each temporary is freed once used.
         """
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
@@ -97,22 +109,33 @@ class Graph:
 
         keep = u != v
         loops = keep.size - int(np.count_nonzero(keep))
-        u, v, w = u[keep], v[keep], w[keep]
+        if loops:
+            u, v, w = u[keep], v[keep], w[keep]
+        del keep
         # Pair keys lo * n + hi sort like (lo, hi); bincount adds each pair's
         # weights in input order, starting from 0.0.
-        keys, slot = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_inverse=True)
+        key = np.minimum(u, v)
+        key *= n
+        key += np.maximum(u, v)
+        keys, slot = np.unique(key, return_inverse=True)
+        del key
         # (bincount gives int64 for no edges at all.)
         edge_w = np.bincount(slot, weights=w, minlength=keys.size).astype(np.float64, copy=False)
+        del slot
+        m = keys.size
         edge_u, edge_v = np.divmod(keys, n)
+        del keys
 
-        # The keys are sorted, so with the reverse half first every row's
-        # columns arrive in ascending order and sort_indices has nothing to do.
-        rows = np.concatenate([edge_v, edge_u])
-        cols = np.concatenate([edge_u, edge_v])
-        vals = np.concatenate([edge_w, edge_w])
-        adj = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        adj.sum_duplicates()
-        adj.sort_indices()
+        # The sorted keys are the upper triangle U in CSR order, and U + Uᵀ
+        # is the adjacency: the transpose comes back with sorted rows, and
+        # the sum of two canonical matrices with no entry in common adds
+        # each entry to 0.0, so it is every entry once, in column order.
+        index = _index_dtype(n, 2 * m)
+        indptr = np.zeros(n + 1, dtype=index)
+        np.cumsum(np.bincount(edge_u, minlength=n), out=indptr[1:])
+        upper = sp.csr_matrix((edge_w, edge_v.astype(index), indptr), shape=(n, n))
+        adj = upper + upper.T.tocsr()
+        del upper
 
         # Degrees as row sums of the adjacency view, same summation order.
         degrees = np.asarray(adj.sum(axis=1)).ravel()
@@ -122,7 +145,7 @@ class Graph:
 
         return cls(
             n=n,
-            m=keys.size,
+            m=m,
             edge_u=edge_u,
             edge_v=edge_v,
             edge_w=edge_w,
@@ -142,6 +165,12 @@ class Graph:
             h.update(self.edge_w.tobytes())
             object.__setattr__(self, "_fingerprint", h.hexdigest()[:16])
         return self._fingerprint
+
+
+def _index_dtype(n, nnz):
+    """The index dtype of an n x n CSR matrix of nnz entries, as scipy picks
+    it when it converts COO to CSR: int32 while n and nnz fit, else int64."""
+    return np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
 
 
 def _id_array(ids):
@@ -287,7 +316,11 @@ def _numeric_rows(text, row_dtypes):
     dtype = row_dtypes.get(len(_FIRST_LINE.match(text, start)[1].split()))
     if dtype is None:
         return None
-    body = io.BytesIO(text[start:].encode("ascii"))  # ASCII: _NUMBERS matched it all
+    # One UTF-8 copy, read past the header: the body is ASCII (_NUMBERS
+    # matched it all), one byte a character, and BytesIO shares the bytes.
+    data = text.encode()
+    body = io.BytesIO(data)
+    body.seek(len(data) - (len(text) - start))
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -297,13 +330,19 @@ def _numeric_rows(text, row_dtypes):
 
 
 def _numeric_edge_list(text):
-    """load_edge_list's graph for an all-numeric file, or None."""
+    """load_edge_list's rows for an all-numeric file with weights finite and
+    > 0, or None."""
     rows = _numeric_rows(text, _EDGE_ROWS)
     if rows is None:
         return None
-    w = rows["f2"] if len(rows.dtype) == 3 else np.ones(rows.size)
-    if not np.all(np.isfinite(w) & (w > 0.0)):
+    if len(rows.dtype) == 3 and not np.all(np.isfinite(rows["f2"]) & (rows["f2"] > 0.0)):
         return None
+    return rows
+
+
+def _edge_rows_graph(rows):
+    """The graph of ``_numeric_edge_list``'s rows."""
+    w = rows["f2"] if len(rows.dtype) == 3 else np.ones(rows.size)
     ends = np.stack((rows["f0"], rows["f1"]), axis=1).ravel()
     node, firsts = _first_seen_ints(ends)
     ids = ends[firsts]
@@ -420,9 +459,10 @@ def load_edge_list(path) -> Graph:
     line, to the same graph.
     """
     text = _read_text(path)
-    g = _numeric_edge_list(text)
-    if g is not None:
-        return g
+    rows = _numeric_edge_list(text)
+    if rows is not None:
+        del text  # freed before the ids are numbered and the graph is built
+        return _edge_rows_graph(rows)
     tokens, linenos, starts, ncols = _read_table(text)
     errors = _FirstBadLine(path, linenos)
     errors.check(

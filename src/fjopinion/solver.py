@@ -107,14 +107,18 @@ def _rho(r: np.ndarray, k: StubbornnessVector, scratch: np.ndarray) -> float:
 
 
 def check(matrix: sp.spmatrix, b: np.ndarray, k: StubbornnessVector, y: np.ndarray,
-          certify: Certificate) -> tuple[float, float, float]:
+          certify: Certificate, out: np.ndarray | None = None,
+          scratch: np.ndarray | None = None) -> tuple[float, float, float]:
     """``certify``'s bound of y, and rho and the 2-norm of its true residual b - matrix y.
 
     It judges every PCG solve and every factor solve of ``dynamics._solve``.
+    The residual is formed in ``out`` and rho in ``scratch`` where they are
+    given, two free n-vectors that are not y; ``out`` needs a float64 CSR
+    matrix, for ``graph._matvec_into``, bit-identical to ``matrix @ y``.
     """
-    r = matrix @ y
+    r = matrix @ y if out is None else _matvec_into(matrix, y, out)
     np.subtract(b, r, out=r)
-    rho = _rho(r, k, np.empty_like(r))
+    rho = _rho(r, k, np.empty_like(r) if scratch is None else scratch)
     return certify.bound(y, r, rho), rho, float(np.linalg.norm(r))
 
 
@@ -150,7 +154,8 @@ def solve(
 
     # z holds the preconditioned residual; between its uses it is scratch
     # (rho is formed in it, then z is formed again), and tp holds (L+K) p,
-    # so a step allocates nothing; only a true-residual check does.
+    # which the next step forms again; so a step allocates nothing, and a
+    # true-residual check forms its residual in tp and its rho in z.
     x = np.zeros(n)
     r = b.copy()
     z = inv_diag * r
@@ -193,7 +198,7 @@ def solve(
                     # The recurrence says the bound cannot hold yet: aim lower, no SpMV.
                     goal = rho * (target / guess)
                 else:
-                    bound, true_rho, r_norm = check(matrix, b, k, x, certify)
+                    bound, true_rho, r_norm = check(matrix, b, k, x, certify, tp, z)
                     if bound <= target:
                         y, reason = x, "certified"
                         break
@@ -214,7 +219,7 @@ def solve(
     if y is None:
         # Judge the last iterate on its true residual, not on the drifting recurrence.
         y = x
-        bound, _, r_norm = check(matrix, b, k, y, certify)
+        bound, _, r_norm = check(matrix, b, k, y, certify, tp, z)
         if bound <= target:
             reason = "certified"
     return SolverResult(

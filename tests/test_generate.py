@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +61,21 @@ def test_regular_graph_near_regular():
     assert g.n == 500
     assert g.degrees.max() <= 4
     assert g.degrees.mean() > 3.5  # few stubs lost to loops/parallels
+
+
+def test_regular_graph_frees_its_stubs_before_the_build():
+    # Stubs, the paired halves and the build's peak at once read 3.1 times
+    # the graph; the build alone, 1.3.
+    tracemalloc.start()
+    try:
+        g = random_regular_graph(100_000, 4, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    a = g.adjacency
+    size = sum(x.nbytes for x in (g.edge_u, g.edge_v, g.edge_w, g.degrees, g.ids,
+                                  a.data, a.indices, a.indptr))
+    assert peak < 1.8 * size
 
 
 def test_connected_gnp_is_connected():

@@ -1,13 +1,17 @@
 import os
 import tempfile
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.sparse._sputils import get_index_dtype
 
 from conftest import dense_laplacian, make_instance
+from fjopinion import graph as graph_module
 from fjopinion.dynamics import OpinionState, _update_matrix
 from fjopinion.errors import GraphInputError
 from fjopinion.generate import random_connected_gnp, random_regular_graph
@@ -15,6 +19,7 @@ from fjopinion.graph import (
     Graph,
     StubbornnessVector,
     _VALUE_ROWS,
+    _index_dtype,
     _matvec_into,
     _numeric_edge_list,
     _numeric_node_values,
@@ -103,6 +108,55 @@ def merge_reference(u, v, w):
     return [k[0] for k in keys], [k[1] for k in keys], [merged[k] for k in keys]
 
 
+def coo_graph(u, v, w, n):
+    """The oracle of from_arrays: the same edge arrays, with the adjacency
+    built from both halves as COO, converted to CSR, duplicates summed and
+    indices sorted."""
+    u, v, w = np.asarray(u, np.int64), np.asarray(v, np.int64), np.asarray(w, np.float64)
+    keep = u != v
+    loops = keep.size - int(np.count_nonzero(keep))
+    u, v, w = u[keep], v[keep], w[keep]
+    keys, slot = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_inverse=True)
+    edge_w = np.bincount(slot, weights=w, minlength=keys.size).astype(np.float64, copy=False)
+    edge_u, edge_v = np.divmod(keys, n)
+    rows = np.concatenate([edge_v, edge_u])
+    cols = np.concatenate([edge_u, edge_v])
+    vals = np.concatenate([edge_w, edge_w])
+    adj = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    adj.sum_duplicates()
+    adj.sort_indices()
+    degrees = np.asarray(adj.sum(axis=1)).ravel()
+    return Graph(n=n, m=keys.size, edge_u=edge_u, edge_v=edge_v, edge_w=edge_w, degrees=degrees,
+                 ids=np.arange(n), self_loops_dropped=loops, adjacency=adj)
+
+
+@st.composite
+def multigraph_arrays(draw):
+    """Edge arrays on n nodes with loops, parallel and reverse duplicates and
+    isolated nodes: n = 1 and no edges included."""
+    n = draw(st.integers(1, 12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40))
+    if pairs:
+        pairs += [(b, a) for a, b in draw(st.lists(st.sampled_from(pairs), max_size=10))]
+    pairs = draw(st.permutations(pairs))
+    weights = st.one_of(st.just(1.0), st.floats(1e-3, 1e3), st.sampled_from([0.1, 0.2, 0.3, 1e-300, 1e300]))
+    w = [draw(weights) for _ in pairs]
+    return [a for a, _ in pairs], [b for _, b in pairs], w, n
+
+
+def assert_same_csr(a, b):
+    for name in ("data", "indices", "indptr"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    assert a.shape == b.shape and a.has_sorted_indices
+
+
+def returned_bytes(g):
+    a = g.adjacency
+    return sum(x.nbytes for x in (g.edge_u, g.edge_v, g.edge_w, g.degrees, g.ids,
+                                  a.data, a.indices, a.indptr))
+
+
 class TestFromArrays:
     def test_merges_canonicalises_and_counts_loops(self):
         g = Graph.from_arrays([2, 0, 1, 2, 2], [0, 2, 1, 1, 0], [1.0, 2.0, 5.0, 0.5, 0.25], 4)
@@ -149,6 +203,45 @@ class TestFromArrays:
         assert g.edge_u.tolist() == ref_u and g.edge_v.tolist() == ref_v
         assert g.edge_w.tolist() == ref_w  # bit-equal: same summation order
         assert g.self_loops_dropped == sum(a == b for a, b in zip(u, v))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=multigraph_arrays())
+    def test_matches_the_coo_construction_byte_for_byte(self, case):
+        g, ref = Graph.from_arrays(*case), coo_graph(*case)
+        assert_same_graph(g, ref)
+        assert_same_csr(g.adjacency, ref.adjacency)
+        assert g.fingerprint() == ref.fingerprint()
+
+    def test_matches_the_coo_construction_on_a_generated_graph(self):
+        g = random_regular_graph(20_000, 4, 1)
+        for u, v in ((g.edge_u, g.edge_v), (g.edge_v, g.edge_u)):
+            h, ref = Graph.from_arrays(u, v, g.edge_w, g.n), coo_graph(u, v, g.edge_w, g.n)
+            assert_same_graph(h, ref)
+            assert_same_csr(h.adjacency, ref.adjacency)
+
+    def test_index_dtype_rule_at_its_boundary(self):
+        # scipy's COO to CSR conversion, as in coo_graph, picks int32 while n
+        # and the number of entries fit; the adjacency holds 2m entries.
+        top = int(np.iinfo(np.int32).max)
+        for n, nnz, dtype in [(top, top, np.int32), (top + 1, 0, np.int64),
+                              (1, top + 1, np.int64), (2, 2, np.int32)]:
+            assert _index_dtype(n, nnz) is dtype
+            assert get_index_dtype(maxval=max(nnz, n)) is dtype
+        g = random_regular_graph(1000, 4, 1)
+        assert g.adjacency.indices.dtype == g.adjacency.indptr.dtype == _index_dtype(g.n, 2 * g.m)
+
+    def test_peak_is_near_the_size_of_the_graph(self):
+        # The COO construction of coo_graph peaks at 2.8 times these bytes.
+        g = random_regular_graph(100_000, 4, 1)
+        u, v, w = g.edge_v.copy(), g.edge_u.copy(), g.edge_w.copy()
+        del g
+        tracemalloc.start()
+        try:
+            g = Graph.from_arrays(u, v, w, 100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * returned_bytes(g)
 
 
 def _label(tok):
@@ -479,6 +572,41 @@ class TestNumericFiles:
         t = time.perf_counter()
         assert _numeric_edge_list(text) is None
         assert time.perf_counter() - t < 1.0
+
+    def test_header_beyond_ascii_is_skipped_by_the_c_reader(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("% naïve ✓\n# Ω\n3 1 0.5\n1 2 2\n", encoding="utf-8")
+        assert _numeric_edge_list(path.read_text(encoding="utf-8")) is not None
+        assert_same_graph(load_edge_list(path), build_graph(reference_triples(path)))
+
+    def test_parse_holds_one_copy_of_the_text(self):
+        # Padded lines under a header: the text is 25 times the rows parsed from it.
+        text = "# u v\n" + "".join(f"{i} {i + 1}{' ' * 200}\n" for i in range(5000))
+        tracemalloc.start()
+        try:
+            rows = _numeric_rows(text, {2: "i8,i8"})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.size == 5000 and peak < 1.5 * len(text)
+
+    def test_text_is_freed_before_the_ids_are_numbered(self, tmp_path, monkeypatch):
+        path = tmp_path / "g.txt"
+        path.write_text("".join(f"{i} {i + 1}{' ' * 200}\n" for i in range(5000)))
+        held, first_seen_ints = [], graph_module._first_seen_ints
+
+        def traced(values):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return first_seen_ints(values)
+
+        monkeypatch.setattr(graph_module, "_first_seen_ints", traced)
+        tracemalloc.start()
+        try:
+            g = load_edge_list(path)
+        finally:
+            tracemalloc.stop()
+        # The rows, the endpoints and unit weights: 40 bytes a line, not the text's 205.
+        assert g.m == 5000 and len(held) == 1 and held[0] < 100 * 5000
 
     def test_bad_weight_is_reported_by_line(self, tmp_path):
         path = tmp_path / "g.txt"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,14 +129,32 @@ def test_certificate_is_judged_on_the_true_residual():
 
 
 def test_pcg_steps_make_no_sparse_product_call(monkeypatch):
-    # Each step writes (L + K) p into one buffer; only the true-residual checks call ``@``.
+    # Each step writes (L + K) p into one buffer, and each true-residual check
+    # writes its product into that buffer too: nothing calls ``@``.
     g = random_regular_graph(3000, 4, 1)
     k = generate_stubbornness(g.n, 0.01, 1.0, 2)
     b = k.k * generate_opinions(g.n, "uniform", 3)
     calls = count_matmul(monkeypatch)
     res = solve_to(g, k, b, 1e-10)
     assert res.certified and res.iterations > 20
-    assert 1 <= len(calls) < res.iterations
+    assert not calls
+
+
+def test_certified_solve_holds_only_its_loop_vectors():
+    # x, r, z, p, (L + K) p and 1 / diag; a check forms its residual and its
+    # rho in the free (L + K) p and z, not in two more vectors.
+    n = 100_000
+    g = random_regular_graph(n, 4, 1)
+    k = generate_stubbornness(n, 0.01, 1.0, 2)
+    b = k.k * generate_opinions(n, "uniform", 3)
+    t, certify = operator_matrix(g, k), energy_norm_certificate(b, 1e-8)
+    tracemalloc.start()
+    try:
+        res = solve(t, b, k, certify)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.certified and peak < 6.5 * b.nbytes
 
 
 def test_breakdown_on_an_indefinite_operator(k11):

@@ -27,9 +27,12 @@ forked before the instance was built loads them as ``fjopinion metrics``
 does (the value files through ``ValueRowsAhead`` while the edge list
 parses), so that its ru_maxrss covers the loading alone, checks the vectors
 against the instance, and prints one more JSON line: the seconds of
-``load_edge_list``, of the wait for the value rows and of each
-``load_node_values`` call, the dtype of ``g.ids`` (its type where it is no
-array), and ru_maxrss after loading.
+``load_edge_list`` and of its three stages (the parse, ``_numeric_rows``;
+the id remap, ``_first_seen_ints``; and ``Graph.from_arrays``), of the wait
+for the value rows and of each ``load_node_values`` call, the dtype of
+``g.ids`` (its type where it is no array), ru_maxrss after loading, and the
+tracemalloc peak of a second ``load_edge_list`` call, made once the loaded
+graph and vectors are freed.
 """
 
 import argparse
@@ -45,6 +48,7 @@ import statistics  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
 import traceback  # noqa: E402
+import tracemalloc  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -122,11 +126,18 @@ def load_files(folder, n):
     """The forked child's run: load the files as the CLI does, print the line."""
     from fjopinion import graph
 
+    # The names load_edge_list looks up for its three stages.
+    parse_s, remap_s, build_s = [], [], []
+    graph._numeric_rows = timed(graph._numeric_rows, parse_s)
+    graph._first_seen_ints = timed(graph._first_seen_ints, remap_s)
+    graph.Graph.from_arrays = timed(graph.Graph.from_arrays, build_s)
+
     g_path, k_path, s_path = (os.path.join(folder, name) for name in ("g.txt", "k.txt", "s.txt"))
     t0 = time.perf_counter()
     with graph.ValueRowsAhead([k_path, s_path]) as ahead:
         g = graph.load_edge_list(g_path)
         t1 = time.perf_counter()
+        stages = [list(seconds) for seconds in (parse_s, remap_s, build_s)]
         rows = ahead.rows()
     t2 = time.perf_counter()
     k = graph.load_node_values(k_path, g, name="stubbornness", rows=rows.get(k_path))
@@ -141,15 +152,26 @@ def load_files(folder, n):
     node = by_id[np.searchsorted(ids[by_id], g.ids)]  # the instance's node of each loaded node
     if not (np.array_equal(k, k_ref.k[node]) and np.array_equal(s, s_ref[node])):
         raise SystemExit("loaded values differ from the instance")
-    print(json.dumps({
+    if [len(seconds) for seconds in stages] != [1, 1, 1]:
+        raise SystemExit(f"the edge list did not take the C path: {stages}")
+    line = {
         "n": g.n, "m": g.m, "files": True,
         "ids": str(getattr(g.ids, "dtype", type(g.ids).__name__)),
         "load_edge_list_s": round(t1 - t0, 4),
+        "parse_s": round(stages[0][0], 4),
+        "id_remap_s": round(stages[1][0], 4),
+        "from_arrays_s": round(stages[2][0], 4),
         "value_rows_wait_s": round(t2 - t1, 4),
         "load_node_values_s": [round(t3 - t2, 4), round(t4 - t3, 4)],
         "load_s": round(t4 - t0, 4),
         "maxrss_after_load_mb": rss,
-    }), flush=True)
+    }
+    del g, k, s
+    tracemalloc.start()
+    graph.load_edge_list(g_path)
+    line["load_edge_list_peak_mb"] = round(tracemalloc.get_traced_memory()[1] / 2**20, 1)
+    tracemalloc.stop()
+    print(json.dumps(line), flush=True)
 
 
 def fork_loader(n):
