@@ -24,7 +24,6 @@ POWER_STEPS = 1_000
 CHECK_EVERY = 10  # power steps between two evaluations of the bracket
 INVERSE_SOLVES = 100
 SIMULATION_CAP = 1_000_000
-REFINE_SHARE = 0.1  # share of eps that the equilibrium's error may take in |f|, unrefined
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,11 +145,7 @@ def equilibrium(g: Graph, k: StubbornnessVector, s: np.ndarray) -> np.ndarray:
     A factor's solution is returned as it is; a PCG solve that cannot prove a
     relative energy-norm error of ``EQUILIBRIUM_DELTA`` raises ``NumericalError``.
     """
-    return _equilibrium(g, k, k.k * _opinions(g, k, s))
-
-
-def _equilibrium(g: Graph, k: StubbornnessVector, b: np.ndarray) -> np.ndarray:
-    """(L+K)^{-1} b under ``equilibrium``'s rule, for any right-hand side b."""
+    b = k.k * _opinions(g, k, s)
     res = _solve(g, k, b, energy_norm_certificate(b, EQUILIBRIUM_DELTA))
     if res.stop_reason and not res.certified:
         raise NumericalError(
@@ -158,28 +153,6 @@ def _equilibrium(g: Graph, k: StubbornnessVector, b: np.ndarray) -> np.ndarray:
             f"{res.iterations} iterations with proved relative error {res.bound:.3e}"
         )
     return res.y
-
-
-def _simulation_equilibrium(g: Graph, k: StubbornnessVector, s: np.ndarray,
-                            eps: float) -> np.ndarray:
-    """z* for ``simulate_until``: ``equilibrium``, refined where it is too coarse for eps.
-
-    |f(t)| is read against the computed z*, so z*'s own error enters it: a
-    relative error of ``EQUILIBRIUM_DELTA`` can exceed eps, and then |f(t)|
-    stalls above eps however far the dynamics converge.  With r = Ks - (L+K)y,
-    ||z* - y||_{K+D}^2 <= max((k+d)/k) ||z* - y||_{L+K}^2 <= max((k+d)/k) r.K^{-1}r,
-    as K+D <= max((k+d)/k) K <= max((k+d)/k) (L+K).  Where that bound exceeds
-    ``REFINE_SHARE`` * eps, one step of iterative refinement y + (L+K)^{-1} r
-    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 12) takes the
-    error down to the rounding of r.
-    """
-    b = k.k * s
-    y = _equilibrium(g, k, b)
-    r = b - operator_matrix(g, k) @ y
-    bound_sq = float(((k.k + g.degrees) / k.k).max()) * float(r @ (r / k.k))
-    if math.sqrt(bound_sq) > REFINE_SHARE * eps:
-        y += _equilibrium(g, k, r)
-    return y
 
 
 def fundamental_matrix(g: Graph, k: StubbornnessVector) -> np.ndarray:
@@ -329,9 +302,7 @@ def simulate_until(
     """Iterate the update until |f(t)| <= eps, recording the error trace.
 
     f is the scaled error f_i(t) = e_i(t) sqrt(k_i + d_i) whose norm decays
-    geometrically with ratio rho(QA).  z* is ``equilibrium``'s, refined once
-    where its error could take more than ``REFINE_SHARE`` of eps in |f|
-    (``_simulation_equilibrium``).  Before the first step the
+    geometrically with ratio rho(QA).  Before the first step the
     convergence-time bound is computed, which the trace keeps as ``bound``;
     it takes rho from the upper end of the ``spectral_radius`` bracket, which
     is proved whether or not the bracket converged.  The bracket is given
@@ -350,7 +321,7 @@ def simulate_until(
         raise GraphInputError("eps must be > 0")
     s = _opinions(g, k, s)
     z0 = _opinions(g, k, z0, "innate and expressed vectors must be 1-d and equal length")
-    z_star = _simulation_equilibrium(g, k, s, eps)
+    z_star = equilibrium(g, k, s)
     qa, b = _update_matrix(g, k)
     qks, weight = k.k * s / b, np.sqrt(b)  # as ``step`` forms QKs
 
