@@ -121,7 +121,7 @@ def _solve(g: Graph, k: StubbornnessVector, b: np.ndarray, certify: Certificate)
     if res is not None and (res.certified or g.n > DENSE_CAP):
         return res
     y = _splu_symmetric(t).solve(b)
-    bound, _, r_norm = check(t, b, k, y, certify)
+    bound, _, r_norm = check(t, b, k, y, certify, np.empty_like(b), np.empty_like(b))
     return SolverResult(y=y, iterations=res.iterations if res else 0, residual_norm=r_norm,
                         certified=bound <= certify.target, bound=bound, stop_reason="")
 

@@ -83,8 +83,8 @@ class Graph:
         One sort (``np.unique`` of the pair keys) orders the edges; the
         adjacency is filled from them as U + Uᵀ, with no COO stage, and is
         byte for byte the CSR that scipy's COO conversion gives, index dtype
-        included (``_index_dtype``).  The inputs are copied only where they
-        hold a loop, and each temporary is freed once used.
+        included.  The inputs are copied only where they hold a loop, and
+        each temporary is freed once used.
         """
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
@@ -130,10 +130,13 @@ class Graph:
         # is the adjacency: the transpose comes back with sorted rows, and
         # the sum of two canonical matrices with no entry in common adds
         # each entry to 0.0, so it is every entry once, in column order.
-        index = _index_dtype(n, 2 * m)
-        indptr = np.zeros(n + 1, dtype=index)
+        # scipy picks the index dtype from the shape and the entries, and
+        # widens the sum's to int64 where its 2m entries need it, as its COO
+        # conversion does.
+        indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(edge_u, minlength=n), out=indptr[1:])
-        upper = sp.csr_matrix((edge_w, edge_v.astype(index), indptr), shape=(n, n))
+        upper = sp.csr_matrix((edge_w, edge_v, indptr), shape=(n, n))
+        del indptr
         adj = upper + upper.T.tocsr()
         del upper
 
@@ -165,12 +168,6 @@ class Graph:
             h.update(self.edge_w.tobytes())
             object.__setattr__(self, "_fingerprint", h.hexdigest()[:16])
         return self._fingerprint
-
-
-def _index_dtype(n, nnz):
-    """The index dtype of an n x n CSR matrix of nnz entries, as scipy picks
-    it when it converts COO to CSR: int32 while n and nnz fit, else int64."""
-    return np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
 
 
 def _id_array(ids):

@@ -106,19 +106,19 @@ def _rho(r: np.ndarray, k: StubbornnessVector, scratch: np.ndarray) -> float:
     return math.sqrt(max(float(r @ scratch), 0.0))
 
 
-def check(matrix: sp.spmatrix, b: np.ndarray, k: StubbornnessVector, y: np.ndarray,
-          certify: Certificate, out: np.ndarray | None = None,
-          scratch: np.ndarray | None = None) -> tuple[float, float, float]:
+def check(matrix: sp.csr_matrix, b: np.ndarray, k: StubbornnessVector, y: np.ndarray,
+          certify: Certificate, out: np.ndarray,
+          scratch: np.ndarray) -> tuple[float, float, float]:
     """``certify``'s bound of y, and rho and the 2-norm of its true residual b - matrix y.
 
     It judges every PCG solve and every factor solve of ``dynamics._solve``.
-    The residual is formed in ``out`` and rho in ``scratch`` where they are
-    given, two free n-vectors that are not y; ``out`` needs a float64 CSR
-    matrix, for ``graph._matvec_into``, bit-identical to ``matrix @ y``.
+    The residual is formed in ``out`` and rho in ``scratch``, two free
+    float64 n-vectors that are not y; ``matrix`` is a float64 CSR matrix, for
+    ``graph._matvec_into``, bit-identical to ``matrix @ y``.
     """
-    r = matrix @ y if out is None else _matvec_into(matrix, y, out)
+    r = _matvec_into(matrix, y, out)
     np.subtract(b, r, out=r)
-    rho = _rho(r, k, np.empty_like(r) if scratch is None else scratch)
+    rho = _rho(r, k, scratch)
     return certify.bound(y, r, rho), rho, float(np.linalg.norm(r))
 
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
-from scipy.sparse._sputils import get_index_dtype
 
 from conftest import dense_laplacian, make_instance
 from fjopinion import graph as graph_module
@@ -19,7 +18,6 @@ from fjopinion.graph import (
     Graph,
     StubbornnessVector,
     _VALUE_ROWS,
-    _index_dtype,
     _matvec_into,
     _numeric_edge_list,
     _numeric_node_values,
@@ -218,17 +216,6 @@ class TestFromArrays:
             h, ref = Graph.from_arrays(u, v, g.edge_w, g.n), coo_graph(u, v, g.edge_w, g.n)
             assert_same_graph(h, ref)
             assert_same_csr(h.adjacency, ref.adjacency)
-
-    def test_index_dtype_rule_at_its_boundary(self):
-        # scipy's COO to CSR conversion, as in coo_graph, picks int32 while n
-        # and the number of entries fit; the adjacency holds 2m entries.
-        top = int(np.iinfo(np.int32).max)
-        for n, nnz, dtype in [(top, top, np.int32), (top + 1, 0, np.int64),
-                              (1, top + 1, np.int64), (2, 2, np.int32)]:
-            assert _index_dtype(n, nnz) is dtype
-            assert get_index_dtype(maxval=max(nnz, n)) is dtype
-        g = random_regular_graph(1000, 4, 1)
-        assert g.adjacency.indices.dtype == g.adjacency.indptr.dtype == _index_dtype(g.n, 2 * g.m)
 
     def test_peak_is_near_the_size_of_the_graph(self):
         # The COO construction of coo_graph peaks at 2.8 times these bytes.

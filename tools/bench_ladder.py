@@ -98,6 +98,10 @@ def simulate(g, k, s, repeats):
         total_s.append(time.perf_counter() - t0)
         steps.add(state.t)
         brackets.add((trace.spectral.iterations, trace.spectral.upper - trace.spectral.lower))
+    if not len(equilibrium_s) == len(bracket_s) == repeats:
+        raise SystemExit("simulate_until no longer calls dynamics.equilibrium and "
+                         f"dynamics.spectral_radius once per run: {len(equilibrium_s)}, "
+                         f"{len(bracket_s)} calls in {repeats} runs")
     steps_s = statistics.median(t - e - b for t, e, b in zip(total_s, equilibrium_s, bracket_s))
     print(json.dumps({
         "n": g.n, "m": g.m, "simulate_until": True, "eps": SIMULATE_EPS, "repeats": repeats,
