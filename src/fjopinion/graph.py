@@ -10,6 +10,13 @@ the edge arrays, which are the upper triangle U of the adjacency in CSR
 order, and the adjacency is U + Uᵀ, two compiled scipy kernels.  So a build
 peaks at little above the size of the graph it returns.
 
+``load_edge_list`` and ``load_node_values`` hand a file of numbers only to
+numpy's C reader and read any other with one loop over its lines, which
+raises at the first bad line.  Holding no table of every token, the loop
+peaks at four fifths of such a table's memory on an edge list of string ids
+at 1e6 nodes, in the same time, and at half on a value file, in a fifth
+more time (``BENCH_23.json``).
+
 It also holds ``_matvec_into``, the sparse product of the step loops (the
 update and power steps in ``dynamics``, the PCG steps in ``solver``).  They
 run hundreds of products on vectors of a few thousand entries, where
@@ -24,10 +31,10 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import re
 import warnings
 from dataclasses import dataclass, field
-from itertools import islice, repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -270,12 +277,16 @@ def _first_seen_ints(values):
     by_value = np.argsort(values)
     ordered = values[by_value]
     new = np.concatenate((ordered[:1] == ordered[:1], ordered[1:] != ordered[:-1]))  # run starts
+    del ordered
     first = np.minimum.reduceat(by_value, np.flatnonzero(new))  # of each distinct value
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
+    run = np.cumsum(new)  # each sorted value's run, from 1
+    del new
+    run -= 1
     node = np.empty_like(by_value)
-    node[by_value] = rank[np.cumsum(new) - 1]
+    node[by_value] = rank[run]
     return node, first[order]
 
 
@@ -367,83 +378,11 @@ def _numeric_node_values(rows, g, lo, hi):
     return None if np.any(np.isnan(out)) else out
 
 
-def _read_table(text):
-    """Whitespace-separated tokens of a file's text, located by line.
-
-    Returns the tokens as an object array and, for each line that is neither
-    blank nor a comment (first token starting with ``#`` or ``%``), its
-    1-based number, the index of its first token and its token count.
-    """
-    # Each line end becomes a token of its own: a character the text does not
-    # hold.  One-char Latin-1 strings are shared objects in CPython, so these
-    # tokens cost no memory; a lone surrogate cannot occur in decoded text.
-    # NUL is skipped because numpy drops it from string scalars.
-    mark = next((c for c in map(chr, range(1, 256)) if not c.isspace() and c not in text), "\ud800")
-    text = text.replace("\n", f" {mark} ")
-    tokens = np.array(text.split(), dtype=object)
-    del text
-    stops = np.append(np.flatnonzero(tokens == mark), tokens.size)
-    starts = np.concatenate(([0], stops[:-1] + 1))
-    lines = np.flatnonzero(stops > starts)
-    heads = tokens[starts[lines]]
-    lines = lines[~np.fromiter(map(str.startswith, heads, repeat(("#", "%"))), bool, heads.size)]
-    return tokens, lines + 1, starts[lines], (stops - starts)[lines]
-
-
-class _FirstBadLine:
-    """The first line of a file that fails a check, over checks made in the
-    order the file format applies them within a line.
-
-    A check counts only for lines before the earliest failure found so far,
-    so the line reported is the first bad one, with the message of the first
-    check it fails: the error a line-by-line reader would raise.  Lines from
-    ``end`` on may be left out of later checks.
-    """
-
-    def __init__(self, path, linenos):
-        self.path = path
-        self.linenos = linenos
-        self.end = len(linenos)
-        self.message = None
-
-    def check(self, bad, message):
-        """``bad``: the ascending indices of the lines that fail the check;
-        ``message(i)``: its error text for line i."""
-        if bad.size and bad[0] < self.end:
-            self.end = int(bad[0])
-            self.message = message(self.end)
-
-    def raise_first(self):
-        if self.message is not None:
-            raise GraphInputError(f"{self.path}:{self.linenos[self.end]}: {self.message}")
-
-
 def _parse_id(tok):
     try:
         return int(tok)
     except ValueError:
         return tok
-
-
-def _floats(tokens):
-    """float() of each token, and the indices of the tokens it rejects."""
-    try:
-        return np.fromiter(map(float, tokens), np.float64, len(tokens)), np.empty(0, np.intp)
-    except ValueError:
-        pass
-    values = np.full(len(tokens), np.nan)
-    rejected = []
-    for i, tok in enumerate(tokens):
-        try:
-            values[i] = float(tok)
-        except ValueError:
-            rejected.append(i)
-    return values, np.array(rejected, dtype=np.intp)
-
-
-def _line_text(path, lineno):
-    with open(path) as fh:
-        return next(islice(fh, lineno - 1, None)).strip()
 
 
 def load_edge_list(path) -> Graph:
@@ -452,51 +391,59 @@ def load_edge_list(path) -> Graph:
     Weight defaults to 1.0.  Lines starting with ``#`` or ``%`` are ignored
     (SNAP and Koblenz headers).  Node ids are kept as strings unless they
     parse as integers.  A file of integer ids and float weights under such a
-    header is parsed in C; any other file, and any error, is read line by
-    line, to the same graph.
+    header is parsed in C; any other file is read by a loop over its lines,
+    to the same graph.  The loop raises at the first bad line, with the
+    message of the first check that line fails: the column count, the
+    weight, then its range.
     """
     text = _read_text(path)
     rows = _numeric_edge_list(text)
     if rows is not None:
         del text  # freed before the ids are numbered and the graph is built
         return _edge_rows_graph(rows)
-    tokens, linenos, starts, ncols = _read_table(text)
-    errors = _FirstBadLine(path, linenos)
-    errors.check(
-        np.flatnonzero((ncols < 2) | (ncols > 3)),
-        lambda i: f"expected 'u v [w]', got {_line_text(path, linenos[i])!r}",
-    )
-    weighted = np.flatnonzero(ncols == 3)
-    parsed, rejected = _floats(tokens[starts[weighted] + 2])
-    w = np.ones(starts.size)
-    w[weighted] = parsed
-    errors.check(weighted[rejected], lambda i: f"bad weight {tokens[starts[i] + 2]!r}")
-    errors.check(
-        np.flatnonzero(~(np.isfinite(w) & (w > 0.0))),
-        lambda i: "weight must be finite and > 0",
-    )
-    errors.raise_first()
-    if not starts.size:
+    lines = text.split("\n")  # only "\n": other whitespace stays within a line
+    del text
+    ends, weights = [], []  # endpoint tokens in file order: u0 v0 u1 v1 ...
+    for lineno, line in enumerate(lines, 1):
+        cols = line.split()
+        if not cols or cols[0][0] in "#%":
+            continue
+        if not 2 <= len(cols) <= 3:
+            raise GraphInputError(f"{path}:{lineno}: expected 'u v [w]', got {line.strip()!r}")
+        w = 1.0
+        if len(cols) == 3:
+            try:
+                w = float(cols[2])
+            except ValueError:
+                raise GraphInputError(f"{path}:{lineno}: bad weight {cols[2]!r}") from None
+            if not 0.0 < w < math.inf:
+                raise GraphInputError(f"{path}:{lineno}: weight must be finite and > 0")
+        ends.append(cols[0])
+        ends.append(cols[1])
+        weights.append(w)
+    del lines
+    if not weights:
         raise GraphInputError(f"{path}: no edges found")
 
-    # Endpoint tokens in file order (u0 v0 u1 v1 ...) to distinct tokens, then
-    # distinct tokens to node ids: tokens of one integer ("1", "01") share a node.
-    ends = tokens[np.stack((starts, starts + 1), axis=1).ravel()]
-    del tokens  # the weight tokens; freed before the graph's arrays are built
+    # Endpoint tokens to distinct tokens, then distinct tokens to node ids:
+    # tokens of one integer ("1", "01") share a node.
     slot, firsts = _first_seen(ends)
-    labels = list(map(_parse_id, ends[firsts]))
+    labels = [_parse_id(ends[i]) for i in firsts.tolist()]
     del ends
     node_of_slot, firsts = _first_seen(labels)
     node = node_of_slot[slot]
-    return Graph.from_arrays(node[0::2], node[1::2], w, firsts.size, [labels[i] for i in firsts])
+    return Graph.from_arrays(node[0::2], node[1::2], weights, firsts.size, [labels[i] for i in firsts])
 
 
 def load_node_values(path, g: Graph, name="value", lo=None, hi=None, rows=None) -> np.ndarray:
     """Parse a ``node value`` per-line file into a vector indexed like g.
 
     As for load_edge_list, an all-numeric file for a graph of integer ids is
-    parsed in C, and the line reader reads every other file.  ``rows`` are
-    the file's rows as ValueRowsAhead parsed them, if it did.
+    parsed in C, and a loop over the lines reads every other file.  The loop
+    raises at the first bad line, with the message of the first check that
+    line fails: the column count, the node, the value, non-finite, then the
+    range.  ``rows`` are the file's rows as ValueRowsAhead parsed them, if
+    it did.
     """
     text = None
     if rows is None:
@@ -505,26 +452,29 @@ def load_node_values(path, g: Graph, name="value", lo=None, hi=None, rows=None) 
     out = _numeric_node_values(rows, g, lo, hi)
     if out is not None:
         return out
-    tokens, linenos, starts, ncols = _read_table(_read_text(path) if text is None else text)
-    errors = _FirstBadLine(path, linenos)
-    errors.check(np.flatnonzero(ncols != 2), lambda i: f"expected 'node {name}'")
-    starts = starts[: errors.end]
-    nodes = list(map(_parse_id, tokens[starts]))
+    lines = (_read_text(path) if text is None else text).split("\n")
+    del text
     index = dict(zip(g.ids.tolist(), range(g.n)))
-    pos = np.fromiter(map(index.get, nodes, repeat(-1)), np.intp, len(nodes))
-    errors.check(np.flatnonzero(pos < 0), lambda i: f"unknown node {nodes[i]!r}")
-    values, rejected = _floats(tokens[starts[: errors.end] + 1])
-    errors.check(rejected, lambda i: f"bad {name} {tokens[starts[i] + 1]!r}")
-    errors.check(np.flatnonzero(~np.isfinite(values)), lambda i: f"non-finite {name}")
-    if lo is not None:
-        errors.check(
-            np.flatnonzero(~((lo <= values) & (values <= hi))),
-            lambda i: f"{name} {float(values[i])} outside [{lo}, {hi}]",
-        )
-    errors.raise_first()
-
     out = np.full(g.n, np.nan)
-    out[pos] = values  # a node given twice keeps its last value
+    for lineno, line in enumerate(lines, 1):
+        cols = line.split()
+        if not cols or cols[0][0] in "#%":
+            continue
+        if len(cols) != 2:
+            raise GraphInputError(f"{path}:{lineno}: expected 'node {name}'")
+        node = _parse_id(cols[0])
+        i = index.get(node)
+        if i is None:
+            raise GraphInputError(f"{path}:{lineno}: unknown node {node!r}")
+        try:
+            value = float(cols[1])
+        except ValueError:
+            raise GraphInputError(f"{path}:{lineno}: bad {name} {cols[1]!r}") from None
+        if not math.isfinite(value):
+            raise GraphInputError(f"{path}:{lineno}: non-finite {name}")
+        if lo is not None and not lo <= value <= hi:
+            raise GraphInputError(f"{path}:{lineno}: {name} {value} outside [{lo}, {hi}]")
+        out[i] = value  # a node given twice keeps its last value
     if np.any(np.isnan(out)):
         missing = g.ids[np.flatnonzero(np.isnan(out))[:5]].tolist()
         raise GraphInputError(f"{path}: missing {name} for nodes {missing}")

@@ -33,6 +33,14 @@ for the value rows and of each ``load_node_values`` call, the dtype of
 ``g.ids`` (its type where it is no array), ru_maxrss after loading, and the
 tracemalloc peak of a second ``load_edge_list`` call, made once the loaded
 graph and vectors are freed.
+
+The same files are also written with each id i spelled ``v<i>``, which the
+C reader refuses, so both loaders read them by their loop over the lines.  A
+second child, forked as the first was, loads that copy after the first one
+exits: ``load_edge_list``, then ``load_node_values`` of each value file, with
+no ``ValueRowsAhead``.  It checks the vectors against the instance and prints
+one more JSON line: the seconds of each call, ru_maxrss after loading, and
+the tracemalloc peak of a second call of each, made with only its graph kept.
 """
 
 import argparse
@@ -116,14 +124,41 @@ def simulate(g, k, s, repeats):
     }), flush=True)
 
 
+FILES = ("g.txt", "k.txt", "s.txt")
+STRING_FILES = ("g-v.txt", "k-v.txt", "s-v.txt")  # the same, with ids "v<id>"
+
+
 def write_files(folder, g, k, s):
     ids = file_ids(g.n)
-    paths = [os.path.join(folder, name) for name in ("g.txt", "k.txt", "s.txt")]
-    np.savetxt(paths[0], np.stack((ids[g.edge_u], ids[g.edge_v]), axis=1), fmt="%d")
-    for path, values in zip(paths[1:], (k.k, s)):
-        with open(path, "w") as fh:
-            fh.writelines(f"{i} {x!r}\n" for i, x in zip(ids.tolist(), values.tolist()))
-    return paths
+    for names, labels in ((FILES, ids.tolist()), (STRING_FILES, [f"v{i}" for i in ids.tolist()])):
+        g_path, k_path, s_path = (os.path.join(folder, name) for name in names)
+        with open(g_path, "w") as fh:
+            ends = zip(g.edge_u.tolist(), g.edge_v.tolist())
+            fh.writelines(f"{labels[u]} {labels[v]}\n" for u, v in ends)
+        for path, values in ((k_path, k.k), (s_path, s)):
+            with open(path, "w") as fh:
+                fh.writelines(f"{i} {x!r}\n" for i, x in zip(labels, values.tolist()))
+
+
+def check_values(n, g, k, s, file_id):
+    """Exit unless k and s are the instance's values of each loaded node;
+    ``file_id`` maps a label of ``g.ids`` to its id in the files."""
+    _, k_ref, s_ref = instance(n)
+    ids = file_ids(n)
+    by_id = np.argsort(ids)
+    loaded = np.fromiter(map(file_id, g.ids.tolist()), np.int64, g.n)
+    node = by_id[np.searchsorted(ids[by_id], loaded)]  # the instance's node of each loaded node
+    if not (np.array_equal(k, k_ref.k[node]) and np.array_equal(s, s_ref[node])):
+        raise SystemExit("loaded values differ from the instance")
+
+
+def traced(fn, *args, **kwargs):
+    """fn's result and the tracemalloc peak of the call, in MiB."""
+    tracemalloc.start()
+    result = fn(*args, **kwargs)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return result, round(peak / 2**20, 1)
 
 
 def load_files(folder, n):
@@ -136,7 +171,7 @@ def load_files(folder, n):
     graph._first_seen_ints = timed(graph._first_seen_ints, remap_s)
     graph.Graph.from_arrays = timed(graph.Graph.from_arrays, build_s)
 
-    g_path, k_path, s_path = (os.path.join(folder, name) for name in ("g.txt", "k.txt", "s.txt"))
+    g_path, k_path, s_path = (os.path.join(folder, name) for name in FILES)
     t0 = time.perf_counter()
     with graph.ValueRowsAhead([k_path, s_path]) as ahead:
         g = graph.load_edge_list(g_path)
@@ -150,12 +185,7 @@ def load_files(folder, n):
     t4 = time.perf_counter()
     rss = maxrss_mb()
 
-    _, k_ref, s_ref = instance(n)
-    ids = file_ids(n)
-    by_id = np.argsort(ids)
-    node = by_id[np.searchsorted(ids[by_id], g.ids)]  # the instance's node of each loaded node
-    if not (np.array_equal(k, k_ref.k[node]) and np.array_equal(s, s_ref[node])):
-        raise SystemExit("loaded values differ from the instance")
+    check_values(n, g, k, s, int)
     if [len(seconds) for seconds in stages] != [1, 1, 1]:
         raise SystemExit(f"the edge list did not take the C path: {stages}")
     line = {
@@ -171,26 +201,56 @@ def load_files(folder, n):
         "maxrss_after_load_mb": rss,
     }
     del g, k, s
-    tracemalloc.start()
-    graph.load_edge_list(g_path)
-    line["load_edge_list_peak_mb"] = round(tracemalloc.get_traced_memory()[1] / 2**20, 1)
-    tracemalloc.stop()
+    _, line["load_edge_list_peak_mb"] = traced(graph.load_edge_list, g_path)
     print(json.dumps(line), flush=True)
 
 
-def fork_loader(n):
-    """A child that waits for the folder's name on a pipe, then loads its
-    files; returns its pid and the pipe's write end."""
+def load_string_files(folder, n):
+    """The second forked child's run: load the string-id copy, print the line."""
+    from fjopinion import graph
+
+    g_path, k_path, s_path = (os.path.join(folder, name) for name in STRING_FILES)
+    t0 = time.perf_counter()
+    g = graph.load_edge_list(g_path)
+    t1 = time.perf_counter()
+    k = graph.load_node_values(k_path, g, name="stubbornness")
+    t2 = time.perf_counter()
+    s = graph.load_node_values(s_path, g, name="opinion", lo=-1.0, hi=1.0)
+    t3 = time.perf_counter()
+    rss = maxrss_mb()
+    check_values(n, g, k, s, lambda label: int(label[1:]))
+    line = {
+        "n": g.n, "m": g.m, "string_files": True,
+        "ids": str(g.ids.dtype),
+        "load_edge_list_s": round(t1 - t0, 4),
+        "load_node_values_s": [round(t2 - t1, 4), round(t3 - t2, 4)],
+        "maxrss_after_load_mb": rss,
+    }
+    del g, k, s
+    g, line["load_edge_list_peak_mb"] = traced(graph.load_edge_list, g_path)
+    line["load_node_values_peak_mb"] = [
+        traced(graph.load_node_values, k_path, g, name="stubbornness")[1],
+        traced(graph.load_node_values, s_path, g, name="opinion", lo=-1.0, hi=1.0)[1],
+    ]
+    print(json.dumps(line), flush=True)
+
+
+def fork_loader(load, n, others):
+    """A child that waits for the folder's name on a pipe, then runs
+    ``load(folder, n)``; returns its pid and the pipe's write end.
+    ``others``: the write ends of children forked before, which this one
+    closes, or their reads would not see the end of the pipe."""
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:
-        os.close(write_end)
+        for fd in (write_end, *others):
+            os.close(fd)
         code = 1
         try:
             with os.fdopen(read_end) as pipe:
                 folder = pipe.read()
             if folder:  # empty: the parent stopped before writing the files
-                load_files(folder, n)
+                load(folder, n)
             code = 0
         except BaseException:
             traceback.print_exc()
@@ -212,7 +272,9 @@ def main():
 
     # Forked while this process is small: a child's ru_maxrss starts from
     # the parent's RSS at the fork.
-    loader, folder_pipe = fork_loader(args.n)
+    loaders = []
+    for load in (load_files, load_string_files):
+        loaders.append(fork_loader(load, args.n, [pipe for _, pipe in loaders]))
     t0 = time.perf_counter()
     g, k, s = instance(args.n)
     setup_s = time.perf_counter() - t0
@@ -262,12 +324,13 @@ def main():
 
     with tempfile.TemporaryDirectory() as folder:
         write_files(folder, g, k, s)
-        del g, k, s  # the child's load runs with this process's instance freed
-        with os.fdopen(folder_pipe, "w") as pipe:
-            pipe.write(folder)
-        _, status = os.waitpid(loader, 0)
-    if status:
-        raise SystemExit(f"the loading child failed with status {status}")
+        del g, k, s  # the children's loads run with this process's instance freed
+        for loader, folder_pipe in loaders:  # one after the other
+            with os.fdopen(folder_pipe, "w") as pipe:
+                pipe.write(folder)
+            _, status = os.waitpid(loader, 0)
+            if status:
+                raise SystemExit(f"a loading child failed with status {status}")
 
 
 if __name__ == "__main__":
