@@ -254,7 +254,7 @@ def spectral_radius(
         refine(x)
         iterations += CHECK_EVERY
     if not settled() and (forest or g.n <= DENSE_CAP):
-        m = (sp.diags(b) - g.adjacency).tocsc()  # M, its diagonal set to upper * b below
+        m = operator_matrix(g, k).tocsc()  # L + K, M once its diagonal is upper * b
         on_diagonal = m.indices == np.repeat(np.arange(g.n), np.diff(m.indptr))
         lu, solves = None, 0
         while not settled() and solves < INVERSE_SOLVES:

@@ -249,8 +249,9 @@ def _pipeline(g, k, s, mode, eps):
     of an approximate q's error, so a bound on sqrt(k.q^2) covers P too.
     q comes from ``dynamics._solve`` under that certificate, judged on its
     true residual; every solve ends on a check of the q it returns, so the
-    report takes C, D and k.q^2 from that check.  ``mode`` only labels the
-    report.  Returns the report and z = q + c.
+    report takes C, D and k.q^2 from that check (all 0 where s0 = 0, with
+    no solve).  ``mode`` only labels the report.  Returns the report and
+    z = q + c.
     """
     if not (0.0 < eps < 0.5):
         raise GraphInputError(f"eps must be in (0, 1/2), got {eps}")
@@ -263,18 +264,19 @@ def _pipeline(g, k, s, mode, eps):
         s0 = np.zeros(g.n)
 
     t0 = time.perf_counter()
-    q, norms, provenance = np.zeros(g.n), None, {"delta_used": 0.0}
+    q, norms, provenance = np.zeros(g.n), (0.0, 0.0, 0.0), {"delta_used": 0.0}
     if s0.any():
         b = k.k * s0
+        delta = delta_budget(g, k, s0, eps).delta  # raises first where ||s0|| underflows to 0
         certificate = _metrics_certificate(g, k, s0, b, shift, eps)
         res = _solve(g, k, b, certificate)
         q, norms = res.y, certificate.norms_of(res.y)
-        provenance = dict(delta_used=delta_budget(g, k, s0, eps).delta, certified=res.certified,
+        provenance = dict(delta_used=delta, certified=res.certified,
                           solver_iterations=res.iterations, error_bound=res.bound,
                           stop_reason=res.stop_reason)
     t1 = time.perf_counter()
 
-    conflict, disagreement, p0 = norms or _norms(g, k, s0, q)
+    conflict, disagreement, p0 = norms
     polarization = p0 + shift
     z = q + c
     residual, _ = conservation_residual_of(conflict, disagreement, polarization, k, s)

@@ -131,7 +131,8 @@ def solve(
     the CSR every caller passes), and each step writes its product
     (L + K) p into one buffer with ``graph._matvec_into``: scipy's compiled
     CSR kernel with no ``@`` dispatch, bit-identical to ``matrix @ p``.  It
-    needs float64 entries, as L + K has.
+    needs float64 entries, as L + K has.  A zero b is judged by its check like
+    any other: its first step stops at p.(L+K)p = 0, and its check judges y = 0.
     """
     target = certify.target
     if not (0.0 < target < 1.0):
@@ -143,12 +144,6 @@ def solve(
         raise GraphInputError("right-hand side length does not match operator")
     if len(k) != n:
         raise GraphInputError("stubbornness length does not match operator")
-
-    if not b.any():
-        return SolverResult(
-            y=np.zeros(n), iterations=0, residual_norm=0.0, certified=True, bound=0.0,
-            stop_reason="certified",
-        )
 
     inv_diag = 1.0 / matrix.diagonal()
 

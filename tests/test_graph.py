@@ -681,6 +681,36 @@ def write_graph(tmp_path, text):
     return load_edge_list(path)
 
 
+class TestParseId:
+    @settings(max_examples=500, deadline=None)
+    @given(tok=st.text(alphabet="+-_0123456789٣３²vxé", min_size=1, max_size=6))
+    def test_int_where_int_takes_the_token(self, tok):
+        try:
+            expected = int(tok)
+        except ValueError:
+            expected = tok
+        got = graph_module._parse_id(tok)
+        assert type(got) is type(expected) and got == expected
+
+    def test_string_ids_make_no_int_call(self, tmp_path, monkeypatch):
+        n = 1000
+        ids = [f"v{i}" for i in np.random.default_rng(3).permutation(n)]
+        (tmp_path / "g.txt").write_text("".join(f"{a} {b}\n" for a, b in zip(ids, ids[1:])))
+        (tmp_path / "s.txt").write_text("".join(f"{i} 0.5\n" for i in ids))
+        tokens = []  # the str tokens given to int(), which this shadows in the graph module
+
+        def counting_int(x, *args):
+            if isinstance(x, str):
+                tokens.append(x)
+            return int(x, *args)
+
+        monkeypatch.setattr(graph_module, "int", counting_int, raising=False)
+        g = load_edge_list(tmp_path / "g.txt")
+        out = load_node_values(tmp_path / "s.txt", g, lo=-1.0, hi=1.0)
+        assert g.ids.tolist() == ids and out.tolist() == [0.5] * n
+        assert tokens == []
+
+
 class TestIdArray:
     """``Graph.ids`` is a read-only array, int64 where every label is an
     integer within 64 bits and object otherwise."""

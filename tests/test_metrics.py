@@ -483,6 +483,14 @@ class TestModesAgree:
         assert r.polarization == pytest.approx(0.4**2 * 3.0, rel=1e-6)
         assert r.pd_index == pytest.approx(0.48, rel=1e-6)
 
+    def test_subnormal_opinions_are_an_input_error(self, mode):
+        # s0 is nonzero, but k s0 and ||s0|| underflow to 0: the budget rejects
+        # s0 before the certificate would divide by its zero sum k_i s_i^2.
+        g = build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
+        k = StubbornnessVector.from_values([0.01, 0.01, 0.01])
+        with pytest.raises(GraphInputError, match="opinion vector is zero"):
+            run_mode(mode, g, k, np.array([0.0, 0.0, 1e-322]))
+
 
 class TestConservation:
     def test_symmetric_fixture_residual_zero(self, path2, k11):

@@ -38,6 +38,26 @@ def test_zero_rhs_short_circuits(path2, k21):
     assert np.all(res.y == 0.0)
 
 
+def test_zero_rhs_is_judged_by_one_check(monkeypatch):
+    # b = 0 takes no exit of its own: the first step finds p.(L+K)p = 0, and
+    # the closing check proves bound 0.0 on y = 0.
+    g = random_regular_graph(200, 4, 1)
+    k = generate_stubbornness(g.n, 0.01, 1.0, 2)
+    b = np.zeros(g.n)
+    calls, real_check = [], solver.check
+
+    def counting_check(*args):
+        calls.append(args)
+        return real_check(*args)
+
+    monkeypatch.setattr(solver, "check", counting_check)
+    res = solve(operator_matrix(g, k), b, k, energy_norm_certificate(b, 1e-8))
+    assert len(calls) == 1
+    assert res.y.tobytes() == np.zeros(g.n).tobytes()
+    assert (res.iterations, res.residual_norm, res.certified, res.bound, res.stop_reason) == (
+        0, 0.0, True, 0.0, "certified")
+
+
 def test_rejects_bad_delta(path2, k21):
     with pytest.raises(GraphInputError):
         solve_to(path2, k21, np.ones(2), 0.0)
