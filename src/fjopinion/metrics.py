@@ -221,7 +221,7 @@ def _metrics_certificate(g, k, s0, b, shift, eps):
             _relative_bound(disagreement, 0.0, rho_cd),
             _relative_bound(p0, shift, rho),
             _relative_bound(p0 + disagreement, shift, rho),
-            2.0 * abs(qr) / budget,
+            2.0 * abs(qr) / budget if qr else 0.0,  # q.r = 0: the law holds exactly
         )
 
     def bound(q, r, rho):

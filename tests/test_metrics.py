@@ -491,6 +491,16 @@ class TestModesAgree:
         with pytest.raises(GraphInputError, match="opinion vector is zero"):
             run_mode(mode, g, k, np.array([0.0, 0.0, 1e-322]))
 
+    def test_opinions_whose_k_s0_underflows_are_judged_by_the_check(self, mode):
+        # ||s0|| passes the budget, but b = k s0 and sum k_i s_i^2 underflow to 0:
+        # the solve stops at y = 0, whose check proves the law exactly, not 0/0.
+        g = build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
+        k = StubbornnessVector.from_values([1e-200, 1e-200, 1.0])
+        r = run_mode(mode, g, k, np.array([1e-150, -1e-150, 0.0]))
+        assert (r.conflict, r.disagreement, r.polarization, r.conservation_residual) == (0.0,) * 4
+        assert r.certified and r.error_bound == 0.0 and r.solver_iterations == 0
+        assert r.stop_reason == "certified"
+
 
 class TestConservation:
     def test_symmetric_fixture_residual_zero(self, path2, k11):
