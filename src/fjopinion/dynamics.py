@@ -91,10 +91,17 @@ def step(g: Graph, k: StubbornnessVector, state: OpinionState) -> OpinionState:
 
 
 def _splu_symmetric(m: sp.spmatrix):
-    """SuperLU factor of an SPD m, ordered on its own pattern, no pivoting."""
+    """SuperLU factor of an SPD m, ordered on its own pattern, no pivoting.
+
+    A pivot that is exactly zero in double precision (L + K with every k
+    below the rounding of deg + k) raises ``NumericalError``.
+    """
     import scipy.sparse.linalg as spla  # only factoring needs it: a lazy import
-    return spla.splu(m.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                     options=dict(SymmetricMode=True))
+    try:
+        return spla.splu(m.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options=dict(SymmetricMode=True))
+    except RuntimeError as exc:  # "Factor is exactly singular"
+        raise NumericalError(f"sparse factor failed: {exc}") from None
 
 
 def _forest(g: Graph) -> bool:
@@ -111,17 +118,18 @@ def _forest(g: Graph) -> bool:
 def _solve(g: Graph, k: StubbornnessVector, b: np.ndarray, certify: Certificate) -> SolverResult:
     """Solve (L + K) y = b under ``certify``: the one rule for when L + K is factored.
 
-    L + K is built once.  Forests are factored at once; other graphs get
-    certified PCG, and the factor only if PCG stops uncertified on at most
-    ``DENSE_CAP`` nodes.  A factor's solution is judged by ``certify``, with
-    stop_reason "" and PCG's iterations.  Nothing is kept after the call.
+    Forests are factored at once; other graphs get certified PCG, which
+    applies L + K from ``g.adjacency``, and the factor only if PCG stops
+    uncertified on at most ``DENSE_CAP`` nodes.  L + K is built only to be
+    factored.  A factor's solution is judged by ``certify`` with PCG's own
+    ``check``, with stop_reason "" and PCG's iterations.  Nothing is kept
+    after the call.
     """
-    t = operator_matrix(g, k)
-    res = None if _forest(g) else solve(t, b, k, certify)
+    res = None if _forest(g) else solve(g, k, b, certify)
     if res is not None and (res.certified or g.n > DENSE_CAP):
         return res
-    y = _splu_symmetric(t).solve(b)
-    bound, _, r_norm = check(t, b, k, y, certify, np.empty_like(b), np.empty_like(b))
+    y = _splu_symmetric(operator_matrix(g, k)).solve(b)
+    bound, _, r_norm = check(g, k, b, y, certify, np.empty_like(b), np.empty_like(b))
     return SolverResult(y=y, iterations=res.iterations if res else 0, residual_norm=r_norm,
                         certified=bound <= certify.target, bound=bound, stop_reason="")
 

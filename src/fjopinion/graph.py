@@ -23,8 +23,11 @@ run hundreds of products on vectors of a few thousand entries, where
 scipy's ``@`` dispatch costs as much as the product itself, so the helper
 calls scipy's compiled ``csr_matvec`` kernel on a caller's buffer.  That is
 the same call ``a @ x`` ends in, on a zeroed result, so the product is
-bit-identical to ``a @ x``.  It needs a float64 CSR matrix and float64
-vectors.  This module is the one place that imports the private kernel.
+bit-identical to ``a @ x``.  Given a diagonal, the buffer starts at
+diagonal * x instead: PCG applies L + K as -(L + K) p = -(deg + k) * p + A p
+on ``Graph.adjacency``, so no L + K is built for a solve.  It needs a float64
+CSR matrix and float64 vectors.  This module is the one place that imports
+the private kernel.
 """
 
 from __future__ import annotations
@@ -583,23 +586,34 @@ def laplacian_apply(g: Graph, x: np.ndarray) -> np.ndarray:
     return g.degrees * x - g.adjacency @ x
 
 
-def _matvec_into(a: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write a @ x into ``out`` and return it: no dispatch, no new array.
+def _matvec_into(a: sp.csr_matrix, x: np.ndarray, out: np.ndarray,
+                 diagonal: np.ndarray | None = None) -> np.ndarray:
+    """Write a @ x, or diagonal * x + a @ x, into ``out`` and return it: no
+    dispatch, no new array.
 
     scipy's ``a @ x`` ends in ``_matmul_vector``, which calls the compiled
     kernel ``csr_matvec`` on a new zeroed result, and the kernel adds each
     row's products onto that result; so ``out`` is zero-filled first, and
-    the result is bit-identical to ``a @ x``.  ``a`` must be a float64 CSR
-    matrix, and ``out`` a C-contiguous float64 vector that is not ``x``:
-    the kernel writes a non-contiguous ``out`` into a copy of it.
+    the result is bit-identical to ``a @ x``.  Given ``diagonal``, ``out``
+    starts at diagonal * x instead, and each row's sum starts from that
+    term.  ``a`` must be a float64 CSR matrix, and ``out`` a C-contiguous
+    float64 vector that is not ``x``: the kernel writes a non-contiguous
+    ``out`` into a copy of it.
     """
-    out.fill(0.0)
+    if diagonal is None:
+        out.fill(0.0)
+    else:
+        np.multiply(diagonal, x, out=out)
     csr_matvec(a.shape[0], a.shape[1], a.indptr, a.indices, a.data, x, out)
     return out
 
 
 def operator_matrix(g: Graph, k: StubbornnessVector) -> sp.csr_matrix:
-    """Sparse L + K."""
+    """Sparse L + K, with 2m + n entries.
+
+    Built for a factor and for dense checks; PCG applies L + K from
+    ``g.adjacency`` and the diagonal deg + k instead.
+    """
     if len(k) != g.n:
         raise GraphInputError("stubbornness length does not match graph")
     return sp.diags(g.degrees + k.k, format="csr") - g.adjacency

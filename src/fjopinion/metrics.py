@@ -116,7 +116,8 @@ def delta_budget(g: Graph, k: StubbornnessVector, s: np.ndarray, eps: float) -> 
     k_min, k_max = k.k_min, k.k_max
     cap = eigen_bounds(g, k).coarse_upper  # k_max + n w_max
 
-    delta1 = eps / (3.0 * math.sqrt(cap / (k_min * k_max)))
+    # sqrt(k_min k_max / cap) as two factors: k_min k_max underflows near the floor.
+    delta1 = eps * math.sqrt(k_min) * math.sqrt(k_max / cap) / 3.0
     if g.m == 0:
         return DeltaBudget(delta1=delta1, delta2=math.inf, delta3=math.inf)
     delta2 = eps * k_min * s_norm / (3.0 * n * cap) * math.sqrt(w_min / (n * cap))
@@ -264,7 +265,7 @@ def _pipeline(g, k, s, mode, eps):
         s0 = np.zeros(g.n)
 
     t0 = time.perf_counter()
-    q, norms, provenance = np.zeros(g.n), (0.0, 0.0, 0.0), {"delta_used": 0.0}
+    q, norms, provenance = s0, (0.0, 0.0, 0.0), {"delta_used": 0.0}  # q = s0 = 0 unless solved
     if s0.any():
         b = k.k * s0
         delta = delta_budget(g, k, s0, eps).delta  # raises first where ||s0|| underflows to 0

@@ -4,6 +4,13 @@ The matrix is symmetric positive definite with strictly positive diagonal
 excess k_i, so plain diagonal preconditioning keeps the condition number
 bounded by (k_max + 2 d_max) / k_min.
 
+The solver takes the graph, not a matrix, and builds none: it applies
+(L + K) p = (deg + k) * p - A p with one pass of scipy's CSR kernel over
+``Graph.adjacency``, onto a buffer that already holds -(deg + k) * p, and
+keeps the sign in that one diagonal vector.  So a solve holds six
+n-vectors (x, r, z, p, the product and -(deg + k)), and its rho is always
+that of the k it applies.
+
 The solve stops on an a-posteriori certificate, not on an a-priori residual
 tolerance.  For an iterate y with residual r = b - (L+K) y, let
 rho = ||K^{-1/2} r||.  Because L + K >= K in the semidefinite order, the
@@ -33,10 +40,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from fjopinion.errors import GraphInputError
-from fjopinion.graph import StubbornnessVector, _matvec_into
+from fjopinion.graph import Graph, StubbornnessVector, _matvec_into
 
 MAX_ITERATIONS = 50_000
 
@@ -85,7 +91,7 @@ class SolverResult:
     "stagnated" (a failed check found the true residual's rho no smaller
     than at the previous failed check, or the recurrence residual or search
     direction underflowed to zero), "maxiter", or "breakdown" (a direction
-    of negative curvature, or NaN: the matrix is not positive definite);
+    of negative curvature, or NaN: L + K is not positive definite);
     "" marks a sparse factor's solution from ``dynamics._solve``.
     ``bound`` is the certificate's proved bound for ``y``, judged on its
     true residual, also when it misses the target; ``residual_norm`` is the
@@ -106,57 +112,61 @@ def _rho(r: np.ndarray, k: StubbornnessVector, scratch: np.ndarray) -> float:
     return math.sqrt(max(float(r @ scratch), 0.0))
 
 
-def check(matrix: sp.csr_matrix, b: np.ndarray, k: StubbornnessVector, y: np.ndarray,
+def _negated_diagonal(g: Graph, k: StubbornnessVector,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """-(deg + k), the diagonal of -(L + K), in ``out`` or a new vector."""
+    out = np.add(g.degrees, k.k, out=out)
+    return np.negative(out, out=out)
+
+
+def check(g: Graph, k: StubbornnessVector, b: np.ndarray, y: np.ndarray,
           certify: Certificate, out: np.ndarray,
           scratch: np.ndarray) -> tuple[float, float, float]:
-    """``certify``'s bound of y, and rho and the 2-norm of its true residual b - matrix y.
+    """``certify``'s bound of y, and rho and the 2-norm of its true residual b - (L + K) y.
 
     It judges every PCG solve and every factor solve of ``dynamics._solve``.
     The residual is formed in ``out`` and rho in ``scratch``, two free
-    float64 n-vectors that are not y; ``matrix`` is a float64 CSR matrix, for
-    ``graph._matvec_into``, bit-identical to ``matrix @ y``.
+    float64 n-vectors that are not y: ``out`` gets -(L + K) y as PCG's steps
+    form it, each row's sum starting from -(deg + k)_i y_i, and then b.
     """
-    r = _matvec_into(matrix, y, out)
-    np.subtract(b, r, out=r)
+    r = _matvec_into(g.adjacency, y, out, _negated_diagonal(g, k, scratch))
+    r += b
     rho = _rho(r, k, scratch)
     return certify.bound(y, r, rho), rho, float(np.linalg.norm(r))
 
 
-def solve(
-    matrix: sp.spmatrix, b: np.ndarray, k: StubbornnessVector, certify: Certificate
-) -> SolverResult:
-    """Run PCG on ``matrix`` y = b, with matrix = L + K, until ``certify`` holds.
+def solve(g: Graph, k: StubbornnessVector, b: np.ndarray, certify: Certificate) -> SolverResult:
+    """Run PCG on (L + K) y = b until ``certify`` holds.
 
-    Deterministic for fixed inputs.  The matrix is taken as CSR (free for
-    the CSR every caller passes), and each step writes its product
-    (L + K) p into one buffer with ``graph._matvec_into``: scipy's compiled
-    CSR kernel with no ``@`` dispatch, bit-identical to ``matrix @ p``.  It
-    needs float64 entries, as L + K has.  A zero b is judged by its check like
-    any other: its first step stops at p.(L+K)p = 0, and its check judges y = 0.
+    Deterministic for fixed inputs.  Each step writes -(L + K) p into one
+    buffer with ``graph._matvec_into`` on ``g.adjacency`` and -(deg + k),
+    which is also the preconditioner.  A zero b is judged by its check like
+    any other: its first step stops at p.(L+K)p = 0, and its check judges
+    y = 0.
     """
     target = certify.target
     if not (0.0 < target < 1.0):
         raise GraphInputError(f"certificate target must be in (0, 1), got {target}")
     b = np.asarray(b, dtype=np.float64)
-    matrix = matrix.tocsr()
     n = b.size
-    if matrix.shape != (n, n):
+    if g.n != n:
         raise GraphInputError("right-hand side length does not match operator")
     if len(k) != n:
         raise GraphInputError("stubbornness length does not match operator")
 
-    inv_diag = 1.0 / matrix.diagonal()
+    a, neg_diag = g.adjacency, _negated_diagonal(g, k)
 
-    # z holds the preconditioned residual; between its uses it is scratch
-    # (rho is formed in it, then z is formed again), and tp holds (L+K) p,
-    # which the next step forms again; so a step allocates nothing, and a
-    # true-residual check forms its residual in tp and its rho in z.
+    # z holds the preconditioned residual with its sign flipped, r / -(deg + k);
+    # between its uses it is scratch (rho is formed in it, then z is formed
+    # again), and tp holds -(L+K) p, which the next step forms again; so a
+    # step allocates nothing, and a true-residual check forms its residual in
+    # tp and its rho in z.
     x = np.zeros(n)
     r = b.copy()
-    z = inv_diag * r
-    p = z.copy()
+    z = r / neg_diag
+    p = -z
     tp = np.empty(n)
-    rz = float(r @ z)
+    rz = -float(r @ z)
     rho = _rho(r, k, z)
     # ||x*||_{L+K} <= rho0 for x* = (L+K)^{-1} b, so no relative certificate
     # holds above target * rho0; the first true-residual check waits for it.
@@ -169,8 +179,8 @@ def solve(
     iters = 0
     y, reason = None, "maxiter"
     while iters < MAX_ITERATIONS:
-        _matvec_into(matrix, p, tp)
-        ptp = float(p @ tp)
+        _matvec_into(a, p, tp, neg_diag)
+        ptp = -float(p @ tp)
         if not ptp > 0.0:
             # p.(L+K)p = 0 only once p has underflowed; < 0 or NaN is no SPD matrix.
             reason = "stagnated" if ptp == 0.0 else "breakdown"
@@ -179,10 +189,10 @@ def solve(
         np.multiply(p, alpha, out=z)
         x += z
         tp *= alpha
-        r -= tp
+        r += tp
         iters += 1
-        np.multiply(inv_diag, r, out=z)
-        rz_new = float(r @ z)
+        np.divide(r, neg_diag, out=z)
+        rz_new = -float(r @ z)
         # rz <= rho^2 (diag(L+K) >= k), so rho cannot be at the goal before
         # sqrt(rz) is; the factor covers rounding where diag = k.
         if math.sqrt(max(rz_new, 0.0)) <= goal * (1.0 + 1e-12):
@@ -193,7 +203,7 @@ def solve(
                     # The recurrence says the bound cannot hold yet: aim lower, no SpMV.
                     goal = rho * (target / guess)
                 else:
-                    bound, true_rho, r_norm = check(matrix, b, k, x, certify, tp, z)
+                    bound, true_rho, r_norm = check(g, k, b, x, certify, tp, z)
                     if bound <= target:
                         y, reason = x, "certified"
                         break
@@ -203,18 +213,18 @@ def solve(
                     failed_rho = true_rho
                     # The bound grows at least linearly in rho: aim where it would hold.
                     goal = rho * (target / bound if math.isfinite(bound) else target)
-            np.multiply(inv_diag, r, out=z)
+            np.divide(r, neg_diag, out=z)
         if rz_new == 0.0:  # the recurrence residual vanished; the next rz_new / rz would be 0/0
             reason = "stagnated"
             break
         p *= rz_new / rz
-        p += z
+        p -= z
         rz = rz_new
 
     if y is None:
         # Judge the last iterate on its true residual, not on the drifting recurrence.
         y = x
-        bound, _, r_norm = check(matrix, b, k, y, certify, tp, z)
+        bound, _, r_norm = check(g, k, b, y, certify, tp, z)
         if bound <= target:
             reason = "certified"
     return SolverResult(

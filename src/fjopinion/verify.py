@@ -161,7 +161,7 @@ def check_solver_contract(rng):
     t = operator_matrix(g, k)
     b = rng.standard_normal(g.n)
     delta = float(10.0 ** rng.uniform(-8, -2))
-    res = solve(t, b, k, energy_norm_certificate(b, delta))
+    res = solve(g, k, b, energy_norm_certificate(b, delta))
     x_star = np.linalg.solve(t.toarray(), b)
     err = res.y - x_star
     t_norm = lambda v: np.sqrt(float(v @ (t @ v)))

@@ -42,6 +42,20 @@ def dense_laplacian(g):
     return lap
 
 
+def diagonal_first_rows(a, d):
+    """A CSR matrix, built apart from the solver, whose row i holds d_i first
+    and then a's row i: its product sums each row in the order in which
+    ``graph._matvec_into(a, x, out, d)`` does."""
+    indptr = a.indptr + np.arange(a.shape[0] + 1)
+    first = indptr[:-1]
+    rest = np.ones(indptr[-1], dtype=bool)
+    rest[first] = False
+    indices, data = np.empty(indptr[-1], dtype=a.indices.dtype), np.empty(indptr[-1])
+    indices[first], data[first] = np.arange(a.shape[0]), d
+    indices[rest], data[rest] = a.indices, a.data
+    return sp.csr_matrix((data, indices, indptr), shape=a.shape)
+
+
 def count_splu(monkeypatch):
     """Record every matrix that ``splu`` factors from now on."""
     calls, real = [], spla.splu

@@ -284,7 +284,7 @@ def test_solver_energy_norm_contract():
         t = operator_matrix(g, k)
         b = rng.standard_normal(g.n)
         delta = float(10.0 ** rng.uniform(-8, -2))
-        res = solve(t, b, k, energy_norm_certificate(b, delta))
+        res = solve(g, k, b, energy_norm_certificate(b, delta))
         assert res.certified
         err = res.y - np.linalg.solve(t.toarray(), b)
         x_star = np.linalg.solve(t.toarray(), b)

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -185,7 +186,7 @@ class TestEquilibrium:
         s = rng.uniform(-1.0, 1.0, g.n)
         z = equilibrium(g, k, s)
         t, b = operator_matrix(g, k), k.k * s
-        assert np.array_equal(z, solve(t, b, k, energy_norm_certificate(b, EQUILIBRIUM_DELTA)).y)
+        assert np.array_equal(z, solve(g, k, b, energy_norm_certificate(b, EQUILIBRIUM_DELTA)).y)
         assert np.abs(z - spla.spsolve(t.tocsc(), b)).max() <= 1e-8
 
     def test_iterative_failure_names_reason_and_bound(self, monkeypatch):
@@ -209,6 +210,33 @@ class TestEquilibrium:
         assert r.solver_iterations > 0 and r.error_bound <= 1e-12
         t, b = operator_matrix(g, k), k.k * s
         assert np.abs(z - spla.spsolve(t.tocsc(), b)).max() <= 1e-8
+
+    def test_certified_pcg_builds_no_operator(self, monkeypatch):
+        # PCG applies L + K from g's adjacency; L + K is built only to be factored.
+        g = random_regular_graph(3000, 4, 1)
+        k = generate_stubbornness(g.n, 0.01, 1.0, 2)
+        b = k.k * generate_opinions(g.n, "uniform", 3)
+        builds, real_operator = [], dynamics.operator_matrix
+        monkeypatch.setattr(dynamics, "operator_matrix",
+                            lambda *args: builds.append(1) or real_operator(*args))
+        res = dynamics._solve(g, k, b, energy_norm_certificate(b, 1e-10))
+        assert res.certified and res.stop_reason == "certified" and res.iterations > 0
+        assert builds == []
+
+    def test_certified_pcg_holds_only_its_loop_vectors(self):
+        # The six vectors of PCG, and no L + K of 2m + n entries beside them.
+        n = 100_000
+        g = random_regular_graph(n, 4, 1)
+        k = generate_stubbornness(n, 0.01, 1.0, 2)
+        b = k.k * generate_opinions(n, "uniform", 3)
+        certify = energy_norm_certificate(b, 1e-8)
+        tracemalloc.start()
+        try:
+            res = dynamics._solve(g, k, b, certify)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.certified and peak < 6.5 * b.nbytes
 
     def test_forest_above_cap_is_factored(self):
         # Certified PCG stagnates at a proved 4.1e-11 here; a path factors

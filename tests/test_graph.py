@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_laplacian, make_instance
+from conftest import dense_laplacian, diagonal_first_rows, make_instance
 from fjopinion import graph as graph_module
 from fjopinion.dynamics import OpinionState, _update_matrix
 from fjopinion.errors import GraphInputError
@@ -825,7 +825,8 @@ class TestMatvecInto:
     def test_is_the_product_byte_for_byte(self, index, seed):
         rng = np.random.default_rng(seed)
         g, k, _ = make_instance(rng, n_max=60)
-        for a in (operator_matrix(g, k), _update_matrix(g, k)[0]):  # L + K and QA
+        # L + K, QA and A, the adjacency PCG's steps apply
+        for a in (operator_matrix(g, k), _update_matrix(g, k)[0], g.adjacency):
             a.indices, a.indptr = a.indices.astype(index), a.indptr.astype(index)
             x = rng.standard_normal(g.n)
             out = np.full(g.n, np.nan)  # garbage before the call
@@ -833,6 +834,17 @@ class TestMatvecInto:
             assert _matvec_into(a, x, out) is out
             assert a.indices.dtype == a.indptr.dtype == index
             assert out.tobytes() == (a @ x).tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_diagonal_term_starts_each_row(self, seed):
+        # diagonal * x + A x, each row summed from its diagonal term on:
+        # the product of a CSR matrix whose rows hold that term first.
+        rng = np.random.default_rng(seed)
+        g, _, _ = make_instance(rng, n_max=60)
+        a, d, x = g.adjacency, rng.standard_normal(g.n), rng.standard_normal(g.n)
+        out = np.full(g.n, np.nan)
+        assert _matvec_into(a, x, out, d) is out
+        assert out.tobytes() == (diagonal_first_rows(a, d) @ x).tobytes()
 
 
 class TestIdentity:

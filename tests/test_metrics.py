@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -16,7 +17,7 @@ from fjopinion.generate import (
     random_connected_gnp,
     random_regular_graph,
 )
-from fjopinion.graph import Graph, StubbornnessVector, build_graph, operator_matrix
+from fjopinion.graph import Graph, StubbornnessVector, build_graph
 from fjopinion.metrics import (
     MetricsReport,
     _metrics_certificate,
@@ -116,6 +117,15 @@ class TestDeltaBudget:
         assert b.delta2 == b.delta3 == math.inf
         assert b.delta == b.delta1 == pytest.approx(0.1 / 3.0, rel=1e-12)  # cap = k_max
 
+    def test_stubbornness_near_the_floor(self):
+        # k_min k_max = 1e-600 underflows to 0; the thresholds are formed
+        # without that product.
+        g = build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
+        b = delta_budget(g, StubbornnessVector.uniform(3, 1e-300), np.array([0.5, -0.5, 0.0]), 0.1)
+        cap = 1e-300 + 3.0
+        assert b.delta1 == pytest.approx(0.1 * 1e-300 / (3.0 * math.sqrt(cap)), rel=1e-12)
+        assert 0.0 <= b.delta3 <= b.delta2 <= b.delta1
+
     def test_eps_range_enforced(self, path2, k11):
         for eps in (0.0, 0.5, 1.0, -0.1):
             with pytest.raises(GraphInputError):
@@ -141,7 +151,7 @@ def pcg_under_metrics_certificate(g, k, s, eps):
     s0, c = dynamics._center(s, k)
     b = k.k * s0
     certificate = _metrics_certificate(g, k, s0, b, c * c * float(k.k.sum()), eps)
-    return solve(operator_matrix(g, k), b, k, certificate)
+    return solve(g, k, b, certificate)
 
 
 class TestApproxim:
@@ -362,9 +372,8 @@ class TestOneCheckPerSolve:
         s0, c = dynamics._center(generate_opinions(g.n, dist, 3), k)
         b = k.k * s0
         certificate = _metrics_certificate(g, k, s0, b, c * c * float(k.k.sum()), eps)
-        t = operator_matrix(g, k)
-        free = solve(t, b, k, dataclasses.replace(certificate, estimate=None))
-        forced = solve(t, b, k, dataclasses.replace(certificate, estimate=lambda y, r, rho: guess))
+        free = solve(g, k, b, dataclasses.replace(certificate, estimate=None))
+        forced = solve(g, k, b, dataclasses.replace(certificate, estimate=lambda y, r, rho: guess))
         assert forced.y.tobytes() == free.y.tobytes()
         for key in ("iterations", "residual_norm", "certified", "bound", "stop_reason"):
             assert getattr(forced, key) == getattr(free, key), key
@@ -501,6 +510,22 @@ class TestModesAgree:
         assert r.certified and r.error_bound == 0.0 and r.solver_iterations == 0
         assert r.stop_reason == "certified"
 
+    def test_stubbornness_near_the_floor_gets_a_report(self, mode):
+        # k = 1e-300: k_min k_max and sum k_i s_i^2 underflow to 0, and so does
+        # b = k s0; the solve stops at y = 0, whose check proves the law exactly.
+        g = build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
+        r = run_mode(mode, g, StubbornnessVector.uniform(3, 1e-300), np.array([1e-30, -1e-30, 0.0]))
+        assert (r.conflict, r.disagreement, r.polarization, r.conservation_residual) == (0.0,) * 4
+        assert r.certified and r.error_bound == 0.0 and r.stop_reason == "certified"
+
+    def test_stubbornness_below_the_rounding_of_the_degrees_is_a_numerical_error(self, mode):
+        # deg + k rounds to deg, so L + K is the singular L in double
+        # precision: PCG cannot prove the target, and the factor's zero pivot
+        # is a NumericalError, not SuperLU's RuntimeError.
+        g = build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
+        with pytest.raises(NumericalError, match="Factor is exactly singular"):
+            run_mode(mode, g, StubbornnessVector.uniform(3, 1e-300), np.array([0.5, -0.5, 0.0]))
+
 
 class TestConservation:
     def test_symmetric_fixture_residual_zero(self, path2, k11):
@@ -569,3 +594,20 @@ def test_wrong_length_opinions_is_an_input_error(path2, k21, call, s, message):
     with pytest.raises(GraphInputError) as exc:
         call(path2, k21, np.array(s))
     assert str(exc.value) == message
+
+
+def test_approxim_holds_few_vectors_beside_its_solve():
+    # s0, b = k s0, the solve's six vectors and the norms' one temporary of
+    # the check: no q is held through the solve, and no L + K is built.
+    n = 100_000
+    g = random_regular_graph(n, 4, 1)
+    k = generate_stubbornness(n, 0.01, 1.0, 2)
+    s = generate_opinions(n, "uniform", 3)
+    tracemalloc.start()
+    try:
+        r = approxim(g, k, s, 1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.certified and r.stop_reason == "certified"
+    assert peak < 9.5 * s.nbytes

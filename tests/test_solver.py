@@ -1,11 +1,11 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from conftest import count_matmul, make_instance
+from conftest import count_matmul, diagonal_first_rows, make_instance
 from fjopinion import solver
 from fjopinion.errors import GraphInputError
 from fjopinion.generate import generate_opinions, generate_stubbornness, random_regular_graph
@@ -15,7 +15,12 @@ from fjopinion.solver import Certificate, energy_norm_certificate, solve
 
 def solve_to(g, k, b, delta):
     """Solve (L+K) y = b to a certified relative energy-norm error delta."""
-    return solve(operator_matrix(g, k), b, k, energy_norm_certificate(b, delta))
+    return solve(g, k, b, energy_norm_certificate(b, delta))
+
+
+def negated_operator_rows(g, k):
+    """-(L + K), row i summed from -(deg + k)_i on, as PCG sums it."""
+    return diagonal_first_rows(g.adjacency, -(g.degrees + k.k))
 
 
 def test_diagonal_system():
@@ -51,7 +56,7 @@ def test_zero_rhs_is_judged_by_one_check(monkeypatch):
         return real_check(*args)
 
     monkeypatch.setattr(solver, "check", counting_check)
-    res = solve(operator_matrix(g, k), b, k, energy_norm_certificate(b, 1e-8))
+    res = solve(g, k, b, energy_norm_certificate(b, 1e-8))
     assert len(calls) == 1
     assert res.y.tobytes() == np.zeros(g.n).tobytes()
     assert (res.iterations, res.residual_norm, res.certified, res.bound, res.stop_reason) == (
@@ -70,7 +75,7 @@ def test_energy_norm_contract_random():
         t = operator_matrix(g, k)
         b = rng.standard_normal(g.n)
         delta = float(10.0 ** rng.uniform(-8, -2))
-        res = solve(t, b, k, energy_norm_certificate(b, delta))
+        res = solve(g, k, b, energy_norm_certificate(b, delta))
         assert res.certified
         x_star = np.linalg.solve(t.toarray(), b)
         err = res.y - x_star
@@ -135,16 +140,16 @@ def test_stops_early_on_a_loose_target():
 
 def test_certificate_is_judged_on_the_true_residual():
     g, k, _ = make_instance(np.random.default_rng(53), n_max=80)
-    t = operator_matrix(g, k)
+    oracle = negated_operator_rows(g, k)
     b = np.sin(np.arange(g.n))
     seen = []
 
     def bound(y, r, rho):
         # Bit for bit b - (L+K) y: the recurrence residual drifts from it.
-        seen.append(np.array_equal(r, b - t @ y))
+        seen.append(np.array_equal(r, b + oracle @ y))
         return rho / math.sqrt(float(y @ (b - r)))
 
-    res = solve(t, b, k, Certificate(target=1e-8, bound=bound))
+    res = solve(g, k, b, Certificate(target=1e-8, bound=bound))
     assert res.certified and seen and all(seen)
 
 
@@ -161,26 +166,27 @@ def test_pcg_steps_make_no_sparse_product_call(monkeypatch):
 
 
 def test_certified_solve_holds_only_its_loop_vectors():
-    # x, r, z, p, (L + K) p and 1 / diag; a check forms its residual and its
-    # rho in the free (L + K) p and z, not in two more vectors.
+    # x, r, z, p, -(L + K) p and -(deg + k); a check forms its residual and
+    # its rho in the free -(L + K) p and z, not in two more vectors.
     n = 100_000
     g = random_regular_graph(n, 4, 1)
     k = generate_stubbornness(n, 0.01, 1.0, 2)
     b = k.k * generate_opinions(n, "uniform", 3)
-    t, certify = operator_matrix(g, k), energy_norm_certificate(b, 1e-8)
+    certify = energy_norm_certificate(b, 1e-8)
     tracemalloc.start()
     try:
-        res = solve(t, b, k, certify)
+        res = solve(g, k, b, certify)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert res.certified and peak < 6.5 * b.nbytes
 
 
-def test_breakdown_on_an_indefinite_operator(k11):
-    # -I is no L + K: p.(-I)p < 0 stops the iteration at once.
-    res = solve(-sp.identity(2, format="csr"), np.ones(2), k11,
-                energy_norm_certificate(np.ones(2), 1e-6))
+def test_breakdown_on_an_indefinite_operator(path2, k11):
+    # Degrees -3 make L + K = [[-2, -1], [-1, -2]], no SPD matrix:
+    # p.(L+K)p < 0 stops the iteration at once.
+    g = dataclasses.replace(path2, degrees=np.array([-3.0, -3.0]))
+    res = solve(g, k11, np.ones(2), energy_norm_certificate(np.ones(2), 1e-6))
     assert not res.certified and res.stop_reason == "breakdown"
     assert res.iterations == 0 and res.bound == math.inf
 
@@ -189,11 +195,11 @@ def test_maxiter_returns_the_last_iterate_with_its_bound(monkeypatch):
     monkeypatch.setattr(solver, "MAX_ITERATIONS", 3)
     g = build_graph([(i, i + 1, 1.0) for i in range(399)])
     k = StubbornnessVector.uniform(400, 0.1)
-    t, b = operator_matrix(g, k), np.sin(np.arange(400.0))
+    oracle, b = negated_operator_rows(g, k), np.sin(np.arange(400.0))
     certify = energy_norm_certificate(b, 1e-12)
-    res = solve(t, b, k, certify)
+    res = solve(g, k, b, certify)
     assert res.iterations == 3 and not res.certified and res.stop_reason == "maxiter"
-    r = b - t @ res.y
+    r = b + oracle @ res.y
     assert res.bound == certify.bound(res.y, r, math.sqrt(float(r @ (r / k.k))))
     assert res.bound > 1e-12 and res.residual_norm == float(np.linalg.norm(r))
 
@@ -207,7 +213,6 @@ def test_maxiter_returns_the_last_iterate_with_its_bound(monkeypatch):
     ids=["b", "k"],
 )
 def test_wrong_lengths_are_input_errors(path2, k11, b, k, message):
-    t = operator_matrix(path2, k11)
     with pytest.raises(GraphInputError) as exc:
-        solve(t, b, StubbornnessVector.from_values(k), energy_norm_certificate(b, 1e-6))
+        solve(path2, StubbornnessVector.from_values(k), b, energy_norm_certificate(b, 1e-6))
     assert str(exc.value) == message

@@ -9,9 +9,12 @@ stubbornness ``generate_stubbornness(n, 0.01, 1.0, 5)`` and uniform opinions
 (seed 7), and runs ``approxim`` at eps 1e-4 and then 1e-8, ``--repeats``
 times each, in one process with BLAS on one thread.  It prints one JSON line
 per eps: the iterations, the true-residual checks per solve, the medians of
-the operator build, the PCG solve and the report's ``norms_seconds``, the
-median of 30 SpMVs with L + K, and the peak RSS so far.  Run each n in its
-own process, so that each peak RSS covers one instance.
+the ``approxim`` call, of its PCG solve, of the report's ``norms_seconds``
+and of one product that ``solver._matvec_into`` forms for the solve and its
+checks (the name both look up, whatever the solver applies), the peak RSS
+so far, and the tracemalloc peak of one more ``approxim`` call, in MiB and
+in n-vectors of float64.  Run each n in its own process, so that each peak
+RSS covers one instance.
 
 It then runs ``simulate_until`` at eps 1e-8 from z0 = s, ``--repeats`` times,
 and prints one JSON line: the medians of the ``equilibrium`` solve, of the
@@ -280,45 +283,45 @@ def main():
     setup_s = time.perf_counter() - t0
     rss_setup = maxrss_mb()
 
-    t = dynamics.operator_matrix(g, k)
-    p = np.ones(g.n)
-    spmv = []
-    for _ in range(30):
-        t1 = time.perf_counter()
-        t @ p
-        spmv.append(time.perf_counter() - t1)
-    del t
-
-    # The names dynamics._solve looks up: L + K, PCG, and the true-residual
-    # check (solve itself calls solver.check).
-    operator_s, solve_s, checks = [], [], []
-    dynamics.operator_matrix = timed(dynamics.operator_matrix, operator_s)
+    # The names dynamics._solve looks up: PCG and the true-residual check
+    # (solve itself calls solver.check), and the product both form.
+    solve_s, checks, products = [], [], []
     dynamics.solve = timed(dynamics.solve, solve_s)
     solver.check = timed(solver.check, checks)
     dynamics.check = timed(dynamics.check, checks)
+    solver._matvec_into = timed(solver._matvec_into, products)
 
     for eps in (1e-4, 1e-8):
-        for seconds in (operator_s, solve_s, checks):
+        for seconds in (solve_s, checks, products):
             seconds.clear()
-        norms, iterations = [], set()
+        approxim_s, norms, iterations = [], [], set()
         for _ in range(args.repeats):
+            t1 = time.perf_counter()
             report = metrics.approxim(g, k, s, eps)
+            approxim_s.append(time.perf_counter() - t1)
             if not report.certified:
                 raise SystemExit(f"uncertified at n={g.n}, eps={eps}: {report.stop_reason}")
             norms.append(report.norms_seconds)
             iterations.add(report.solver_iterations)
-        print(json.dumps({
+        line = {
             "n": g.n, "m": g.m, "eps": eps, "repeats": args.repeats,
             "iterations": sorted(iterations),
             "checks_per_solve": len(checks) / args.repeats,
             "setup_s": round(setup_s, 4),
-            "operator_s": statistics.median(operator_s),
+            "approxim_s": statistics.median(approxim_s),
             "solve_s": statistics.median(solve_s),
             "norms_s": statistics.median(norms),
-            "spmv_ms": 1e3 * statistics.median(spmv),
+            "product_ms": 1e3 * statistics.median(products),
             "rss_after_setup_mb": rss_setup,
             "peak_rss_mb": maxrss_mb(),
-        }), flush=True)
+        }
+        tracemalloc.start()
+        metrics.approxim(g, k, s, eps)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        line["approxim_peak_mb"] = round(peak / 2**20, 1)
+        line["approxim_peak_vectors"] = round(peak / (8 * g.n), 2)
+        print(json.dumps(line), flush=True)
 
     simulate(g, k, s, args.repeats)
 
