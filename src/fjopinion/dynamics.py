@@ -1,9 +1,10 @@
 """The update rule with heterogeneous stubbornness and its analysis tools.
 
-Covers the synchronous update z(t+1) = QAz(t) + QKs, equilibrium
-computation z = (L+K)^{-1} K s, the fundamental matrix, weighted centering,
-a proved bracket on the spectral radius of the iteration matrix QA, the
-convergence-time bound it gives, and error-trace simulation.
+Covers the synchronous update z(t+1) = QAz(t) + QKs = (Az(t) + Ks) / (k + d),
+equilibrium computation z = (L+K)^{-1} K s, the fundamental matrix, weighted
+centering, a proved bracket on the spectral radius of the iteration matrix
+QA, the convergence-time bound it gives, and error-trace simulation.  QA is
+never built: every sparse product is taken on ``g.adjacency``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from fjopinion.errors import GraphInputError, NumericalError, SizeGuardError
 from fjopinion.graph import Graph, StubbornnessVector, _matvec_into, operator_matrix
@@ -70,27 +70,32 @@ class ErrorTrace:
     spectral: SpectralEstimate | None = None  # the bracket that bound came from, None likewise
 
 
-def _update_matrix(g: Graph, k: StubbornnessVector) -> tuple[sp.csr_matrix, np.ndarray]:
-    """QA in CSR and k + d, the diagonal of K + D whose inverse is Q."""
+def _diagonal(g: Graph, k: StubbornnessVector) -> np.ndarray:
+    """k + d, the diagonal of K + D whose inverse is Q."""
     if len(k) != g.n:
         raise GraphInputError("stubbornness length does not match graph")
-    b = k.k + g.degrees
-    return (sp.diags(1.0 / b) @ g.adjacency).tocsr(), b
+    return k.k + g.degrees
+
+
+def _update(g: Graph, b: np.ndarray, ks: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """z(t+1) = (Az(t) + Ks) / b in ``out``: ``ks`` = Ks, Az(t) added onto it, / b = k + d."""
+    np.copyto(out, ks)
+    return np.divide(_matvec_into(g.adjacency, z, out), b, out=out)
 
 
 def step(g: Graph, k: StubbornnessVector, state: OpinionState) -> OpinionState:
     """One synchronous update of all nodes.
 
-    z_i(t+1) = (k_i s_i + sum_j w_ij z_j(t)) / (k_i + d_i), which is the
-    componentwise form of QAz(t) + QKs.
+    z_i(t+1) = (k_i s_i + sum_j w_ij z_j(t)) / (k_i + d_i), the componentwise
+    form of QAz(t) + QKs, formed by ``_update`` as ``simulate_until`` forms it.
     """
     if state.s.size != g.n:
         raise GraphInputError("state dimensions do not match graph")
-    qa, b = _update_matrix(g, k)
-    return OpinionState(s=state.s, z=qa @ state.z + k.k * state.s / b, t=state.t + 1)
+    z = _update(g, _diagonal(g, k), k.k * state.s, state.z, np.empty(g.n))
+    return OpinionState(s=state.s, z=z, t=state.t + 1)
 
 
-def _splu_symmetric(m: sp.spmatrix):
+def _splu_symmetric(m):
     """SuperLU factor of an SPD m, ordered on its own pattern, no pivoting.
 
     A pivot that is exactly zero in double precision (L + K with every k
@@ -192,28 +197,39 @@ def spectral_radius(
 ) -> SpectralEstimate:
     """A proved bracket lower <= rho(QA) <= upper on the iteration matrix QA.
 
-    rho is the largest eigenvalue of the pencil A x = lambda (K+D) x.  Each
-    positive vector x gives two bounds, with y = QAx:
+    rho is the largest eigenvalue of the pencil A x = lambda (K+D) x, and
+    K + D = diag(b), b = k + d.  Each positive vector x gives two bounds:
 
-    * lower = x.(K+D)y / x.(K+D)x, the Rayleigh quotient of the symmetric
+    * lower = x.Ax / x.(b*x), the Rayleigh quotient of the symmetric
       Q^{1/2} A Q^{1/2}, which never exceeds its largest eigenvalue; it holds
       on disconnected graphs too, where no per-node ratio reaches rho;
-    * upper = max_i y_i / x_i, the Collatz-Wielandt bound (Varga, Matrix
-      Iterative Analysis, ch. 2); at x = 1 it is the row-sum bound
-      max_i d_i / (k_i + d_i).
+    * upper = max_i (Ax)_i / (b_i x_i), the Collatz-Wielandt bound on QA
+      (Varga, Matrix Iterative Analysis, ch. 2); at x = 1 it is the row-sum
+      bound max_i d_i / (k_i + d_i).
 
     x starts at 1.  On a graph with a cycle it is refined by up to
-    ``POWER_STEPS`` power steps x <- QAx + x, the bracket evaluated every
-    ``CHECK_EVERY`` of them; if the bracket is still open and n <=
-    ``DENSE_CAP``, up to ``INVERSE_SOLVES`` steps x <- M^{-1}(K+D)x follow,
-    with M = sigma(K+D) - A factored once at sigma = upper: inverse
+    ``POWER_STEPS`` power steps x <- (Ax + b*x) / b = QAx + x, the bracket
+    evaluated every ``CHECK_EVERY`` of them; if the bracket is still open
+    and n <= ``DENSE_CAP``, up to ``INVERSE_SOLVES`` steps x <- M^{-1}(K+D)x
+    follow, with M = sigma(K+D) - A factored once at sigma = upper: inverse
     iteration with a near-singular shift (Parlett, The Symmetric Eigenvalue
     Problem, ch. 4).  A forest's factor of M has no fill, so on a forest of
     any size the power steps are skipped and M is factored anew at the
     current upper before each of up to ``INVERSE_SOLVES`` solves (the old
     factor freed first); a fixed shift can stall there.  As sigma > rho, M
-    is a nonsingular M-matrix and x stays positive.  Both ends are widened
-    to cover the rounding of the products and sums that form them.
+    is a nonsingular M-matrix and x stays positive.
+
+    Both ends are widened by c eps, eps = 2u = 2^-52, for rounding.  Every
+    term is >= 0, so a value formed through j roundings is the exact one
+    times 1 + theta_j, |theta_j| <= ju / (1 - ju) (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3).  With t the most entries in a
+    row of A, b_i = k_i + d_i and (Ax)_i (summed from 0) carry t roundings,
+    b_i x_i t + 1, a ratio (Ax)_i / (b_i x_i) 2t + 2, and x.Ax / x.(b*x), two
+    numpy pairwise sums of depth p <= 25 + log2 n, N = 2t + 2p + 4.  So
+    c = t + p + 3: the widening rounds once more, (1 + theta_N)(1 - (N+2)u)
+    (1 + u) <= 1, and the upper end needs c >= t + 2 (for t < 2^25).
+    Underflow is left out: x >= 2^-600 and max x = 1 keep it far below the
+    term of the entry x_i = 1.
 
     Refinement stops once upper - lower <= ``tol`` or, given
     ``goal=(f0_norm, eps)``, once both ends give the same
@@ -222,26 +238,20 @@ def spectral_radius(
     ``converged`` means upper - lower <= tol either way.  A bracket left
     wider (a goal met early, or on graphs with cycles above the cap, where
     the power steps alone must close it) is still proved.
-
-    The power steps and the bracket's evaluations write QAx into one of two
-    buffers, allocated once, with ``graph._matvec_into``: scipy's compiled
-    CSR kernel with no ``@`` dispatch, bit-identical to ``qa @ x`` (QA is a
-    float64 CSR matrix).
     """
-    qa, b = _update_matrix(g, k)
-    # Relative rounding of y (row sums of at most `terms` products) and of
-    # numpy's pairwise sums (depth <= 25 + log2 n), in units of eps = 2u.
-    terms = int(np.diff(qa.indptr).max())
-    slack = (terms + g.n.bit_length() + 32) * float(np.finfo(np.float64).eps)
+    b, a = _diagonal(g, k), g.adjacency
+    terms = int(np.diff(a.indptr).max())
+    slack = (terms + g.n.bit_length() + 28) * float(np.finfo(np.float64).eps)
     lower, upper = 0.0, math.inf
-    y = np.empty(g.n)  # QAx in refine; the power steps swap it with x, so it never is x
+    y = np.empty(g.n)  # Ax + b*x in a power step, which swaps it with x; Ax in refine
 
     def refine(x):
         nonlocal lower, upper
-        _matvec_into(qa, x, y)
+        y.fill(0.0)
+        _matvec_into(a, x, y)
         bx = b * x
-        lower = max(lower, float((bx * y).sum() / (bx * x).sum()) * (1.0 - slack))
-        upper = min(upper, float((y / x).max()) * (1.0 + slack))
+        lower = max(lower, float((x * y).sum() / (bx * x).sum()) * (1.0 - slack))
+        upper = min(upper, float((y / bx).max()) * (1.0 + slack))
 
     def settled():
         # convergence_bound takes rho in (0, 1); a row-sum bound can round to 1.
@@ -255,8 +265,7 @@ def spectral_radius(
     forest = not settled() and _forest(g)
     while not forest and not settled() and iterations < POWER_STEPS:
         for _ in range(CHECK_EVERY):
-            _matvec_into(qa, x, y)
-            y += x
+            np.divide(_matvec_into(a, x, np.multiply(b, x, out=y)), b, out=y)
             x, y = y, x
         x = _rescale(x)
         refine(x)
@@ -320,18 +329,17 @@ def simulate_until(
     a stop past ``SIMULATION_CAP``.
 
     The steps allocate nothing: z(t) alternates between two buffers, neither
-    of them ``z0``, which stays the caller's, and QAz(t) is written into
-    them with ``graph._matvec_into``, scipy's compiled CSR kernel with no
-    ``@`` dispatch, bit-identical to ``qa @ z`` (QA is a float64 CSR
-    matrix).  Each norm is sqrt(v.v), as ``np.linalg.norm`` forms it.
+    of them ``z0``, which stays the caller's, and ``_update``, the kernel of
+    ``step``, forms z(t+1) in them.  Each norm is sqrt(v.v), as
+    ``np.linalg.norm`` forms it.
     """
     if not eps > 0.0:  # NaN included
         raise GraphInputError("eps must be > 0")
     s = _opinions(g, k, s)
     z0 = _opinions(g, k, z0, "innate and expressed vectors must be 1-d and equal length")
     z_star = equilibrium(g, k, s)
-    qa, b = _update_matrix(g, k)
-    qks, weight = k.k * s / b, np.sqrt(b)  # as ``step`` forms QKs
+    b = _diagonal(g, k)
+    ks, weight = k.k * s, np.sqrt(b)  # as ``step`` forms Ks
 
     trace = ErrorTrace()
     e, f = np.empty_like(z0), np.empty_like(z0)  # e(t) and f(t), overwritten each step
@@ -357,8 +365,7 @@ def simulate_until(
             raise NumericalError(
                 f"simulation did not reach eps={eps} within {SIMULATION_CAP} steps"
             )
-        z = _matvec_into(qa, z, zs[t % 2])
-        z += qks
+        z = _update(g, b, ks, z, zs[t % 2])
         t += 1
         f_norm = record(z)
     return OpinionState(s=s, z=z, t=t), trace

@@ -17,17 +17,15 @@ reads an edge list of string ids at 1e6 nodes in 3.2 s at a 472.5 MiB
 tracemalloc peak, and a value file in 2.0–2.1 s at 154 MiB
 (``BENCH_24.json``).
 
-It also holds ``_matvec_into``, the sparse product of the step loops (the
-update and power steps in ``dynamics``, the PCG steps in ``solver``).  They
-run hundreds of products on vectors of a few thousand entries, where
-scipy's ``@`` dispatch costs as much as the product itself, so the helper
-calls scipy's compiled ``csr_matvec`` kernel on a caller's buffer.  That is
-the same call ``a @ x`` ends in, on a zeroed result, so the product is
-bit-identical to ``a @ x``.  Given a diagonal, the buffer starts at
-diagonal * x instead: PCG applies L + K as -(L + K) p = -(deg + k) * p + A p
-on ``Graph.adjacency``, so no L + K is built for a solve.  It needs a float64
-CSR matrix and float64 vectors.  This module is the one place that imports
-the private kernel.
+It also holds ``_matvec_into``, the sparse product of the step loops: the
+update steps, power steps and bracket evaluations in ``dynamics`` and the
+PCG steps in ``solver``.  They run hundreds of products on vectors of a few
+thousand entries, where scipy's ``@`` dispatch costs as much as the product
+itself, so the helper calls scipy's compiled ``csr_matvec`` kernel, which
+adds A x onto a buffer its caller has started: at 0 for a bracket, at K s
+for an update, at (k + deg) * x for a power step and at -(k + deg) * p for
+PCG's -(L + K) p.  So each takes A from ``Graph.adjacency``, and no step
+loop builds QA or L + K.  This module alone imports the private kernel.
 """
 
 from __future__ import annotations
@@ -586,24 +584,18 @@ def laplacian_apply(g: Graph, x: np.ndarray) -> np.ndarray:
     return g.degrees * x - g.adjacency @ x
 
 
-def _matvec_into(a: sp.csr_matrix, x: np.ndarray, out: np.ndarray,
-                 diagonal: np.ndarray | None = None) -> np.ndarray:
-    """Write a @ x, or diagonal * x + a @ x, into ``out`` and return it: no
-    dispatch, no new array.
+def _matvec_into(a: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Add a @ x onto ``out``, which the caller has started, and return it:
+    no dispatch, no new array.
 
     scipy's ``a @ x`` ends in ``_matmul_vector``, which calls the compiled
     kernel ``csr_matvec`` on a new zeroed result, and the kernel adds each
-    row's products onto that result; so ``out`` is zero-filled first, and
-    the result is bit-identical to ``a @ x``.  Given ``diagonal``, ``out``
-    starts at diagonal * x instead, and each row's sum starts from that
-    term.  ``a`` must be a float64 CSR matrix, and ``out`` a C-contiguous
+    row's products onto that result; so on an ``out`` of zeros the result
+    is bit-identical to ``a @ x``, and otherwise each row's sum starts from
+    out_i.  ``a`` must be a float64 CSR matrix, and ``out`` a C-contiguous
     float64 vector that is not ``x``: the kernel writes a non-contiguous
     ``out`` into a copy of it.
     """
-    if diagonal is None:
-        out.fill(0.0)
-    else:
-        np.multiply(diagonal, x, out=out)
     csr_matvec(a.shape[0], a.shape[1], a.indptr, a.indices, a.data, x, out)
     return out
 

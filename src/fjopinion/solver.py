@@ -129,7 +129,7 @@ def check(g: Graph, k: StubbornnessVector, b: np.ndarray, y: np.ndarray,
     float64 n-vectors that are not y: ``out`` gets -(L + K) y as PCG's steps
     form it, each row's sum starting from -(deg + k)_i y_i, and then b.
     """
-    r = _matvec_into(g.adjacency, y, out, _negated_diagonal(g, k, scratch))
+    r = _matvec_into(g.adjacency, y, np.multiply(_negated_diagonal(g, k, scratch), y, out=out))
     r += b
     rho = _rho(r, k, scratch)
     return certify.bound(y, r, rho), rho, float(np.linalg.norm(r))
@@ -139,10 +139,10 @@ def solve(g: Graph, k: StubbornnessVector, b: np.ndarray, certify: Certificate) 
     """Run PCG on (L + K) y = b until ``certify`` holds.
 
     Deterministic for fixed inputs.  Each step writes -(L + K) p into one
-    buffer with ``graph._matvec_into`` on ``g.adjacency`` and -(deg + k),
-    which is also the preconditioner.  A zero b is judged by its check like
-    any other: its first step stops at p.(L+K)p = 0, and its check judges
-    y = 0.
+    buffer: -(deg + k) * p, onto which ``graph._matvec_into`` adds A p from
+    ``g.adjacency``; -(deg + k) is also the preconditioner.  A zero b is
+    judged by its check like any other: its first step stops at p.(L+K)p =
+    0, and its check judges y = 0.
     """
     target = certify.target
     if not (0.0 < target < 1.0):
@@ -179,7 +179,7 @@ def solve(g: Graph, k: StubbornnessVector, b: np.ndarray, certify: Certificate) 
     iters = 0
     y, reason = None, "maxiter"
     while iters < MAX_ITERATIONS:
-        _matvec_into(a, p, tp, neg_diag)
+        _matvec_into(a, p, np.multiply(neg_diag, p, out=tp))
         ptp = -float(p @ tp)
         if not ptp > 0.0:
             # p.(L+K)p = 0 only once p has underflowed; < 0 or NaN is no SPD matrix.

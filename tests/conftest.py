@@ -45,7 +45,7 @@ def dense_laplacian(g):
 def diagonal_first_rows(a, d):
     """A CSR matrix, built apart from the solver, whose row i holds d_i first
     and then a's row i: its product sums each row in the order in which
-    ``graph._matvec_into(a, x, out, d)`` does."""
+    ``graph._matvec_into(a, x, out)`` does on an ``out`` started at d * x."""
     indptr = a.indptr + np.arange(a.shape[0] + 1)
     first = indptr[:-1]
     rest = np.ones(indptr[-1], dtype=bool)

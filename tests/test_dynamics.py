@@ -540,6 +540,42 @@ class TestSimulateUntil:
         state, _ = simulate_until(g, k, s, z0=s.copy(), eps=1e-8)
         assert state.t == 798 and len(calls) < state.t
 
+    def test_every_product_is_taken_on_the_adjacency(self, monkeypatch):
+        # No QA is built: step, the power steps, the bracket's evaluations
+        # and the update steps add their products from g.adjacency itself.
+        g, k, s = step_instance("regular-3000")
+        matrices, real = [], dynamics._matvec_into
+        monkeypatch.setattr(dynamics, "_matvec_into",
+                            lambda a, x, out: matrices.append(a) or real(a, x, out))
+        step(g, k, OpinionState(s=s, z=s.copy()))
+        assert len(matrices) == 1
+        est = spectral_radius(g, k)
+        assert est.converged and len(matrices) == 1 + est.iterations + est.iterations // 10 + 1
+        state, trace = simulate_until(g, k, s, z0=s.copy(), eps=1e-8)
+        assert state.t > 0 and trace.spectral is not None
+        assert len(matrices) > 2 + est.iterations + state.t
+        assert all(a is g.adjacency for a in matrices)
+
+    @pytest.mark.parametrize("call, vectors", [("spectral_radius", 5.5), ("simulate_until", 11.5)])
+    def test_holds_no_iteration_matrix(self, call, vectors):
+        # The bracket holds k + d, x, Ax, b * x and one temporary (5.0
+        # n-vectors); simulate_until adds z*, k + d, Ks, sqrt(k + d), e and f
+        # (11.0).  A QA of 2m entries, 6.5 n-vectors at degree 4, is no longer
+        # beside them.
+        n = 100_000
+        g = random_regular_graph(n, 4, 1)
+        k = generate_stubbornness(n, 0.01, 1.0, 2)
+        s = generate_opinions(n, "uniform", 3)
+        run = {"spectral_radius": lambda: spectral_radius(g, k),
+               "simulate_until": lambda: simulate_until(g, k, s, z0=s, eps=1e-8)}[call]
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < vectors * s.nbytes
+
     @pytest.mark.parametrize("instance", ["random", "path-2000", "regular-3000", "even cycle"])
     def test_simulation_is_the_repeated_step(self, instance):
         # One update kernel: simulate_until's buffered loop is repeated

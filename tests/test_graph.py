@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import dense_laplacian, diagonal_first_rows, make_instance
 from fjopinion import graph as graph_module
-from fjopinion.dynamics import OpinionState, _update_matrix
+from fjopinion.dynamics import OpinionState
 from fjopinion.errors import GraphInputError
 from fjopinion.generate import random_connected_gnp, random_regular_graph
 from fjopinion.graph import (
@@ -825,25 +825,25 @@ class TestMatvecInto:
     def test_is_the_product_byte_for_byte(self, index, seed):
         rng = np.random.default_rng(seed)
         g, k, _ = make_instance(rng, n_max=60)
-        # L + K, QA and A, the adjacency PCG's steps apply
-        for a in (operator_matrix(g, k), _update_matrix(g, k)[0], g.adjacency):
+        # L + K, and A, the matrix of every step loop
+        for a in (operator_matrix(g, k), g.adjacency):
             a.indices, a.indptr = a.indices.astype(index), a.indptr.astype(index)
             x = rng.standard_normal(g.n)
-            out = np.full(g.n, np.nan)  # garbage before the call
-            out[::2] = rng.standard_normal(out[::2].size) * 1e300
+            out = np.zeros(g.n)
             assert _matvec_into(a, x, out) is out
             assert a.indices.dtype == a.indptr.dtype == index
             assert out.tobytes() == (a @ x).tobytes()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_a_diagonal_term_starts_each_row(self, seed):
-        # diagonal * x + A x, each row summed from its diagonal term on:
-        # the product of a CSR matrix whose rows hold that term first.
+        # out started at d * x, then A x added: each row summed from its
+        # diagonal term on, the product of a CSR matrix whose rows hold that
+        # term first.
         rng = np.random.default_rng(seed)
         g, _, _ = make_instance(rng, n_max=60)
         a, d, x = g.adjacency, rng.standard_normal(g.n), rng.standard_normal(g.n)
-        out = np.full(g.n, np.nan)
-        assert _matvec_into(a, x, out, d) is out
+        out = d * x
+        assert _matvec_into(a, x, out) is out
         assert out.tobytes() == (diagonal_first_rows(a, d) @ x).tobytes()
 
 

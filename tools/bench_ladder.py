@@ -20,8 +20,9 @@ It then runs ``simulate_until`` at eps 1e-8 from z0 = s, ``--repeats`` times,
 and prints one JSON line: the medians of the ``equilibrium`` solve, of the
 spectral bracket (with its iterations: power steps, plus inverse solves on
 at most ``DENSE_CAP`` nodes, and its width) and of the rest, ``steps_s``,
-which is the QA build and the update steps with their norms; the update
-steps and ms per step, and the peak RSS so far.
+which is the update steps with their norms; the update steps and ms per
+step, the peak RSS so far, and the tracemalloc peak of one more
+``simulate_until`` call, in MiB and in n-vectors of float64.
 
 It then writes the instance to a temporary folder as the CLI reads it: an
 edge list ``u v`` per line with the node ids permuted over [0, 10n) (seed 11),
@@ -114,7 +115,7 @@ def simulate(g, k, s, repeats):
                          f"dynamics.spectral_radius once per run: {len(equilibrium_s)}, "
                          f"{len(bracket_s)} calls in {repeats} runs")
     steps_s = statistics.median(t - e - b for t, e, b in zip(total_s, equilibrium_s, bracket_s))
-    print(json.dumps({
+    line = {
         "n": g.n, "m": g.m, "simulate_until": True, "eps": SIMULATE_EPS, "repeats": repeats,
         "equilibrium_s": statistics.median(equilibrium_s),
         "bracket_s": statistics.median(bracket_s),
@@ -124,7 +125,9 @@ def simulate(g, k, s, repeats):
         "steps_s": steps_s,
         "step_ms": 1e3 * steps_s / max(steps),
         "peak_rss_mb": maxrss_mb(),
-    }), flush=True)
+    }
+    add_peak(line, "simulate", g.n, dynamics.simulate_until, g, k, s, s, SIMULATE_EPS)
+    print(json.dumps(line), flush=True)
 
 
 FILES = ("g.txt", "k.txt", "s.txt")
@@ -156,12 +159,23 @@ def check_values(n, g, k, s, file_id):
 
 
 def traced(fn, *args, **kwargs):
-    """fn's result and the tracemalloc peak of the call, in MiB."""
+    """fn's result and the tracemalloc peak of the call, in bytes."""
     tracemalloc.start()
     result = fn(*args, **kwargs)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    return result, round(peak / 2**20, 1)
+    return result, peak
+
+
+def mib(nbytes):
+    return round(nbytes / 2**20, 1)
+
+
+def add_peak(line, name, n, fn, *args):
+    """Add the tracemalloc peak of one more ``fn(*args)`` call to ``line``:
+    ``<name>_peak_mb`` in MiB and ``<name>_peak_vectors`` in n-vectors."""
+    peak = traced(fn, *args)[1]
+    line[f"{name}_peak_mb"], line[f"{name}_peak_vectors"] = mib(peak), round(peak / (8 * n), 2)
 
 
 def load_files(folder, n):
@@ -204,7 +218,7 @@ def load_files(folder, n):
         "maxrss_after_load_mb": rss,
     }
     del g, k, s
-    _, line["load_edge_list_peak_mb"] = traced(graph.load_edge_list, g_path)
+    line["load_edge_list_peak_mb"] = mib(traced(graph.load_edge_list, g_path)[1])
     print(json.dumps(line), flush=True)
 
 
@@ -230,10 +244,11 @@ def load_string_files(folder, n):
         "maxrss_after_load_mb": rss,
     }
     del g, k, s
-    g, line["load_edge_list_peak_mb"] = traced(graph.load_edge_list, g_path)
+    g, peak = traced(graph.load_edge_list, g_path)
+    line["load_edge_list_peak_mb"] = mib(peak)
     line["load_node_values_peak_mb"] = [
-        traced(graph.load_node_values, k_path, g, name="stubbornness")[1],
-        traced(graph.load_node_values, s_path, g, name="opinion", lo=-1.0, hi=1.0)[1],
+        mib(traced(graph.load_node_values, k_path, g, name="stubbornness")[1]),
+        mib(traced(graph.load_node_values, s_path, g, name="opinion", lo=-1.0, hi=1.0)[1]),
     ]
     print(json.dumps(line), flush=True)
 
@@ -315,12 +330,7 @@ def main():
             "rss_after_setup_mb": rss_setup,
             "peak_rss_mb": maxrss_mb(),
         }
-        tracemalloc.start()
-        metrics.approxim(g, k, s, eps)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        line["approxim_peak_mb"] = round(peak / 2**20, 1)
-        line["approxim_peak_vectors"] = round(peak / (8 * g.n), 2)
+        add_peak(line, "approxim", g.n, metrics.approxim, g, k, s, eps)
         print(json.dumps(line), flush=True)
 
     simulate(g, k, s, args.repeats)
