@@ -10,12 +10,12 @@ the edge arrays, which are the upper triangle U of the adjacency in CSR
 order, and the adjacency is U + Uᵀ, two compiled scipy kernels.  So a build
 peaks at little above the size of the graph it returns.
 
-``load_edge_list`` and ``load_node_values`` hand a file of numbers only to
-numpy's C reader and read any other with one loop over its lines, which
-raises at the first bad line.  Holding no table of every token, the loop
-reads an edge list of string ids at 1e6 nodes in 3.2 s at a 472.5 MiB
-tracemalloc peak, and a value file in 2.0–2.1 s at 154 MiB
-(``BENCH_24.json``).
+``load_edge_list`` and ``load_node_values`` hand a regular file by its path
+to numpy's C reader, whose strict parse takes only a file of numbers; any
+other is read by one loop over its lines, which raises at the first bad
+line.  Holding no table of every token, the loop reads an edge list of
+string ids at 1e6 nodes in 3.2 s at a 472.5 MiB tracemalloc peak, and a
+value file in 2.0–2.1 s at 154 MiB (``BENCH_24.json``).
 
 It also holds ``_matvec_into``, the sparse product of the step loops: the
 update steps, power steps and bracket evaluations in ``dynamics`` and the
@@ -30,10 +30,11 @@ loop builds QA or L + K.  This module alone imports the private kernel.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import math
-import re
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -291,10 +292,12 @@ def _first_seen_ints(values):
     return node, first[order]
 
 
-def _read_text(path):
-    """The decoded text of a file; an undecodable file is an input error."""
+def _read_text(path, source=None):
+    """The decoded text of a file, or of ``_numeric_source``'s stream of it;
+    an undecodable file is an input error."""
     try:
-        with open(path) as fh:
+        with source if isinstance(source, io.TextIOWrapper) else open(path) as fh:
+            fh.seek(0)
             return fh.read()
     except UnicodeDecodeError as exc:
         raise GraphInputError(
@@ -302,51 +305,53 @@ def _read_text(path):
         ) from None
 
 
-# Each is matched from a given position and never backtracks: a failed
-# check costs one pass over the text.
-_HEADER = re.compile(r"(?:[#%][^\n]*\n)*")  # lines starting with "#" or "%"
-_NUMBERS = re.compile(r"[-+.eE0-9 \t\n]*")  # the characters of ints, floats, whitespace
-_FIRST_LINE = re.compile(r"\s*(.*)")
 _EDGE_ROWS = {2: "i8,i8", 3: "i8,i8,f8"}
 _VALUE_ROWS = {2: "i8,f8"}
 
 
-def _numeric_rows(text, row_dtypes):
+def _numeric_source(path):
+    """What np.loadtxt reads of a file: the absolute path (never taken for
+    a URL) of a regular file under a name numpy does not decompress, else
+    the file's bytes, read once, as a text stream the line reader reuses."""
+    name = os.path.abspath(os.fsdecode(path))
+    if os.path.isfile(name) and not name.endswith((".gz", ".bz2", ".xz", ".lzma")):
+        return name
+    with open(path, "rb") as fh:
+        return io.TextIOWrapper(io.BytesIO(fh.read()))
+
+
+def _numeric_rows(source, row_dtypes):
     """The rows of an all-numeric file, parsed by numpy's C reader.
 
-    ``row_dtypes`` maps each accepted column count, taken from the first data
-    line, to the row dtype.  Returns None for any file this does not take
-    whole (a later comment, a ragged line, an id that is not an int64, any
-    warning), which the line reader then reads.
+    ``source`` is ``_numeric_source``'s.  A short scan skips the top lines
+    that are blank or open with ``#`` or ``%``; ``row_dtypes`` maps the next
+    line's column count to the row dtype.  None for any file numpy's strict
+    parse does not take whole (a later comment, a ragged line, an id not an
+    int64, bytes that do not decode, any warning): the line reader reads it.
     """
-    start = _HEADER.match(text).end()
-    if _NUMBERS.match(text, start).end() < len(text):
-        return None
-    dtype = row_dtypes.get(len(_FIRST_LINE.match(text, start)[1].split()))
-    if dtype is None:
-        return None
-    # One UTF-8 copy, read past the header: the body is ASCII (_NUMBERS
-    # matched it all), one byte a character, and BytesIO shares the bytes.
-    data = text.encode()
-    body = io.BytesIO(data)
-    body.seek(len(data) - (len(text) - start))
     try:
+        with open(source) if isinstance(source, str) else contextlib.nullcontext(source) as fh:
+            header, line = 0, fh.readline()
+            while line and (line[0] in "#%" or not line.split()):
+                header, line = header + 1, fh.readline()
+            fh.seek(0)
+        dtype = row_dtypes.get(len(line.split()))
+        if dtype is None:
+            return None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return np.loadtxt(body, dtype=dtype, comments=None, ndmin=1)
+            return np.loadtxt(source, dtype=dtype, comments=None, skiprows=header, ndmin=1)
     except (ValueError, OverflowError, Warning):
         return None
 
 
-def _numeric_edge_list(text):
+def _numeric_edge_list(source):
     """load_edge_list's rows for an all-numeric file with weights finite and
     > 0, or None."""
-    rows = _numeric_rows(text, _EDGE_ROWS)
-    if rows is None:
-        return None
-    if len(rows.dtype) == 3 and not np.all(np.isfinite(rows["f2"]) & (rows["f2"] > 0.0)):
-        return None
-    return rows
+    rows = _numeric_rows(source, _EDGE_ROWS)
+    if rows is None or len(rows.dtype) == 2 or np.all(np.isfinite(rows["f2"]) & (rows["f2"] > 0.0)):
+        return rows
+    return None
 
 
 def _edge_rows_graph(rows):
@@ -393,18 +398,19 @@ def load_edge_list(path) -> Graph:
     Weight defaults to 1.0.  Lines starting with ``#`` or ``%`` are ignored
     (SNAP and Koblenz headers).  Node ids are kept as strings unless ``int()``
     accepts them (``01``, ``+1``, ``1_0``, non-ASCII decimal digits).  A file
-    of integer ids and float weights under such a header is parsed in C; any
+    of integer ids and float weights under such a header is parsed in C, by
+    its name or, for a pipe or a ``.gz`` name, from its bytes read once; any
     other file is read by a loop over its lines, to the same graph.  The loop
     raises at the first bad line, with the message of the first check that
     line fails: the column count, the weight, then its range.
     """
-    text = _read_text(path)
-    rows = _numeric_edge_list(text)
+    source = _numeric_source(path)
+    rows = _numeric_edge_list(source)
     if rows is not None:
-        del text  # freed before the ids are numbered and the graph is built
+        del source  # freed before the ids are numbered and the graph is built
         return _edge_rows_graph(rows)
-    lines = text.split("\n")  # only "\n": other whitespace stays within a line
-    del text
+    lines = _read_text(path, source).split("\n")  # only "\n": other whitespace stays within a line
+    del source
     ends, weights = [], []  # endpoint tokens in file order: u0 v0 u1 v1 ...
     for lineno, line in enumerate(lines, 1):
         cols = line.split()
@@ -447,15 +453,15 @@ def load_node_values(path, g: Graph, name="value", lo=None, hi=None, rows=None) 
     range.  ``rows`` are the file's rows as ValueRowsAhead parsed them, if
     it did.
     """
-    text = None
+    source = None
     if rows is None:
-        text = _read_text(path)
-        rows = _numeric_rows(text, _VALUE_ROWS)
+        source = _numeric_source(path)
+        rows = _numeric_rows(source, _VALUE_ROWS)
     out = _numeric_node_values(rows, g, lo, hi)
     if out is not None:
         return out
-    lines = (_read_text(path) if text is None else text).split("\n")
-    del text
+    lines = _read_text(path, source).split("\n")
+    del source
     index = dict(zip(g.ids.tolist(), range(g.n)))
     out = np.full(g.n, np.nan)
     for lineno, line in enumerate(lines, 1):
@@ -497,18 +503,16 @@ class ValueRowsAhead:
     numpy again.  The child starts only where it can help and is safe: the
     affinity mask holds two CPUs or more, and the file is a regular one,
     which load_node_values can read again on its fallback (a FIFO cannot
-    be).  It sends ``_numeric_rows`` of each file and nothing else, so every
-    check, every error and the line reader stay in load_node_values.  What a
-    child that fails sent is dropped, and its files are parsed here.
-    Leaving the ``with`` block reaps the child, killing it first if
-    ``rows`` was not reached.
+    be).  It sends ``_numeric_rows`` of each file, which numpy reads from
+    disk in the child, and nothing else, so every check, every error and the
+    line reader stay in load_node_values.  What a child that fails sent is
+    dropped, and its files are parsed here.  Leaving the ``with`` block
+    reaps the child, killing it first if ``rows`` was not reached.
 
-    Imports are local, to add nothing to ``import fjopinion``.
+    Its other imports are local, to add nothing to ``import fjopinion``.
     """
 
     def __init__(self, paths):
-        import os
-
         self._pid = None
         paths = [p for p in paths if os.path.isfile(p)]
         if not (paths and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
@@ -546,15 +550,12 @@ class ValueRowsAhead:
 
     def __exit__(self, *exc):
         if self._pid is not None:
-            import os
             import signal
 
             os.kill(self._pid, signal.SIGKILL)
             self._reap()
 
     def _reap(self):
-        import os
-
         self._pipe.close()
         pid, self._pid = self._pid, None
         os.waitpid(pid, 0)
@@ -565,11 +566,10 @@ def _send_rows(paths, fd):
     ``fd`` and leave through ``os._exit``, which skips the parent's cleanup
     (atexit handlers, buffered output) and never returns into its stack.  On
     any error the pickle is left short, and the parent parses every file."""
-    import os
     import pickle
 
     try:
-        rows = {path: _numeric_rows(_read_text(path), _VALUE_ROWS) for path in paths}
+        rows = {path: _numeric_rows(_numeric_source(path), _VALUE_ROWS) for path in paths}
         with open(fd, "wb") as pipe:
             pickle.dump(rows, pipe, pickle.HIGHEST_PROTOCOL)
     finally:

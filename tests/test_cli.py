@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fjopinion import cli, dynamics, verify
-from fjopinion.graph import StubbornnessVector, _numeric_rows, _read_text, build_graph
+from fjopinion.graph import StubbornnessVector, _numeric_rows, _numeric_source, build_graph
 from fjopinion.metrics import MetricsReport
 
 
@@ -157,7 +157,7 @@ def test_malformed_stubbornness_spec_exits_1(fixture_files, spec, capsys):
 
 
 @pytest.mark.parametrize("flag", ["--graph", "--opinions", "--stubbornness"])
-@pytest.mark.parametrize("kind", ["directory", "non-utf8", "non-utf8-header"])
+@pytest.mark.parametrize("kind", ["directory", "non-utf8", "non-utf8-header", "non-utf8-body"])
 def test_unreadable_path_exits_1(fixture_files, tmp_path, flag, kind, capsys):
     graph, stub, opinions = fixture_files
     bad = tmp_path
@@ -168,12 +168,18 @@ def test_unreadable_path_exits_1(fixture_files, tmp_path, flag, kind, capsys):
         # Numbers under the header: the file the C reader would take.
         bad = tmp_path / "header.txt"
         bad.write_bytes(b"% \xff\n1 2\n")
+    elif kind == "non-utf8-body":
+        # A byte the C reader meets only after 4000 bytes of numbers.
+        bad = tmp_path / "body.txt"
+        bad.write_bytes(b"0 1\n" * 1000 + b"\xff\n")
     # The last of a repeated flag wins.
     argv = ["metrics", "--graph", str(graph), "--stubbornness", str(stub),
             "--opinions", str(opinions), flag, str(bad)]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("input error:") and str(bad) in err
+    if kind == "non-utf8-body":
+        assert err == f"input error: {bad}: cannot decode as utf-8 at byte 4000: invalid start byte\n"
 
 
 def test_missing_input_flag_exits_1(fixture_files, capsys):
@@ -509,21 +515,30 @@ def test_a_failed_child_leaves_the_parse_to_the_parent(value_run, tmp_path, fork
         def dying(path):
             if os.getpid() != parent:
                 os._exit(3)
-            return _read_text(path)
+            return _numeric_source(path)
 
-        monkeypatch.setattr("fjopinion.graph._read_text", dying)
+        monkeypatch.setattr("fjopinion.graph._numeric_source", dying)
     else:
         def short_dump(obj, fh, protocol):
             data = pickle.dumps(obj, protocol)
             fh.write(data[: len(data) // 2])
 
         monkeypatch.setattr(pickle, "dump", short_dump)
+    statuses, waitpid = {}, os.waitpid
+
+    def recorded_waitpid(pid, options):
+        reaped, status = waitpid(pid, options)
+        statuses[reaped] = status
+        return reaped, status
+
+    monkeypatch.setattr(os, "waitpid", recorded_waitpid)
     pids = forks(2)
     pids.clear()
     out = tmp_path / "r.json"
     rc = cli.main(argv + ["--out", str(out)])
     assert len(pids) == 1
     assert_no_child_left()
+    assert os.waitstatus_to_exitcode(statuses[pids[0]]) == (3 if failure == "dies" else 0)
     assert (rc, report_lines(out), capsys.readouterr().err) == expected
 
 
@@ -538,10 +553,10 @@ def test_no_child_outlives_main(value_run, tmp_path, forks, monkeypatch, capsys)
     # A bad edge file raises while the child still parses: it is killed, not waited for.
     parent = os.getpid()
 
-    def slow(text, row_dtypes):
+    def slow(source, row_dtypes):
         if os.getpid() != parent:
             time.sleep(60)
-        return _numeric_rows(text, row_dtypes)
+        return _numeric_rows(source, row_dtypes)
 
     monkeypatch.setattr("fjopinion.graph._numeric_rows", slow)
     bad = tmp_path / "bad.txt"

@@ -1,5 +1,8 @@
+import gzip
+import io
 import os
 import tempfile
+import threading
 import time
 import tracemalloc
 import warnings
@@ -22,6 +25,7 @@ from fjopinion.graph import (
     _numeric_edge_list,
     _numeric_node_values,
     _numeric_rows,
+    _numeric_source,
     build_graph,
     eigen_bounds,
     laplacian_apply,
@@ -473,17 +477,22 @@ def spellings(i):
     return st.sampled_from([str(i), f"{sign}0{abs(i)}", f"{sign or '+'}{abs(i)}"])
 
 
+# Whitespace that numpy's C reader and str.split() both split fields on.
+NUMERIC_SEPARATORS = [" ", "\t", "  ", " \t ", "\x0c", "\x0b", "\x1c", "\xa0", "\x85", "\u2028", "\u2003"]
+
+
 @st.composite
 def numeric_text(draw, rows):
     """A file of only numbers under an optional ``#``/``%`` header: ``rows``
-    with spaces or tabs between fields, blank lines, \\n or \\r\\n endings."""
+    with ASCII or Unicode whitespace between fields, blank lines, and \\n,
+    \\r\\n or lone \\r endings."""
     lines = draw(st.lists(st.sampled_from(["#", "%", "# u v w", "%% bip unweighted", "#1 2"]), max_size=3))
     for fields in rows:
         if draw(st.integers(0, 4)) == 0:
             lines.append(draw(st.sampled_from(["", " ", "\t"])))
-        seps = [draw(st.sampled_from([" ", "\t", "  ", " \t "])) for _ in fields]
+        seps = [draw(st.sampled_from(NUMERIC_SEPARATORS)) for _ in fields]
         lines.append(draw(st.sampled_from(["", " ", "\t"])) + "".join(f + s for f, s in zip(fields, seps)))
-    text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
     return text.rstrip("\r\n") if draw(st.booleans()) else text
 
 
@@ -504,9 +513,14 @@ def numeric_values_case(draw):
     return ids, draw(numeric_text(rows))
 
 
-def c_reader_values(text, g, lo, hi):
+def c_reader_edges(path):
+    """load_edge_list's rows from numpy's C reader, or None."""
+    return _numeric_edge_list(_numeric_source(path))
+
+
+def c_reader_values(path, g, lo, hi):
     """load_node_values' vector from numpy's C reader, or None."""
-    return _numeric_node_values(_numeric_rows(text, _VALUE_ROWS), g, lo, hi)
+    return _numeric_node_values(_numeric_rows(_numeric_source(path), _VALUE_ROWS), g, lo, hi)
 
 
 def write_temp(tmp, name, text):
@@ -526,8 +540,7 @@ class TestNumericFiles:
     def test_graph_is_the_line_readers(self, text):
         with tempfile.TemporaryDirectory() as tmp:
             path = write_temp(tmp, "g.txt", text)
-            with open(path) as fh:
-                assert _numeric_edge_list(fh.read()) is not None
+            assert c_reader_edges(path) is not None
             g, reference = load_edge_list(path), build_graph(reference_triples(path))
             assert_same_graph(g, reference)
             assert g.fingerprint() == reference.fingerprint()
@@ -550,26 +563,25 @@ class TestNumericFiles:
             built = build_graph([(a, b, 1.0) for a, b in zip(ids, ids[1:])])
             for g in (loaded, built):
                 assert g.ids.tolist() == ids
-                with open(path) as fh:
-                    assert c_reader_values(fh.read(), g, -1.0, 1.0) is not None
+                assert c_reader_values(path, g, -1.0, 1.0) is not None
                 out = load_node_values(path, g, name="opinion", lo=-1.0, hi=1.0)
                 assert out.tobytes() == expected.tobytes()
 
     def test_float_spelled_id_stays_a_string(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("1.0 2\n2 3\n")
-        assert _numeric_edge_list(path.read_text()) is None
+        assert c_reader_edges(path) is None
         assert load_edge_list(path).ids.tolist() == ["1.0", 2, 3]
 
     def test_id_beyond_int64_stays_a_python_int(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text(f"{2**63} 1\n1 2\n")
-        assert _numeric_edge_list(path.read_text()) is None
+        assert c_reader_edges(path) is None
         g = load_edge_list(path)
         assert g.ids.tolist() == [2**63, 1, 2] and all(type(i) is int for i in g.ids.tolist())
         values = tmp_path / "s.txt"
         values.write_text(f"1 0.5\n2 -0.5\n{2**63} 0.25\n")
-        assert c_reader_values(values.read_text(), g, None, None) is None
+        assert c_reader_values(values, g, None, None) is None
         assert load_node_values(values, g).tolist() == [0.25, 0.5, -0.5]
         values.write_text("1 0.5\n2 -0.5\n")  # taken by the C reader, but g has no int64 view
         with pytest.raises(GraphInputError) as exc:
@@ -577,15 +589,23 @@ class TestNumericFiles:
         assert str(exc.value) == f"{values}: missing value for nodes [{2**63}]"
 
     @pytest.mark.parametrize(
+        "text", ["1\x0c2\n2\x0c3\n", "1\xa02\n2 3\n"], ids=["form-feed", "no-break-space"]
+    )
+    def test_unicode_whitespace_agrees_with_the_loop(self, tmp_path, text):
+        path = tmp_path / "g.txt"
+        path.write_text(text, encoding="utf-8")
+        assert c_reader_edges(path) is not None
+        assert_same_graph(load_edge_list(path), build_graph(reference_triples(path)))
+
+    @pytest.mark.parametrize(
         "text",
-        ["1\x0c2\n2\x0c3\n", "1\xa02\n2 3\n", "1 2\n# c\n2 3\n", " # c\n1 2\n2 3\n", "1 2\n2 3 0.5\n"],
-        ids=["form-feed", "no-break-space", "later-comment", "indented-header", "mixed-columns"],
+        ["1 2\n# c\n2 3\n", " # c\n1 2\n2 3\n", "1 2\n2 3 0.5\n"],
+        ids=["later-comment", "indented-header", "mixed-columns"],
     )
     def test_other_files_are_read_line_by_line(self, tmp_path, text):
         path = tmp_path / "g.txt"
         path.write_text(text, encoding="utf-8")
-        with open(path) as fh:
-            assert _numeric_edge_list(fh.read()) is None
+        assert c_reader_edges(path) is None
         assert_same_graph(load_edge_list(path), build_graph(reference_triples(path)))
 
     def test_any_warning_sends_the_file_to_the_line_reader(self, tmp_path, monkeypatch):
@@ -599,33 +619,75 @@ class TestNumericFiles:
         monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
         path = tmp_path / "g.txt"
         path.write_text("1 2\n2 3\n")
-        assert _numeric_edge_list(path.read_text()) is None
+        assert c_reader_edges(path) is None
         assert_same_graph(load_edge_list(path), build_graph(reference_triples(path)))
 
     def test_refusing_a_file_takes_one_pass(self):
-        # A check that backtracked would rescan the text once for each
-        # character of the first line: about 10 s here, not 1 ms.
-        text = "1 " * 2000 + "\n" + "1 2\n" * 50000 + "x"
-        t = time.perf_counter()
-        assert _numeric_edge_list(text) is None
-        assert time.perf_counter() - t < 1.0
+        # Refused at its first line (2000 columns) or at its last byte, a file
+        # is read at most once.
+        for text in ("1 " * 2000 + "\n" + "1 2\n" * 50000 + "x", "1 2\n" * 50000 + "x"):
+            t = time.perf_counter()
+            assert _numeric_edge_list(io.StringIO(text)) is None
+            assert time.perf_counter() - t < 1.0
 
     def test_header_beyond_ascii_is_skipped_by_the_c_reader(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("% naïve ✓\n# Ω\n3 1 0.5\n1 2 2\n", encoding="utf-8")
-        assert _numeric_edge_list(path.read_text(encoding="utf-8")) is not None
+        assert c_reader_edges(path) is not None
         assert_same_graph(load_edge_list(path), build_graph(reference_triples(path)))
 
-    def test_parse_holds_one_copy_of_the_text(self):
-        # Padded lines under a header: the text is 25 times the rows parsed from it.
-        text = "# u v\n" + "".join(f"{i} {i + 1}{' ' * 200}\n" for i in range(5000))
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("g.gz", "3 1 0.5\n1 2 2\n"),
+            ("g.bz2", "3 1 0.5\n1 2 2\n"),
+            ("g.xz", "3 1 0.5\n# c\n1 2 2\n"),
+            ("gzip", "3 1 0.5\n1 2 2\n"),
+            ("fifo", "3 1 0.5\n1 2 2\n"),
+            ("fifo", "3 1 0.5\n# c\n1 2 2\n"),
+        ],
+        ids=["plain-gz", "plain-bz2", "plain-xz-lines", "gzip", "fifo", "fifo-lines"],
+    )
+    def test_names_numpy_unpacks_and_pipes_are_read_as_text(self, tmp_path, name, text):
+        # numpy would open the path through a decompressor picked by its
+        # suffix, and a pipe cannot be read again on a refusal.
+        regular = tmp_path / "g.txt"
+        regular.write_text(text)
+        if name == "gzip":
+            path = tmp_path / "g.gz"
+            path.write_bytes(gzip.compress(text.encode()))
+            with pytest.raises(GraphInputError) as exc:
+                load_edge_list(path)
+            assert str(exc.value) == f"{path}: cannot decode as utf-8 at byte 1: invalid start byte"
+            return
+        path = tmp_path / name
+        if name == "fifo":
+            if not hasattr(os, "mkfifo"):
+                pytest.skip("no os.mkfifo on this platform")
+            os.mkfifo(path)
+            writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
+            writer.start()
+            g = load_edge_list(path)
+            writer.join()
+        else:
+            path.write_text(text)
+            assert isinstance(_numeric_source(path), io.TextIOWrapper)
+            g = load_edge_list(path)
+        assert_same_graph(g, load_edge_list(regular))
+        assert_same_graph(g, build_graph(reference_triples(regular)))
+
+    def test_parse_holds_the_rows_not_the_text(self, tmp_path):
+        # Padded lines under a header: the text is 13 times the rows parsed
+        # from it, and numpy reads the file in chunks.
+        path = tmp_path / "g.txt"
+        path.write_text("# u v\n" + "".join(f"{i} {i + 1}{' ' * 200}\n" for i in range(20000)))
         tracemalloc.start()
         try:
-            rows = _numeric_rows(text, {2: "i8,i8"})
+            rows = _numeric_rows(_numeric_source(path), {2: "i8,i8"})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rows.size == 5000 and peak < 1.5 * len(text)
+        assert rows.size == 20000 and peak < 2 * rows.nbytes
 
     def test_text_is_freed_before_the_ids_are_numbered(self, tmp_path, monkeypatch):
         path = tmp_path / "g.txt"
@@ -648,7 +710,7 @@ class TestNumericFiles:
     def test_bad_weight_is_reported_by_line(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("1 2 1\n2 3 1\n3 4 -1\n")
-        assert _numeric_edge_list(path.read_text()) is None
+        assert c_reader_edges(path) is None
         with pytest.raises(GraphInputError) as exc:
             load_edge_list(path)
         assert str(exc.value) == f"{path}:3: weight must be finite and > 0"
@@ -669,7 +731,7 @@ class TestNumericFiles:
         g = load_edge_list(tmp_path / "g.txt")
         path = tmp_path / "s.txt"
         path.write_text(text)
-        assert c_reader_values(text, g, -1.0, 1.0) is None
+        assert c_reader_values(path, g, -1.0, 1.0) is None
         with pytest.raises(GraphInputError) as exc:
             load_node_values(path, g, name="opinion", lo=-1.0, hi=1.0)
         assert str(exc.value) == f"{path}{message}"
@@ -759,12 +821,11 @@ class TestIdArray:
         assert g.ids.dtype == object and x == ids and list(map(type, x)) == list(map(type, ids))
 
     def test_line_read_integer_ids_take_the_c_value_path(self, tmp_path):
-        assert _numeric_edge_list("10 -3\n# c\n-3 7\n") is None  # a later comment
         g = write_graph(tmp_path, "10 -3\n# c\n-3 7\n")
-        text = "7 0.5\n10 -0.25\n-3 1\n"
-        (tmp_path / "s.txt").write_text(text)
+        assert c_reader_edges(tmp_path / "g.txt") is None  # a later comment
+        (tmp_path / "s.txt").write_text("7 0.5\n10 -0.25\n-3 1\n")
         expected = [-0.25, 1.0, 0.5]
-        assert c_reader_values(text, g, -1.0, 1.0).tolist() == expected
+        assert c_reader_values(tmp_path / "s.txt", g, -1.0, 1.0).tolist() == expected
         assert load_node_values(tmp_path / "s.txt", g, lo=-1.0, hi=1.0).tolist() == expected
 
     def test_messages_print_ids_as_read(self, tmp_path):

@@ -31,12 +31,12 @@ forked before the instance was built loads them as ``fjopinion metrics``
 does (the value files through ``ValueRowsAhead`` while the edge list
 parses), so that its ru_maxrss covers the loading alone, checks the vectors
 against the instance, and prints one more JSON line: the seconds of
-``load_edge_list`` and of its three stages (the parse, ``_numeric_rows``;
-the id remap, ``_first_seen_ints``; and ``Graph.from_arrays``), of the wait
-for the value rows and of each ``load_node_values`` call, the dtype of
-``g.ids`` (its type where it is no array), ru_maxrss after loading, and the
-tracemalloc peak of a second ``load_edge_list`` call, made once the loaded
-graph and vectors are freed.
+``load_edge_list`` and of its three stages (the read and parse,
+``_numeric_rows``; the id remap, ``_first_seen_ints``; and
+``Graph.from_arrays``), of the wait for the value rows and of each
+``load_node_values`` call, the dtype of ``g.ids`` (its type where it is no
+array), ru_maxrss after loading, and the tracemalloc peak of a second
+``load_edge_list`` call, made once the loaded graph and vectors are freed.
 
 The same files are also written with each id i spelled ``v<i>``, which the
 C reader refuses, so both loaders read them by their loop over the lines.  A
