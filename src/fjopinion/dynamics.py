@@ -20,6 +20,8 @@ from fjopinion.solver import Certificate, SolverResult, check, energy_norm_certi
 
 DENSE_CAP = 10_000
 EQUILIBRIUM_DELTA = 1e-12  # relative error proved by exact-mode and equilibrium solves
+# simulate_until refines z* once where its proved error in |f| exceeds this share of eps.
+EQUILIBRIUM_SHARE = 0.1
 POWER_STEPS = 1_000
 CHECK_EVERY = 10  # power steps between two evaluations of the bracket
 INVERSE_SOLVES = 100
@@ -68,6 +70,7 @@ class ErrorTrace:
     f_norms: list = field(default_factory=list)
     bound: int = 0  # the convergence-time bound checked, 0 when no check ran
     spectral: SpectralEstimate | None = None  # the bracket that bound came from, None likewise
+    equilibrium_error: float = 0.0  # proved bound on ||z* - z~*||_{K+D}, the z~* the norms use
 
 
 def _diagonal(g: Graph, k: StubbornnessVector) -> np.ndarray:
@@ -324,9 +327,18 @@ def simulate_until(
     it takes rho from the upper end of the ``spectral_radius`` bracket, which
     is proved whether or not the bracket converged.  The bracket is given
     the goal (|f(0)|, eps), so it is refined only until both of its ends
-    give that bound; the trace keeps it as ``spectral``.  At most ``bound``
-    steps run: a stop time past it raises ``NumericalError`` there, as does
-    a stop past ``SIMULATION_CAP``.
+    give that bound; the trace keeps it as ``spectral``.
+
+    The norms are measured against the computed equilibrium z~*, not z*.
+    ``_equilibrium_error`` proves beta >= ||z* - z~*||_{K+D}, which the trace
+    keeps as ``equilibrium_error``; where beta exceeds ``EQUILIBRIUM_SHARE``
+    eps, z~* is refined once first.  |f(t)| <= rho^t |f(0)| holds for the true
+    f, so the measured norm obeys |f~(t)| <= rho^t (|f~(0)| + beta) + beta,
+    which is at most eps from the step T' = convergence_bound(rho,
+    |f~(0)| + beta, eps - beta) >= ``bound`` on.  The run stops once
+    |f~(t)| <= eps, and a stop past T' raises ``NumericalError`` there, as
+    does a stop past ``SIMULATION_CAP``.  Where beta >= eps no step is proved
+    and T' is ``bound`` itself.
 
     The steps allocate nothing: z(t) alternates between two buffers, neither
     of them ``z0``, which stays the caller's, and ``_update``, the kernel of
@@ -339,10 +351,12 @@ def simulate_until(
     z0 = _opinions(g, k, z0, "innate and expressed vectors must be 1-d and equal length")
     z_star = equilibrium(g, k, s)
     b = _diagonal(g, k)
-    ks, weight = k.k * s, np.sqrt(b)  # as ``step`` forms Ks
+    ks = k.k * s  # as ``step`` forms Ks
 
     trace = ErrorTrace()
     e, f = np.empty_like(z0), np.empty_like(z0)  # e(t) and f(t), overwritten each step
+    trace.equilibrium_error = _equilibrium_error(g, k, ks, b, z_star, EQUILIBRIUM_SHARE * eps, e, f)
+    weight = np.sqrt(b)
 
     def record(z):
         np.subtract(z, z_star, out=e)
@@ -356,9 +370,12 @@ def simulate_until(
     if g.m >= 1 and f_norm > eps:
         trace.spectral = spectral_radius(g, k, goal=(f_norm, eps))
         trace.bound = convergence_bound(trace.spectral, f_norm, eps)
+    beta = trace.equilibrium_error
+    last = trace.bound if beta >= eps or trace.spectral is None else convergence_bound(
+        trace.spectral, f_norm + beta, eps - beta)
     zs = np.empty_like(z0), np.empty_like(z0)  # z(t) for t >= 1, alternating; after the bracket's peak
     while f_norm > eps:
-        if trace.spectral is not None and t >= trace.bound:
+        if trace.spectral is not None and t >= last:
             raise NumericalError(f"observed stop time (|f({t})| = {f_norm:.3e} > eps = {eps}) "
                                  f"exceeds the convergence bound {trace.bound}")
         if t >= SIMULATION_CAP:
@@ -369,3 +386,44 @@ def simulate_until(
         t += 1
         f_norm = record(z)
     return OpinionState(s=s, z=z, t=t), trace
+
+
+def _equilibrium_error(g: Graph, k: StubbornnessVector, ks: np.ndarray, b: np.ndarray,
+                       z_star: np.ndarray, target: float, r: np.ndarray,
+                       scratch: np.ndarray) -> float:
+    """A proved bound on ||z* - z~*||_{K+D} for z~* = ``z_star`` solving (L + K) z = Ks.
+
+    With r = Ks - (L + K) z~*, ||z* - z~*||_{L+K} <= ||K^{-1/2} r|| (see
+    ``solver``), and L + K >= (1 - rho)(K + D) with 1 - rho >= min k / (k + d),
+    the row-sum bound on rho(QA).  The residual is the one ``check`` forms,
+    whose row i is off from the exact one by at most gamma ((k + d)_i |z_i| +
+    (A|z|)_i + |(Ks)_i|), gamma = cu / (1 - cu) with c = 2t + 4 for t the most
+    entries in a row of A: k + d, Ks and the row's t + 2 terms count their
+    roundings (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).
+    That term's K^{-1/2}-norm is added, and the sum is widened by (n + 8) eps
+    for the dot products, square roots and the ratio min k / (k + d).
+
+    Where the bound exceeds ``target``, z~* is refined once in place: z~* += y,
+    with (L + K) y = r solved by ``_solve`` to relative energy-norm error
+    ``EQUILIBRIUM_DELTA``; the bound returned is that of the refined z~*.
+    ``r`` and ``scratch`` are two free n-vectors, overwritten.
+    """
+    a, unit = g.adjacency, float(np.finfo(np.float64).eps) / 2.0
+    c = 2 * int(np.diff(a.indptr).max(initial=0)) + 4
+    gamma = c * unit / (1.0 - c * unit)
+    scale = (1.0 + (g.n + 8) * 2.0 * unit) / math.sqrt(float((k.k / b).min()))
+    certify = energy_norm_certificate(ks, EQUILIBRIUM_DELTA)
+
+    def bound():
+        rho = check(g, k, ks, z_star, certify, r, scratch)[1]
+        size = np.abs(z_star)
+        _matvec_into(a, size, np.multiply(b, size, out=scratch))
+        np.add(scratch, np.abs(ks, out=size), out=scratch)
+        rounding = math.sqrt(float(scratch @ np.divide(scratch, k.k, out=size)))
+        return (rho + gamma * rounding) * scale
+
+    error = bound()
+    if error > target:
+        z_star += _solve(g, k, r, energy_norm_certificate(r, EQUILIBRIUM_DELTA)).y
+        error = bound()
+    return error

@@ -604,18 +604,81 @@ class TestSimulateUntil:
             assert state.t == 798
 
     def test_stop_past_its_bound_raises_at_the_bound(self, monkeypatch):
-        # |f(t)| stalls near 1e-11 against a 1e-12 equilibrium, so eps = 1e-12
-        # is never reached; the proved bound is 111 steps, far below the cap.
+        # |f(t)| stalls near 2e-14, the steps' own rounding floor, so eps = 1e-14
+        # is never reached.  The refined equilibrium's proved error (about
+        # 9e-14) is not below eps, so the run is checked at the bound itself,
+        # 129 steps, far below the cap.
         monkeypatch.setattr(dynamics, "SIMULATION_CAP", 10_000)
         g = random_regular_graph(3000, 4, 1)
         k = generate_stubbornness(g.n, 0.5, 2.0, 2)
         s = generate_opinions(g.n, "powerlaw", 3)
         with pytest.raises(NumericalError) as exc:
-            simulate_until(g, k, s, z0=s.copy(), eps=1e-12)
+            simulate_until(g, k, s, z0=s.copy(), eps=1e-14)
         message = str(exc.value)
         assert message.startswith("observed stop time ")
-        assert message.endswith(" exceeds the convergence bound 111")
-        assert "|f(111)|" in message  # raised after the bound's last step
+        assert message.endswith(" exceeds the convergence bound 129")
+        assert "|f(129)|" in message  # raised after the bound's last step
+
+    def test_tight_eps_stops_against_the_refined_equilibrium(self, monkeypatch):
+        # Against the 1e-12 equilibrium |f(t)| stalled near 1e-11 and this run
+        # raised at its bound, 111; once refined, z* no longer holds |f| up.
+        g = random_regular_graph(3000, 4, 1)
+        k = generate_stubbornness(g.n, 0.5, 2.0, 2)
+        s = generate_opinions(g.n, "powerlaw", 3)
+        solves, real = [], dynamics._solve
+        monkeypatch.setattr(dynamics, "_solve", lambda *args: solves.append(args) or real(*args))
+        state, trace = simulate_until(g, k, s, z0=s.copy(), eps=1e-12)
+        assert len(solves) == 2  # the equilibrium and its one refinement
+        assert state.t <= trace.bound == 111
+        assert trace.f_norms[-1] <= 1e-12 and 0.0 < trace.equilibrium_error
+
+    @pytest.mark.parametrize("beta, last", [(0.99e-8, 11), (1e-8, 9)])
+    def test_stop_is_checked_where_the_equilibrium_error_allows(self, path2, k11, monkeypatch,
+                                                                beta, last):
+        # rho(QA) = 1/2, but the bracket says 0.1: the bound, 9, is missed.
+        # With z*'s error beta below eps, a violation is proved only from
+        # convergence_bound(0.1, |f(0)| + beta, eps - beta) = 11 on; at
+        # beta = eps none is, and the run is checked at the bound itself.
+        s = np.array([1.0, -1.0])
+        f0 = simulate_until(path2, k11, s, z0=s.copy(), eps=1e-8)[1].f_norms[0]
+        bracket = dynamics.SpectralEstimate(lower=0.0, upper=0.1, iterations=0, converged=False)
+        monkeypatch.setattr(dynamics, "spectral_radius", lambda g, k, **kw: bracket)
+        monkeypatch.setattr(dynamics, "_equilibrium_error", lambda *args: beta)
+        with pytest.raises(NumericalError) as exc:
+            simulate_until(path2, k11, s, z0=s.copy(), eps=1e-8)
+        assert convergence_bound(0.1, f0, 1e-8) == 9
+        assert last == (convergence_bound(0.1, f0 + beta, 1e-8 - beta) if beta < 1e-8 else 9)
+        assert f"|f({last})|" in str(exc.value)
+        assert str(exc.value).endswith(" exceeds the convergence bound 9")
+
+    @pytest.mark.parametrize("target", [math.inf, 0.0], ids=["as solved", "refined"])
+    def test_equilibrium_error_bounds_the_distance_to_z_star(self, target):
+        # z* - z~* is taken from the residual of z~* formed in long double
+        # on the exactly summed degrees: at the rounding floor of a factor
+        # solve, the computed residual alone can read 0.
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            g, k, s = make_instance(rng, k_range=(0.01, 3.0))
+            b, ks = k.k + g.degrees, k.k * s
+            z = equilibrium(g, k, s)
+            beta = dynamics._equilibrium_error(g, k, ks, b, z, target, np.empty(g.n), np.empty(g.n))
+            a = g.adjacency.toarray().astype(np.longdouble)
+            exact = np.diag(a.sum(axis=1) + k.k) - a
+            r = k.k.astype(np.longdouble) * s - exact @ z
+            gap = np.linalg.solve(operator_matrix(g, k).toarray(), r.astype(np.float64))
+            assert math.sqrt(float(b @ (gap * gap))) <= beta
+
+    def test_equilibrium_error_is_tight_on_the_slow_mode(self):
+        # On a ring with one k, 1 is the slowest mode of QA and 1 - rho is
+        # min k / (k + d): an error c * 1 in z~* meets the bound.
+        g = cycle(50)
+        k = StubbornnessVector.uniform(g.n, 0.01)
+        s = generate_opinions(g.n, "uniform", 1)
+        b, ks = k.k + g.degrees, k.k * s
+        z = equilibrium(g, k, s) + 1e-6
+        beta = dynamics._equilibrium_error(g, k, ks, b, z, math.inf, np.empty(g.n), np.empty(g.n))
+        distance = 1e-6 * math.sqrt(float(b.sum()))
+        assert distance <= beta <= distance * (1.0 + 1e-6)
 
     def test_mismatched_z0_fails_before_the_solve(self, path2, k11, monkeypatch):
         solves = []
