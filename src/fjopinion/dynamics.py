@@ -15,11 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from fjopinion.errors import GraphInputError, NumericalError, SizeGuardError
-from fjopinion.graph import Graph, StubbornnessVector, _matvec_into, operator_matrix
-from fjopinion.solver import Certificate, SolverResult, check, energy_norm_certificate, solve
+from fjopinion.graph import Graph, StubbornnessVector, _disagreement, _matvec_into, operator_matrix
+from fjopinion.solver import (EPS, Certificate, SolverResult, check, energy_norm_certificate,
+                              proved_rho, solve)
 
 DENSE_CAP = 10_000
 EQUILIBRIUM_DELTA = 1e-12  # relative error proved by exact-mode and equilibrium solves
+SWEEP_DELTA = 1e-6  # relative energy-norm error of a refinement sweep's PCG correction
 # simulate_until refines z* once where its proved error in |f| exceeds this share of eps.
 EQUILIBRIUM_SHARE = 0.1
 POWER_STEPS = 1_000
@@ -124,22 +126,55 @@ def _forest(g: Graph) -> bool:
 
 
 def _solve(g: Graph, k: StubbornnessVector, b: np.ndarray, certify: Certificate) -> SolverResult:
-    """Solve (L + K) y = b under ``certify``: the one rule for when L + K is factored.
+    """Solve (L + K) y = b under ``certify``: the one solve path of every graph.
 
-    Forests are factored at once; other graphs get certified PCG, which
-    applies L + K from ``g.adjacency``, and the factor only if PCG stops
-    uncertified on at most ``DENSE_CAP`` nodes.  L + K is built only to be
-    factored.  A factor's solution is judged by ``certify`` with PCG's own
-    ``check``, with stop_reason "" and PCG's iterations.  Nothing is kept
-    after the call.
+    A first solve: the factor of L + K on a forest, whose factor has no fill
+    (L + K is built only for it), certified PCG from ``g.adjacency`` on any
+    other graph.  If that misses its certificate, refinement sweeps follow:
+    iterative refinement with an extra-precise residual (Demmel et al., ACM
+    TOMS 32(2), 2006; Carson & Higham, SISC 40(2), 2018).  Each sweep forms
+    r = b - (L + K) y in long double (``solver.proved_rho``), with y held in
+    long double, and adds a correction d from the same solver: the kept
+    factor, or PCG to a relative energy-norm error of ``SWEEP_DELTA``.  The
+    returned double q, y rounded, is judged with rho(y) + ||y - q||_{L+K},
+    which bounds ||q - x*||_{L+K}; the first sweep judges the first solve's
+    y so, before any correction.  Sweeps stop once ``certify`` holds or
+    once a sweep's rho(y) is no smaller than the last one's, as PCG's
+    checks stop (stop_reason "stagnated").  A certified factor solution
+    reads stop_reason "", and ``iterations`` counts every PCG step run.
+    Nothing is kept after the call.
     """
-    res = None if _forest(g) else solve(g, k, b, certify)
-    if res is not None and (res.certified or g.n > DENSE_CAP):
+    lu = _splu_symmetric(operator_matrix(g, k)) if _forest(g) else None
+    if lu is None:
+        res = solve(g, k, b, certify)
+    else:
+        y = lu.solve(b)
+        bound, rho, r_norm = check(g, k, b, y, certify, np.empty_like(b), np.empty_like(b))
+        res = SolverResult(y=y, iterations=0, residual_norm=r_norm, certified=bound <= certify.target,
+                           bound=bound, stop_reason="", rho=rho)
+    if res.certified:
         return res
-    y = _splu_symmetric(operator_matrix(g, k)).solve(b)
-    bound, _, r_norm = check(g, k, b, y, certify, np.empty_like(b), np.empty_like(b))
-    return SolverResult(y=y, iterations=res.iterations if res else 0, residual_norm=r_norm,
-                        certified=bound <= certify.target, bound=bound, stop_reason="")
+    r, scratch = np.empty_like(b), np.empty_like(b)
+    y, iterations, last = res.y.astype(np.longdouble), res.iterations, math.inf
+    while True:
+        rho, r_norm = proved_rho(g, k, b, y, r, scratch)
+        q = y.astype(np.float64)
+        gap = np.subtract(y, q, out=scratch, casting="same_kind")  # y - q, rounded
+        gap = math.sqrt(float(k.k @ (gap * gap)) + _disagreement(g, gap)) * (1.0 + (g.n + 8) * EPS)
+        bound = certify.bound(q, r, rho + gap)
+        if bound <= certify.target or not rho < last:
+            break
+        last = rho
+        if lu is None:
+            sweep = solve(g, k, r, energy_norm_certificate(r, SWEEP_DELTA))
+            y += sweep.y
+            iterations += sweep.iterations
+        else:
+            y += lu.solve(r)
+    certified = bound <= certify.target
+    return SolverResult(y=q, iterations=iterations, residual_norm=r_norm, certified=certified,
+                        bound=bound, rho=rho + gap,
+                        stop_reason=("certified" if lu is None else "") if certified else "stagnated")
 
 
 def _opinions(g, k, x, mismatch="opinion vector length does not match graph"):
@@ -158,12 +193,12 @@ def _opinions(g, k, x, mismatch="opinion vector length does not match graph"):
 def equilibrium(g: Graph, k: StubbornnessVector, s: np.ndarray) -> np.ndarray:
     """Equilibrium expressed opinions z = (L+K)^{-1} K s, solved by ``_solve``.
 
-    A factor's solution is returned as it is; a PCG solve that cannot prove a
-    relative energy-norm error of ``EQUILIBRIUM_DELTA`` raises ``NumericalError``.
+    A solve that cannot prove a relative energy-norm error of
+    ``EQUILIBRIUM_DELTA``, refinement included, raises ``NumericalError``.
     """
     b = k.k * _opinions(g, k, s)
     res = _solve(g, k, b, energy_norm_certificate(b, EQUILIBRIUM_DELTA))
-    if res.stop_reason and not res.certified:
+    if not res.certified:
         raise NumericalError(
             f"solver did not certify delta={EQUILIBRIUM_DELTA}: {res.stop_reason} after "
             f"{res.iterations} iterations with proved relative error {res.bound:.3e}"
@@ -330,9 +365,12 @@ def simulate_until(
     give that bound; the trace keeps it as ``spectral``.
 
     The norms are measured against the computed equilibrium z~*, not z*.
-    ``_equilibrium_error`` proves beta >= ||z* - z~*||_{K+D}, which the trace
-    keeps as ``equilibrium_error``; where beta exceeds ``EQUILIBRIUM_SHARE``
-    eps, z~* is refined once first.  |f(t)| <= rho^t |f(0)| holds for the true
+    ``_equilibrium_error`` proves beta >= ||z* - z~*||_{K+D} from the rho
+    that ``_solve`` proved for z~*, which the trace keeps as
+    ``equilibrium_error``.  z~* is solved to what ``equilibrium`` proves and
+    to beta <= ``EQUILIBRIUM_SHARE`` eps, refinement sweeps included, but a
+    z~* that misses either is used all the same: the stop rests on beta
+    alone.  |f(t)| <= rho^t |f(0)| holds for the true
     f, so the measured norm obeys |f~(t)| <= rho^t (|f~(0)| + beta) + beta,
     which is at most eps from the step T' = convergence_bound(rho,
     |f~(0)| + beta, eps - beta) >= ``bound`` on.  The run stops once
@@ -349,13 +387,16 @@ def simulate_until(
         raise GraphInputError("eps must be > 0")
     s = _opinions(g, k, s)
     z0 = _opinions(g, k, z0, "innate and expressed vectors must be 1-d and equal length")
-    z_star = equilibrium(g, k, s)
     b = _diagonal(g, k)
-    ks = k.k * s  # as ``step`` forms Ks
+    ks = k.k * s  # as ``step`` and ``equilibrium`` form Ks
+    energy, share = energy_norm_certificate(ks, EQUILIBRIUM_DELTA), EQUILIBRIUM_SHARE * eps
+    res = _solve(g, k, ks, Certificate(EQUILIBRIUM_DELTA, lambda y, r, rho: max(
+        energy.bound(y, r, rho), _equilibrium_error(g, k, b, rho) / share * EQUILIBRIUM_DELTA)))
+    z_star = res.y
 
     trace = ErrorTrace()
+    trace.equilibrium_error = _equilibrium_error(g, k, b, res.rho)
     e, f = np.empty_like(z0), np.empty_like(z0)  # e(t) and f(t), overwritten each step
-    trace.equilibrium_error = _equilibrium_error(g, k, ks, b, z_star, EQUILIBRIUM_SHARE * eps, e, f)
     weight = np.sqrt(b)
 
     def record(z):
@@ -388,42 +429,12 @@ def simulate_until(
     return OpinionState(s=s, z=z, t=t), trace
 
 
-def _equilibrium_error(g: Graph, k: StubbornnessVector, ks: np.ndarray, b: np.ndarray,
-                       z_star: np.ndarray, target: float, r: np.ndarray,
-                       scratch: np.ndarray) -> float:
-    """A proved bound on ||z* - z~*||_{K+D} for z~* = ``z_star`` solving (L + K) z = Ks.
+def _equilibrium_error(g: Graph, k: StubbornnessVector, b: np.ndarray, rho: float) -> float:
+    """A proved bound on ||z* - z~*||_{K+D} from a proved rho >= ||z* - z~*||_{L+K}.
 
-    With r = Ks - (L + K) z~*, ||z* - z~*||_{L+K} <= ||K^{-1/2} r|| (see
-    ``solver``), and L + K >= (1 - rho)(K + D) with 1 - rho >= min k / (k + d),
-    the row-sum bound on rho(QA).  The residual is the one ``check`` forms,
-    whose row i is off from the exact one by at most gamma ((k + d)_i |z_i| +
-    (A|z|)_i + |(Ks)_i|), gamma = cu / (1 - cu) with c = 2t + 4 for t the most
-    entries in a row of A: k + d, Ks and the row's t + 2 terms count their
-    roundings (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).
-    That term's K^{-1/2}-norm is added, and the sum is widened by (n + 8) eps
-    for the dot products, square roots and the ratio min k / (k + d).
-
-    Where the bound exceeds ``target``, z~* is refined once in place: z~* += y,
-    with (L + K) y = r solved by ``_solve`` to relative energy-norm error
-    ``EQUILIBRIUM_DELTA``; the bound returned is that of the refined z~*.
-    ``r`` and ``scratch`` are two free n-vectors, overwritten.
+    rho is what ``_solve`` proved for z~*, rounding included
+    (``solver.proved_rho``), and L + K >= (1 - rho(QA))(K + D) with
+    1 - rho(QA) >= min k / (k + d), the row-sum bound on rho(QA), for b =
+    k + d.  The ratio and its square root are widened by 8 eps.
     """
-    a, unit = g.adjacency, float(np.finfo(np.float64).eps) / 2.0
-    c = 2 * int(np.diff(a.indptr).max(initial=0)) + 4
-    gamma = c * unit / (1.0 - c * unit)
-    scale = (1.0 + (g.n + 8) * 2.0 * unit) / math.sqrt(float((k.k / b).min()))
-    certify = energy_norm_certificate(ks, EQUILIBRIUM_DELTA)
-
-    def bound():
-        rho = check(g, k, ks, z_star, certify, r, scratch)[1]
-        size = np.abs(z_star)
-        _matvec_into(a, size, np.multiply(b, size, out=scratch))
-        np.add(scratch, np.abs(ks, out=size), out=scratch)
-        rounding = math.sqrt(float(scratch @ np.divide(scratch, k.k, out=size)))
-        return (rho + gamma * rounding) * scale
-
-    error = bound()
-    if error > target:
-        z_star += _solve(g, k, r, energy_norm_certificate(r, EQUILIBRIUM_DELTA)).y
-        error = bound()
-    return error
+    return rho * (1.0 + 8 * EPS) / math.sqrt(float((k.k / b).min()))

@@ -44,6 +44,10 @@ from scipy.sparse._sparsetools import csr_matvec
 
 from fjopinion.errors import GraphInputError
 
+# Edges (or adjacency entries) per slice of a pass over the graph, so that no
+# edge-sized temporary is allocated next to a solver's vectors.
+EDGE_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True, eq=False)
 class Graph:
@@ -450,14 +454,15 @@ def load_node_values(path, g: Graph, name="value", lo=None, hi=None, rows=None) 
     parsed in C, and a loop over the lines reads every other file.  The loop
     raises at the first bad line, with the message of the first check that
     line fails: the column count, the node, the value, non-finite, then the
-    range.  ``rows`` are the file's rows as ValueRowsAhead parsed them, if
-    it did.
+    range.  ``rows`` are the file's rows as ValueRowsAhead parsed them,
+    False if its C reader refused the file, which then goes straight to the
+    loop, and None if it did not parse the file.
     """
     source = None
     if rows is None:
         source = _numeric_source(path)
         rows = _numeric_rows(source, _VALUE_ROWS)
-    out = _numeric_node_values(rows, g, lo, hi)
+    out = None if rows is False else _numeric_node_values(rows, g, lo, hi)
     if out is not None:
         return out
     lines = _read_text(path, source).split("\n")
@@ -535,7 +540,7 @@ class ValueRowsAhead:
         return self
 
     def rows(self) -> dict:
-        """The child's rows by path (None: not an all-numeric file); empty if
+        """The child's rows by path (False: not an all-numeric file); empty if
         no child ran or it sent less than all of them."""
         import pickle
 
@@ -562,14 +567,16 @@ class ValueRowsAhead:
 
 
 def _send_rows(paths, fd):
-    """The forked child's whole run: pickle ``{path: _numeric_rows}`` down
-    ``fd`` and leave through ``os._exit``, which skips the parent's cleanup
-    (atexit handlers, buffered output) and never returns into its stack.  On
-    any error the pickle is left short, and the parent parses every file."""
+    """The forked child's whole run: pickle ``{path: _numeric_rows}``, False
+    for a file it refused, down ``fd`` and leave through ``os._exit``, which
+    skips the parent's cleanup (atexit handlers, buffered output) and never
+    returns into its stack.  On any error the pickle is left short, and the
+    parent parses every file."""
     import pickle
 
     try:
         rows = {path: _numeric_rows(_numeric_source(path), _VALUE_ROWS) for path in paths}
+        rows = {path: False if parsed is None else parsed for path, parsed in rows.items()}
         with open(fd, "wb") as pipe:
             pickle.dump(rows, pipe, pickle.HIGHEST_PROTOCOL)
     finally:
@@ -598,6 +605,16 @@ def _matvec_into(a: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray
     """
     csr_matvec(a.shape[0], a.shape[1], a.indptr, a.indices, a.data, x, out)
     return out
+
+
+def _disagreement(g: Graph, q: np.ndarray) -> float:
+    """q.Lq = sum_e w_e (q_u - q_v)^2, summed over slices of the edge arrays."""
+    total = 0.0
+    for lo in range(0, g.m, EDGE_CHUNK):
+        hi = lo + EDGE_CHUNK
+        dq = q[g.edge_u[lo:hi]] - q[g.edge_v[lo:hi]]
+        total += float(g.edge_w[lo:hi] @ (dq * dq))
+    return total
 
 
 def operator_matrix(g: Graph, k: StubbornnessVector) -> sp.csr_matrix:

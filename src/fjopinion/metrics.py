@@ -5,7 +5,10 @@ equilibrium by ``dynamics._solve``, prove each metric's relative error from
 that solve's true residual with one a-posteriori certificate, read the four
 metrics of the opinions as given off that one vector, and build one report.
 The modes differ only in the accuracy proved: approximate mode the
-requested eps, exact mode ``EQUILIBRIUM_DELTA`` (1e-12).
+requested eps, exact mode ``EQUILIBRIUM_DELTA`` (1e-12).  The proof holds
+in floating point: the residual's rounding is counted, and where a double
+residual cannot prove the target, ``_solve`` refines the solution on
+residuals formed in long double.
 """
 
 from __future__ import annotations
@@ -19,12 +22,8 @@ import numpy as np
 
 from fjopinion.errors import GraphInputError, NumericalError
 from fjopinion.dynamics import EQUILIBRIUM_DELTA, _center, _opinions, _solve
-from fjopinion.graph import Graph, StubbornnessVector, eigen_bounds
+from fjopinion.graph import Graph, StubbornnessVector, _disagreement, eigen_bounds
 from fjopinion.solver import Certificate
-
-# Edges per slice when summing the disagreement, so that no edge-sized
-# temporary is allocated next to the solver's vectors.
-EDGE_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -37,9 +36,12 @@ class MetricsReport:
     modes: each of the four metrics is off by at most that fraction of its
     value, and the conservation law by at most that fraction of
     sum k_i s_i^2.  ``certified`` means ``error_bound <= eps_requested``.
-    ``stop_reason`` says why PCG stopped ("" when the factor of L + K gave
-    the solution): "stagnated" when the true residual stopped shrinking
-    before eps could be proved; see ``solver.SolverResult``.
+    ``stop_reason`` says why the solve stopped: "certified", or "" where a
+    forest's factor of L + K gave the certified solution; "stagnated" when
+    neither PCG nor the refinement sweeps after it could shrink the proved
+    residual enough to prove eps; see ``solver.SolverResult``.
+    ``solver_iterations`` counts the PCG steps of the first solve and of
+    every sweep's correction (0 on a forest).
     """
 
     conflict: float
@@ -138,16 +140,6 @@ def conservation_residual_of(conflict, disagreement, polarization, k, s):
     return abs(conflict + 2.0 * disagreement + polarization - budget), budget
 
 
-def _disagreement(g, q):
-    """D = sum_e w_e (q_u - q_v)^2, summed over slices of the edge arrays."""
-    total = 0.0
-    for lo in range(0, g.m, EDGE_CHUNK):
-        hi = lo + EDGE_CHUNK
-        dq = q[g.edge_u[lo:hi]] - q[g.edge_v[lo:hi]]
-        total += float(g.edge_w[lo:hi] @ (dq * dq))
-    return total
-
-
 def _pointwise(k, s0, q):
     """C = k.(q - s0)^2 and k.q^2, the two norms that need no edge."""
     sq = q * q
@@ -203,38 +195,41 @@ def _metrics_certificate(g, k, s0, b, shift, eps):
     With rho = ||K^{-1/2} r|| the error e = q - q~ has ||e||_{L+K} <= rho, and
     ||e||_{L+K}^2 = ||K^{1/2} e||^2 + ||L^{1/2} e||^2, so sqrt(C), sqrt(D),
     sqrt(k.q^2) and sqrt(k.q^2 + D) = ||q||_{L+K} are each off by at most
-    rho; P and P + D also hold the exact shift = c^2 sum(k).  The law
-    C + 2D + P = sum k_i s_i^2 is off by exactly 2|q~.r|, which is checked
-    against eps times that sum as well.
+    rho; P and P + D also hold the exact shift = c^2 sum(k).  For any q and
+    its exact residual r, C + 2D + k.q^2 = s0.b - 2 q.r, so the law
+    C + 2D + P = sum k_i s_i^2 is off by exactly 2|q.r|; ``bound`` takes
+    that gap from the norms themselves, which no rounding of r enters, and
+    checks it against eps times that sum as well.
 
-    The estimate is the same bound in O(n), with no pass over the edges: for
-    any q and its own residual r, C + 2D + k.q^2 = s0.b - 2 q.r, which gives
-    D from C and k.q^2.  Fed PCG's recurrence residual, it is only a guess.
+    The estimate is the same bound in O(n), with no pass over the edges: the
+    identity gives D from C, k.q^2 and q.r.  Fed PCG's recurrence residual,
+    it is only a guess.
     """
     s0_b = float(s0 @ b)
     budget = s0_b + shift  # sum k_i s_i^2 of s as given, as k.s0 = 0
     judged = []
 
-    def worst(conflict, disagreement, p0, qr, rho):
+    def worst(conflict, disagreement, p0, law, rho):
         rho_cd = rho if g.m else 0.0  # no edges: C = D = 0 whatever q is
         return max(
             _relative_bound(conflict, 0.0, rho_cd),
             _relative_bound(disagreement, 0.0, rho_cd),
             _relative_bound(p0, shift, rho),
             _relative_bound(p0 + disagreement, shift, rho),
-            2.0 * abs(qr) / budget if qr else 0.0,  # q.r = 0: the law holds exactly
+            law / budget if law else 0.0,  # the law holds exactly, also where budget = 0
         )
 
     def bound(q, r, rho):
         norms = _norms(g, k, s0, q)
         judged[:] = (q, norms)
-        return worst(*norms, float(q @ r), rho)
+        conflict, disagreement, p0 = norms
+        return worst(*norms, abs(conflict + 2.0 * disagreement + p0 - s0_b), rho)
 
     def estimate(q, r, rho):
         conflict, p0 = _pointwise(k, s0, q)
         qr = float(q @ r)
         disagreement = max(0.5 * (s0_b - 2.0 * qr - conflict - p0), 0.0)
-        return worst(conflict, disagreement, p0, qr, rho)
+        return worst(conflict, disagreement, p0, 2.0 * abs(qr), rho)
 
     return _MetricsCertificate(target=eps, bound=bound, estimate=estimate, judged=judged)
 
@@ -306,8 +301,11 @@ def _pipeline(g, k, s, mode, eps):
 def metrics_exact(g: Graph, k: StubbornnessVector, s: np.ndarray) -> MetricsReport:
     """All four metrics proved to relative ``EQUILIBRIUM_DELTA``, at any n.
 
-    Certified PCG or the sparse factor of L + K, by ``dynamics._solve``; a
-    solve whose bound misses the target is reported ``certified=False``.
+    ``dynamics._solve``: certified PCG, or the sparse factor of L + K on a
+    forest, refined on long-double residuals where that misses 1e-12.  A
+    solve whose bound still misses it is reported ``certified=False``: at
+    uniform k = 1e-8 on a 4-regular graph, rounding the solution to double
+    alone costs about 1e-12 of energy-norm error.
     """
     report, z = _pipeline(g, k, s, "exact", EQUILIBRIUM_DELTA)
 
@@ -324,10 +322,11 @@ def metrics_exact(g: Graph, k: StubbornnessVector, s: np.ndarray) -> MetricsRepo
 def approxim(g: Graph, k: StubbornnessVector, s: np.ndarray, eps: float) -> MetricsReport:
     """All four metrics proved to relative eps by one solve of ``dynamics._solve``.
 
-    That is certified PCG, or the sparse factor of L + K on a forest and
-    where PCG stops uncertified on at most ``DENSE_CAP`` nodes.  A solve
-    whose bound misses eps is reported ``certified=False``, with values near
-    the best attainable in double precision.
+    That is certified PCG, or the sparse factor of L + K on a forest, with
+    refinement sweeps on long-double residuals where the first solve
+    misses eps, at any n.  A solve whose bound still misses eps is reported
+    ``certified=False``, with values near the best attainable in double
+    precision.
     """
     return _pipeline(g, k, s, "approx", eps)[0]
 

@@ -27,8 +27,8 @@ def fixture_files(tmp_path):
 
 @pytest.fixture
 def cycle_above_cap(tmp_path):
-    """A cycle of DENSE_CAP + 1 nodes: no forest, and too large for the factor,
-    so every metrics run on it is PCG alone."""
+    """A cycle of DENSE_CAP + 1 nodes: no forest, so every metrics run on it
+    is PCG, refined where it stops short."""
     graph = tmp_path / "cycle.txt"
     n = dynamics.DENSE_CAP + 1
     graph.write_text("".join(f"{i} {(i + 1) % n}\n" for i in range(n)))
@@ -540,6 +540,34 @@ def test_a_failed_child_leaves_the_parse_to_the_parent(value_run, tmp_path, fork
     assert_no_child_left()
     assert os.waitstatus_to_exitcode(statuses[pids[0]]) == (3 if failure == "dies" else 0)
     assert (rc, report_lines(out), capsys.readouterr().err) == expected
+
+
+@needs_fork
+def test_a_file_the_child_refused_is_not_parsed_again(value_run, tmp_path, forks, monkeypatch,
+                                                      capsys):
+    # A comment below the stubbornness file's data makes numpy refuse it; the
+    # child says so, and the parent reads it by its line loop alone.
+    argv, files = value_run
+    expected = run_both_ways(argv, tmp_path / "r.json", forks, capsys)[0]
+    with open(files["k"], "a") as fh:
+        fh.write("# end\n")
+    parent, parsed = os.getpid(), []
+
+    def counted(source, row_dtypes):
+        if os.getpid() == parent:
+            parsed.append(source)
+        return _numeric_rows(source, row_dtypes)
+
+    monkeypatch.setattr("fjopinion.graph._numeric_rows", counted)
+    pids = forks(2)
+    pids.clear()
+    out = tmp_path / "r.json"
+    rc = cli.main(argv + ["--out", str(out)])
+    assert len(pids) == 1 and rc == 0
+    assert_no_child_left()
+    assert report_lines(out) == expected[1]
+    assert not [source for source in parsed if os.path.samefile(source, files["k"])]
+    assert len(parsed) == 1  # the edge list, parsed here while the child parses the values
 
 
 @needs_fork

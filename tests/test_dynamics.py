@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from conftest import count_matmul, count_splu, factors_of, make_instance
-from fjopinion import dynamics
+from fjopinion import dynamics, solver
 from fjopinion.dynamics import (
     DENSE_CAP,
     EQUILIBRIUM_DELTA,
@@ -240,7 +240,9 @@ class TestEquilibrium:
 
     def test_forest_above_cap_is_factored(self):
         # Certified PCG stagnates at a proved 4.1e-11 here; a path factors
-        # with no fill, so it is solved directly like a graph below the cap.
+        # with no fill, so it is solved directly at any size.  The factor's
+        # solution proves 5.5e-11 once its rounding is counted, and its
+        # refinement sweeps bring that to 1.9e-14.
         g = long_path(DENSE_CAP + 1)
         k = StubbornnessVector.uniform(g.n, 1e-4)
         s = generate_opinions(g.n, "powerlaw", 4)
@@ -256,7 +258,7 @@ class TestEquilibrium:
                              ids=["path-50", "cycle-200"])
     def test_nothing_outlives_a_solve(self, make_graph):
         # The path is factored at once; on the cycle at k = 1e-4 PCG stops
-        # uncertified and the factor follows.  Neither keeps g or k alive.
+        # uncertified and refinement sweeps follow.  Neither keeps g or k alive.
         g = make_graph()
         k = StubbornnessVector.uniform(g.n, 1e-4)
         s = generate_opinions(g.n, "powerlaw", 4)
@@ -606,8 +608,8 @@ class TestSimulateUntil:
     def test_stop_past_its_bound_raises_at_the_bound(self, monkeypatch):
         # |f(t)| stalls near 2e-14, the steps' own rounding floor, so eps = 1e-14
         # is never reached.  The refined equilibrium's proved error (about
-        # 9e-14) is not below eps, so the run is checked at the bound itself,
-        # 129 steps, far below the cap.
+        # 3.2e-14, its floor) is not below eps, so the run is checked at the
+        # bound itself, 129 steps, far below the cap.
         monkeypatch.setattr(dynamics, "SIMULATION_CAP", 10_000)
         g = random_regular_graph(3000, 4, 1)
         k = generate_stubbornness(g.n, 0.5, 2.0, 2)
@@ -621,16 +623,17 @@ class TestSimulateUntil:
 
     def test_tight_eps_stops_against_the_refined_equilibrium(self, monkeypatch):
         # Against the 1e-12 equilibrium |f(t)| stalled near 1e-11 and this run
-        # raised at its bound, 111; once refined, z* no longer holds |f| up.
+        # raised at its bound, 111; solved to beta <= eps / 10 in one solve,
+        # refinement sweeps included, z* no longer holds |f| up.
         g = random_regular_graph(3000, 4, 1)
         k = generate_stubbornness(g.n, 0.5, 2.0, 2)
         s = generate_opinions(g.n, "powerlaw", 3)
         solves, real = [], dynamics._solve
         monkeypatch.setattr(dynamics, "_solve", lambda *args: solves.append(args) or real(*args))
         state, trace = simulate_until(g, k, s, z0=s.copy(), eps=1e-12)
-        assert len(solves) == 2  # the equilibrium and its one refinement
+        assert len(solves) == 1  # the equilibrium, to beta <= eps / 10
         assert state.t <= trace.bound == 111
-        assert trace.f_norms[-1] <= 1e-12 and 0.0 < trace.equilibrium_error
+        assert trace.f_norms[-1] <= 1e-12 and 0.0 < trace.equilibrium_error <= 1e-13
 
     @pytest.mark.parametrize("beta, last", [(0.99e-8, 11), (1e-8, 9)])
     def test_stop_is_checked_where_the_equilibrium_error_allows(self, path2, k11, monkeypatch,
@@ -651,17 +654,18 @@ class TestSimulateUntil:
         assert f"|f({last})|" in str(exc.value)
         assert str(exc.value).endswith(" exceeds the convergence bound 9")
 
-    @pytest.mark.parametrize("target", [math.inf, 0.0], ids=["as solved", "refined"])
+    @pytest.mark.parametrize("target", [EQUILIBRIUM_DELTA, 1e-20], ids=["as solved", "refined"])
     def test_equilibrium_error_bounds_the_distance_to_z_star(self, target):
         # z* - z~* is taken from the residual of z~* formed in long double
         # on the exactly summed degrees: at the rounding floor of a factor
-        # solve, the computed residual alone can read 0.
+        # solve, the computed residual alone can read 0.  At 1e-20 every
+        # solve ends in refinement sweeps that stagnate.
         rng = np.random.default_rng(7)
         for _ in range(100):
             g, k, s = make_instance(rng, k_range=(0.01, 3.0))
             b, ks = k.k + g.degrees, k.k * s
-            z = equilibrium(g, k, s)
-            beta = dynamics._equilibrium_error(g, k, ks, b, z, target, np.empty(g.n), np.empty(g.n))
+            res = dynamics._solve(g, k, ks, energy_norm_certificate(ks, target))
+            z, beta = res.y, dynamics._equilibrium_error(g, k, b, res.rho)
             a = g.adjacency.toarray().astype(np.longdouble)
             exact = np.diag(a.sum(axis=1) + k.k) - a
             r = k.k.astype(np.longdouble) * s - exact @ z
@@ -676,7 +680,8 @@ class TestSimulateUntil:
         s = generate_opinions(g.n, "uniform", 1)
         b, ks = k.k + g.degrees, k.k * s
         z = equilibrium(g, k, s) + 1e-6
-        beta = dynamics._equilibrium_error(g, k, ks, b, z, math.inf, np.empty(g.n), np.empty(g.n))
+        rho = solver.proved_rho(g, k, ks, z, np.empty(g.n), np.empty(g.n))[0]
+        beta = dynamics._equilibrium_error(g, k, b, rho)
         distance = 1e-6 * math.sqrt(float(b.sum()))
         assert distance <= beta <= distance * (1.0 + 1e-6)
 

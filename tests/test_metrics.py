@@ -2,7 +2,6 @@ import dataclasses
 import json
 import math
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -260,14 +259,15 @@ class TestCertifiedStop:
 
 
 class TestBelowTheFloor:
-    """An eps no double-precision residual can prove ends in a prompt "stagnated"."""
+    """An eps no refined residual can prove ends in a prompt "stagnated"."""
 
     def test_stagnates_soon_after_the_attainable_accuracy(self):
-        # Above DENSE_CAP on a graph with cycles, approxim is PCG alone.
+        # PCG, then long-double refinement sweeps: 1e-15 is proved (6.9e-16),
+        # 1e-16 lies below the floor of the refined bound.
         g = random_regular_graph(dynamics.DENSE_CAP + 1, 4, 1)
         k = generate_stubbornness(g.n, 0.5, 2.0, 2)
         s = generate_opinions(g.n, "powerlaw", 3)
-        near, below = approxim(g, k, s, 1e-13), approxim(g, k, s, 1e-15)
+        near, below = approxim(g, k, s, 1e-15), approxim(g, k, s, 1e-16)
         assert near.certified
         assert not below.certified and below.stop_reason == "stagnated"
         assert below.solver_iterations <= 2 * near.solver_iterations
@@ -281,19 +281,18 @@ class TestBelowTheFloor:
         r = pcg_under_metrics_certificate(g, k, generate_opinions(n, "powerlaw", 3), 1e-15)
         assert not r.certified and r.stop_reason == "stagnated"
 
-    @pytest.mark.parametrize("n, factors", [(3000, 1), (dynamics.DENSE_CAP + 1, 0)],
+    @pytest.mark.parametrize("n", [3000, dynamics.DENSE_CAP + 1],
                              ids=["regular-3000", "above-the-cap"])
-    def test_stagnation_takes_one_factor_up_to_the_cap(self, n, factors, monkeypatch):
-        # approxim follows dynamics._solve: PCG stops uncertified, then the
-        # factor of L + K serves on at most DENSE_CAP nodes.
+    def test_stagnation_takes_no_factor_at_any_size(self, n, monkeypatch):
+        # approxim follows dynamics._solve: PCG and its refinement sweeps stop
+        # uncertified, and no factor of L + K follows, below the cap or above.
         g = random_regular_graph(n, 4, 1)
         k = generate_stubbornness(g.n, 0.5, 2.0, 2)
         s = generate_opinions(g.n, "powerlaw", 3)
         calls = count_splu(monkeypatch)
-        r = approxim(g, k, s, 1e-15)
+        r = approxim(g, k, s, 1e-16)
         assert not r.certified and r.solver_iterations > 0
-        assert len(calls) == factors_of(calls, g, k) == factors
-        assert r.stop_reason == ("" if factors else "stagnated")
+        assert calls == [] and r.stop_reason == "stagnated"
 
 
 @pytest.fixture(scope="module")
@@ -391,27 +390,38 @@ def test_approxim_on_a_forest_is_metrics_exact():
     assert approx.solver_iterations == 0 and approx.stop_reason == ""
 
 
+def refined_dense_solve(g, k, b, sweeps=3):
+    """(L + K)^{-1} b in long double: a dense solve refined on residuals
+    formed in long double, on the exact degrees, apart from the solver."""
+    a = g.adjacency.toarray().astype(np.longdouble)
+    exact = np.diag(a.sum(axis=1) + k.k) - a
+    t = exact.astype(np.float64)
+    x = np.linalg.solve(t, b.astype(np.float64)).astype(np.longdouble)
+    for _ in range(sweeps):
+        x += np.linalg.solve(t, (b - exact @ x).astype(np.float64))
+    return x
+
+
 @pytest.mark.parametrize(
-    "make_graph, pcg_stops, report_stop, certified",
-    # The path is a forest and is factored at once; on the other graphs PCG
-    # cannot prove equilibrium's 1e-12 and the factor takes over.  The
-    # metrics prove 3.0e-12 on the path (factor), 6.4e-13 on the regular
-    # graph (PCG) and 1.1e-12 on the cycle (PCG stagnates, then the factor):
-    # only the regular graph meets exact mode's 1e-12.
-    [(lambda: build_graph([(i, i + 1, 1.0) for i in range(1999)]), [], "", False),
-     (lambda: random_regular_graph(3000, 4, 1), ["stagnated"], "certified", True),
-     (lambda: build_graph([(i, (i + 1) % 200, 1.0) for i in range(200)]), ["stagnated"], "",
-      False)],
+    "make_graph, pcg_stops, factors",
+    # The path is a forest: factored at once, and the factor kept for its
+    # refinement sweeps.  On the other graphs PCG cannot prove 1e-12 in
+    # double precision and stagnates; long-double sweeps with PCG
+    # corrections certify it, and nothing is factored.  Every report is
+    # certified: the metrics read 3.0e-12 on the path's factor alone, and
+    # 6.4e-13 on the regular graph before the rounding term was counted.
+    [(lambda: build_graph([(i, i + 1, 1.0) for i in range(1999)]), [], 1),
+     (lambda: random_regular_graph(3000, 4, 1), ["stagnated"], 0),
+     (lambda: build_graph([(i, (i + 1) % 200, 1.0) for i in range(200)]), ["stagnated"], 0)],
     ids=["path-2000", "regular-3000", "cycle-200"],
 )
-def test_tiny_stubbornness_factors_without_pivoting(make_graph, pcg_stops, report_stop,
-                                                    certified, monkeypatch):
-    # The unpivoted factor of L + K must solve these to dense-solver accuracy.
+def test_tiny_stubbornness_factors_without_pivoting(make_graph, pcg_stops, factors, monkeypatch):
+    # The unpivoted factor of L + K, and the refinement, must solve these
+    # to the accuracy of a refined dense solve.
     g = make_graph()
     k = StubbornnessVector.uniform(g.n, 1e-4)
     s = generate_opinions(g.n, "powerlaw", 4)
-    lap = dense_laplacian(g)
-    expected = np.linalg.solve(lap + np.diag(k.k), k.k * s)
+    expected = refined_dense_solve(g, k, k.k * s).astype(np.float64)
     stops, real_solve = [], dynamics.solve
     monkeypatch.setattr(dynamics, "solve",
                         lambda *args: stops.append(real_solve(*args)) or stops[-1])
@@ -420,32 +430,38 @@ def test_tiny_stubbornness_factors_without_pivoting(make_graph, pcg_stops, repor
                         lambda *args: builds.append(1) or real_operator(*args))
     calls = count_splu(monkeypatch)
     z = dynamics.equilibrium(g, k, s)
-    assert [res.stop_reason for res in stops] == pcg_stops
-    assert len(calls) == factors_of(calls, g, k) == 1
-    assert len(builds) == 1  # one L + K, also where the factor follows PCG
-    assert np.linalg.norm(z - expected) <= 1e-10 * np.linalg.norm(expected)
+    # The first PCG solve, then one certified correction per sweep.
+    assert [res.stop_reason for res in stops[:1]] == pcg_stops
+    assert all(res.stop_reason == "certified" for res in stops[1:])
+    assert len(calls) == factors_of(calls, g, k) == len(builds) == factors
+    assert np.linalg.norm(z - expected) <= 1e-12 * np.linalg.norm(expected)
     calls.clear()
     r = metrics_exact(g, k, s)  # raises if its pd-index cross-check fails
-    # The reported bound covers the error against the dense solve, taken
-    # centered as the pipeline does, so that no cancellation blurs it.
+    # The reported bound covers the error against the refined dense solve,
+    # taken centered as the pipeline does, so that no cancellation blurs it.
     c = float(k.k @ s) / float(k.k.sum())
-    s0 = s - c
-    q = np.linalg.solve(lap + np.diag(k.k), k.k * s0)
+    s0 = (s - c).astype(np.longdouble)
+    q = refined_dense_solve(g, k, k.k * s0)
+    lap = dense_laplacian(g).astype(np.longdouble)
     dense = {"conflict": k.k @ (q - s0) ** 2, "disagreement": q @ lap @ q,
              "polarization": k.k @ q**2 + c * c * k.k.sum()}
     dense["pd_index"] = dense["polarization"] + dense["disagreement"]
     for key, value in dense.items():
-        assert abs(getattr(r, key) - value) <= r.error_bound * abs(value), key
-    assert r.certified == certified and r.stop_reason == report_stop
+        assert abs(getattr(r, key) - float(value)) <= r.error_bound * abs(float(value)), key
+    assert r.certified and r.stop_reason == ("" if factors else "certified")
     assert (r.solver_iterations > 0) == bool(pcg_stops)  # the PCG iterations run
-    # metrics_exact factors again unless PCG proved its metrics.
-    assert len(calls) == factors_of(calls, g, k) == (0 if report_stop else 1)
+    assert len(calls) == factors_of(calls, g, k) == factors
 
 
 def test_pd_index_cross_check_catches_a_wrong_equilibrium(monkeypatch, path2, k21):
-    real = dynamics._splu_symmetric
-    monkeypatch.setattr(dynamics, "_splu_symmetric", lambda m: types.SimpleNamespace(
-        solve=lambda b: 1.001 * real(m).solve(b)))
+    # Refinement would correct a wrong factor, so the wrong q comes after the
+    # solve, in place: the report keeps the norms its check took of the right q.
+    def wrong(*args):
+        res = dynamics._solve(*args)
+        np.multiply(res.y, 1.001, out=res.y)
+        return res
+
+    monkeypatch.setattr(metrics, "_solve", wrong)
     with pytest.raises(NumericalError, match="pd-index cross-check failed"):
         metrics_exact(path2, k21, np.array([1.0, -1.0]))
 
@@ -520,11 +536,18 @@ class TestModesAgree:
 
     def test_stubbornness_below_the_rounding_of_the_degrees_is_a_numerical_error(self, mode):
         # deg + k rounds to deg, so L + K is the singular L in double
-        # precision: PCG cannot prove the target, and the factor's zero pivot
-        # is a NumericalError, not SuperLU's RuntimeError.
-        g = build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
+        # precision: the path's factor meets a zero pivot, a NumericalError,
+        # not SuperLU's RuntimeError.
+        g = build_graph([(0, 1, 1.0), (1, 2, 1.0)])
         with pytest.raises(NumericalError, match="Factor is exactly singular"):
             run_mode(mode, g, StubbornnessVector.uniform(3, 1e-300), np.array([0.5, -0.5, 0.0]))
+
+    def test_stubbornness_below_the_rounding_of_the_degrees_on_a_cycle_is_uncertified(self, mode):
+        # No factor is tried on a graph with cycles: PCG and its sweeps stop,
+        # and D and P, which underflow to 0, get no relative bound.
+        g = build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
+        r = run_mode(mode, g, StubbornnessVector.uniform(3, 1e-300), np.array([0.5, -0.5, 0.0]))
+        assert not r.certified and r.stop_reason == "stagnated" and r.error_bound == math.inf
 
 
 class TestConservation:
@@ -611,3 +634,53 @@ def test_approxim_holds_few_vectors_beside_its_solve():
         tracemalloc.stop()
     assert r.certified and r.stop_reason == "certified"
     assert peak < 9.5 * s.nbytes
+
+
+@pytest.mark.parametrize("make_graph", [lambda: build_graph([(i, (i + 1) % 200, 1.0) for i in range(200)]),
+                                        lambda: random_regular_graph(3000, 4, 1)],
+                         ids=["cycle-200", "regular-3000"])
+def test_no_graph_with_a_cycle_is_factored(make_graph, monkeypatch):
+    # At k = 1e-4 PCG stagnates short of 1e-12 on both, below DENSE_CAP:
+    # refinement sweeps take over, where a factor of L + K once did.
+    g = make_graph()
+    k = StubbornnessVector.uniform(g.n, 1e-4)
+    s = generate_opinions(g.n, "powerlaw", 4)
+    calls = count_splu(monkeypatch)
+    reports = approxim(g, k, s, 1e-12), metrics_exact(g, k, s)
+    dynamics.equilibrium(g, k, s)
+    assert calls == []
+    assert all(r.certified and r.stop_reason == "certified" for r in reports)
+
+
+def test_the_check_counts_the_rounding_of_its_residual():
+    # On regular-3000 at k = 1e-4 the double residual's bound alone proves
+    # the metrics to 1e-12 (it read 6.97e-13 when PCG stopped on it); with
+    # the residual's rounding counted it does not, and the report is
+    # certified through a residual formed in long double.
+    g = random_regular_graph(3000, 4, 1)
+    k = StubbornnessVector.uniform(g.n, 1e-4)
+    s = generate_opinions(g.n, "powerlaw", 3)
+    s0, c = dynamics._center(s, k)
+    b = k.k * s0
+    certify = _metrics_certificate(g, k, s0, b, c * c * float(k.k.sum()), 1e-12)
+    res = solve(g, k, b, certify)
+    r = b - (g.degrees + k.k) * res.y + g.adjacency @ res.y
+    bare = certify.bound(res.y, r, math.sqrt(float(r @ (r / k.k))))
+    assert bare <= 1e-12 < res.bound and not res.certified
+    report = metrics_exact(g, k, s)
+    assert report.certified and report.stop_reason == "certified" and report.error_bound <= 1e-12
+
+
+def test_a_forest_at_tiny_stubbornness_is_certified_by_refinement(monkeypatch):
+    # The factor's own solution misses 1e-12 once its rounding is counted;
+    # a long-double sweep on the kept factor proves it.
+    g = build_graph([(i, i + 1, 1.0) for i in range(1999)])
+    k = StubbornnessVector.uniform(g.n, 1e-4)
+    s = generate_opinions(g.n, "powerlaw", 4)
+    checks, real_check = [], dynamics.check
+    monkeypatch.setattr(dynamics, "check", lambda *args: checks.append(real_check(*args)) or checks[-1])
+    calls = count_splu(monkeypatch)
+    r = metrics_exact(g, k, s)
+    assert len(checks) == 1 and checks[0][0] > 1e-12  # the factor's solution, judged in double
+    assert r.certified and r.error_bound <= 1e-12 and r.stop_reason == ""
+    assert r.solver_iterations == 0 and len(calls) == 1

@@ -200,7 +200,10 @@ def test_maxiter_returns_the_last_iterate_with_its_bound(monkeypatch):
     res = solve(g, k, b, certify)
     assert res.iterations == 3 and not res.certified and res.stop_reason == "maxiter"
     r = b + oracle @ res.y
-    assert res.bound == certify.bound(res.y, r, math.sqrt(float(r @ (r / k.k))))
+    # The bound is judged on the proved rho: the computed one plus its rounding.
+    computed = math.sqrt(float(r @ (r / k.k)))
+    assert computed < res.rho <= computed * (1.0 + 1e-12)
+    assert res.bound == certify.bound(res.y, r, res.rho)
     assert res.bound > 1e-12 and res.residual_norm == float(np.linalg.norm(r))
 
 

@@ -17,7 +17,8 @@ in n-vectors of float64.  Run each n in its own process, so that each peak
 RSS covers one instance.
 
 It then runs ``simulate_until`` at eps 1e-8 from z0 = s, ``--repeats`` times,
-and prints one JSON line: the medians of the ``equilibrium`` solve, of the
+and prints one JSON line: the medians of the equilibrium's solves (every
+``dynamics._solve`` call of a run), of the
 spectral bracket (with its iterations: power steps, plus inverse solves on
 at most ``DENSE_CAP`` nodes, and its width) and of the rest, ``steps_s``,
 which is the update steps with their norms; the update steps and ms per
@@ -100,20 +101,24 @@ def simulate(g, k, s, repeats):
     """Time ``simulate_until`` from z0 = s by layer and print its line."""
     from fjopinion import dynamics
 
-    # The names simulate_until looks up for its two stages.
-    equilibrium_s, bracket_s, total_s, brackets, steps = [], [], [], set(), set()
-    dynamics.equilibrium = timed(dynamics.equilibrium, equilibrium_s)
+    # The names simulate_until looks up for its two stages, directly or, on
+    # older trees, through dynamics.equilibrium: every solve of a run is the
+    # equilibrium's.
+    solves, equilibrium_s, bracket_s, total_s, brackets, steps = [], [], [], [], set(), set()
+    dynamics._solve = timed(dynamics._solve, solves)
     dynamics.spectral_radius = timed(dynamics.spectral_radius, bracket_s)
     for _ in range(repeats):
+        solves.clear()
         t0 = time.perf_counter()
         state, trace = dynamics.simulate_until(g, k, s, s, SIMULATE_EPS)
         total_s.append(time.perf_counter() - t0)
+        equilibrium_s.append(sum(solves))
         steps.add(state.t)
         brackets.add((trace.spectral.iterations, trace.spectral.upper - trace.spectral.lower))
-    if not len(equilibrium_s) == len(bracket_s) == repeats:
-        raise SystemExit("simulate_until no longer calls dynamics.equilibrium and "
-                         f"dynamics.spectral_radius once per run: {len(equilibrium_s)}, "
-                         f"{len(bracket_s)} calls in {repeats} runs")
+    if not (len(bracket_s) == repeats and all(equilibrium_s)):
+        raise SystemExit("simulate_until no longer calls dynamics._solve and once "
+                         f"dynamics.spectral_radius per run: {len(bracket_s)} bracket calls "
+                         f"in {repeats} runs")
     steps_s = statistics.median(t - e - b for t, e, b in zip(total_s, equilibrium_s, bracket_s))
     line = {
         "n": g.n, "m": g.m, "simulate_until": True, "eps": SIMULATE_EPS, "repeats": repeats,
