@@ -23,8 +23,9 @@ PCG steps in ``solver``.  They run hundreds of products on vectors of a few
 thousand entries, where scipy's ``@`` dispatch costs as much as the product
 itself, so the helper calls scipy's compiled ``csr_matvec`` kernel, which
 adds A x onto a buffer its caller has started: at 0 for a bracket, at K s
-for an update, at (k + deg) * x for a power step and at -(k + deg) * p for
-PCG's -(L + K) p.  So each takes A from ``Graph.adjacency``, and no step
+for an update, at (k + deg) / 2 * x for a power step, and at -(k + deg) *
+p for PCG's -(L + K) p and at -r for its preconditioned residual, two
+products a step.  So each takes A from ``Graph.adjacency``, and no step
 loop builds QA or L + K.  This module alone imports the private kernel.
 """
 

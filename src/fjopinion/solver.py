@@ -1,15 +1,31 @@
-"""Jacobi-preconditioned conjugate gradient for systems (L + K) x = b.
+"""Conjugate gradient for systems (L + K) x = b, preconditioned by the
+first-order Neumann polynomial of Jacobi.
 
-The matrix is symmetric positive definite with strictly positive diagonal
-excess k_i, so plain diagonal preconditioning keeps the condition number
-bounded by (k_max + 2 d_max) / k_min.
+With D = deg + k the diagonal of L + K and A the adjacency, L + K =
+D - A, and the preconditioner is M^{-1} = D^{-1} + D^{-1} A D^{-1}, the
+series D^{-1} sum_j (A D^{-1})^j cut after its linear term (Dubois,
+Greenbaum & Rodrigue, Computing 22, 1979; Johnson, Micchelli & Paul, SIAM
+J. Numer. Anal. 20, 1983).  For the eigenvalues lambda of the scaled
+adjacency D^{-1/2} A D^{-1/2}, which lie in [-rho, rho] with rho =
+rho(QA) < 1, M^{-1}(L + K) has the spectrum 1 - lambda^2 in place of
+Jacobi's 1 - lambda: each pair +-lambda folds onto one point, and the
+condition number is at most 1 / (1 - rho^2) against Jacobi's (1 + rho) /
+(1 - rho).  So on graphs whose spectrum comes in near-symmetric pairs, as
+sparse random graphs' does, CG takes about half the steps, each with one
+more product: on the ladder's 4-regular graph at 1e6 nodes, 9 steps
+against 18 at eps 1e-4 and 16 against 32 at 1e-8, and ``approxim`` 7-8 %
+faster there (``BENCH_29.json``).  Where the product dominates a step the
+fold does not pay: on a 20-regular graph of 300 000 nodes ``approxim``
+read 10-13 % slower.
 
 The solver takes the graph, not a matrix, and builds none: it applies
 (L + K) p = (deg + k) * p - A p with one pass of scipy's CSR kernel over
 ``Graph.adjacency``, onto a buffer that already holds -(deg + k) * p, and
-keeps the sign in that one diagonal vector.  So a solve holds six
-n-vectors (x, r, z, p, the product and -(deg + k)), and its rho is always
-that of the k it applies.
+M^{-1} r = (r + A (r / D)) / D with one more, r / D formed in that
+buffer, which is free between the residual's update and the next step;
+the sign lives in the one diagonal vector -(deg + k), and z = M^{-1} r
+keeps its own.  So a solve holds six n-vectors (x, r, z, p, the product
+and -(deg + k)), and its rho is always that of the k it applies.
 
 The solve stops on an a-posteriori certificate, not on an a-priori residual
 tolerance.  For an iterate y with residual r = b - (L+K) y, let
@@ -28,17 +44,24 @@ over y, so it is formed only when the
 recurrence residual says the bound can hold: its rho must have reached a
 goal, and the certificate's optional ``estimate``, an unproved guess of
 the bound from the recurrence residual, must not lie above the target.
-A guess above it moves the goal instead.  Since diag(L+K) = deg + k >= k,
-PCG's own r.D^{-1}r is at most rho^2, so rho is formed only once that has
-reached the goal.  If the target lies below the floor of a double
-residual, whose rounding term grows like u (deg + k) |y| / sqrt(k), the
-recurrence rho keeps shrinking while the true one levels off (Greenbaum,
-SIMAX 1997), so stagnation is judged on the true residual: a failed check
-whose rho is no smaller than at the previous failed check stops the
-solve, and the last iterate is returned uncertified (Strakos & Tichy,
-ETNA 2002; Arioli, Numer. Math. 2004).  On regular-3000 at k = 1e-4 that
-floor lies above exact mode's 1e-12; ``dynamics._solve`` then refines y on
-residuals formed in long double, whose unit roundoff is 2048 times smaller.
+A guess above it moves the goal instead.  As 1 + lambda <= 1 / (1 -
+lambda), M^{-1} <= (L + K)^{-1} <= K^{-1}, so PCG's own r.M^{-1}r is at
+most rho^2, and rho is formed only once that has reached the goal.  If
+the target lies below the floor of a double residual, whose rounding term
+grows like u (deg + k) |y| / sqrt(k), the recurrence rho keeps shrinking
+while the true one levels off (Greenbaum, SIMAX 1997), so stagnation is
+judged on the true residual: a failed check whose rho is no smaller than
+at the previous failed check stops the solve, and the last iterate is
+returned uncertified (Strakos & Tichy, ETNA 2002; Arioli, Numer. Math.
+2004).  A target so far below that floor that no check is ever aimed at
+it, such as 1e-300, is stopped by the recurrence itself: once r.M^{-1}r
+falls to eps^2 of its start, the recurrence residual lies below the
+rounding of the first one and no longer follows the true one, so the
+solve stops "stagnated" and its last iterate is judged.  The rule is
+relative to the solve's start, so b * 2^-500 certifies where b does.  On
+regular-3000 at k = 1e-4 the floor lies above exact mode's 1e-12;
+``dynamics._solve`` then refines y on residuals formed in long double,
+whose unit roundoff is 2048 times smaller.
 """
 
 from __future__ import annotations
@@ -103,10 +126,11 @@ class SolverResult:
     ``certified`` is true, but for a forest's certified factor solution
     from ``dynamics._solve``, which reads "".  Otherwise it says why
     iteration ended: "stagnated" (a failed check found rho no smaller than
-    at the previous failed check, or the recurrence residual or search
-    direction underflowed to zero; for ``dynamics._solve``, a refinement
-    sweep that did not shrink rho), "maxiter", or "breakdown" (a direction
-    of negative curvature, or NaN: L + K is not positive definite).
+    at the previous failed check, r.M^{-1}r fell to eps^2 of its start, or
+    the search direction underflowed to zero; for ``dynamics._solve``, a
+    refinement sweep that did not shrink rho), "maxiter", or "breakdown"
+    (a direction of negative curvature, or NaN: L + K is not positive
+    definite).
     ``bound`` is the certificate's proved bound for ``y``, judged on its
     true residual with its rounding counted, also when it misses the
     target; ``rho`` is the proved bound on ||y - x*||_{L+K} it was judged
@@ -133,6 +157,15 @@ def _negated_diagonal(g: Graph, k: StubbornnessVector,
     """-(deg + k), the diagonal of -(L + K), in ``out`` or a new vector."""
     out = np.add(g.degrees, k.k, out=out)
     return np.negative(out, out=out)
+
+
+def _precondition(a, neg_diag: np.ndarray, r: np.ndarray, tp: np.ndarray,
+                  z: np.ndarray) -> np.ndarray:
+    """z = M^{-1} r = (r + A (r / D)) / D for D = deg + k, returned, with
+    -r / D left in ``tp``; ``neg_diag`` is -D."""
+    np.divide(r, neg_diag, out=tp)
+    _matvec_into(a, tp, np.negative(r, out=z))
+    return np.divide(z, neg_diag, out=z)
 
 
 def proved_rho(g: Graph, k: StubbornnessVector, b: np.ndarray, y: np.ndarray,
@@ -235,11 +268,12 @@ def check(g: Graph, k: StubbornnessVector, b: np.ndarray, y: np.ndarray,
 def solve(g: Graph, k: StubbornnessVector, b: np.ndarray, certify: Certificate) -> SolverResult:
     """Run PCG on (L + K) y = b until ``certify`` holds.
 
-    Deterministic for fixed inputs.  Each step writes -(L + K) p into one
-    buffer: -(deg + k) * p, onto which ``graph._matvec_into`` adds A p from
-    ``g.adjacency``; -(deg + k) is also the preconditioner.  A zero b is
-    judged by its check like any other: its first step stops at p.(L+K)p =
-    0, and its check judges y = 0.
+    Deterministic for fixed inputs.  Each step takes two products from
+    ``g.adjacency`` with ``graph._matvec_into``: -(L + K) p, A p added onto
+    -(deg + k) * p in one buffer, and z = M^{-1} r (``_precondition``), A
+    (r / D) added onto -r with r / D in that same buffer, whose product the
+    next step forms again.  A zero b is judged by its check like any other:
+    its first step stops at p.(L+K)p = 0, and its check judges y = 0.
     """
     target = certify.target
     if not (0.0 < target < 1.0):
@@ -253,21 +287,24 @@ def solve(g: Graph, k: StubbornnessVector, b: np.ndarray, certify: Certificate) 
 
     a, neg_diag = g.adjacency, _negated_diagonal(g, k)
 
-    # z holds the preconditioned residual with its sign flipped, r / -(deg + k);
-    # between its uses it is scratch (rho is formed in it, then z is formed
-    # again), and tp holds -(L+K) p, which the next step forms again; so a
-    # step allocates nothing, and a true-residual check forms its residual in
-    # tp and its rho in z.
+    # z holds the preconditioned residual M^{-1} r; between its uses it is
+    # scratch, and tp holds -(L+K) p, which the next step forms again, and
+    # in between -r / (deg + k) and rho's terms.  So a step allocates
+    # nothing, and a true-residual check forms its residual in tp and its
+    # rho in z, after which z is formed again.
     x = np.zeros(n)
     r = b.copy()
-    z = r / neg_diag
-    p = -z
-    tp = np.empty(n)
-    rz = -float(r @ z)
-    rho = _rho(r, k, z)
+    tp, z = np.empty(n), np.empty(n)
+    p = _precondition(a, neg_diag, r, tp, z).copy()
+    rz = float(r @ z)
+    rho = _rho(r, k, tp)
     # ||x*||_{L+K} <= rho0 for x* = (L+K)^{-1} b, so no relative certificate
     # holds above target * rho0; the first true-residual check waits for it.
     goal = target * rho
+    # Below eps^2 of its start, r.M^{-1}r lies under the rounding of the first
+    # residual: the recurrence no longer follows the true residual, and left
+    # to run it reaches subnormal numbers, where it diverges.
+    floor = EPS * EPS * rz
 
     # rho of the true residual at the last failed check: the recurrence rho
     # keeps shrinking past the attainable floor, the true one does not.
@@ -288,12 +325,14 @@ def solve(g: Graph, k: StubbornnessVector, b: np.ndarray, certify: Certificate) 
         tp *= alpha
         r += tp
         iters += 1
-        np.divide(r, neg_diag, out=z)
-        rz_new = -float(r @ z)
-        # rz <= rho^2 (diag(L+K) >= k), so rho cannot be at the goal before
-        # sqrt(rz) is; the factor covers rounding where diag = k.
-        if math.sqrt(max(rz_new, 0.0)) <= goal * (1.0 + 1e-12):
-            rho = _rho(r, k, z)
+        rz_new = float(r @ _precondition(a, neg_diag, r, tp, z))
+        if rz_new <= floor:  # lost its precision, or vanished: the next rz_new / rz means nothing
+            reason = "stagnated"
+            break
+        # rz <= rho^2 (M^{-1} <= K^{-1}), so rho cannot be at the goal before
+        # sqrt(rz) is; the factor covers rounding where deg = 0.
+        if math.sqrt(rz_new) <= goal * (1.0 + 1e-12):
+            rho = _rho(r, k, tp)
             if rho <= goal:
                 guess = math.nan if certify.estimate is None else certify.estimate(x, r, rho)
                 if math.isfinite(guess) and guess > target:
@@ -310,12 +349,9 @@ def solve(g: Graph, k: StubbornnessVector, b: np.ndarray, certify: Certificate) 
                     failed_rho = true_rho
                     # The bound grows at least linearly in rho: aim where it would hold.
                     goal = rho * (target / bound if math.isfinite(bound) else target)
-            np.divide(r, neg_diag, out=z)
-        if rz_new == 0.0:  # the recurrence residual vanished; the next rz_new / rz would be 0/0
-            reason = "stagnated"
-            break
+                    _precondition(a, neg_diag, r, tp, z)
         p *= rz_new / rz
-        p -= z
+        p += z
         rz = rz_new
 
     if y is None:

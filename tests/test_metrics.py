@@ -327,8 +327,8 @@ class TestOneCheckPerSolve:
     """The estimate aims the one true residual; the report takes that check's norms."""
 
     @pytest.mark.parametrize("dist, eps, iterations", [
-        ("uniform", 1e-4, 19), ("uniform", 1e-8, 32), ("powerlaw", 1e-4, 16),
-        ("powerlaw", 1e-8, 31)])
+        ("uniform", 1e-4, 10), ("uniform", 1e-8, 16), ("powerlaw", 1e-4, 8),
+        ("powerlaw", 1e-8, 16)])
     def test_one_true_residual_and_one_pass_over_the_edges(self, regular_20k, dist, eps,
                                                            iterations, monkeypatch):
         # The iterations are those of a PCG that forms rho at every step: rho

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import count_matmul, diagonal_first_rows, make_instance
 from fjopinion import solver
@@ -90,6 +92,47 @@ def test_unattainable_target_returns_uncertified(path2, k21):
     assert 1e-300 < res.bound < 1e-10  # the proved bound is reported all the same
 
 
+@pytest.mark.parametrize("scale", [1.0, 2.0**-300], ids=["b", "b*2^-300"])
+def test_unattainable_targets_stagnate_before_the_recurrence_overflows(scale):
+    # At 1e-300 no check is ever aimed: the recurrence residual shrinks past
+    # the rounding of the first one, and left to run it reaches subnormal
+    # numbers and overflows (a RuntimeWarning, an error in this suite).
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        g, k, s = make_instance(rng, k_range=(0.01, 3.0))
+        b = k.k * s * scale
+        res = solve_to(g, k, b, 1e-300)
+        assert not res.certified and res.stop_reason == "stagnated"
+
+
+def test_a_tiny_right_side_certifies_as_its_twin():
+    # The stop on a lost recurrence is relative to the solve: b * 2^-500,
+    # whose r.M^{-1}r runs through subnormal numbers at 1e-8, certifies as
+    # b does.
+    rng = np.random.default_rng(7)
+    twins, scaled = [], []
+    for _ in range(30):
+        g, k, s = make_instance(rng, k_range=(0.01, 3.0))
+        b = k.k * s
+        twins.append(solve_to(g, k, b, 1e-8).certified)
+        scaled.append(solve_to(g, k, b * 2.0**-500, 1e-8).certified)
+    assert all(twins) and scaled == twins
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       k_range=st.sampled_from([(0.5, 3.0), (1e-6, 1e-3), (1e3, 1e6)]))
+def test_preconditioned_residual_is_at_most_rho_squared(seed, k_range):
+    # r.M^{-1}r <= ||K^{-1/2} r||^2, the premise of the gate on each check:
+    # M^{-1} <= (L + K)^{-1} <= K^{-1}.
+    rng = np.random.default_rng(seed)
+    g, k, _ = make_instance(rng, k_range=k_range)
+    r = rng.standard_normal(g.n)
+    tp, z = np.empty(g.n), np.empty(g.n)
+    rz = float(r @ solver._precondition(g.adjacency, solver._negated_diagonal(g, k), r, tp, z))
+    assert 0.0 < rz <= float(r @ (r / k.k))
+
+
 def test_deterministic():
     rng = np.random.default_rng(43)
     g, k, _ = make_instance(rng, n_max=60)
@@ -154,14 +197,18 @@ def test_certificate_is_judged_on_the_true_residual():
 
 
 def test_pcg_steps_make_no_sparse_product_call(monkeypatch):
-    # Each step writes (L + K) p into one buffer, and each true-residual check
-    # writes its product into that buffer too: nothing calls ``@``.
+    # Each step writes (L + K) p and A (r / D) into its buffers, and each
+    # true-residual check writes its products into them too: many products
+    # run, and none of them calls ``@``.
     g = random_regular_graph(3000, 4, 1)
     k = generate_stubbornness(g.n, 0.01, 1.0, 2)
     b = k.k * generate_opinions(g.n, "uniform", 3)
     calls = count_matmul(monkeypatch)
+    products, real = [], solver._matvec_into
+    monkeypatch.setattr(solver, "_matvec_into",
+                        lambda a, x, out: products.append(a) or real(a, x, out))
     res = solve_to(g, k, b, 1e-10)
-    assert res.certified and res.iterations > 20
+    assert res.certified and len(products) > 20
     assert not calls
 
 

@@ -1,14 +1,15 @@
 """Per-layer ladder of one ``approxim`` solve, of ``simulate_until`` and of
 loading their instance from files, for the committed BENCH_*.json files.
 
-    python3 tools/bench_ladder.py --src CHECKOUT/src --n 10000 [--repeats 5]
+    python3 tools/bench_ladder.py --src CHECKOUT/src --n 10000 [--repeats 5] [--degree 4]
 
 Imports fjopinion from ``--src`` (so a parent checkout and a change can be
-measured with this one script), builds ``random_regular_graph(n, 4, 1)`` with
-stubbornness ``generate_stubbornness(n, 0.01, 1.0, 5)`` and uniform opinions
-(seed 7), and runs ``approxim`` at eps 1e-4 and then 1e-8, ``--repeats``
-times each, in one process with BLAS on one thread.  It prints one JSON line
-per eps: the iterations, the true-residual checks per solve, the medians of
+measured with this one script), builds ``random_regular_graph(n, degree, 1)``
+with stubbornness ``generate_stubbornness(n, 0.01, 1.0, 5)`` and uniform
+opinions (seed 7), and runs ``approxim`` at eps 1e-4 and then 1e-8,
+``--repeats`` times each, in one process with BLAS on one thread.  It prints
+one JSON line per eps: the iterations, the true-residual checks and the
+products of ``solver._matvec_into`` per solve, the medians of
 the ``approxim`` call, of its PCG solve, of the report's ``norms_seconds``
 and of one product that ``solver._matvec_into`` forms for the solve and its
 checks (the name both look up, whatever the solver applies), the peak RSS
@@ -83,13 +84,19 @@ def timed(fn, seconds):
     return wrapped
 
 
-def instance(n):
+def values(n):
+    """The stubbornness and opinions of the ladder's instance."""
+    from fjopinion import generate
+
+    return (generate.generate_stubbornness(n, 0.01, 1.0, 5),
+            generate.generate_opinions(n, "uniform", 7))
+
+
+def instance(n, degree):
     """The instance of the ladder: graph, stubbornness and opinions."""
     from fjopinion import generate
 
-    return (generate.random_regular_graph(n, 4, 1),
-            generate.generate_stubbornness(n, 0.01, 1.0, 5),
-            generate.generate_opinions(n, "uniform", 7))
+    return (generate.random_regular_graph(n, degree, 1), *values(n))
 
 
 def file_ids(n):
@@ -154,7 +161,7 @@ def write_files(folder, g, k, s):
 def check_values(n, g, k, s, file_id):
     """Exit unless k and s are the instance's values of each loaded node;
     ``file_id`` maps a label of ``g.ids`` to its id in the files."""
-    _, k_ref, s_ref = instance(n)
+    k_ref, s_ref = values(n)
     ids = file_ids(n)
     by_id = np.argsort(ids)
     loaded = np.fromiter(map(file_id, g.ids.tolist()), np.int64, g.n)
@@ -288,6 +295,7 @@ def main():
     parser.add_argument("--src", required=True)
     parser.add_argument("--n", type=int, required=True)
     parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--degree", type=int, default=4)
     args = parser.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
 
@@ -299,7 +307,7 @@ def main():
     for load in (load_files, load_string_files):
         loaders.append(fork_loader(load, args.n, [pipe for _, pipe in loaders]))
     t0 = time.perf_counter()
-    g, k, s = instance(args.n)
+    g, k, s = instance(args.n, args.degree)
     setup_s = time.perf_counter() - t0
     rss_setup = maxrss_mb()
 
@@ -327,6 +335,7 @@ def main():
             "n": g.n, "m": g.m, "eps": eps, "repeats": args.repeats,
             "iterations": sorted(iterations),
             "checks_per_solve": len(checks) / args.repeats,
+            "products_per_solve": len(products) / args.repeats,
             "setup_s": round(setup_s, 4),
             "approxim_s": statistics.median(approxim_s),
             "solve_s": statistics.median(solve_s),
