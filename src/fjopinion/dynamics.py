@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from fjopinion.errors import GraphInputError, NumericalError, SizeGuardError
-from fjopinion.graph import Graph, StubbornnessVector, _disagreement, _matvec_into, operator_matrix
-from fjopinion.solver import (EPS, Certificate, SolverResult, check, energy_norm_certificate,
-                              proved_rho, solve)
+from fjopinion.graph import (Graph, StubbornnessVector, _matvec_into, _row_length_max,
+                             operator_matrix)
+from fjopinion.solver import (EPS, Certificate, _forest, _splu_symmetric, energy_norm_certificate,
+                              solve)
 
 DENSE_CAP = 10_000
 EQUILIBRIUM_DELTA = 1e-12  # relative error proved by exact-mode and equilibrium solves
-SWEEP_DELTA = 1e-6  # relative energy-norm error of a refinement sweep's PCG correction
 # simulate_until refines z* once where its proved error in |f| exceeds this share of eps.
 EQUILIBRIUM_SHARE = 0.1
 POWER_STEPS = 1_000
@@ -100,83 +100,6 @@ def step(g: Graph, k: StubbornnessVector, state: OpinionState) -> OpinionState:
     return OpinionState(s=state.s, z=z, t=state.t + 1)
 
 
-def _splu_symmetric(m):
-    """SuperLU factor of an SPD m, ordered on its own pattern, no pivoting.
-
-    A pivot that is exactly zero in double precision (L + K with every k
-    below the rounding of deg + k) raises ``NumericalError``.
-    """
-    import scipy.sparse.linalg as spla  # only factoring needs it: a lazy import
-    try:
-        return spla.splu(m.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                         options=dict(SymmetricMode=True))
-    except RuntimeError as exc:  # "Factor is exactly singular"
-        raise NumericalError(f"sparse factor failed: {exc}") from None
-
-
-def _forest(g: Graph) -> bool:
-    """Whether g is a forest, whose factor of L + K has no fill.
-
-    Only m < n admits a forest, so only then are the components counted.
-    """
-    if g.m >= g.n:
-        return False
-    from scipy.sparse.csgraph import connected_components  # imports scipy.sparse.linalg
-    return g.m == g.n - connected_components(g.adjacency, directed=False, return_labels=False)
-
-
-def _solve(g: Graph, k: StubbornnessVector, b: np.ndarray, certify: Certificate) -> SolverResult:
-    """Solve (L + K) y = b under ``certify``: the one solve path of every graph.
-
-    A first solve: the factor of L + K on a forest, whose factor has no fill
-    (L + K is built only for it), certified PCG from ``g.adjacency`` on any
-    other graph.  If that misses its certificate, refinement sweeps follow:
-    iterative refinement with an extra-precise residual (Demmel et al., ACM
-    TOMS 32(2), 2006; Carson & Higham, SISC 40(2), 2018).  Each sweep forms
-    r = b - (L + K) y in long double (``solver.proved_rho``), with y held in
-    long double, and adds a correction d from the same solver: the kept
-    factor, or PCG to a relative energy-norm error of ``SWEEP_DELTA``.  The
-    returned double q, y rounded, is judged with rho(y) + ||y - q||_{L+K},
-    which bounds ||q - x*||_{L+K}; the first sweep judges the first solve's
-    y so, before any correction.  Sweeps stop once ``certify`` holds or
-    once a sweep's rho(y) is no smaller than the last one's, as PCG's
-    checks stop (stop_reason "stagnated").  A certified factor solution
-    reads stop_reason "", and ``iterations`` counts every PCG step run.
-    Nothing is kept after the call.
-    """
-    lu = _splu_symmetric(operator_matrix(g, k)) if _forest(g) else None
-    if lu is None:
-        res = solve(g, k, b, certify)
-    else:
-        y = lu.solve(b)
-        bound, rho, r_norm = check(g, k, b, y, certify, np.empty_like(b), np.empty_like(b))
-        res = SolverResult(y=y, iterations=0, residual_norm=r_norm, certified=bound <= certify.target,
-                           bound=bound, stop_reason="", rho=rho)
-    if res.certified:
-        return res
-    r, scratch = np.empty_like(b), np.empty_like(b)
-    y, iterations, last = res.y.astype(np.longdouble), res.iterations, math.inf
-    while True:
-        rho, r_norm = proved_rho(g, k, b, y, r, scratch)
-        q = y.astype(np.float64)
-        gap = np.subtract(y, q, out=scratch, casting="same_kind")  # y - q, rounded
-        gap = math.sqrt(float(k.k @ (gap * gap)) + _disagreement(g, gap)) * (1.0 + (g.n + 8) * EPS)
-        bound = certify.bound(q, r, rho + gap)
-        if bound <= certify.target or not rho < last:
-            break
-        last = rho
-        if lu is None:
-            sweep = solve(g, k, r, energy_norm_certificate(r, SWEEP_DELTA))
-            y += sweep.y
-            iterations += sweep.iterations
-        else:
-            y += lu.solve(r)
-    certified = bound <= certify.target
-    return SolverResult(y=q, iterations=iterations, residual_norm=r_norm, certified=certified,
-                        bound=bound, rho=rho + gap,
-                        stop_reason=("certified" if lu is None else "") if certified else "stagnated")
-
-
 def _opinions(g, k, x, mismatch="opinion vector length does not match graph"):
     """x as a float64 vector on g's nodes, checked against g and k; a wrong
     shape raises ``mismatch``, and a NaN or inf entry is an input error too."""
@@ -191,13 +114,13 @@ def _opinions(g, k, x, mismatch="opinion vector length does not match graph"):
 
 
 def equilibrium(g: Graph, k: StubbornnessVector, s: np.ndarray) -> np.ndarray:
-    """Equilibrium expressed opinions z = (L+K)^{-1} K s, solved by ``_solve``.
+    """Equilibrium expressed opinions z = (L+K)^{-1} K s, solved by ``solve``.
 
     A solve that cannot prove a relative energy-norm error of
     ``EQUILIBRIUM_DELTA``, refinement included, raises ``NumericalError``.
     """
     b = k.k * _opinions(g, k, s)
-    res = _solve(g, k, b, energy_norm_certificate(b, EQUILIBRIUM_DELTA))
+    res = solve(g, k, b, energy_norm_certificate(b, EQUILIBRIUM_DELTA))
     if not res.certified:
         raise NumericalError(
             f"solver did not certify delta={EQUILIBRIUM_DELTA}: {res.stop_reason} after "
@@ -291,8 +214,7 @@ def spectral_radius(
     """
     h, a = _diagonal(g, k), g.adjacency
     h *= 0.5  # b / 2, exactly: 2h is b to the last bit
-    terms = int(np.diff(a.indptr).max())
-    slack = (terms + g.n.bit_length() + 28) * float(np.finfo(np.float64).eps)
+    slack = (_row_length_max(a) + g.n.bit_length() + 28) * EPS
     lower, upper = 0.0, math.inf
     y = np.empty(g.n)  # Ax + h*x in a power step, which swaps it with x; Ax in refine
 
@@ -382,7 +304,7 @@ def simulate_until(
 
     The norms are measured against the computed equilibrium z~*, not z*.
     ``_equilibrium_error`` proves beta >= ||z* - z~*||_{K+D} from the rho
-    that ``_solve`` proved for z~*, which the trace keeps as
+    that ``solve`` proved for z~*, which the trace keeps as
     ``equilibrium_error``.  z~* is solved to what ``equilibrium`` proves and
     to beta <= ``EQUILIBRIUM_SHARE`` eps, refinement sweeps included, but a
     z~* that misses either is used all the same: the stop rests on beta
@@ -397,7 +319,8 @@ def simulate_until(
     The steps allocate nothing: z(t) alternates between two buffers, neither
     of them ``z0``, which stays the caller's, and ``_update``, the kernel of
     ``step``, forms z(t+1) in them.  Each norm is sqrt(v.v), as
-    ``np.linalg.norm`` forms it.
+    ``np.linalg.norm`` forms it.  They and e(t) and f(t) are allocated after
+    the bracket, and |f(0)| is formed in temporaries freed before it.
     """
     if not eps > 0.0:  # NaN included
         raise GraphInputError("eps must be > 0")
@@ -406,16 +329,15 @@ def simulate_until(
     b = _diagonal(g, k)
     ks = k.k * s  # as ``step`` and ``equilibrium`` form Ks
     energy, share = energy_norm_certificate(ks, EQUILIBRIUM_DELTA), EQUILIBRIUM_SHARE * eps
-    res = _solve(g, k, ks, Certificate(EQUILIBRIUM_DELTA, lambda y, r, rho: max(
+    res = solve(g, k, ks, Certificate(EQUILIBRIUM_DELTA, lambda y, r, rho: max(
         energy.bound(y, r, rho), _equilibrium_error(g, k, b, rho) / share * EQUILIBRIUM_DELTA)))
     z_star = res.y
 
     trace = ErrorTrace()
     trace.equilibrium_error = _equilibrium_error(g, k, b, res.rho)
-    e, f = np.empty_like(z0), np.empty_like(z0)  # e(t) and f(t), overwritten each step
     weight = np.sqrt(b)
 
-    def record(z):
+    def record(z, e, f):
         np.subtract(z, z_star, out=e)
         np.multiply(weight, e, out=f)
         trace.e_norms.append(math.sqrt(e @ e))
@@ -423,14 +345,15 @@ def simulate_until(
         return trace.f_norms[-1]
 
     z, t = z0, 0
-    f_norm = record(z)
+    f_norm = record(z, np.empty_like(z0), np.empty_like(z0))  # e(0) and f(0), freed at once
     if g.m >= 1 and f_norm > eps:
         trace.spectral = spectral_radius(g, k, goal=(f_norm, eps))
         trace.bound = convergence_bound(trace.spectral, f_norm, eps)
     beta = trace.equilibrium_error
     last = trace.bound if beta >= eps or trace.spectral is None else convergence_bound(
         trace.spectral, f_norm + beta, eps - beta)
-    zs = np.empty_like(z0), np.empty_like(z0)  # z(t) for t >= 1, alternating; after the bracket's peak
+    # After the bracket's peak: e(t) and f(t), and z(t) for t >= 1, alternating.
+    e, f, zs = np.empty_like(z0), np.empty_like(z0), (np.empty_like(z0), np.empty_like(z0))
     while f_norm > eps:
         if trace.spectral is not None and t >= last:
             raise NumericalError(f"observed stop time (|f({t})| = {f_norm:.3e} > eps = {eps}) "
@@ -441,14 +364,14 @@ def simulate_until(
             )
         z = _update(g, b, ks, z, zs[t % 2])
         t += 1
-        f_norm = record(z)
+        f_norm = record(z, e, f)
     return OpinionState(s=s, z=z, t=t), trace
 
 
 def _equilibrium_error(g: Graph, k: StubbornnessVector, b: np.ndarray, rho: float) -> float:
     """A proved bound on ||z* - z~*||_{K+D} from a proved rho >= ||z* - z~*||_{L+K}.
 
-    rho is what ``_solve`` proved for z~*, rounding included
+    rho is what ``solve`` proved for z~*, rounding included
     (``solver.proved_rho``), and L + K >= (1 - rho(QA))(K + D) with
     1 - rho(QA) >= min k / (k + d), the row-sum bound on rho(QA), for b =
     k + d.  The ratio and its square root are widened by 8 eps.

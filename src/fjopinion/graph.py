@@ -608,6 +608,13 @@ def _matvec_into(a: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray
     return out
 
 
+def _row_length_max(a: sp.csr_matrix) -> int:
+    """t, the most entries in a row of ``a``, taken over blocks of
+    ``EDGE_CHUNK`` rows: no n-vector of row lengths is held."""
+    return max((int(np.diff(a.indptr[lo:lo + EDGE_CHUNK + 1]).max(initial=0))
+                for lo in range(0, a.shape[0], EDGE_CHUNK)), default=0)
+
+
 def _disagreement(g: Graph, q: np.ndarray) -> float:
     """q.Lq = sum_e w_e (q_u - q_v)^2, summed over slices of the edge arrays."""
     total = 0.0

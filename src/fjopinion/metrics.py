@@ -1,13 +1,13 @@
 """Conflict, disagreement, and polarization metrics: exact and approximate.
 
 Both modes run one pipeline: center the opinions, solve for the centered
-equilibrium by ``dynamics._solve``, prove each metric's relative error from
+equilibrium by ``solver.solve``, prove each metric's relative error from
 that solve's true residual with one a-posteriori certificate, read the four
 metrics of the opinions as given off that one vector, and build one report.
 The modes differ only in the accuracy proved: approximate mode the
 requested eps, exact mode ``EQUILIBRIUM_DELTA`` (1e-12).  The proof holds
 in floating point: the residual's rounding is counted, and where a double
-residual cannot prove the target, ``_solve`` refines the solution on
+residual cannot prove the target, ``solve`` refines the solution on
 residuals formed in long double.
 """
 
@@ -21,9 +21,9 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from fjopinion.errors import GraphInputError, NumericalError
-from fjopinion.dynamics import EQUILIBRIUM_DELTA, _center, _opinions, _solve
+from fjopinion.dynamics import EQUILIBRIUM_DELTA, _center, _opinions
 from fjopinion.graph import Graph, StubbornnessVector, _disagreement, eigen_bounds
-from fjopinion.solver import Certificate
+from fjopinion.solver import Certificate, solve
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,10 @@ class MetricsReport:
     modes: each of the four metrics is off by at most that fraction of its
     value, and the conservation law by at most that fraction of
     sum k_i s_i^2.  ``certified`` means ``error_bound <= eps_requested``.
-    ``stop_reason`` says why the solve stopped: "certified", or "" where a
-    forest's factor of L + K gave the certified solution; "stagnated" when
-    neither PCG nor the refinement sweeps after it could shrink the proved
-    residual enough to prove eps; see ``solver.SolverResult``.
+    ``stop_reason`` says why the solve stopped: "certified", a forest's
+    factor solution included; "stagnated" when neither the first solve nor
+    the refinement sweeps after it could shrink the proved residual enough
+    to prove eps (see ``solver.SolverResult``); "" where no solve ran.
     ``solver_iterations`` counts the PCG steps of the first solve and of
     every sweep's correction (0 on a forest).
     """
@@ -243,7 +243,7 @@ def _pipeline(g, k, s, mode, eps):
     off q: C = k.(q - s0)^2, D on the edge arrays, P = k.q^2 + c^2 sum(k).
     Taking P in that form keeps the 2c k.q term, zero at the solution, out
     of an approximate q's error, so a bound on sqrt(k.q^2) covers P too.
-    q comes from ``dynamics._solve`` under that certificate, judged on its
+    q comes from ``solve`` under that certificate, judged on its
     true residual; every solve ends on a check of the q it returns, so the
     report takes C, D and k.q^2 from that check (all 0 where s0 = 0, with
     no solve).  ``mode`` only labels the report.  Returns the report and
@@ -265,7 +265,7 @@ def _pipeline(g, k, s, mode, eps):
         b = k.k * s0
         delta = delta_budget(g, k, s0, eps).delta  # raises first where ||s0|| underflows to 0
         certificate = _metrics_certificate(g, k, s0, b, shift, eps)
-        res = _solve(g, k, b, certificate)
+        res = solve(g, k, b, certificate)
         q, norms = res.y, certificate.norms_of(res.y)
         provenance = dict(delta_used=delta, certified=res.certified,
                           solver_iterations=res.iterations, error_bound=res.bound,
@@ -301,7 +301,7 @@ def _pipeline(g, k, s, mode, eps):
 def metrics_exact(g: Graph, k: StubbornnessVector, s: np.ndarray) -> MetricsReport:
     """All four metrics proved to relative ``EQUILIBRIUM_DELTA``, at any n.
 
-    ``dynamics._solve``: certified PCG, or the sparse factor of L + K on a
+    ``solver.solve``: certified PCG, or the sparse factor of L + K on a
     forest, refined on long-double residuals where that misses 1e-12.  A
     solve whose bound still misses it is reported ``certified=False``: at
     uniform k = 1e-8 on a 4-regular graph, rounding the solution to double
@@ -320,7 +320,7 @@ def metrics_exact(g: Graph, k: StubbornnessVector, s: np.ndarray) -> MetricsRepo
 
 
 def approxim(g: Graph, k: StubbornnessVector, s: np.ndarray, eps: float) -> MetricsReport:
-    """All four metrics proved to relative eps by one solve of ``dynamics._solve``.
+    """All four metrics proved to relative eps by one call of ``solver.solve``.
 
     That is certified PCG, or the sparse factor of L + K on a forest, with
     refinement sweeps on long-double residuals where the first solve

@@ -1,67 +1,54 @@
-"""Conjugate gradient for systems (L + K) x = b, preconditioned by the
-first-order Neumann polynomial of Jacobi.
+"""Solve (L + K) y = b with a proved error: the one solve of every caller.
 
-With D = deg + k the diagonal of L + K and A the adjacency, L + K =
-D - A, and the preconditioner is M^{-1} = D^{-1} + D^{-1} A D^{-1}, the
-series D^{-1} sum_j (A D^{-1})^j cut after its linear term (Dubois,
-Greenbaum & Rodrigue, Computing 22, 1979; Johnson, Micchelli & Paul, SIAM
-J. Numer. Anal. 20, 1983).  For the eigenvalues lambda of the scaled
-adjacency D^{-1/2} A D^{-1/2}, which lie in [-rho, rho] with rho =
-rho(QA) < 1, M^{-1}(L + K) has the spectrum 1 - lambda^2 in place of
-Jacobi's 1 - lambda: each pair +-lambda folds onto one point, and the
-condition number is at most 1 / (1 - rho^2) against Jacobi's (1 + rho) /
-(1 - rho).  So on graphs whose spectrum comes in near-symmetric pairs, as
-sparse random graphs' does, CG takes about half the steps, each with one
-more product: on the ladder's 4-regular graph at 1e6 nodes, 9 steps
-against 18 at eps 1e-4 and 16 against 32 at 1e-8, and ``approxim`` 7-8 %
-faster there (``BENCH_29.json``).  Where the product dominates a step the
-fold does not pay: on a 20-regular graph of 300 000 nodes ``approxim``
-read 10-13 % slower.
+``solve`` is the path of ``equilibrium``, ``simulate_until``,
+``metrics_exact`` and ``approxim``: the factor of L + K on a forest, whose
+factor has no fill, and ``_pcg`` on any other graph, both judged by one
+check of the true residual, then refinement sweeps on residuals formed in
+long double where that check misses its certificate.
 
-The solver takes the graph, not a matrix, and builds none: it applies
-(L + K) p = (deg + k) * p - A p with one pass of scipy's CSR kernel over
-``Graph.adjacency``, onto a buffer that already holds -(deg + k) * p, and
-M^{-1} r = (r + A (r / D)) / D with one more, r / D formed in that
-buffer, which is free between the residual's update and the next step;
-the sign lives in the one diagonal vector -(deg + k), and z = M^{-1} r
-keeps its own.  So a solve holds six n-vectors (x, r, z, p, the product
-and -(deg + k)), and its rho is always that of the k it applies.
+``_pcg`` is conjugate gradient preconditioned by M^{-1} = D^{-1} + D^{-1} A
+D^{-1}, for D = deg + k and A the adjacency (L + K = D - A): the Neumann
+series of Jacobi cut after its linear term (Dubois, Greenbaum & Rodrigue,
+Computing 22, 1979; Johnson, Micchelli & Paul, SIAM J. Numer. Anal. 20,
+1983).  The eigenvalues lambda of D^{-1/2} A D^{-1/2} lie in [-rho, rho],
+rho = rho(QA) < 1, and M^{-1}(L + K) has the spectrum 1 - lambda^2 in place
+of Jacobi's 1 - lambda, a condition number of at most 1 / (1 - rho^2)
+against (1 + rho) / (1 - rho).  On sparse random graphs, whose spectrum
+comes in near-symmetric pairs, CG takes about half the steps, each with one
+more product (``BENCH_29.json``: 9 against 18 steps at eps 1e-4 and 16
+against 32 at 1e-8 on the ladder at 1e6 nodes); where the product
+dominates a step the fold does not pay (a 20-regular graph read 10-13 %
+slower).  PCG builds no matrix: it applies (L + K) p = (deg + k) * p - A p
+with one pass of scipy's CSR kernel over ``Graph.adjacency``, onto a buffer
+that holds -(deg + k) * p, and M^{-1} r = (r + A (r / D)) / D with one
+more, r / D formed in that buffer, free between the residual's update and
+the next step.  So a solve holds six n-vectors (x, r, z, p, the product and
+-(deg + k)), and its rho is always that of the k it applies.
 
 The solve stops on an a-posteriori certificate, not on an a-priori residual
-tolerance.  For an iterate y with residual r = b - (L+K) y, let
-rho = ||K^{-1/2} r||.  Because L + K >= K in the semidefinite order, the
-error e = x* - y satisfies ||e||_{L+K}^2 = r^T (L+K)^{-1} r <= rho^2.  The
-caller's ``Certificate`` turns rho into a proved bound on whatever it needs
-(a relative energy-norm error, or the relative error of each metric read
-off y) and the solve stops as soon as that bound is at most the target.
-The rho a certificate gets is proved in floating point: ``proved_rho``
-adds the worst-case rounding of the computed residual to its norm, so
-``certified=True`` is a proved bound, not one that holds only in exact
-arithmetic.
-A certificate counts only on the true residual b - (L+K) y, which costs an
-SpMV, a second one for the rounding term, and the certificate's own pass
-over y, so it is formed only when the
-recurrence residual says the bound can hold: its rho must have reached a
-goal, and the certificate's optional ``estimate``, an unproved guess of
-the bound from the recurrence residual, must not lie above the target.
-A guess above it moves the goal instead.  As 1 + lambda <= 1 / (1 -
-lambda), M^{-1} <= (L + K)^{-1} <= K^{-1}, so PCG's own r.M^{-1}r is at
-most rho^2, and rho is formed only once that has reached the goal.  If
-the target lies below the floor of a double residual, whose rounding term
-grows like u (deg + k) |y| / sqrt(k), the recurrence rho keeps shrinking
-while the true one levels off (Greenbaum, SIMAX 1997), so stagnation is
-judged on the true residual: a failed check whose rho is no smaller than
-at the previous failed check stops the solve, and the last iterate is
-returned uncertified (Strakos & Tichy, ETNA 2002; Arioli, Numer. Math.
-2004).  A target so far below that floor that no check is ever aimed at
-it, such as 1e-300, is stopped by the recurrence itself: once r.M^{-1}r
-falls to eps^2 of its start, the recurrence residual lies below the
-rounding of the first one and no longer follows the true one, so the
-solve stops "stagnated" and its last iterate is judged.  The rule is
-relative to the solve's start, so b * 2^-500 certifies where b does.  On
-regular-3000 at k = 1e-4 the floor lies above exact mode's 1e-12;
-``dynamics._solve`` then refines y on residuals formed in long double,
-whose unit roundoff is 2048 times smaller.
+tolerance.  For an iterate y with residual r = b - (L+K) y, let rho =
+||K^{-1/2} r||.  Because L + K >= K, the error e = x* - y satisfies
+||e||_{L+K}^2 = r^T (L+K)^{-1} r <= rho^2.  The caller's ``Certificate``
+turns rho into a proved bound on whatever it needs (a relative energy-norm
+error, or the relative error of each metric read off y), and the solve
+stops once that bound is at most the target.  The rho it gets is proved in
+floating point: ``proved_rho`` adds the worst-case rounding of the computed
+residual to its norm.  Every norm of a residual is formed from the vector
+scaled by a power of two, so a nonzero residual whose squares underflow
+never reads 0.  The true residual costs two SpMVs and the certificate's
+pass over y, so PCG forms it only once the recurrence residual's rho has
+reached a goal and the certificate's optional ``estimate``, an unproved
+guess of the bound, does not lie above the target (a guess above it moves
+the goal).  As M^{-1} <= (L + K)^{-1} <= K^{-1}, r.M^{-1}r <= rho^2 gates
+each rho.  Below the floor of a double residual, whose rounding grows like
+u (deg + k) |y| / sqrt(k), the recurrence keeps shrinking while the true
+residual levels off (Greenbaum, SIMAX 1997), so a failed check whose rho is
+no smaller than the previous failed check's stops PCG "stagnated" (Strakos
+& Tichy, ETNA 2002; Arioli, Numer. Math. 2004); so does r.M^{-1}r falling to
+eps^2 of its start, where no check is ever aimed, as at a target of 1e-300
+(relative, so b * 2^-500 certifies where b does).  On regular-3000 at k =
+1e-4 that floor lies above exact mode's 1e-12, and ``solve``'s sweeps,
+whose unit roundoff is 2048 times smaller, prove it.
 """
 
 from __future__ import annotations
@@ -72,11 +59,13 @@ from typing import Callable
 
 import numpy as np
 
-from fjopinion.errors import GraphInputError
-from fjopinion.graph import EDGE_CHUNK, Graph, StubbornnessVector, _matvec_into
+from fjopinion.errors import GraphInputError, NumericalError
+from fjopinion.graph import (EDGE_CHUNK, Graph, StubbornnessVector, _disagreement, _matvec_into,
+                             _row_length_max, operator_matrix)
 
 MAX_ITERATIONS = 50_000
 EPS = float(np.finfo(np.float64).eps)  # 2u for double's unit roundoff u = 2^-53
+SWEEP_DELTA = 1e-6  # relative energy-norm error of a refinement sweep's PCG correction
 
 
 @dataclass(frozen=True)
@@ -86,7 +75,7 @@ class Certificate:
     ``bound`` gets an iterate y, its computed true residual r = b - (L+K) y
     and a proved rho >= ||K^{-1/2} r|| of the exact residual, so that
     ||y - x*||_{L+K} <= rho, and returns a proved bound that grows with rho.
-    After refinement (``dynamics._solve``) y is the double rounding of a
+    After refinement (``solve``'s sweeps) y is the double rounding of a
     long-double iterate, r that iterate's residual rounded to double, and
     rho also covers the rounding of y.
     ``estimate``, if given, takes the same arguments with PCG's recurrence
@@ -123,23 +112,21 @@ class SolverResult:
     """The returned iterate and how it was obtained.
 
     ``y`` is the last iterate.  ``stop_reason`` is "certified" exactly when
-    ``certified`` is true, but for a forest's certified factor solution
-    from ``dynamics._solve``, which reads "".  Otherwise it says why
-    iteration ended: "stagnated" (a failed check found rho no smaller than
-    at the previous failed check, r.M^{-1}r fell to eps^2 of its start, or
-    the search direction underflowed to zero; for ``dynamics._solve``, a
-    refinement sweep that did not shrink rho), "maxiter", or "breakdown"
+    ``certified`` is true, a forest's factor solution included.  Otherwise
+    it says why iteration ended: "stagnated" (a failed check found rho no
+    smaller than at the previous failed check, r.M^{-1}r fell to eps^2 of
+    its start, or the search direction underflowed to zero; for ``solve``,
+    a refinement sweep that did not shrink rho), "maxiter", or "breakdown"
     (a direction of negative curvature, or NaN: L + K is not positive
     definite).
     ``bound`` is the certificate's proved bound for ``y``, judged on its
     true residual with its rounding counted, also when it misses the
     target; ``rho`` is the proved bound on ||y - x*||_{L+K} it was judged
-    on, and ``residual_norm`` the 2-norm of the computed residual.
+    on.
     """
 
     y: np.ndarray
     iterations: int
-    residual_norm: float
     certified: bool
     bound: float
     stop_reason: str
@@ -147,9 +134,20 @@ class SolverResult:
 
 
 def _rho(r: np.ndarray, k: StubbornnessVector, scratch: np.ndarray) -> float:
-    """rho = ||K^{-1/2} r||, with ``scratch`` overwritten."""
+    """rho = ||K^{-1/2} r||, with ``scratch`` overwritten.
+
+    An r below 1 is scaled up by a power of two s <= 2^1023 while rho is
+    formed, max |r| into [1/2, 1) where it can, and back in place.  Both
+    are exact, so rho is the unscaled one to the last bit wherever no square
+    of r underflows, and a nonzero r never reads 0.
+    """
+    top = max(float(r.max(initial=0.0)), -float(r.min(initial=0.0)))
+    scale = math.ldexp(1.0, min(-math.frexp(top)[1], 1023)) if 0.0 < top < 1.0 else 1.0
+    r *= scale
     np.divide(r, k.k, out=scratch)
-    return math.sqrt(max(float(r @ scratch), 0.0))
+    rho = math.sqrt(max(float(r @ scratch), 0.0)) / scale
+    r /= scale
+    return rho
 
 
 def _negated_diagonal(g: Graph, k: StubbornnessVector,
@@ -169,13 +167,13 @@ def _precondition(a, neg_diag: np.ndarray, r: np.ndarray, tp: np.ndarray,
 
 
 def proved_rho(g: Graph, k: StubbornnessVector, b: np.ndarray, y: np.ndarray,
-               out: np.ndarray, scratch: np.ndarray) -> tuple[float, float]:
-    """A proved rho >= ||K^{-1/2}(b - (L + K) y)||, rounding included, and
-    the 2-norm of the computed residual, which is left in ``out``.
+               out: np.ndarray, scratch: np.ndarray) -> float:
+    """A proved rho >= ||K^{-1/2}(b - (L + K) y)||, rounding included, with
+    the computed residual left in ``out``.
 
-    The one routine that bounds a residual: every check of ``check`` and
-    every refinement sweep of ``dynamics._solve`` goes through it.  Each row
-    of the computed residual is off from the exact one by at most
+    The one routine that bounds a residual, for every check and every
+    refinement sweep.  Each row of the computed residual is off from the
+    exact one by at most
     gamma w_i, gamma = cu / (1 - cu) for u the unit roundoff of y's dtype
     (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3), and
     gamma ||K^{-1/2} w|| is added to ||K^{-1/2} r||:
@@ -199,8 +197,7 @@ def proved_rho(g: Graph, k: StubbornnessVector, b: np.ndarray, y: np.ndarray,
     ``out`` and ``scratch`` are free float64 n-vectors that are not y.
     """
     a = g.adjacency
-    terms = max((int(np.diff(a.indptr[lo:lo + EDGE_CHUNK + 1]).max(initial=0))
-                 for lo in range(0, g.n, EDGE_CHUNK)), default=0)  # no n-vector of row lengths
+    terms = _row_length_max(a)
     long = y.dtype != np.float64
     c = terms + 3 if long else 2 * terms + 2
     unit = float(np.finfo(y.dtype).eps) / 2.0
@@ -218,7 +215,7 @@ def proved_rho(g: Graph, k: StubbornnessVector, b: np.ndarray, y: np.ndarray,
         r = _matvec_into(a, y, np.multiply(_negated_diagonal(g, k, scratch), y, out=out))
         r += b
         rho = _rho(r, k, scratch)
-    return (rho + gamma * size) * (1.0 + (g.n + terms + 8) * EPS), float(np.linalg.norm(out))
+    return (rho + gamma * size) * (1.0 + (g.n + terms + 8) * EPS)
 
 
 def _long_residual(g: Graph, k: StubbornnessVector, b: np.ndarray, y: np.ndarray,
@@ -248,43 +245,123 @@ def _long_residual(g: Graph, k: StubbornnessVector, b: np.ndarray, y: np.ndarray
         rho2 += (r * r / k.k[lo:hi]).sum()
         size2 += (spread * spread / k.k[lo:hi]).sum()
         out[lo:hi] = r
-    return math.sqrt(float(rho2)), math.sqrt(float(size2))
+    return _root(rho2), _root(size2)
 
 
-def check(g: Graph, k: StubbornnessVector, b: np.ndarray, y: np.ndarray,
-          certify: Certificate, out: np.ndarray,
-          scratch: np.ndarray) -> tuple[float, float, float]:
-    """``certify``'s bound of y, the proved rho it was judged on, and the
-    2-norm of y's computed residual, all from ``proved_rho``.
+def _root(x) -> float:
+    """sqrt(x) of a long double x >= 0, rounded to double through a power
+    of four: math.sqrt(float(x)) to the last bit wherever float(x) is a
+    normal number, and not 0 where x > 0 lies below double's range."""
+    shift = min(int(np.frexp(x)[1]) // 2, 0)
+    return math.sqrt(float(np.ldexp(x, -2 * shift))) * 2.0 ** shift
 
-    It judges every PCG solve and every factor solve of ``dynamics._solve``;
-    ``out`` and ``scratch`` are as for ``proved_rho``, and ``out`` keeps the
-    residual for ``certify``.
+
+def _judged(g: Graph, k: StubbornnessVector, b: np.ndarray, y: np.ndarray,
+            certify: Certificate, iterations: int, reason: str, out: np.ndarray,
+            scratch: np.ndarray) -> SolverResult:
+    """y judged by ``certify`` on its true residual (``proved_rho``, into
+    ``out``): "certified" if the bound holds, ``reason`` if not.  Every
+    check of ``_pcg`` and of a forest's factor solution."""
+    rho = proved_rho(g, k, b, y, out, scratch)
+    bound = certify.bound(y, out, rho)
+    certified = bound <= certify.target
+    return SolverResult(y=y, iterations=iterations, certified=certified, bound=bound,
+                        stop_reason="certified" if certified else reason, rho=rho)
+
+
+def _splu_symmetric(m):
+    """SuperLU factor of an SPD m, ordered on its own pattern, no pivoting.
+
+    A pivot that is exactly zero in double precision (L + K with every k
+    below the rounding of deg + k) raises ``NumericalError``.
     """
-    rho, r_norm = proved_rho(g, k, b, y, out, scratch)
-    return certify.bound(y, out, rho), rho, r_norm
+    import scipy.sparse.linalg as spla  # only factoring needs it: a lazy import
+    try:
+        return spla.splu(m.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options=dict(SymmetricMode=True))
+    except RuntimeError as exc:  # "Factor is exactly singular"
+        raise NumericalError(f"sparse factor failed: {exc}") from None
+
+
+def _forest(g: Graph) -> bool:
+    """Whether g is a forest, whose factor of L + K has no fill.
+
+    Only m < n admits a forest, so only then are the components counted.
+    """
+    if g.m >= g.n:
+        return False
+    from scipy.sparse.csgraph import connected_components  # imports scipy.sparse.linalg
+    return g.m == g.n - connected_components(g.adjacency, directed=False, return_labels=False)
 
 
 def solve(g: Graph, k: StubbornnessVector, b: np.ndarray, certify: Certificate) -> SolverResult:
-    """Run PCG on (L + K) y = b until ``certify`` holds.
+    """Solve (L + K) y = b until ``certify`` holds: the one solve path of
+    every graph and every caller.
 
-    Deterministic for fixed inputs.  Each step takes two products from
-    ``g.adjacency`` with ``graph._matvec_into``: -(L + K) p, A p added onto
-    -(deg + k) * p in one buffer, and z = M^{-1} r (``_precondition``), A
-    (r / D) added onto -r with r / D in that same buffer, whose product the
-    next step forms again.  A zero b is judged by its check like any other:
-    its first step stops at p.(L+K)p = 0, and its check judges y = 0.
+    A first solve: the factor of L + K on a forest, whose factor has no fill
+    (L + K is built only for it), ``_pcg`` from ``g.adjacency`` on any
+    other graph; the factor's solution is judged by the check that judges
+    PCG's last iterate.  If that misses its certificate, refinement sweeps
+    follow: iterative refinement with an extra-precise residual (Demmel et
+    al., ACM TOMS 32(2), 2006; Carson & Higham, SISC 40(2), 2018).  Each
+    sweep forms r = b - (L + K) y in long double (``proved_rho``), with y
+    held in long double, and adds a correction d from the same solver: the
+    kept factor, or ``_pcg`` to a relative energy-norm error of
+    ``SWEEP_DELTA``.  The returned double q, y rounded, is judged with
+    rho(y) + ||y - q||_{L+K}, which bounds ||q - x*||_{L+K}; the first sweep
+    judges the first solve's y so, before any correction.  Sweeps stop once
+    ``certify`` holds or once a sweep's rho(y) is no smaller than the last
+    one's, as PCG's checks stop (stop_reason "stagnated").
+    ``iterations`` counts every PCG step run, 0 on a forest.  Nothing is
+    kept after the call.  Deterministic for fixed inputs.
     """
     target = certify.target
     if not (0.0 < target < 1.0):
         raise GraphInputError(f"certificate target must be in (0, 1), got {target}")
     b = np.asarray(b, dtype=np.float64)
-    n = b.size
-    if g.n != n:
+    if g.n != b.size:
         raise GraphInputError("right-hand side length does not match operator")
-    if len(k) != n:
+    if len(k) != b.size:
         raise GraphInputError("stubbornness length does not match operator")
+    if _forest(g):
+        lu = _splu_symmetric(operator_matrix(g, k))
+        res = _judged(g, k, b, lu.solve(b), certify, 0, "stagnated",
+                      np.empty_like(b), np.empty_like(b))
+    else:
+        lu, res = None, _pcg(g, k, b, certify)
+    if res.certified:
+        return res
+    r, scratch = np.empty_like(b), np.empty_like(b)
+    y, iterations, last = res.y.astype(np.longdouble), res.iterations, math.inf
+    while True:
+        rho = proved_rho(g, k, b, y, r, scratch)
+        q = y.astype(np.float64)
+        gap = np.subtract(y, q, out=scratch, casting="same_kind")  # y - q, rounded
+        gap = math.sqrt(float(k.k @ (gap * gap)) + _disagreement(g, gap)) * (1.0 + (g.n + 8) * EPS)
+        bound = certify.bound(q, r, rho + gap)
+        if bound <= target or not rho < last:
+            break
+        last = rho
+        if lu is None:
+            sweep = _pcg(g, k, r, energy_norm_certificate(r, SWEEP_DELTA))
+            y += sweep.y
+            iterations += sweep.iterations
+        else:
+            y += lu.solve(r)
+    certified = bound <= target
+    return SolverResult(y=q, iterations=iterations, certified=certified, bound=bound,
+                        stop_reason="certified" if certified else "stagnated", rho=rho + gap)
 
+
+def _pcg(g: Graph, k: StubbornnessVector, b: np.ndarray, certify: Certificate) -> SolverResult:
+    """Run PCG on (L + K) y = b until ``certify`` holds, for ``solve``,
+    which has checked b and the target.
+
+    Each step takes two products with ``graph._matvec_into``: -(L + K) p,
+    and A (r / D) for z = M^{-1} r (``_precondition``).  A zero b is judged
+    by its check like any other: its first step stops at p.(L+K)p = 0.
+    """
+    target, n = certify.target, b.size
     a, neg_diag = g.adjacency, _negated_diagonal(g, k)
 
     # z holds the preconditioned residual M^{-1} r; between its uses it is
@@ -310,8 +387,7 @@ def solve(g: Graph, k: StubbornnessVector, b: np.ndarray, certify: Certificate) 
     # keeps shrinking past the attainable floor, the true one does not.
     failed_rho = math.inf
 
-    iters = 0
-    y, reason = None, "maxiter"
+    iters, reason = 0, "maxiter"
     while iters < MAX_ITERATIONS:
         _matvec_into(a, p, np.multiply(neg_diag, p, out=tp))
         ptp = -float(p @ tp)
@@ -339,33 +415,16 @@ def solve(g: Graph, k: StubbornnessVector, b: np.ndarray, certify: Certificate) 
                     # The recurrence says the bound cannot hold yet: aim lower, no SpMV.
                     goal = rho * (target / guess)
                 else:
-                    bound, true_rho, r_norm = check(g, k, b, x, certify, tp, z)
-                    if bound <= target:
-                        y, reason = x, "certified"
-                        break
-                    if true_rho >= failed_rho:  # no gain since the last failed check
-                        y, reason = x, "stagnated"
-                        break
-                    failed_rho = true_rho
+                    res = _judged(g, k, b, x, certify, iters, "stagnated", tp, z)
+                    if res.certified or res.rho >= failed_rho:  # or no gain since the last check
+                        return res
+                    failed_rho = res.rho
                     # The bound grows at least linearly in rho: aim where it would hold.
-                    goal = rho * (target / bound if math.isfinite(bound) else target)
+                    goal = rho * (target / res.bound if math.isfinite(res.bound) else target)
                     _precondition(a, neg_diag, r, tp, z)
         p *= rz_new / rz
         p += z
         rz = rz_new
 
-    if y is None:
-        # Judge the last iterate on its true residual, not on the drifting recurrence.
-        y = x
-        bound, true_rho, r_norm = check(g, k, b, y, certify, tp, z)
-        if bound <= target:
-            reason = "certified"
-    return SolverResult(
-        y=y,
-        iterations=iters,
-        residual_norm=r_norm,
-        certified=reason == "certified",
-        bound=bound,
-        stop_reason=reason,
-        rho=true_rho,
-    )
+    # Judge the last iterate on its true residual, not on the drifting recurrence.
+    return _judged(g, k, b, x, certify, iters, reason, tp, z)

@@ -150,7 +150,7 @@ def pcg_under_metrics_certificate(g, k, s, eps):
     s0, c = dynamics._center(s, k)
     b = k.k * s0
     certificate = _metrics_certificate(g, k, s0, b, c * c * float(k.k.sum()), eps)
-    return solve(g, k, b, certificate)
+    return solver._pcg(g, k, b, certificate)
 
 
 class TestApproxim:
@@ -249,7 +249,7 @@ class TestCertifiedStop:
         s = generate_opinions(g.n, "powerlaw", 4)
         r = metrics_exact(g, k, s)
         assert r.certified and 0.0 < r.error_bound <= 1e-12
-        assert r.solver_iterations == 0 and r.stop_reason == ""
+        assert r.solver_iterations == 0 and r.stop_reason == "certified"
         assert r.eps_requested == dynamics.EQUILIBRIUM_DELTA
         s0 = dynamics.center_opinions(s, k)
         assert r.delta_used == delta_budget(g, k, s0, dynamics.EQUILIBRIUM_DELTA).delta
@@ -284,7 +284,7 @@ class TestBelowTheFloor:
     @pytest.mark.parametrize("n", [3000, dynamics.DENSE_CAP + 1],
                              ids=["regular-3000", "above-the-cap"])
     def test_stagnation_takes_no_factor_at_any_size(self, n, monkeypatch):
-        # approxim follows dynamics._solve: PCG and its refinement sweeps stop
+        # approxim follows solver.solve: PCG and its refinement sweeps stop
         # uncertified, and no factor of L + K follows, below the cap or above.
         g = random_regular_graph(n, 4, 1)
         k = generate_stubbornness(g.n, 0.5, 2.0, 2)
@@ -312,9 +312,7 @@ def count_checks(monkeypatch):
             return fn(*args)
         return wrapped
 
-    check = counted(solver.check, "check")
-    monkeypatch.setattr(solver, "check", check)
-    monkeypatch.setattr(dynamics, "check", check)
+    monkeypatch.setattr(solver, "proved_rho", counted(solver.proved_rho, "check"))
     monkeypatch.setattr(metrics, "_disagreement", counted(metrics._disagreement, "disagreement"))
     return calls
 
@@ -344,7 +342,7 @@ class TestOneCheckPerSolve:
         k = StubbornnessVector.uniform(g.n, 0.05)
         calls = count_checks(monkeypatch)
         r = approxim(g, k, generate_opinions(g.n, "powerlaw", 4), 1e-8)
-        assert r.certified and r.stop_reason == ""
+        assert r.certified and r.stop_reason == "certified"
         assert calls == {"check": 1, "disagreement": 1}
 
     @CERTIFIED_SOLVES
@@ -374,7 +372,7 @@ class TestOneCheckPerSolve:
         free = solve(g, k, b, dataclasses.replace(certificate, estimate=None))
         forced = solve(g, k, b, dataclasses.replace(certificate, estimate=lambda y, r, rho: guess))
         assert forced.y.tobytes() == free.y.tobytes()
-        for key in ("iterations", "residual_norm", "certified", "bound", "stop_reason"):
+        for key in ("iterations", "rho", "certified", "bound", "stop_reason"):
             assert getattr(forced, key) == getattr(free, key), key
 
 
@@ -387,7 +385,7 @@ def test_approxim_on_a_forest_is_metrics_exact():
     for key in METRIC_KEYS + ("sum_z", "weighted_sum_z", "error_bound", "solver_iterations",
                               "stop_reason"):
         assert getattr(approx, key) == getattr(exact, key), key
-    assert approx.solver_iterations == 0 and approx.stop_reason == ""
+    assert approx.solver_iterations == 0 and approx.stop_reason == "certified"
 
 
 def refined_dense_solve(g, k, b, sweeps=3):
@@ -422,11 +420,11 @@ def test_tiny_stubbornness_factors_without_pivoting(make_graph, pcg_stops, facto
     k = StubbornnessVector.uniform(g.n, 1e-4)
     s = generate_opinions(g.n, "powerlaw", 4)
     expected = refined_dense_solve(g, k, k.k * s).astype(np.float64)
-    stops, real_solve = [], dynamics.solve
-    monkeypatch.setattr(dynamics, "solve",
-                        lambda *args: stops.append(real_solve(*args)) or stops[-1])
-    builds, real_operator = [], dynamics.operator_matrix
-    monkeypatch.setattr(dynamics, "operator_matrix",
+    stops, real_pcg = [], solver._pcg
+    monkeypatch.setattr(solver, "_pcg",
+                        lambda *args: stops.append(real_pcg(*args)) or stops[-1])
+    builds, real_operator = [], solver.operator_matrix
+    monkeypatch.setattr(solver, "operator_matrix",
                         lambda *args: builds.append(1) or real_operator(*args))
     calls = count_splu(monkeypatch)
     z = dynamics.equilibrium(g, k, s)
@@ -448,7 +446,7 @@ def test_tiny_stubbornness_factors_without_pivoting(make_graph, pcg_stops, facto
     dense["pd_index"] = dense["polarization"] + dense["disagreement"]
     for key, value in dense.items():
         assert abs(getattr(r, key) - float(value)) <= r.error_bound * abs(float(value)), key
-    assert r.certified and r.stop_reason == ("" if factors else "certified")
+    assert r.certified and r.stop_reason == "certified"
     assert (r.solver_iterations > 0) == bool(pcg_stops)  # the PCG iterations run
     assert len(calls) == factors_of(calls, g, k) == factors
 
@@ -457,11 +455,11 @@ def test_pd_index_cross_check_catches_a_wrong_equilibrium(monkeypatch, path2, k2
     # Refinement would correct a wrong factor, so the wrong q comes after the
     # solve, in place: the report keeps the norms its check took of the right q.
     def wrong(*args):
-        res = dynamics._solve(*args)
+        res = solve(*args)
         np.multiply(res.y, 1.001, out=res.y)
         return res
 
-    monkeypatch.setattr(metrics, "_solve", wrong)
+    monkeypatch.setattr(metrics, "solve", wrong)
     with pytest.raises(NumericalError, match="pd-index cross-check failed"):
         metrics_exact(path2, k21, np.array([1.0, -1.0]))
 
@@ -663,7 +661,7 @@ def test_the_check_counts_the_rounding_of_its_residual():
     s0, c = dynamics._center(s, k)
     b = k.k * s0
     certify = _metrics_certificate(g, k, s0, b, c * c * float(k.k.sum()), 1e-12)
-    res = solve(g, k, b, certify)
+    res = solver._pcg(g, k, b, certify)
     r = b - (g.degrees + k.k) * res.y + g.adjacency @ res.y
     bare = certify.bound(res.y, r, math.sqrt(float(r @ (r / k.k))))
     assert bare <= 1e-12 < res.bound and not res.certified
@@ -677,10 +675,11 @@ def test_a_forest_at_tiny_stubbornness_is_certified_by_refinement(monkeypatch):
     g = build_graph([(i, i + 1, 1.0) for i in range(1999)])
     k = StubbornnessVector.uniform(g.n, 1e-4)
     s = generate_opinions(g.n, "powerlaw", 4)
-    checks, real_check = [], dynamics.check
-    monkeypatch.setattr(dynamics, "check", lambda *args: checks.append(real_check(*args)) or checks[-1])
+    checks, real_check = [], solver._judged
+    monkeypatch.setattr(solver, "_judged",
+                        lambda *args: checks.append(real_check(*args)) or checks[-1])
     calls = count_splu(monkeypatch)
     r = metrics_exact(g, k, s)
-    assert len(checks) == 1 and checks[0][0] > 1e-12  # the factor's solution, judged in double
-    assert r.certified and r.error_bound <= 1e-12 and r.stop_reason == ""
+    assert len(checks) == 1 and checks[0].bound > 1e-12  # the factor's solution, judged in double
+    assert r.certified and r.error_bound <= 1e-12 and r.stop_reason == "certified"
     assert r.solver_iterations == 0 and len(calls) == 1

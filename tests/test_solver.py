@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_matmul, diagonal_first_rows, make_instance
+import fjopinion
+from conftest import count_matmul, count_splu, diagonal_first_rows, make_instance
 from fjopinion import solver
 from fjopinion.errors import GraphInputError
 from fjopinion.generate import generate_opinions, generate_stubbornness, random_regular_graph
@@ -18,6 +19,11 @@ from fjopinion.solver import Certificate, energy_norm_certificate, solve
 def solve_to(g, k, b, delta):
     """Solve (L+K) y = b to a certified relative energy-norm error delta."""
     return solve(g, k, b, energy_norm_certificate(b, delta))
+
+
+def pcg_to(g, k, b, delta):
+    """PCG alone on (L+K) y = b, to a certified relative energy-norm error delta."""
+    return solver._pcg(g, k, b, energy_norm_certificate(b, delta))
 
 
 def negated_operator_rows(g, k):
@@ -51,17 +57,17 @@ def test_zero_rhs_is_judged_by_one_check(monkeypatch):
     g = random_regular_graph(200, 4, 1)
     k = generate_stubbornness(g.n, 0.01, 1.0, 2)
     b = np.zeros(g.n)
-    calls, real_check = [], solver.check
+    calls, real_check = [], solver.proved_rho
 
     def counting_check(*args):
         calls.append(args)
         return real_check(*args)
 
-    monkeypatch.setattr(solver, "check", counting_check)
+    monkeypatch.setattr(solver, "proved_rho", counting_check)
     res = solve(g, k, b, energy_norm_certificate(b, 1e-8))
     assert len(calls) == 1
     assert res.y.tobytes() == np.zeros(g.n).tobytes()
-    assert (res.iterations, res.residual_norm, res.certified, res.bound, res.stop_reason) == (
+    assert (res.iterations, res.rho, res.certified, res.bound, res.stop_reason) == (
         0, 0.0, True, 0.0, "certified")
 
 
@@ -86,9 +92,11 @@ def test_energy_norm_contract_random():
 
 
 def test_unattainable_target_returns_uncertified(path2, k21):
-    res = solve_to(path2, k21, np.array([1.0, 2.0]), 1e-300)
+    b = np.array([1.0, 2.0])
+    res = pcg_to(path2, k21, b, 1e-300)
     assert not res.certified and res.stop_reason == "stagnated"
-    assert res.residual_norm < 1e-10  # still converged to the double-precision floor
+    residual = b - operator_matrix(path2, k21) @ res.y
+    assert np.linalg.norm(residual) < 1e-10  # still converged to the double-precision floor
     assert 1e-300 < res.bound < 1e-10  # the proved bound is reported all the same
 
 
@@ -101,7 +109,7 @@ def test_unattainable_targets_stagnate_before_the_recurrence_overflows(scale):
     for _ in range(200):
         g, k, s = make_instance(rng, k_range=(0.01, 3.0))
         b = k.k * s * scale
-        res = solve_to(g, k, b, 1e-300)
+        res = pcg_to(g, k, b, 1e-300)
         assert not res.certified and res.stop_reason == "stagnated"
 
 
@@ -114,8 +122,8 @@ def test_a_tiny_right_side_certifies_as_its_twin():
     for _ in range(30):
         g, k, s = make_instance(rng, k_range=(0.01, 3.0))
         b = k.k * s
-        twins.append(solve_to(g, k, b, 1e-8).certified)
-        scaled.append(solve_to(g, k, b * 2.0**-500, 1e-8).certified)
+        twins.append(pcg_to(g, k, b, 1e-8).certified)
+        scaled.append(pcg_to(g, k, b * 2.0**-500, 1e-8).certified)
     assert all(twins) and scaled == twins
 
 
@@ -152,7 +160,7 @@ def test_iteration_scaling_on_path_family():
         g = build_graph([(i, i + 1, 1.0) for i in range(n - 1)])
         k = StubbornnessVector.uniform(n, 1.0)
         b = np.sin(np.arange(n))
-        res = solve_to(g, k, b, 1e-8)
+        res = pcg_to(g, k, b, 1e-8)
         assert res.certified
         iters.append(res.iterations)
     slope = np.polyfit(np.log(sizes), np.log(iters), 1)[0]
@@ -168,7 +176,8 @@ def test_certified_stop_reports_its_bound():
         res = solve_to(g, k, b, delta)
         assert res.certified and res.stop_reason == "certified"
         assert 0.0 <= res.bound <= delta
-        assert res.residual_norm == pytest.approx(np.linalg.norm(b - t @ res.y), rel=1e-12)
+        r = b - t @ res.y
+        assert math.sqrt(float(r @ (r / k.k))) <= res.rho  # the bound rests on a proved rho
 
 
 def test_stops_early_on_a_loose_target():
@@ -176,7 +185,7 @@ def test_stops_early_on_a_loose_target():
     g = build_graph([(i, i + 1, 1.0) for i in range(399)])
     k = StubbornnessVector.uniform(400, 0.1)
     b = np.sin(np.arange(400.0))
-    loose, tight = solve_to(g, k, b, 1e-3), solve_to(g, k, b, 1e-12)
+    loose, tight = pcg_to(g, k, b, 1e-3), pcg_to(g, k, b, 1e-12)
     assert loose.certified and tight.certified
     assert loose.iterations < tight.iterations
 
@@ -207,7 +216,7 @@ def test_pcg_steps_make_no_sparse_product_call(monkeypatch):
     products, real = [], solver._matvec_into
     monkeypatch.setattr(solver, "_matvec_into",
                         lambda a, x, out: products.append(a) or real(a, x, out))
-    res = solve_to(g, k, b, 1e-10)
+    res = pcg_to(g, k, b, 1e-10)
     assert res.certified and len(products) > 20
     assert not calls
 
@@ -233,7 +242,7 @@ def test_breakdown_on_an_indefinite_operator(path2, k11):
     # Degrees -3 make L + K = [[-2, -1], [-1, -2]], no SPD matrix:
     # p.(L+K)p < 0 stops the iteration at once.
     g = dataclasses.replace(path2, degrees=np.array([-3.0, -3.0]))
-    res = solve(g, k11, np.ones(2), energy_norm_certificate(np.ones(2), 1e-6))
+    res = pcg_to(g, k11, np.ones(2), 1e-6)
     assert not res.certified and res.stop_reason == "breakdown"
     assert res.iterations == 0 and res.bound == math.inf
 
@@ -244,14 +253,14 @@ def test_maxiter_returns_the_last_iterate_with_its_bound(monkeypatch):
     k = StubbornnessVector.uniform(400, 0.1)
     oracle, b = negated_operator_rows(g, k), np.sin(np.arange(400.0))
     certify = energy_norm_certificate(b, 1e-12)
-    res = solve(g, k, b, certify)
+    res = solver._pcg(g, k, b, certify)
     assert res.iterations == 3 and not res.certified and res.stop_reason == "maxiter"
     r = b + oracle @ res.y
     # The bound is judged on the proved rho: the computed one plus its rounding.
     computed = math.sqrt(float(r @ (r / k.k)))
     assert computed < res.rho <= computed * (1.0 + 1e-12)
     assert res.bound == certify.bound(res.y, r, res.rho)
-    assert res.bound > 1e-12 and res.residual_norm == float(np.linalg.norm(r))
+    assert res.bound > 1e-12
 
 
 @pytest.mark.parametrize(
@@ -266,3 +275,51 @@ def test_wrong_lengths_are_input_errors(path2, k11, b, k, message):
     with pytest.raises(GraphInputError) as exc:
         solve(path2, StubbornnessVector.from_values(k), b, energy_norm_certificate(b, 1e-6))
     assert str(exc.value) == message
+
+
+def test_the_exported_solve_refines_where_pcg_stagnates():
+    # The exported solve is the path the metrics take.  PCG alone stagnates
+    # here at a proved 9.8e-11; refinement sweeps on long-double residuals
+    # prove 1e-12.
+    g = random_regular_graph(3000, 4, 1)
+    k = StubbornnessVector.uniform(g.n, 1e-4)
+    b = k.k * generate_opinions(g.n, "powerlaw", 3)
+    res = fjopinion.solve(g, k, b, energy_norm_certificate(b, 1e-12))
+    assert res.certified and res.stop_reason == "certified" and res.bound <= 1e-12
+
+
+def test_a_forest_is_factored_and_reads_certified(monkeypatch):
+    # Judged by the check that judges PCG's last iterate, and named alike.
+    g = build_graph([(i, i + 1, 1.0) for i in range(1999)])
+    k = StubbornnessVector.uniform(g.n, 0.05)
+    b = k.k * generate_opinions(g.n, "powerlaw", 4)
+    calls = count_splu(monkeypatch)
+    res = solve_to(g, k, b, 1e-10)
+    assert len(calls) == 1
+    assert res.certified and res.stop_reason == "certified" and res.iterations == 0
+
+
+@pytest.mark.parametrize("exponent", [-900, -1000])
+def test_a_right_side_whose_squares_underflow_is_not_certified_at_zero(exponent):
+    # Every square of b underflows: read unscaled, rho was 0, and y = 0 was
+    # certified with bound 0.
+    g, k, s = make_instance(np.random.default_rng(7), k_range=(0.01, 3.0))
+    b = k.k * s * 2.0**exponent
+    for delta in (1e-8, 1e-300):
+        res = solve_to(g, k, b, delta)
+        assert res.rho > 0.0
+        assert not (res.certified and not res.y.any())
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shift=st.integers(-1000, 500))
+def test_rho_scales_exactly_with_its_residual(seed, shift):
+    # rho is formed from r scaled by a power of two: r * 2^shift has rho(r) *
+    # 2^shift to the last bit, and r is left as it was.
+    rng = np.random.default_rng(seed)
+    g, k, _ = make_instance(rng)
+    r = rng.standard_normal(g.n)
+    scaled = r * 2.0**shift
+    kept = scaled.copy()
+    assert solver._rho(scaled, k, np.empty(g.n)) == solver._rho(r, k, np.empty(g.n)) * 2.0**shift
+    assert scaled.tobytes() == kept.tobytes()

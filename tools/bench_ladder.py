@@ -3,15 +3,16 @@ loading their instance from files, for the committed BENCH_*.json files.
 
     python3 tools/bench_ladder.py --src CHECKOUT/src --n 10000 [--repeats 5] [--degree 4]
 
-Imports fjopinion from ``--src`` (so a parent checkout and a change can be
-measured with this one script), builds ``random_regular_graph(n, degree, 1)``
-with stubbornness ``generate_stubbornness(n, 0.01, 1.0, 5)`` and uniform
-opinions (seed 7), and runs ``approxim`` at eps 1e-4 and then 1e-8,
-``--repeats`` times each, in one process with BLAS on one thread.  It prints
-one JSON line per eps: the iterations, the true-residual checks and the
-products of ``solver._matvec_into`` per solve, the medians of
-the ``approxim`` call, of its PCG solve, of the report's ``norms_seconds``
-and of one product that ``solver._matvec_into`` forms for the solve and its
+Imports fjopinion from ``--src`` (a parent checkout is measured with its
+own copy of this script, which times the names that checkout has), builds
+``random_regular_graph(n, degree, 1)`` with stubbornness
+``generate_stubbornness(n, 0.01, 1.0, 5)`` and uniform opinions (seed 7),
+and runs ``approxim`` at eps 1e-4 and then 1e-8, ``--repeats`` times each,
+in one process with BLAS on one thread.  It prints one JSON line per eps:
+the iterations, the true-residual checks (calls of ``solver.proved_rho``)
+and the products of ``solver._matvec_into`` per solve, the medians of the
+``approxim`` call, of its PCG solve (``solver._pcg``), of the report's
+``norms_seconds`` and of one product that ``solver._matvec_into`` forms for the solve and its
 checks (the name both look up, whatever the solver applies), the peak RSS
 so far, and the tracemalloc peak of one more ``approxim`` call, in MiB and
 in n-vectors of float64.  Run each n in its own process, so that each peak
@@ -19,7 +20,7 @@ RSS covers one instance.
 
 It then runs ``simulate_until`` at eps 1e-8 from z0 = s, ``--repeats`` times,
 and prints one JSON line: the medians of the equilibrium's solves (every
-``dynamics._solve`` call of a run), of the
+``dynamics.solve`` call of a run), of the
 spectral bracket (with its iterations: power steps, plus inverse solves on
 at most ``DENSE_CAP`` nodes, and its width) and of the rest, ``steps_s``,
 which is the update steps with their norms; the update steps and ms per
@@ -108,11 +109,10 @@ def simulate(g, k, s, repeats):
     """Time ``simulate_until`` from z0 = s by layer and print its line."""
     from fjopinion import dynamics
 
-    # The names simulate_until looks up for its two stages, directly or, on
-    # older trees, through dynamics.equilibrium: every solve of a run is the
-    # equilibrium's.
+    # The names simulate_until looks up for its two stages: every solve of a
+    # run is the equilibrium's.
     solves, equilibrium_s, bracket_s, total_s, brackets, steps = [], [], [], [], set(), set()
-    dynamics._solve = timed(dynamics._solve, solves)
+    dynamics.solve = timed(dynamics.solve, solves)
     dynamics.spectral_radius = timed(dynamics.spectral_radius, bracket_s)
     for _ in range(repeats):
         solves.clear()
@@ -123,7 +123,7 @@ def simulate(g, k, s, repeats):
         steps.add(state.t)
         brackets.add((trace.spectral.iterations, trace.spectral.upper - trace.spectral.lower))
     if not (len(bracket_s) == repeats and all(equilibrium_s)):
-        raise SystemExit("simulate_until no longer calls dynamics._solve and once "
+        raise SystemExit("simulate_until no longer calls dynamics.solve and once "
                          f"dynamics.spectral_radius per run: {len(bracket_s)} bracket calls "
                          f"in {repeats} runs")
     steps_s = statistics.median(t - e - b for t, e, b in zip(total_s, equilibrium_s, bracket_s))
@@ -311,12 +311,11 @@ def main():
     setup_s = time.perf_counter() - t0
     rss_setup = maxrss_mb()
 
-    # The names dynamics._solve looks up: PCG and the true-residual check
-    # (solve itself calls solver.check), and the product both form.
+    # The names solver.solve looks up: PCG, the routine that bounds every
+    # true residual, and the product both form.
     solve_s, checks, products = [], [], []
-    dynamics.solve = timed(dynamics.solve, solve_s)
-    solver.check = timed(solver.check, checks)
-    dynamics.check = timed(dynamics.check, checks)
+    solver._pcg = timed(solver._pcg, solve_s)
+    solver.proved_rho = timed(solver.proved_rho, checks)
     solver._matvec_into = timed(solver._matvec_into, products)
 
     for eps in (1e-4, 1e-8):
