@@ -17,10 +17,10 @@ from fjopinion.dynamics import convergence_bound, simulate_until, spectral_radiu
 from fjopinion.generate import DISTRIBUTIONS, generate_opinions, generate_stubbornness
 from fjopinion.graph import (
     StubbornnessVector,
-    ValueRowsAhead,
     eigen_bounds,
     load_edge_list,
     load_node_values,
+    value_rows_ahead,
 )
 from fjopinion.metrics import approxim, metrics_exact
 
@@ -34,9 +34,7 @@ def _load_inputs(args, opinions=None):
     if not args.graph:
         raise GraphInputError("--graph is required")
     files = [p for p in (_stubbornness_file(args.stubbornness), opinions) if p]
-    with ValueRowsAhead(files) as ahead:
-        g = load_edge_list(args.graph)
-        rows = ahead.rows()
+    g, rows = value_rows_ahead(files, lambda: load_edge_list(args.graph))
     return g, _load_stubbornness(g, args.stubbornness, args.seed, rows), rows
 
 

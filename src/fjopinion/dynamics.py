@@ -22,7 +22,7 @@ from fjopinion.solver import (EPS, Certificate, _forest, _splu_symmetric, energy
 
 DENSE_CAP = 10_000
 EQUILIBRIUM_DELTA = 1e-12  # relative error proved by exact-mode and equilibrium solves
-# simulate_until refines z* once where its proved error in |f| exceeds this share of eps.
+# simulate_until's solve certificate aims beta, its proved error in |f|, at this share of eps.
 EQUILIBRIUM_SHARE = 0.1
 POWER_STEPS = 1_000
 CHECK_EVERY = 10  # power steps between two evaluations of the bracket
@@ -145,6 +145,8 @@ def center_opinions(s: np.ndarray, k: StubbornnessVector) -> np.ndarray:
 def _center(s, k):
     """center_opinions(s, k) and the shift c = (1^T K s) / (1^T K 1) it subtracts."""
     s = np.asarray(s, dtype=np.float64)
+    if s.shape != k.k.shape:
+        raise GraphInputError("opinion vector length does not match stubbornness")
     c = float(k.k @ s) / float(k.k.sum())
     return s - c, c
 
@@ -280,6 +282,8 @@ def convergence_bound(rho: SpectralEstimate | float, f0_norm: float, eps: float)
         raise GraphInputError(f"rho must be in (0, 1), got {rho_val}")
     if not eps > 0.0:  # NaN included
         raise GraphInputError("eps must be > 0")
+    if not 0.0 <= f0_norm < math.inf:  # NaN included
+        raise GraphInputError(f"|f(0)| must be finite and >= 0, got {f0_norm}")
     if eps >= f0_norm:
         return 0
     return math.ceil((math.log(eps) - math.log(f0_norm)) / math.log(rho_val))

@@ -329,15 +329,16 @@ def _numeric_rows(source, row_dtypes):
     """The rows of an all-numeric file, parsed by numpy's C reader.
 
     ``source`` is ``_numeric_source``'s.  A short scan skips the top lines
-    that are blank or open with ``#`` or ``%``; ``row_dtypes`` maps the next
-    line's column count to the row dtype.  None for any file numpy's strict
-    parse does not take whole (a later comment, a ragged line, an id not an
-    int64, bytes that do not decode, any warning): the line reader reads it.
+    that are blank or whose first token opens with ``#`` or ``%``, the line
+    loops' comments; ``row_dtypes`` maps the next line's column count to the
+    row dtype.  None for any file numpy's strict parse does not take whole
+    (a later comment, a ragged line, an id not an int64, bytes that do not
+    decode, any warning): the line reader reads it.
     """
     try:
         with open(source) if isinstance(source, str) else contextlib.nullcontext(source) as fh:
             header, line = 0, fh.readline()
-            while line and (line[0] in "#%" or not line.split()):
+            while line and line.lstrip()[:1] in ("", "#", "%"):
                 header, line = header + 1, fh.readline()
             fh.seek(0)
         dtype = row_dtypes.get(len(line.split()))
@@ -455,10 +456,12 @@ def load_node_values(path, g: Graph, name="value", lo=None, hi=None, rows=None) 
     parsed in C, and a loop over the lines reads every other file.  The loop
     raises at the first bad line, with the message of the first check that
     line fails: the column count, the node, the value, non-finite, then the
-    range.  ``rows`` are the file's rows as ValueRowsAhead parsed them,
-    False if its C reader refused the file, which then goes straight to the
-    loop, and None if it did not parse the file.
+    range [lo, hi], given both or neither.  ``rows`` are the file's rows as
+    ``value_rows_ahead`` parsed them, False if its C reader refused the file,
+    which then goes straight to the loop, and None if it did not parse it.
     """
+    if (lo is None) != (hi is None):
+        raise GraphInputError(f"{name} range needs both lo and hi")
     source = None
     if rows is None:
         source = _numeric_source(path)
@@ -495,13 +498,11 @@ def load_node_values(path, g: Graph, name="value", lo=None, hi=None, rows=None) 
     return out
 
 
-class ValueRowsAhead:
-    """Node-value files parsed by numpy's C reader in a forked child, while
-    this process parses the edge list::
+def value_rows_ahead(paths, parse):
+    """``parse()``, and the rows of the node-value files at ``paths`` parsed
+    by numpy's C reader in a forked child while ``parse`` runs::
 
-        with ValueRowsAhead(paths) as ahead:
-            g = load_edge_list(graph_path)
-            rows = ahead.rows()
+        g, rows = value_rows_ahead(paths, lambda: load_edge_list(graph_path))
         values = load_node_values(path, g, rows=rows.get(path))
 
     ``np.loadtxt`` holds the GIL, so only a second process overlaps it with
@@ -509,79 +510,54 @@ class ValueRowsAhead:
     numpy again.  The child starts only where it can help and is safe: the
     affinity mask holds two CPUs or more, and the file is a regular one,
     which load_node_values can read again on its fallback (a FIFO cannot
-    be).  It sends ``_numeric_rows`` of each file, which numpy reads from
-    disk in the child, and nothing else, so every check, every error and the
-    line reader stay in load_node_values.  What a child that fails sent is
-    dropped, and its files are parsed here.  Leaving the ``with`` block
-    reaps the child, killing it first if ``rows`` was not reached.
+    be).  It pickles ``{path: _numeric_rows}``, False for a file it refused,
+    which numpy reads from disk in the child, and nothing else, so every
+    check, every error and the line reader stay in load_node_values; it
+    leaves through ``os._exit``, which skips this process's cleanup
+    (atexit handlers, buffered output) and never returns into its stack.
+    ``rows`` is empty where no child ran or its pickle came short, and those
+    files are parsed here.  The child is reaped before this returns, killed
+    first if ``parse`` raised.
 
     Its other imports are local, to add nothing to ``import fjopinion``.
     """
+    paths = [p for p in paths if os.path.isfile(p)]
+    if not (paths and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2):
+        return parse(), {}
+    import pickle
+    import signal
 
-    def __init__(self, paths):
-        self._pid = None
-        paths = [p for p in paths if os.path.isfile(p)]
-        if not (paths and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-                and len(os.sched_getaffinity(0)) >= 2):
-            return
-        read_end, write_end = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:  # no process to spare: the files are parsed here
-            os.close(read_end)
-            os.close(write_end)
-            return
-        if pid == 0:
-            os.close(read_end)
-            _send_rows(paths, write_end)
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: the files are parsed here
+        os.close(read_end)
         os.close(write_end)
-        self._pid, self._pipe = pid, open(read_end, "rb")
-
-    def __enter__(self):
-        return self
-
-    def rows(self) -> dict:
-        """The child's rows by path (False: not an all-numeric file); empty if
-        no child ran or it sent less than all of them."""
-        import pickle
-
-        if self._pid is None:
-            return {}
+        return parse(), {}
+    if pid == 0:
         try:
-            rows = pickle.load(self._pipe)
+            os.close(read_end)
+            rows = {path: _numeric_rows(_numeric_source(path), _VALUE_ROWS) for path in paths}
+            with open(write_end, "wb") as pipe:
+                pickle.dump({path: False if r is None else r for path, r in rows.items()},
+                            pipe, pickle.HIGHEST_PROTOCOL)
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    pipe, rows = open(read_end, "rb"), None
+    try:
+        parsed = parse()
+        try:
+            rows = pickle.load(pipe)
         except (EOFError, pickle.UnpicklingError):  # a short pipe: the child died
             rows = {}
-        self._reap()
-        return rows
-
-    def __exit__(self, *exc):
-        if self._pid is not None:
-            import signal
-
-            os.kill(self._pid, signal.SIGKILL)
-            self._reap()
-
-    def _reap(self):
-        self._pipe.close()
-        pid, self._pid = self._pid, None
-        os.waitpid(pid, 0)
-
-
-def _send_rows(paths, fd):
-    """The forked child's whole run: pickle ``{path: _numeric_rows}``, False
-    for a file it refused, down ``fd`` and leave through ``os._exit``, which
-    skips the parent's cleanup (atexit handlers, buffered output) and never
-    returns into its stack.  On any error the pickle is left short, and the
-    parent parses every file."""
-    import pickle
-
-    try:
-        rows = {path: _numeric_rows(_numeric_source(path), _VALUE_ROWS) for path in paths}
-        rows = {path: False if parsed is None else parsed for path, parsed in rows.items()}
-        with open(fd, "wb") as pipe:
-            pickle.dump(rows, pipe, pickle.HIGHEST_PROTOCOL)
+        return parsed, rows
     finally:
-        os._exit(0)
+        pipe.close()
+        if rows is None:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def laplacian_apply(g: Graph, x: np.ndarray) -> np.ndarray:

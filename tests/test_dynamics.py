@@ -762,11 +762,22 @@ class TestOpinionProperties:
          GraphInputError, "opinions must be finite"),
         (lambda g, k: simulate_until(g, k, np.array([1.0, -np.inf]), z0=np.zeros(2), eps=1e-8),
          GraphInputError, "opinions must be finite"),
+        (lambda g, k: fundamental_matrix(g, StubbornnessVector.uniform(3, 1.0)), GraphInputError,
+         "stubbornness length does not match graph"),
+        (lambda g, k: convergence_bound(0.5, math.inf, 1e-3), GraphInputError,
+         "|f(0)| must be finite and >= 0, got inf"),
+        (lambda g, k: convergence_bound(0.5, math.nan, 1e-3), GraphInputError,
+         "|f(0)| must be finite and >= 0, got nan"),
+        (lambda g, k: convergence_bound(0.5, -1.0, 1e-3), GraphInputError,
+         "|f(0)| must be finite and >= 0, got -1.0"),
+        (lambda g, k: center_opinions(np.zeros(3), k), GraphInputError,
+         "opinion vector length does not match stubbornness"),
     ],
     ids=["state", "step", "equilibrium", "fundamental_matrix", "convergence_bound",
          "simulate_until", "equilibrium-nan", "convergence_bound-nan-eps",
          "simulate_until-nan-eps", "simulate_until-nan-z0", "simulate_until-inf-z0",
-         "simulate_until-inf-s"],
+         "simulate_until-inf-s", "fundamental_matrix-length", "convergence_bound-inf-f0",
+         "convergence_bound-nan-f0", "convergence_bound-negative-f0", "center_opinions"],
 )
 def test_input_checks(path2, k21, call, error, message):
     with pytest.raises(error) as exc:

@@ -455,6 +455,13 @@ class TestNodeValues:
             load_node_values(path, g, name="opinion", lo=-1.0, hi=1.0)
         assert str(exc.value) == f"{path}{message}"
 
+    def test_range_needs_both_ends(self, g, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text("1 0.5\n2 0.1\n3 0.2\n")
+        with pytest.raises(GraphInputError) as exc:
+            load_node_values(path, g, name="opinion", lo=0.0)
+        assert str(exc.value) == "opinion range needs both lo and hi"
+
 
 NUMERIC_IDS = st.one_of(
     st.integers(-3, 12).map(str),
@@ -599,14 +606,28 @@ class TestNumericFiles:
 
     @pytest.mark.parametrize(
         "text",
-        ["1 2\n# c\n2 3\n", " # c\n1 2\n2 3\n", "1 2\n2 3 0.5\n"],
-        ids=["later-comment", "indented-header", "mixed-columns"],
+        ["1 2\n# c\n2 3\n", "1 2\n2 3 0.5\n"],
+        ids=["later-comment", "mixed-columns"],
     )
     def test_other_files_are_read_line_by_line(self, tmp_path, text):
         path = tmp_path / "g.txt"
         path.write_text(text, encoding="utf-8")
         assert c_reader_edges(path) is None
         assert_same_graph(load_edge_list(path), build_graph(reference_triples(path)))
+
+    def test_indented_header_takes_the_c_path(self, tmp_path):
+        # A line is a comment by its first token, in the C reader's header
+        # scan as in the loops over the lines.
+        edges = tmp_path / "g.txt"
+        edges.write_text(" # u v w\n\t% bip\n3 1 0.5\n1 2 2\n")
+        assert c_reader_edges(edges) is not None
+        g = load_edge_list(edges)
+        assert_same_graph(g, build_graph(reference_triples(edges)))
+        values = tmp_path / "s.txt"
+        values.write_text("  # node value\n2 0.25\n3 -0.5\n1 1\n")
+        out = c_reader_values(values, g, -1.0, 1.0)
+        assert out is not None
+        assert out.tobytes() == load_node_values(values, g, lo=-1.0, hi=1.0, rows=False).tobytes()
 
     def test_any_warning_sends_the_file_to_the_line_reader(self, tmp_path, monkeypatch):
         # numpy 1.24 reads the id 1.0 as the int 1, with a DeprecationWarning.

@@ -608,8 +608,13 @@ def approxim_1e6(g, k, s):
         (metrics_exact, [np.nan, 0.0], "opinions must be finite"),
         (approxim_1e6, [np.nan, 0.0], "opinions must be finite"),
         (approxim_1e6, [1.0, np.inf], "opinions must be finite"),
+        (lambda g, k, s: delta_budget(g, k, s, 0.1), [1.0, 0.0, -1.0],
+         "opinion vector length does not match graph"),
+        (lambda g, k, s: conservation_check(metrics_exact(g, k, np.array([1.0, -1.0])), k, s),
+         [1.0, 0.0, -1.0], "opinion vector length does not match stubbornness"),
     ],
-    ids=["metrics_exact", "approxim", "metrics_exact-nan", "approxim-nan", "approxim-inf"],
+    ids=["metrics_exact", "approxim", "metrics_exact-nan", "approxim-nan", "approxim-inf",
+         "delta_budget", "conservation_check"],
 )
 def test_wrong_length_opinions_is_an_input_error(path2, k21, call, s, message):
     with pytest.raises(GraphInputError) as exc:

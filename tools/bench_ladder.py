@@ -31,12 +31,13 @@ It then writes the instance to a temporary folder as the CLI reads it: an
 edge list ``u v`` per line with the node ids permuted over [0, 10n) (seed 11),
 and the stubbornness and opinion files, ``node value`` per line.  A child
 forked before the instance was built loads them as ``fjopinion metrics``
-does (the value files through ``ValueRowsAhead`` while the edge list
+does (the value files through ``value_rows_ahead`` while the edge list
 parses), so that its ru_maxrss covers the loading alone, checks the vectors
 against the instance, and prints one more JSON line: the seconds of
 ``load_edge_list`` and of its three stages (the read and parse,
 ``_numeric_rows``; the id remap, ``_first_seen_ints``; and
-``Graph.from_arrays``), of the wait for the value rows and of each
+``Graph.from_arrays``), of the wait for the value rows (from the end of
+``load_edge_list`` to the return of ``value_rows_ahead``) and of each
 ``load_node_values`` call, the dtype of ``g.ids`` (its type where it is no
 array), ru_maxrss after loading, and the tracemalloc peak of a second
 ``load_edge_list`` call, made once the loaded graph and vectors are freed.
@@ -45,7 +46,7 @@ The same files are also written with each id i spelled ``v<i>``, which the
 C reader refuses, so both loaders read them by their loop over the lines.  A
 second child, forked as the first was, loads that copy after the first one
 exits: ``load_edge_list``, then ``load_node_values`` of each value file, with
-no ``ValueRowsAhead``.  It checks the vectors against the instance and prints
+no ``value_rows_ahead``.  It checks the vectors against the instance and prints
 one more JSON line: the seconds of each call, ru_maxrss after loading, and
 the tracemalloc peak of a second call of each, made with only its graph kept.
 """
@@ -201,13 +202,18 @@ def load_files(folder, n):
     graph.Graph.from_arrays = timed(graph.Graph.from_arrays, build_s)
 
     g_path, k_path, s_path = (os.path.join(folder, name) for name in FILES)
-    t0 = time.perf_counter()
-    with graph.ValueRowsAhead([k_path, s_path]) as ahead:
+    parse_end = []
+
+    def parse():
         g = graph.load_edge_list(g_path)
-        t1 = time.perf_counter()
-        stages = [list(seconds) for seconds in (parse_s, remap_s, build_s)]
-        rows = ahead.rows()
+        parse_end.append(time.perf_counter())
+        return g
+
+    t0 = time.perf_counter()
+    g, rows = graph.value_rows_ahead([k_path, s_path], parse)
     t2 = time.perf_counter()
+    t1 = parse_end[0]
+    stages = [list(seconds) for seconds in (parse_s, remap_s, build_s)]
     k = graph.load_node_values(k_path, g, name="stubbornness", rows=rows.get(k_path))
     t3 = time.perf_counter()
     s = graph.load_node_values(s_path, g, name="opinion", lo=-1.0, hi=1.0, rows=rows.get(s_path))
