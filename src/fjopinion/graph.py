@@ -27,6 +27,11 @@ for an update, at (k + deg) / 2 * x for a power step, and at -(k + deg) *
 p for PCG's -(L + K) p and at -r for its preconditioned residual, two
 products a step.  So each takes A from ``Graph.adjacency``, and no step
 loop builds QA or L + K.  This module alone imports the private kernel.
+The kernel releases the GIL, so a product of at least ``SPLIT_ENTRIES``
+entries, where the process may use two CPUs, is split at the entries'
+midpoint between the calling thread and one worker thread: each row is
+still summed by the one kernel over its entries in order, so the result
+is the serial one to the last bit.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import hashlib
 import io
 import math
 import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -48,6 +54,10 @@ from fjopinion.errors import GraphInputError
 # Edges (or adjacency entries) per slice of a pass over the graph, so that no
 # edge-sized temporary is allocated next to a solver's vectors.
 EDGE_CHUNK = 1 << 14
+# Entries from which ``_matvec_into`` splits a product across two threads.
+# Inside PCG on 2 vCPUs (``tools/split_sweep.py``, ``BENCH_32.json``) the
+# split lost at 6e5 entries and won from 7e5 on; on one CPU it was noise.
+SPLIT_ENTRIES = 3 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -498,6 +508,11 @@ def load_node_values(path, g: Graph, name="value", lo=None, hi=None, rows=None) 
     return out
 
 
+def _two_cpus() -> bool:
+    """Whether this process's affinity mask holds two CPUs or more."""
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+
+
 def value_rows_ahead(paths, parse):
     """``parse()``, and the rows of the node-value files at ``paths`` parsed
     by numpy's C reader in a forked child while ``parse`` runs::
@@ -522,8 +537,7 @@ def value_rows_ahead(paths, parse):
     Its other imports are local, to add nothing to ``import fjopinion``.
     """
     paths = [p for p in paths if os.path.isfile(p)]
-    if not (paths and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2):
+    if not (paths and hasattr(os, "fork") and _two_cpus()):
         return parse(), {}
     import pickle
     import signal
@@ -568,6 +582,32 @@ def laplacian_apply(g: Graph, x: np.ndarray) -> np.ndarray:
     return g.degrees * x - g.adjacency @ x
 
 
+_worker = None  # the executor of split products' second halves, started on the first
+_worker_lock = threading.Lock()
+
+
+def _drop_worker():
+    """Forget the worker and its lock in a forked child, where the worker
+    thread does not run: a half handed to it would never be taken."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_worker)
+
+
+def _split_worker():
+    """The one-thread executor of split products, started and imported on
+    the first call in this process."""
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _worker = ThreadPoolExecutor(1, thread_name_prefix="fjopinion-product")
+        return _worker
+
+
 def _matvec_into(a: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Add a @ x onto ``out``, which the caller has started, and return it:
     no dispatch, no new array.
@@ -579,8 +619,28 @@ def _matvec_into(a: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray
     out_i.  ``a`` must be a float64 CSR matrix, and ``out`` a C-contiguous
     float64 vector that is not ``x``: the kernel writes a non-contiguous
     ``out`` into a copy of it.
+
+    A matrix of at least ``SPLIT_ENTRIES`` entries, in a process that may
+    use two CPUs, has its rows cut where half its entries lie before the
+    cut: the worker thread (``_split_worker``) runs the kernel on the rows
+    after the cut while this thread runs it on the rows before, then waits
+    for the worker.  The kernel releases the GIL, so the halves overlap,
+    and each row's sum is the serial one, so is ``out``.  The size is read
+    from ``a.data``, which costs the small products of the step loops less
+    than scipy's ``nnz``.
     """
-    csr_matvec(a.shape[0], a.shape[1], a.indptr, a.indices, a.data, x, out)
+    n, cols = a.shape
+    if a.data.size < SPLIT_ENTRIES or not _two_cpus():
+        csr_matvec(n, cols, a.indptr, a.indices, a.data, x, out)
+        return out
+    ptr = a.indptr
+    cut = int(np.searchsorted(ptr, ptr[-1] // 2))
+    half = _split_worker().submit(csr_matvec, n - cut, cols, ptr[cut:], a.indices, a.data, x,
+                                  out[cut:])
+    try:
+        csr_matvec(cut, cols, ptr, a.indices, a.data, x, out[:cut])
+    finally:
+        half.result()
     return out
 
 

@@ -33,14 +33,15 @@ turns rho into a proved bound on whatever it needs (a relative energy-norm
 error, or the relative error of each metric read off y), and the solve
 stops once that bound is at most the target.  The rho it gets is proved in
 floating point: ``proved_rho`` adds the worst-case rounding of the computed
-residual to its norm.  Every norm of a residual is formed from the vector
-scaled by a power of two, so a nonzero residual whose squares underflow
-never reads 0.  The true residual costs two SpMVs and the certificate's
-pass over y, so PCG forms it only once the recurrence residual's rho has
-reached a goal and the certificate's optional ``estimate``, an unproved
-guess of the bound, does not lie above the target (a guess above it moves
-the goal).  As M^{-1} <= (L + K)^{-1} <= K^{-1}, r.M^{-1}r <= rho^2 gates
-each rho.  Below the floor of a double residual, whose rounding grows like
+residual to its norm.  A norm of a residual whose squares sum to a tiny
+number is formed again from the vector scaled by a power of two, so a
+nonzero residual whose squares underflow never reads 0.  The true residual
+costs two SpMVs and the certificate's pass over y, so PCG forms it only
+once the recurrence residual's rho has reached a goal and the
+certificate's optional ``estimate``, an unproved guess of the bound, does
+not lie above the target (a guess above it moves the goal).  As M^{-1} <=
+(L + K)^{-1} <= K^{-1}, r.M^{-1}r <= rho^2 gates each rho.  Below the
+floor of a double residual, whose rounding grows like
 u (deg + k) |y| / sqrt(k), the recurrence keeps shrinking while the true
 residual levels off (Greenbaum, SIMAX 1997), so a failed check whose rho is
 no smaller than the previous failed check's stops PCG "stagnated" (Strakos
@@ -66,6 +67,7 @@ from fjopinion.graph import (EDGE_CHUNK, Graph, StubbornnessVector, _disagreemen
 MAX_ITERATIONS = 50_000
 EPS = float(np.finfo(np.float64).eps)  # 2u for double's unit roundoff u = 2^-53
 SWEEP_DELTA = 1e-6  # relative energy-norm error of a refinement sweep's PCG correction
+RHO_SCALED_BELOW = 2.0**-900  # r.(r / k) under which _rho scales r before it sums
 
 
 @dataclass(frozen=True)
@@ -136,11 +138,18 @@ class SolverResult:
 def _rho(r: np.ndarray, k: StubbornnessVector, scratch: np.ndarray) -> float:
     """rho = ||K^{-1/2} r||, with ``scratch`` overwritten.
 
-    An r below 1 is scaled up by a power of two s <= 2^1023 while rho is
-    formed, max |r| into [1/2, 1) where it can, and back in place.  Both
-    are exact, so rho is the unscaled one to the last bit wherever no square
-    of r underflows, and a nonzero r never reads 0.
+    Where r.(r / k) lies below ``RHO_SCALED_BELOW``, an r below 1 is scaled
+    up by a power of two s <= 2^1023 while rho is formed again, max |r| into
+    [1/2, 1) where it can, and back in place.  Both are exact, so rho is the
+    unscaled one to the last bit wherever no square of r underflows, and a
+    nonzero r never reads 0.  Above that level the terms that underflow,
+    each below 2^-1022, sum to less than 2^-62 of r.(r / k) for n < 2^60,
+    and the unscaled rho stands.
     """
+    np.divide(r, k.k, out=scratch)
+    square = float(r @ scratch)
+    if square >= RHO_SCALED_BELOW:
+        return math.sqrt(square)
     top = max(float(r.max(initial=0.0)), -float(r.min(initial=0.0)))
     scale = math.ldexp(1.0, min(-math.frexp(top)[1], 1023)) if 0.0 < top < 1.0 else 1.0
     r *= scale

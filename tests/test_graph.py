@@ -1,6 +1,7 @@
 import gzip
 import io
 import os
+import signal
 import tempfile
 import threading
 import time
@@ -14,9 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import dense_laplacian, diagonal_first_rows, make_instance
 from fjopinion import graph as graph_module
-from fjopinion.dynamics import OpinionState
+from fjopinion.dynamics import OpinionState, simulate_until
 from fjopinion.errors import GraphInputError
-from fjopinion.generate import random_connected_gnp, random_regular_graph
+from fjopinion.generate import (generate_opinions, generate_stubbornness, random_connected_gnp,
+                                random_regular_graph)
 from fjopinion.graph import (
     Graph,
     StubbornnessVector,
@@ -33,6 +35,7 @@ from fjopinion.graph import (
     load_node_values,
     operator_matrix,
 )
+from fjopinion.metrics import approxim
 
 
 def assert_same_graph(a, b):
@@ -901,10 +904,46 @@ class TestLaplacian:
         assert np.isclose(g.edge_w @ (x[g.edge_u] - x[g.edge_v]) ** 2, energy)
 
 
+def force_split(monkeypatch):
+    """Split every product from now on, whatever its size and the CPUs, and
+    return a list that gets, for each kernel call, the offset of the entries
+    its rows start at and its row count."""
+    rows, real = [], graph_module.csr_matvec
+
+    def counted(n_row, n_col, ptr, *args):
+        rows.append((int(ptr[0]), n_row))
+        return real(n_row, n_col, ptr, *args)
+
+    monkeypatch.setattr(graph_module, "SPLIT_ENTRIES", 0)
+    monkeypatch.setattr(graph_module, "_two_cpus", lambda: True)
+    monkeypatch.setattr(graph_module, "csr_matvec", counted)
+    return rows
+
+
+def csr(row_lengths, index=np.int32, seed=0):
+    """A float64 CSR matrix with the given entries per row, columns drawn at
+    random, and a vector to multiply it by."""
+    rng = np.random.default_rng(seed)
+    n = len(row_lengths)
+    indptr = np.concatenate(([0], np.cumsum(row_lengths))).astype(index)
+    indices = np.concatenate([np.sort(rng.choice(n, t, replace=False))
+                              for t in row_lengths]).astype(index)
+    a = sp.csr_matrix((rng.standard_normal(indptr[-1]), indices, indptr), shape=(n, n))
+    a.indices, a.indptr = indices, indptr  # scipy may narrow the given dtype
+    return a, rng.standard_normal(n)
+
+
 class TestMatvecInto:
+    @pytest.fixture
+    def halves(self):
+        """The kernel calls that ``force_split`` records, and how many one
+        product takes: none recorded here, where products are not split."""
+        return [], 0
+
     @pytest.mark.parametrize("index", [np.int32, np.int64])
     @pytest.mark.parametrize("seed", range(3))
-    def test_is_the_product_byte_for_byte(self, index, seed):
+    def test_is_the_product_byte_for_byte(self, halves, index, seed):
+        rows, calls = halves
         rng = np.random.default_rng(seed)
         g, k, _ = make_instance(rng, n_max=60)
         # L + K, and A, the matrix of every step loop
@@ -912,21 +951,122 @@ class TestMatvecInto:
             a.indices, a.indptr = a.indices.astype(index), a.indptr.astype(index)
             x = rng.standard_normal(g.n)
             out = np.zeros(g.n)
+            rows.clear()
             assert _matvec_into(a, x, out) is out
             assert a.indices.dtype == a.indptr.dtype == index
             assert out.tobytes() == (a @ x).tobytes()
+            assert len(rows) == calls
+            if calls:
+                # This thread's rows up to the first boundary with half the
+                # entries before it, the worker's from there.
+                (first, cut), (start, rest) = sorted(rows)
+                assert first == 0 and 0 < cut < g.n and (start, rest) == (a.indptr[cut], g.n - cut)
+                assert a.indptr[cut - 1] < a.nnz // 2 <= a.indptr[cut]
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_a_diagonal_term_starts_each_row(self, seed):
+    def test_a_diagonal_term_starts_each_row(self, halves, seed):
         # out started at d * x, then A x added: each row summed from its
         # diagonal term on, the product of a CSR matrix whose rows hold that
         # term first.
+        rows, calls = halves
         rng = np.random.default_rng(seed)
         g, _, _ = make_instance(rng, n_max=60)
         a, d, x = g.adjacency, rng.standard_normal(g.n), rng.standard_normal(g.n)
         out = d * x
         assert _matvec_into(a, x, out) is out
         assert out.tobytes() == (diagonal_first_rows(a, d) @ x).tobytes()
+        assert len(rows) == calls
+
+
+class TestSplitProduct(TestMatvecInto):
+    """TestMatvecInto's tests with every product split, and the split's own."""
+
+    @pytest.fixture
+    def halves(self, monkeypatch):
+        return force_split(monkeypatch), 2
+
+    @pytest.mark.parametrize("index", [np.int32, np.int64])
+    @pytest.mark.parametrize("row_lengths", [
+        [2, 0, 0, 0, 2],  # the cut row is empty, and so are the rows after it
+        [0, 0, 2, 2],  # empty rows before the cut
+        [3, 0, 0, 3, 0, 0],  # empty rows on both sides, and at the end
+        [0, 0, 0],  # no entries: every row goes to the worker
+        [1],  # n = 1
+        [0],
+    ])
+    def test_empty_rows_and_one_row(self, monkeypatch, index, row_lengths):
+        rows = force_split(monkeypatch)
+        a, x = csr(row_lengths, index)
+        assert a.indptr.dtype == index
+        out = np.zeros(a.shape[0])
+        assert _matvec_into(a, x, out).tobytes() == (a @ x).tobytes()
+        assert len(rows) == 2 and sum(n_row for _, n_row in rows) == a.shape[0]
+        d = np.random.default_rng(1).standard_normal(a.shape[0])
+        out = d * x
+        assert _matvec_into(a, x, out).tobytes() == (diagonal_first_rows(a, d) @ x).tobytes()
+
+    def test_reports_and_dynamics_are_the_serial_ones(self, monkeypatch):
+        g = random_regular_graph(2000, 4, 1)
+        k = generate_stubbornness(g.n, 0.01, 1.0, 5)
+        s = generate_opinions(g.n, "powerlaw", 3)
+
+        def run():
+            reports = [approxim(g, k, s, eps).to_dict() for eps in (1e-4, 1e-8)]
+            for report in reports:
+                del report["solve_seconds"], report["norms_seconds"]
+            state, trace = simulate_until(g, k, s, s.copy(), 1e-6)
+            return reports, trace, state.t, state.z.tobytes()
+
+        serial = run()
+        rows = force_split(monkeypatch)
+        split = run()
+        assert len(rows) > 100 and len(rows) % 2 == 0
+        assert split == serial
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_takes_split_products(self, monkeypatch):
+        # The child has no worker thread: keeping the parent's executor, its
+        # first split product would wait forever for the second half.
+        force_split(monkeypatch)
+        g = random_regular_graph(500, 4, 1)
+        x = np.random.default_rng(1).standard_normal(g.n)
+        product = (g.adjacency @ x).tobytes()
+        assert _matvec_into(g.adjacency, x, np.zeros(g.n)).tobytes() == product
+        assert graph_module._worker is not None
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if _matvec_into(g.adjacency, x, np.zeros(g.n)).tobytes() == product else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60.0
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("a forked child did not finish its split product in 60 s")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs an affinity mask")
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "SPLIT_ENTRIES", 0)
+        monkeypatch.setattr(graph_module, "_worker", None)
+        g = random_regular_graph(500, 4, 1)
+        x = np.random.default_rng(1).standard_normal(g.n)
+        mask = os.sched_getaffinity(0)
+        threads = threading.active_count()
+        os.sched_setaffinity(0, {min(mask)})
+        try:
+            out = _matvec_into(g.adjacency, x, np.zeros(g.n))
+        finally:
+            os.sched_setaffinity(0, mask)
+        assert out.tobytes() == (g.adjacency @ x).tobytes()
+        assert graph_module._worker is None and threading.active_count() == threads
 
 
 class TestIdentity:

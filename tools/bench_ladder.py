@@ -13,10 +13,11 @@ the iterations, the true-residual checks (calls of ``solver.proved_rho``)
 and the products of ``solver._matvec_into`` per solve, the medians of the
 ``approxim`` call, of its PCG solve (``solver._pcg``), of the report's
 ``norms_seconds`` and of one product that ``solver._matvec_into`` forms for the solve and its
-checks (the name both look up, whatever the solver applies), the peak RSS
-so far, and the tracemalloc peak of one more ``approxim`` call, in MiB and
-in n-vectors of float64.  Run each n in its own process, so that each peak
-RSS covers one instance.
+checks (the name both look up, whatever the solver applies), the threads
+one product runs on (``product_threads``: 2 where ``graph._matvec_into``
+splits it), the peak RSS so far, and the tracemalloc peak of one more
+``approxim`` call, in MiB and in n-vectors of float64.  Run each n in its
+own process, so that each peak RSS covers one instance.
 
 It then runs ``simulate_until`` at eps 1e-8 from z0 = s, ``--repeats`` times,
 and prints one JSON line: the medians of the equilibrium's solves (every
@@ -24,8 +25,9 @@ and prints one JSON line: the medians of the equilibrium's solves (every
 spectral bracket (with its iterations: power steps, plus inverse solves on
 at most ``DENSE_CAP`` nodes, and its width) and of the rest, ``steps_s``,
 which is the update steps with their norms; the update steps and ms per
-step, the peak RSS so far, and the tracemalloc peak of one more
-``simulate_until`` call, in MiB and in n-vectors of float64.
+step, ``product_threads`` as above, the peak RSS so far, and the
+tracemalloc peak of one more ``simulate_until`` call, in MiB and in
+n-vectors of float64.
 
 It then writes the instance to a temporary folder as the CLI reads it: an
 edge list ``u v`` per line with the node ids permuted over [0, 10n) (seed 11),
@@ -62,6 +64,7 @@ import json  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
 import tempfile  # noqa: E402
+import threading  # noqa: E402
 import time  # noqa: E402
 import traceback  # noqa: E402
 import tracemalloc  # noqa: E402
@@ -106,6 +109,25 @@ def file_ids(n):
     return np.random.default_rng(ID_SEED).choice(10 * n, n, replace=False)
 
 
+def product_threads(g):
+    """The threads that one ``graph._matvec_into`` product with
+    ``g.adjacency`` runs scipy's kernel on."""
+    from fjopinion import graph
+
+    threads, real = set(), graph.csr_matvec
+
+    def recorded(*args):
+        threads.add(threading.get_ident())
+        return real(*args)
+
+    graph.csr_matvec = recorded
+    try:
+        graph._matvec_into(g.adjacency, np.ones(g.n), np.zeros(g.n))
+    finally:
+        graph.csr_matvec = real
+    return len(threads)
+
+
 def simulate(g, k, s, repeats):
     """Time ``simulate_until`` from z0 = s by layer and print its line."""
     from fjopinion import dynamics
@@ -137,6 +159,7 @@ def simulate(g, k, s, repeats):
         "update_steps": sorted(steps),
         "steps_s": steps_s,
         "step_ms": 1e3 * steps_s / max(steps),
+        "product_threads": product_threads(g),
         "peak_rss_mb": maxrss_mb(),
     }
     add_peak(line, "simulate", g.n, dynamics.simulate_until, g, k, s, s, SIMULATE_EPS)
@@ -346,6 +369,7 @@ def main():
             "solve_s": statistics.median(solve_s),
             "norms_s": statistics.median(norms),
             "product_ms": 1e3 * statistics.median(products),
+            "product_threads": product_threads(g),
             "rss_after_setup_mb": rss_setup,
             "peak_rss_mb": maxrss_mb(),
         }
