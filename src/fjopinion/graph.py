@@ -27,16 +27,25 @@ for an update, at (k + deg) / 2 * x for a power step, and at -(k + deg) *
 p for PCG's -(L + K) p and at -r for its preconditioned residual, two
 products a step.  So each takes A from ``Graph.adjacency``, and no step
 loop builds QA or L + K.  This module alone imports the private kernel.
-The kernel releases the GIL, so a product of at least ``SPLIT_ENTRIES``
-entries, where the process may use two CPUs, is split at the entries'
-midpoint between the calling thread and one worker thread: each row is
-still summed by the one kernel over its entries in order, so the result
-is the serial one to the last bit.
+
+Where a matrix holds at least ``SPLIT_ENTRIES`` entries and the process
+may use two CPUs, a pass over its rows runs on two threads: ``_row_halves``
+cuts the rows at the entries' midpoint, and ``_on_halves`` runs a caller's
+part on the rows before the cut in the calling thread and on the rest in
+one worker thread.  The kernel and numpy's loops over float64 arrays
+release the GIL, so the halves overlap.  A product is such a part; so is
+each pass of a PCG step and of its true-residual check (``solver``), and
+``_disagreement`` hands every second slice of the edges to the worker.
+Each row is still summed by the same kernel over its entries in order,
+each element still formed by the same operation, and sums across rows
+(dot products, the slices' totals) stay in the calling thread in their
+serial order, so every result is the serial one to the last bit.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import math
@@ -582,7 +591,7 @@ def laplacian_apply(g: Graph, x: np.ndarray) -> np.ndarray:
     return g.degrees * x - g.adjacency @ x
 
 
-_worker = None  # the executor of split products' second halves, started on the first
+_worker = None  # the executor of split passes' second halves, started on the first
 _worker_lock = threading.Lock()
 
 
@@ -598,14 +607,61 @@ if hasattr(os, "register_at_fork"):
 
 
 def _split_worker():
-    """The one-thread executor of split products, started and imported on
-    the first call in this process."""
+    """The one-thread executor of split passes, started and imported on the
+    first call in this process."""
     global _worker
     with _worker_lock:
         if _worker is None:
             from concurrent.futures import ThreadPoolExecutor
             _worker = ThreadPoolExecutor(1, thread_name_prefix="fjopinion-product")
         return _worker
+
+
+def _splits(a: sp.csr_matrix) -> bool:
+    """Whether passes over the rows of ``a`` run on two threads: ``a`` holds
+    at least ``SPLIT_ENTRIES`` entries, read from ``a.data``, which costs the
+    small products of the step loops less than scipy's ``nnz``, and the
+    process may use two CPUs."""
+    return a.data.size >= SPLIT_ENTRIES and _two_cpus()
+
+
+def _row_halves(a: sp.csr_matrix) -> tuple[tuple[int, int], ...]:
+    """The row blocks (lo, hi) of a pass over the rows of ``a``: (0, cut)
+    and (cut, n), cut where half the entries lie before it, where
+    ``_splits(a)``, and (0, n) alone otherwise."""
+    n = a.shape[0]
+    if not _splits(a):
+        return ((0, n),)
+    ptr = a.indptr
+    cut = int(np.searchsorted(ptr, ptr[-1] // 2))
+    return ((0, cut), (cut, n))
+
+
+def _on_halves(part, halves) -> None:
+    """Run ``part(*half)`` for each of the one or two ``halves`` and return
+    once every part is done: the worker thread (``_split_worker``) runs the
+    second while this thread runs the first.
+
+    Each part must touch only its own rows of what the other writes, and
+    read nothing the other writes: the two overlap wherever numpy and
+    scipy's kernels release the GIL, which their loops over float64 arrays
+    do.  A caller that splits a whole step makes its halves' views once.
+    """
+    if len(halves) == 1:
+        part(*halves[0])
+        return
+    later = _split_worker().submit(part, *halves[1])
+    try:
+        part(*halves[0])
+    finally:
+        later.result()
+
+
+def _row_product(a: sp.csr_matrix, lo: int, hi: int):
+    """A callable ``(x, out)`` that adds rows lo:hi of a @ x onto ``out``,
+    a C-contiguous float64 vector of hi - lo entries, with scipy's compiled
+    kernel ``csr_matvec``."""
+    return functools.partial(csr_matvec, hi - lo, a.shape[1], a.indptr[lo:], a.indices, a.data)
 
 
 def _matvec_into(a: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -620,27 +676,16 @@ def _matvec_into(a: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray
     float64 vector that is not ``x``: the kernel writes a non-contiguous
     ``out`` into a copy of it.
 
-    A matrix of at least ``SPLIT_ENTRIES`` entries, in a process that may
-    use two CPUs, has its rows cut where half its entries lie before the
-    cut: the worker thread (``_split_worker``) runs the kernel on the rows
-    after the cut while this thread runs it on the rows before, then waits
-    for the worker.  The kernel releases the GIL, so the halves overlap,
-    and each row's sum is the serial one, so is ``out``.  The size is read
-    from ``a.data``, which costs the small products of the step loops less
-    than scipy's ``nnz``.
+    Where ``_splits(a)``, the kernel runs on the ``_row_halves`` of ``a``
+    (``_on_halves``): split in two, each row's sum is still the serial one,
+    so is ``out``.  Elsewhere it runs on the whole matrix with no dispatch:
+    the step loops' products take microseconds (8.7 us on regular-3000,
+    10.5 us through ``_on_halves``).
     """
-    n, cols = a.shape
-    if a.data.size < SPLIT_ENTRIES or not _two_cpus():
-        csr_matvec(n, cols, a.indptr, a.indices, a.data, x, out)
+    if not _splits(a):
+        csr_matvec(*a.shape, a.indptr, a.indices, a.data, x, out)
         return out
-    ptr = a.indptr
-    cut = int(np.searchsorted(ptr, ptr[-1] // 2))
-    half = _split_worker().submit(csr_matvec, n - cut, cols, ptr[cut:], a.indices, a.data, x,
-                                  out[cut:])
-    try:
-        csr_matvec(cut, cols, ptr, a.indices, a.data, x, out[:cut])
-    finally:
-        half.result()
+    _on_halves(lambda lo, hi: _row_product(a, lo, hi)(x, out[lo:hi]), _row_halves(a))
     return out
 
 
@@ -652,12 +697,27 @@ def _row_length_max(a: sp.csr_matrix) -> int:
 
 
 def _disagreement(g: Graph, q: np.ndarray) -> float:
-    """q.Lq = sum_e w_e (q_u - q_v)^2, summed over slices of the edge arrays."""
+    """q.Lq = sum_e w_e (q_u - q_v)^2, summed over slices of the edge arrays.
+
+    Where ``_splits(g.adjacency)``, the worker takes every second slice
+    (``_on_halves``); the slices' totals are added in slice order either
+    way, so the sum is the serial one to the last bit.
+    """
+    totals = [0.0] * -(-g.m // EDGE_CHUNK)
+    step = 2 if _splits(g.adjacency) else 1
+
+    def part(first):
+        for i in range(first, len(totals), step):
+            lo, hi = i * EDGE_CHUNK, (i + 1) * EDGE_CHUNK
+            dq = q[g.edge_u[lo:hi]]  # in place, as two slices may be in flight at once
+            dq -= q[g.edge_v[lo:hi]]
+            dq *= dq
+            totals[i] = float(g.edge_w[lo:hi] @ dq)
+
+    _on_halves(part, [(first,) for first in range(step)])
     total = 0.0
-    for lo in range(0, g.m, EDGE_CHUNK):
-        hi = lo + EDGE_CHUNK
-        dq = q[g.edge_u[lo:hi]] - q[g.edge_v[lo:hi]]
-        total += float(g.edge_w[lo:hi] @ (dq * dq))
+    for t in totals:  # not sum(), which compensates its rounding from Python 3.12 on
+        total += t
     return total
 
 

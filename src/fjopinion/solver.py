@@ -25,6 +25,19 @@ more, r / D formed in that buffer, free between the residual's update and
 the next step.  So a solve holds six n-vectors (x, r, z, p, the product and
 -(deg + k)), and its rho is always that of the k it applies.
 
+Where ``graph._row_halves`` splits the adjacency (at least
+``graph.SPLIT_ENTRIES`` entries, two CPUs), a step runs on two threads, each
+on its own rows: its four passes over rows (the product -(L + K) p; the x
+and r updates with -r / D and -r; A (r / D) and the division by -D; and
+p = beta p + z) and, in each check, the passes of ``proved_rho``.  Each
+pass waits for the one before it, because a product reads the whole vector
+the pass before wrote.  The dot products p.(L+K)p and r.M^{-1}r, and rho's,
+stay whole in the calling thread: a dot split in two would add its halves
+in another order.  Every element is formed by the same operations either
+way, so every iterate, check and bound is the one-thread result to the
+last bit.  On 2 vCPUs this took perfbench ``solve`` from 0.227 to
+0.194 s an op (``BENCH_33.json``).
+
 The solve stops on an a-posteriori certificate, not on an a-priori residual
 tolerance.  For an iterate y with residual r = b - (L+K) y, let rho =
 ||K^{-1/2} r||.  Because L + K >= K, the error e = x* - y satisfies
@@ -61,8 +74,8 @@ from typing import Callable
 import numpy as np
 
 from fjopinion.errors import GraphInputError, NumericalError
-from fjopinion.graph import (EDGE_CHUNK, Graph, StubbornnessVector, _disagreement, _matvec_into,
-                             _row_length_max, operator_matrix)
+from fjopinion.graph import (EDGE_CHUNK, Graph, StubbornnessVector, _disagreement, _on_halves,
+                             _row_halves, _row_length_max, _row_product, operator_matrix)
 
 MAX_ITERATIONS = 50_000
 EPS = float(np.finfo(np.float64).eps)  # 2u for double's unit roundoff u = 2^-53
@@ -166,15 +179,6 @@ def _negated_diagonal(g: Graph, k: StubbornnessVector,
     return np.negative(out, out=out)
 
 
-def _precondition(a, neg_diag: np.ndarray, r: np.ndarray, tp: np.ndarray,
-                  z: np.ndarray) -> np.ndarray:
-    """z = M^{-1} r = (r + A (r / D)) / D for D = deg + k, returned, with
-    -r / D left in ``tp``; ``neg_diag`` is -D."""
-    np.divide(r, neg_diag, out=tp)
-    _matvec_into(a, tp, np.negative(r, out=z))
-    return np.divide(z, neg_diag, out=z)
-
-
 def proved_rho(g: Graph, k: StubbornnessVector, b: np.ndarray, y: np.ndarray,
                out: np.ndarray, scratch: np.ndarray) -> float:
     """A proved rho >= ||K^{-1/2}(b - (L + K) y)||, rounding included, with
@@ -215,15 +219,32 @@ def proved_rho(g: Graph, k: StubbornnessVector, b: np.ndarray, y: np.ndarray,
     if long:
         rho, size = _long_residual(g, k, b, y, b_weight, out)
     else:
-        # w = (deg + k)|y| + A|y| + b_weight |b| in out, then r in out.
-        np.abs(y, out=scratch)
-        np.multiply(np.add(g.degrees, k.k, out=out), scratch, out=out)
-        _matvec_into(a, scratch, out)
-        out += np.multiply(np.abs(b, out=scratch), b_weight, out=scratch)
+        # w = (deg + k)|y| + A|y| + b_weight |b| in out, then r in out, each
+        # pass on the adjacency's row halves (_on_halves); A reads all of
+        # |y| in scratch, so the b term, which reuses scratch, waits for it.
+        halves = [(_row_product(a, lo, hi), y[lo:hi], b[lo:hi], g.degrees[lo:hi], k.k[lo:hi],
+                   out[lo:hi], scratch[lo:hi]) for lo, hi in _row_halves(a)]
+
+        def weights(mv, y_, b_, deg, k_, out_, scratch_):
+            np.abs(y_, out=scratch_)
+            np.multiply(np.add(deg, k_, out=out_), scratch_, out=out_)
+
+        def spread(mv, y_, b_, deg, k_, out_, scratch_):
+            mv(scratch, out_)
+
+        def b_term(mv, y_, b_, deg, k_, out_, scratch_):
+            out_ += np.multiply(np.abs(b_, out=scratch_), b_weight, out=scratch_)
+
+        def residual(mv, y_, b_, deg, k_, out_, scratch_):
+            np.negative(np.add(deg, k_, out=scratch_), out=scratch_)
+            mv(y, np.multiply(scratch_, y_, out=out_))
+            out_ += b_
+
+        for phase in (weights, spread, b_term):
+            _on_halves(phase, halves)
         size = _rho(out, k, scratch)
-        r = _matvec_into(a, y, np.multiply(_negated_diagonal(g, k, scratch), y, out=out))
-        r += b
-        rho = _rho(r, k, scratch)
+        _on_halves(residual, halves)
+        rho = _rho(out, k, scratch)
     return (rho + gamma * size) * (1.0 + (g.n + terms + 8) * EPS)
 
 
@@ -366,9 +387,13 @@ def _pcg(g: Graph, k: StubbornnessVector, b: np.ndarray, certify: Certificate) -
     """Run PCG on (L + K) y = b until ``certify`` holds, for ``solve``,
     which has checked b and the target.
 
-    Each step takes two products with ``graph._matvec_into``: -(L + K) p,
-    and A (r / D) for z = M^{-1} r (``_precondition``).  A zero b is judged
-    by its check like any other: its first step stops at p.(L+K)p = 0.
+    A step is four passes over rows, each run on the row halves of
+    ``graph._row_halves`` (one block where the step is not split) and
+    joined before the next: -(L + K) p; the x and r updates with -r / D
+    and -r, where z = M^{-1} r starts; A (r / D) added onto -r and divided
+    by -D; and p = beta p + z.  The products read all of p and of r / D, so
+    each waits for the pass before it.  A zero b is judged by its check
+    like any other: its first step stops at p.(L+K)p = 0.
     """
     target, n = certify.target, b.size
     a, neg_diag = g.adjacency, _negated_diagonal(g, k)
@@ -380,8 +405,39 @@ def _pcg(g: Graph, k: StubbornnessVector, b: np.ndarray, certify: Certificate) -
     # rho in z, after which z is formed again.
     x = np.zeros(n)
     r = b.copy()
-    tp, z = np.empty(n), np.empty(n)
-    p = _precondition(a, neg_diag, r, tp, z).copy()
+    tp, z, p = np.empty(n), np.empty(n), np.empty(n)
+    halves = [(_row_product(a, lo, hi), x[lo:hi], r[lo:hi], z[lo:hi], p[lo:hi], tp[lo:hi],
+               neg_diag[lo:hi]) for lo, hi in _row_halves(a)]
+    alpha = beta = 0.0
+
+    def product(mv, x_, r_, z_, p_, tp_, d):  # tp = -(L + K) p
+        mv(p, np.multiply(d, p_, out=tp_))
+
+    def start(mv, x_, r_, z_, p_, tp_, d):  # tp = -r / D, z = -r
+        np.divide(r_, d, out=tp_)
+        np.negative(r_, out=z_)
+
+    def update(mv, x_, r_, z_, p_, tp_, d):  # x += alpha p, r -= alpha (L + K) p
+        np.multiply(p_, alpha, out=z_)
+        x_ += z_
+        tp_ *= alpha
+        r_ += tp_
+        start(mv, x_, r_, z_, p_, tp_, d)
+
+    def finish(mv, x_, r_, z_, p_, tp_, d):  # z = (r + A (r / D)) / D
+        mv(tp, z_)
+        np.divide(z_, d, out=z_)
+
+    def direction(mv, x_, r_, z_, p_, tp_, d):  # p = beta p + z
+        p_ *= beta
+        p_ += z_
+
+    def precondition():
+        _on_halves(start, halves)
+        _on_halves(finish, halves)
+
+    precondition()
+    p[:] = z
     rz = float(r @ z)
     rho = _rho(r, k, tp)
     # ||x*||_{L+K} <= rho0 for x* = (L+K)^{-1} b, so no relative certificate
@@ -398,19 +454,17 @@ def _pcg(g: Graph, k: StubbornnessVector, b: np.ndarray, certify: Certificate) -
 
     iters, reason = 0, "maxiter"
     while iters < MAX_ITERATIONS:
-        _matvec_into(a, p, np.multiply(neg_diag, p, out=tp))
+        _on_halves(product, halves)
         ptp = -float(p @ tp)
         if not ptp > 0.0:
             # p.(L+K)p = 0 only once p has underflowed; < 0 or NaN is no SPD matrix.
             reason = "stagnated" if ptp == 0.0 else "breakdown"
             break
         alpha = rz / ptp
-        np.multiply(p, alpha, out=z)
-        x += z
-        tp *= alpha
-        r += tp
+        _on_halves(update, halves)
         iters += 1
-        rz_new = float(r @ _precondition(a, neg_diag, r, tp, z))
+        _on_halves(finish, halves)
+        rz_new = float(r @ z)
         if rz_new <= floor:  # lost its precision, or vanished: the next rz_new / rz means nothing
             reason = "stagnated"
             break
@@ -430,9 +484,9 @@ def _pcg(g: Graph, k: StubbornnessVector, b: np.ndarray, certify: Certificate) -
                     failed_rho = res.rho
                     # The bound grows at least linearly in rho: aim where it would hold.
                     goal = rho * (target / res.bound if math.isfinite(res.bound) else target)
-                    _precondition(a, neg_diag, r, tp, z)
-        p *= rz_new / rz
-        p += z
+                    precondition()
+        beta = rz_new / rz
+        _on_halves(direction, halves)
         rz = rz_new
 
     # Judge the last iterate on its true residual, not on the drifting recurrence.

@@ -1,8 +1,13 @@
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from fjopinion import graph as graph_module
 from fjopinion.generate import random_connected_gnp
 from fjopinion.graph import StubbornnessVector, build_graph, operator_matrix
 
@@ -84,3 +89,57 @@ def factors_of(calls, g, k):
     """How many of the recorded factorizations were of L + K for (g, k)."""
     t = operator_matrix(g, k)
     return sum(m.shape == t.shape and abs(m - t).max() == 0.0 for m in calls)
+
+
+def force_split(monkeypatch):
+    """Split every pass over rows from now on (``graph._on_halves``),
+    whatever the matrix's size and the CPUs, and return a list that gets,
+    for each kernel call, the offset of the entries its rows start at and
+    its row count."""
+    rows, real = [], graph_module.csr_matvec
+
+    def counted(n_row, n_col, ptr, *args):
+        rows.append((int(ptr[0]), n_row))
+        return real(n_row, n_col, ptr, *args)
+
+    monkeypatch.setattr(graph_module, "SPLIT_ENTRIES", 0)
+    monkeypatch.setattr(graph_module, "_two_cpus", lambda: True)
+    monkeypatch.setattr(graph_module, "csr_matvec", counted)
+    return rows
+
+
+def count_joins(monkeypatch):
+    """Record from now on the name of every part that a split pass hands to
+    the worker, one for each wait on it."""
+    joins, real = [], graph_module._split_worker
+
+    class Counted:
+        def submit(self, part, *args):
+            joins.append(part.__name__)
+            return real().submit(part, *args)
+
+    monkeypatch.setattr(graph_module, "_split_worker", Counted)
+    return joins
+
+
+def in_forked_child(check, seconds=60.0):
+    """Exit code of a forked child that runs ``check()``: 0 if it returned
+    true, 2 if false, 1 if it raised.  The child is killed, and the test
+    fails, if it has not exited within ``seconds``."""
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if check() else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + seconds
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail(f"a forked child did not finish in {seconds} s")
+        time.sleep(0.01)

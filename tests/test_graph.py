@@ -1,7 +1,6 @@
 import gzip
 import io
 import os
-import signal
 import tempfile
 import threading
 import time
@@ -13,7 +12,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_laplacian, diagonal_first_rows, make_instance
+from conftest import (dense_laplacian, diagonal_first_rows, force_split, in_forked_child,
+                      make_instance)
 from fjopinion import graph as graph_module
 from fjopinion.dynamics import OpinionState, simulate_until
 from fjopinion.errors import GraphInputError
@@ -904,22 +904,6 @@ class TestLaplacian:
         assert np.isclose(g.edge_w @ (x[g.edge_u] - x[g.edge_v]) ** 2, energy)
 
 
-def force_split(monkeypatch):
-    """Split every product from now on, whatever its size and the CPUs, and
-    return a list that gets, for each kernel call, the offset of the entries
-    its rows start at and its row count."""
-    rows, real = [], graph_module.csr_matvec
-
-    def counted(n_row, n_col, ptr, *args):
-        rows.append((int(ptr[0]), n_row))
-        return real(n_row, n_col, ptr, *args)
-
-    monkeypatch.setattr(graph_module, "SPLIT_ENTRIES", 0)
-    monkeypatch.setattr(graph_module, "_two_cpus", lambda: True)
-    monkeypatch.setattr(graph_module, "csr_matvec", counted)
-    return rows
-
-
 def csr(row_lengths, index=np.int32, seed=0):
     """A float64 CSR matrix with the given entries per row, columns drawn at
     random, and a vector to multiply it by."""
@@ -1033,24 +1017,8 @@ class TestSplitProduct(TestMatvecInto):
         product = (g.adjacency @ x).tobytes()
         assert _matvec_into(g.adjacency, x, np.zeros(g.n)).tobytes() == product
         assert graph_module._worker is not None
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                code = 0 if _matvec_into(g.adjacency, x, np.zeros(g.n)).tobytes() == product else 2
-            finally:
-                os._exit(code)
-        deadline = time.monotonic() + 60.0
-        while True:
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                break
-            if time.monotonic() > deadline:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                pytest.fail("a forked child did not finish its split product in 60 s")
-            time.sleep(0.01)
-        assert os.waitstatus_to_exitcode(status) == 0
+        assert in_forked_child(
+            lambda: _matvec_into(g.adjacency, x, np.zeros(g.n)).tobytes() == product) == 0
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs an affinity mask")
     def test_one_cpu_starts_no_thread(self, monkeypatch):

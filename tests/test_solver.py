@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,11 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fjopinion
-from conftest import count_matmul, count_splu, diagonal_first_rows, make_instance
+from conftest import (count_joins, count_matmul, count_splu, diagonal_first_rows, force_split,
+                      in_forked_child, make_instance)
+from fjopinion import graph as graph_module
 from fjopinion import solver
 from fjopinion.errors import GraphInputError
 from fjopinion.generate import generate_opinions, generate_stubbornness, random_regular_graph
-from fjopinion.graph import Graph, StubbornnessVector, build_graph, operator_matrix
+from fjopinion.graph import (Graph, StubbornnessVector, _disagreement, _matvec_into, build_graph,
+                             operator_matrix)
 from fjopinion.solver import Certificate, energy_norm_certificate, solve
 
 
@@ -136,8 +141,10 @@ def test_preconditioned_residual_is_at_most_rho_squared(seed, k_range):
     rng = np.random.default_rng(seed)
     g, k, _ = make_instance(rng, k_range=k_range)
     r = rng.standard_normal(g.n)
-    tp, z = np.empty(g.n), np.empty(g.n)
-    rz = float(r @ solver._precondition(g.adjacency, solver._negated_diagonal(g, k), r, tp, z))
+    # z = (r + A (r / D)) / D as PCG forms it: A (-r / D) added onto -r, over -D.
+    neg_diag = solver._negated_diagonal(g, k)
+    z = _matvec_into(g.adjacency, r / neg_diag, -r) / neg_diag
+    rz = float(r @ z)
     assert 0.0 < rz <= float(r @ (r / k.k))
 
 
@@ -213,9 +220,9 @@ def test_pcg_steps_make_no_sparse_product_call(monkeypatch):
     k = generate_stubbornness(g.n, 0.01, 1.0, 2)
     b = k.k * generate_opinions(g.n, "uniform", 3)
     calls = count_matmul(monkeypatch)
-    products, real = [], solver._matvec_into
-    monkeypatch.setattr(solver, "_matvec_into",
-                        lambda a, x, out: products.append(a) or real(a, x, out))
+    products, real = [], graph_module.csr_matvec
+    monkeypatch.setattr(graph_module, "csr_matvec",
+                        lambda *args: products.append(args[0]) or real(*args))
     res = pcg_to(g, k, b, 1e-10)
     assert res.certified and len(products) > 20
     assert not calls
@@ -323,3 +330,138 @@ def test_rho_scales_exactly_with_its_residual(seed, shift):
     kept = scaled.copy()
     assert solver._rho(scaled, k, np.empty(g.n)) == solver._rho(r, k, np.empty(g.n)) * 2.0**shift
     assert scaled.tobytes() == kept.tobytes()
+
+
+def regular_instance(n=500):
+    g = random_regular_graph(n, 4, 1)
+    k = generate_stubbornness(n, 0.01, 1.0, 2)
+    return g, k, k.k * generate_opinions(n, "uniform", 3)
+
+
+def int64_instance():
+    """regular_instance with the adjacency's indices and row pointers int64."""
+    g, k, b = regular_instance()
+    a = g.adjacency.copy()
+    a.indices, a.indptr = a.indices.astype(np.int64), a.indptr.astype(np.int64)
+    return dataclasses.replace(g, adjacency=a), k, b
+
+
+def isolated_at_both_ends():
+    # Rows 0-2 and 57-59 are empty: isolated nodes before and after the cut.
+    h, _, b = regular_instance(54)
+    g = Graph.from_arrays(h.edge_u + 3, h.edge_v + 3, h.edge_w, 60)
+    k = generate_stubbornness(60, 0.01, 1.0, 2)
+    return g, k, np.concatenate(([1.0, -0.5, 0.25], b, [0.5, -1.0, 2.0]))
+
+
+def indefinite_path2():
+    # Degrees -3 make L + K = [[-2, -1], [-1, -2]]: PCG breaks down at once.
+    g = build_graph([(0, 1, 1.0)])
+    return (dataclasses.replace(g, degrees=np.array([-3.0, -3.0])),
+            StubbornnessVector.uniform(2, 1.0), np.ones(2))
+
+
+# (instance, target, PCG's stop reason, MAX_ITERATIONS); the reasons span
+# every stop of _pcg.
+SPLIT_CASES = [
+    pytest.param(regular_instance, 1e-10, "certified", None, id="int32"),
+    pytest.param(int64_instance, 1e-10, "certified", None, id="int64"),
+    pytest.param(isolated_at_both_ends, 1e-10, "certified", None, id="isolated-nodes"),
+    pytest.param(lambda: (Graph.from_arrays([], [], [], 1), StubbornnessVector.uniform(1, 0.5),
+                          np.array([0.75])), 1e-10, "certified", None, id="n=1"),
+    pytest.param(lambda: (build_graph([(0, 1, 1.0)]), StubbornnessVector.from_values([2.0, 1.0]),
+                          np.array([1.0, 2.0])), 1e-10, "certified", None, id="n=2"),
+    pytest.param(regular_instance, 1e-300, "stagnated", None, id="unreachable-target"),
+    pytest.param(lambda: (*regular_instance()[:2], np.zeros(500)), 1e-10, "certified", None,
+                 id="zero-b"),  # stops at p.(L+K)p = 0
+    pytest.param(regular_instance, 1e-12, "maxiter", 3, id="maxiter"),
+    pytest.param(indefinite_path2, 1e-6, "breakdown", None, id="breakdown"),
+]
+
+
+def bits(res):
+    """Every field of a SolverResult, floats by their bits."""
+    return (res.y.tobytes(), res.iterations, res.certified, float(res.bound).hex(),
+            res.stop_reason, float(res.rho).hex())
+
+
+class TestSplitStep:
+    """Each pass of a PCG step split between two threads (``force_split``)
+    gives the one-thread results to the last bit."""
+
+    @pytest.mark.parametrize("build, target, reason, max_iterations", SPLIT_CASES)
+    def test_pcg_solve_check_and_disagreement_are_the_serial_ones(self, monkeypatch, build, target,
+                                                                  reason, max_iterations):
+        g, k, b = build()
+        if max_iterations is not None:
+            monkeypatch.setattr(solver, "MAX_ITERATIONS", max_iterations)
+
+        def run():
+            pcg = solver._pcg(g, k, b, energy_norm_certificate(b, target))
+            out, scratch = np.empty(g.n), np.empty(g.n)
+            rho = solver.proved_rho(g, k, b, pcg.y, out, scratch)
+            results = [bits(pcg), float(rho).hex(), out.tobytes(),
+                       float(_disagreement(g, pcg.y)).hex()]
+            if reason != "breakdown":  # solve factors this path, and L + K is no SPD matrix
+                results.append(bits(solve(g, k, b, energy_norm_certificate(b, target))))
+            return pcg.stop_reason, results
+
+        serial = run()
+        rows = force_split(monkeypatch)
+        split = run()
+        assert serial[0] == reason
+        assert rows and split == serial
+
+    def test_disagreement_slices_alternate_between_the_threads(self, monkeypatch):
+        g, _, b = regular_instance()
+        monkeypatch.setattr(graph_module, "EDGE_CHUNK", 7)  # 143 slices of the 1000 edges
+        total = 0.0  # the slices' totals added in slice order
+        for lo in range(0, g.m, 7):
+            dq = b[g.edge_u[lo:lo + 7]] - b[g.edge_v[lo:lo + 7]]
+            total += float(g.edge_w[lo:lo + 7] @ (dq * dq))
+        assert float(_disagreement(g, b)).hex() == total.hex()
+        force_split(monkeypatch)
+        joins = count_joins(monkeypatch)
+        assert float(_disagreement(g, b)).hex() == total.hex()
+        assert joins == ["part"]
+
+    def test_a_step_waits_four_times(self, monkeypatch):
+        # The passes -(L + K) p; x, r, -r / D and -r; z; p, and no more: a
+        # later extra wait shows here.
+        g, k, b = regular_instance()
+        force_split(monkeypatch)
+        joins = count_joins(monkeypatch)
+        checks, real = [], solver.proved_rho
+        monkeypatch.setattr(solver, "proved_rho", lambda *args: checks.append(1) or real(*args))
+        res = solver._pcg(g, k, b, energy_norm_certificate(b, 1e-8))
+        assert res.certified and len(checks) == 1
+        step = ["product", "update", "finish", "direction"]
+        check = ["weights", "spread", "b_term", "residual"]
+        assert joins == ["start", "finish"] + step * (res.iterations - 1) + step[:3] + check
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_finishes_a_split_solve(self, monkeypatch):
+        # The child has no worker thread: keeping the parent's executor, its
+        # first split pass would wait forever for the second half.
+        force_split(monkeypatch)
+        g, k, b = regular_instance()
+        y = solve(g, k, b, energy_norm_certificate(b, 1e-10)).y.tobytes()
+        assert graph_module._worker is not None
+        assert in_forked_child(
+            lambda: solve(g, k, b, energy_norm_certificate(b, 1e-10)).y.tobytes() == y) == 0
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs an affinity mask")
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "SPLIT_ENTRIES", 0)
+        monkeypatch.setattr(graph_module, "_worker", None)
+        g, k, b = regular_instance()
+        mask = os.sched_getaffinity(0)
+        threads = threading.active_count()
+        os.sched_setaffinity(0, {min(mask)})
+        try:
+            res = solve(g, k, b, energy_norm_certificate(b, 1e-10))
+            _disagreement(g, res.y)
+        finally:
+            os.sched_setaffinity(0, mask)
+        assert res.certified
+        assert graph_module._worker is None and threading.active_count() == threads

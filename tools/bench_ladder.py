@@ -10,14 +10,19 @@ own copy of this script, which times the names that checkout has), builds
 and runs ``approxim`` at eps 1e-4 and then 1e-8, ``--repeats`` times each,
 in one process with BLAS on one thread.  It prints one JSON line per eps:
 the iterations, the true-residual checks (calls of ``solver.proved_rho``)
-and the products of ``solver._matvec_into`` per solve, the medians of the
-``approxim`` call, of its PCG solve (``solver._pcg``), of the report's
-``norms_seconds`` and of one product that ``solver._matvec_into`` forms for the solve and its
-checks (the name both look up, whatever the solver applies), the threads
-one product runs on (``product_threads``: 2 where ``graph._matvec_into``
-splits it), the peak RSS so far, and the tracemalloc peak of one more
-``approxim`` call, in MiB and in n-vectors of float64.  Run each n in its
-own process, so that each peak RSS covers one instance.
+and the products per solve, the medians of the ``approxim`` call, of its
+PCG solve (``solver._pcg``), of the report's ``norms_seconds`` and of one
+product of the solve and its checks (``product_ms``), the time of a step
+outside its products (``outside_product_ms``: the solve's median less its
+products, over its iterations), the threads one product runs on
+(``product_threads``: 2 where ``graph._row_halves`` splits it), the peak RSS
+so far, and the tracemalloc peak of one more ``approxim`` call, in MiB and
+in n-vectors of float64.  Run each n in its own process, so that each peak
+RSS covers one instance.  A product is timed as the call of scipy's kernel
+that this thread makes (``graph.csr_matvec``, the name every product looks
+up): where the step is split, the worker runs the other half meanwhile, and
+the wait for it counts outside the product.  (The ladder of a checkout
+before the split step timed ``solver._matvec_into``, a whole product.)
 
 It then runs ``simulate_until`` at eps 1e-8 from z0 = s, ``--repeats`` times,
 and prints one JSON line: the medians of the equilibrium's solves (every
@@ -87,6 +92,14 @@ def timed(fn, seconds):
         finally:
             seconds.append(time.perf_counter() - t0)
     return wrapped
+
+
+def this_thread_timed(fn, seconds):
+    """``fn`` timed into ``seconds`` where this thread calls it, untimed on
+    any other."""
+    main = threading.get_ident()
+    wrapped = timed(fn, seconds)
+    return lambda *args: (wrapped if threading.get_ident() == main else fn)(*args)
 
 
 def values(n):
@@ -328,7 +341,7 @@ def main():
     args = parser.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
 
-    from fjopinion import dynamics, metrics, solver
+    from fjopinion import dynamics, graph, metrics, solver
 
     # Forked while this process is small: a child's ru_maxrss starts from
     # the parent's RSS at the fork.
@@ -340,12 +353,13 @@ def main():
     setup_s = time.perf_counter() - t0
     rss_setup = maxrss_mb()
 
-    # The names solver.solve looks up: PCG, the routine that bounds every
-    # true residual, and the product both form.
+    # The names solver.solve looks up: PCG and the routine that bounds every
+    # true residual; and the kernel of every product, timed in this thread.
     solve_s, checks, products = [], [], []
     solver._pcg = timed(solver._pcg, solve_s)
     solver.proved_rho = timed(solver.proved_rho, checks)
-    solver._matvec_into = timed(solver._matvec_into, products)
+    kernel = graph.csr_matvec
+    graph.csr_matvec = this_thread_timed(kernel, products)
 
     for eps in (1e-4, 1e-8):
         for seconds in (solve_s, checks, products):
@@ -359,22 +373,26 @@ def main():
                 raise SystemExit(f"uncertified at n={g.n}, eps={eps}: {report.stop_reason}")
             norms.append(report.norms_seconds)
             iterations.add(report.solver_iterations)
+        per_solve, product_s = len(products) / args.repeats, statistics.median(products)
         line = {
             "n": g.n, "m": g.m, "eps": eps, "repeats": args.repeats,
             "iterations": sorted(iterations),
             "checks_per_solve": len(checks) / args.repeats,
-            "products_per_solve": len(products) / args.repeats,
+            "products_per_solve": per_solve,
             "setup_s": round(setup_s, 4),
             "approxim_s": statistics.median(approxim_s),
             "solve_s": statistics.median(solve_s),
             "norms_s": statistics.median(norms),
-            "product_ms": 1e3 * statistics.median(products),
+            "product_ms": 1e3 * product_s,
+            "outside_product_ms": 1e3 * (statistics.median(solve_s) - per_solve * product_s)
+            / max(iterations),
             "product_threads": product_threads(g),
             "rss_after_setup_mb": rss_setup,
             "peak_rss_mb": maxrss_mb(),
         }
         add_peak(line, "approxim", g.n, metrics.approxim, g, k, s, eps)
         print(json.dumps(line), flush=True)
+    graph.csr_matvec = kernel
 
     simulate(g, k, s, args.repeats)
 
