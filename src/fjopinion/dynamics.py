@@ -4,18 +4,21 @@ Covers the synchronous update z(t+1) = QAz(t) + QKs = (Az(t) + Ks) / (k + d),
 equilibrium computation z = (L+K)^{-1} K s, the fundamental matrix, weighted
 centering, a proved bracket on the spectral radius of the iteration matrix
 QA, the convergence-time bound it gives, and error-trace simulation.  QA is
-never built: every sparse product is taken on ``g.adjacency``.
+never built: each pass over rows (an update step, a power step, an
+evaluation of the bracket) runs on the row blocks that ``graph._halves``
+makes once per loop, each block adding its product from ``g.adjacency``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from fjopinion.errors import GraphInputError, NumericalError, SizeGuardError
-from fjopinion.graph import (Graph, StubbornnessVector, _matvec_into, _row_length_max,
+from fjopinion.graph import (Graph, StubbornnessVector, _halves, _on_halves, _row_length_max,
                              operator_matrix)
 from fjopinion.solver import (EPS, Certificate, _forest, _splu_symmetric, energy_norm_certificate,
                               solve)
@@ -82,10 +85,13 @@ def _diagonal(g: Graph, k: StubbornnessVector) -> np.ndarray:
     return k.k + g.degrees
 
 
-def _update(g: Graph, b: np.ndarray, ks: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """z(t+1) = (Az(t) + Ks) / b in ``out``: ``ks`` = Ks, Az(t) added onto it, / b = k + d."""
+def _update(z: np.ndarray, mv, ks: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """z(t+1) = (Az(t) + Ks) / b on one row block of ``_halves(g.adjacency,
+    ks, b, out)``: ``out`` starts at ``ks`` = Ks, ``mv`` adds the block's
+    rows of Az(t) onto it, and / b = k + d."""
     np.copyto(out, ks)
-    return np.divide(_matvec_into(g.adjacency, z, out), b, out=out)
+    mv(z, out)
+    np.divide(out, b, out=out)
 
 
 def step(g: Graph, k: StubbornnessVector, state: OpinionState) -> OpinionState:
@@ -96,7 +102,8 @@ def step(g: Graph, k: StubbornnessVector, state: OpinionState) -> OpinionState:
     """
     if state.s.size != g.n:
         raise GraphInputError("state dimensions do not match graph")
-    z = _update(g, _diagonal(g, k), k.k * state.s, state.z, np.empty(g.n))
+    b, z = _diagonal(g, k), np.empty(g.n)
+    _on_halves(functools.partial(_update, state.z), _halves(g.adjacency, k.k * state.s, b, z))
     return OpinionState(s=state.s, z=z, t=state.t + 1)
 
 
@@ -206,24 +213,34 @@ def spectral_radius(
     Underflow is left out: x >= 2^-600 and max x = 1 keep it far below the
     term of the entry x_i = 1.
 
-    Refinement stops once upper - lower <= ``tol`` or, given
-    ``goal=(f0_norm, eps)``, once both ends give the same
+    Refinement stops once upper - lower <= ``tol``, which must be >= 0, or,
+    given ``goal=(f0_norm, eps)``, once both ends give the same
     ``convergence_bound(., f0_norm, eps)``: rho lies in the bracket, so that
     integer is then final, and a caller that needs only it stops early.
     ``converged`` means upper - lower <= tol either way.  A bracket left
     wider (a goal met early, or on graphs with cycles above the cap, where
     the power steps alone must close it) is still proved.
     """
+    if not tol >= 0.0:  # NaN included
+        raise GraphInputError(f"tol must be >= 0, got {tol}")
     h, a = _diagonal(g, k), g.adjacency
     h *= 0.5  # b / 2, exactly: 2h is b to the last bit
     slack = (_row_length_max(a) + g.n.bit_length() + 28) * EPS
     lower, upper = 0.0, math.inf
-    y = np.empty(g.n)  # Ax + h*x in a power step, which swaps it with x; Ax in refine
+    # Two fixed buffers, which a power step swaps with their row blocks; y
+    # holds Ax in refine.
+    x, y = np.ones(g.n), np.empty(g.n)
+    forth, back = _halves(a, x, y, h), _halves(a, y, x, h)
 
-    def refine(x):
+    def power(mv, x_, y_, h_):  # y = (Ax + h*x) / h
+        mv(x, np.multiply(h_, x_, out=y_))
+        np.divide(y_, h_, out=y_)
+
+    def refine(v):  # x = v / max v, kept >= 2^-600 so that no entry underflows to 0
         nonlocal lower, upper
+        np.maximum(np.divide(v, v.max(), out=x), 2.0**-600, out=x)
         y.fill(0.0)
-        _matvec_into(a, x, y)
+        _on_halves(lambda mv, x_, y_, h_: mv(x, y_), forth)
         bx = h * x
         bx *= 2.0
         lower = max(lower, float((x * y).sum() / (bx * x).sum()) * (1.0 - slack))
@@ -235,15 +252,13 @@ def spectral_radius(
             goal is not None and 0.0 < lower <= upper < 1.0
             and convergence_bound(lower, *goal) == convergence_bound(upper, *goal))
 
-    x = np.ones(g.n)
     refine(x)
     iterations = 0
     forest = not settled() and _forest(g)
     while not forest and not settled() and iterations < POWER_STEPS:
         for _ in range(CHECK_EVERY):
-            np.divide(_matvec_into(a, x, np.multiply(h, x, out=y)), h, out=y)
-            x, y = y, x
-        x = _rescale(x)
+            _on_halves(power, forth)
+            x, y, forth, back = y, x, back, forth
         refine(x)
         iterations += CHECK_EVERY
     if not settled() and (forest or g.n <= DENSE_CAP):
@@ -255,20 +270,12 @@ def spectral_radius(
                 lu = None  # free the old factor before the next is built
                 m.data[on_diagonal] = (2.0 * upper) * h  # upper * b; SPD, as sigma > rho
                 lu = _splu_symmetric(m)
-            bx = h * x
-            bx *= 2.0
-            x = _rescale(lu.solve(bx))
-            refine(x)
+            refine(lu.solve(2.0 * (h * x)))  # b * x, as refine forms it
             solves += 1
         iterations += solves
     return SpectralEstimate(
         lower=lower, upper=upper, iterations=iterations, converged=upper - lower <= tol
     )
-
-
-def _rescale(x: np.ndarray) -> np.ndarray:
-    """x scaled to max 1 and kept >= 2^-600, so that no entry underflows to 0."""
-    return np.maximum(x / x.max(), 2.0**-600)
 
 
 def convergence_bound(rho: SpectralEstimate | float, f0_norm: float, eps: float) -> int:
@@ -321,8 +328,9 @@ def simulate_until(
     and T' is ``bound`` itself.
 
     The steps allocate nothing: z(t) alternates between two buffers, neither
-    of them ``z0``, which stays the caller's, and ``_update``, the kernel of
-    ``step``, forms z(t+1) in them.  Each norm is sqrt(v.v), as
+    of them ``z0``, which stays the caller's, and ``_update``, the pass of
+    ``step``, forms z(t+1) in them, on row blocks (``graph._halves``) made
+    once for each buffer before the first step.  Each norm is sqrt(v.v), as
     ``np.linalg.norm`` forms it.  They and e(t) and f(t) are allocated after
     the bracket, and |f(0)| is formed in temporaries freed before it.
     """
@@ -358,6 +366,7 @@ def simulate_until(
         trace.spectral, f_norm + beta, eps - beta)
     # After the bracket's peak: e(t) and f(t), and z(t) for t >= 1, alternating.
     e, f, zs = np.empty_like(z0), np.empty_like(z0), (np.empty_like(z0), np.empty_like(z0))
+    into = [_halves(g.adjacency, ks, b, out) for out in zs]
     while f_norm > eps:
         if trace.spectral is not None and t >= last:
             raise NumericalError(f"observed stop time (|f({t})| = {f_norm:.3e} > eps = {eps}) "
@@ -366,8 +375,8 @@ def simulate_until(
             raise NumericalError(
                 f"simulation did not reach eps={eps} within {SIMULATION_CAP} steps"
             )
-        z = _update(g, b, ks, z, zs[t % 2])
-        t += 1
+        _on_halves(functools.partial(_update, z), into[t % 2])
+        z, t = zs[t % 2], t + 1
         f_norm = record(z, e, f)
     return OpinionState(s=s, z=z, t=t), trace
 

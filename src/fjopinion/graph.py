@@ -17,29 +17,30 @@ line.  Holding no table of every token, the loop reads an edge list of
 string ids at 1e6 nodes in 3.2 s at a 472.5 MiB tracemalloc peak, and a
 value file in 2.0–2.1 s at 154 MiB (``BENCH_24.json``).
 
-It also holds ``_matvec_into``, the sparse product of the step loops: the
-update steps, power steps and bracket evaluations in ``dynamics`` and the
-PCG steps in ``solver``.  They run hundreds of products on vectors of a few
-thousand entries, where scipy's ``@`` dispatch costs as much as the product
-itself, so the helper calls scipy's compiled ``csr_matvec`` kernel, which
-adds A x onto a buffer its caller has started: at 0 for a bracket, at K s
-for an update, at (k + deg) / 2 * x for a power step, and at -(k + deg) *
-p for PCG's -(L + K) p and at -r for its preconditioned residual, two
-products a step.  So each takes A from ``Graph.adjacency``, and no step
-loop builds QA or L + K.  This module alone imports the private kernel.
+It also holds ``_halves``, the one way a pass over the rows of a matrix is
+cut: the update steps, power steps and bracket evaluations in ``dynamics``,
+the PCG steps and residual checks in ``solver``, and ``laplacian_apply``.
+Each row block comes with its own ``csr_matvec``, scipy's compiled kernel,
+which adds A x onto a buffer its caller has started: at 0 for a bracket,
+at K s for an update, at h * x for a power step, and at -(k + deg) * p for
+PCG's -(L + K) p and at -r for its preconditioned residual.  So a step
+loop pays no ``@`` dispatch, which on vectors of a few thousand entries
+costs as much as the product, every product takes A from
+``Graph.adjacency``, and no loop builds QA or L + K.  This module alone
+imports the private kernel.
 
 Where a matrix holds at least ``SPLIT_ENTRIES`` entries and the process
-may use two CPUs, a pass over its rows runs on two threads: ``_row_halves``
-cuts the rows at the entries' midpoint, and ``_on_halves`` runs a caller's
-part on the rows before the cut in the calling thread and on the rest in
-one worker thread.  The kernel and numpy's loops over float64 arrays
-release the GIL, so the halves overlap.  A product is such a part; so is
-each pass of a PCG step and of its true-residual check (``solver``), and
-``_disagreement`` hands every second slice of the edges to the worker.
-Each row is still summed by the same kernel over its entries in order,
-each element still formed by the same operation, and sums across rows
-(dot products, the slices' totals) stay in the calling thread in their
-serial order, so every result is the serial one to the last bit.
+may use two CPUs, ``_halves`` cuts the rows at the entries' midpoint, and
+``_on_halves`` runs a caller's part on the rows before the cut in the
+calling thread and on the rest in one worker thread; otherwise there is
+one block and the part runs once, in the calling thread.  The kernel and
+numpy's loops over float64 arrays release the GIL, so the halves overlap.
+Every pass of a step loop is such a part, and ``_disagreement`` hands
+every second slice of the edges to the worker.  Each row is still summed
+by the same kernel over its entries in order, each element still formed
+by the same operation, and sums across rows (dot products, maxima, the
+slices' totals) stay in the calling thread in their serial order, so
+every result is the serial one to the last bit.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from fjopinion.errors import GraphInputError
 # Edges (or adjacency entries) per slice of a pass over the graph, so that no
 # edge-sized temporary is allocated next to a solver's vectors.
 EDGE_CHUNK = 1 << 14
-# Entries from which ``_matvec_into`` splits a product across two threads.
+# Entries from which ``_halves`` splits a pass over rows across two threads.
 # Inside PCG on 2 vCPUs (``tools/split_sweep.py``, ``BENCH_32.json``) the
 # split lost at 6e5 entries and won from 7e5 on; on one CPU it was noise.
 SPLIT_ENTRIES = 3 << 18
@@ -107,7 +108,8 @@ class Graph:
     def from_arrays(cls, u, v, w, n: int, ids=None) -> "Graph":
         """Build a Graph on nodes [0, n) from parallel edge arrays.
 
-        ``u`` and ``v`` hold integer endpoints, ``w`` weights that must be
+        ``u`` and ``v`` hold integer endpoints (integral floats are taken),
+        ``n`` is an integer, and ``w`` holds weights that must be
         finite and > 0.  Self-loops are dropped (counted) and parallel edges
         merged by summing their weights in input order.  ``ids`` gives the
         external label of each node (default: the indices themselves); they
@@ -119,10 +121,9 @@ class Graph:
         included.  The inputs are copied only where they hold a loop, and
         each temporary is freed once used.
         """
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
+        u, v = _integers(u, "edge endpoints"), _integers(v, "edge endpoints")
         w = np.asarray(w, dtype=np.float64)
-        n = int(n)
+        n = int(_integers(n, "node count"))
         if n < 1:
             raise GraphInputError("empty input: no edges and no declared nodes")
         ids = np.arange(n, dtype=np.int64) if ids is None else _id_array(ids)
@@ -201,6 +202,18 @@ class Graph:
             h.update(self.edge_w.tobytes())
             object.__setattr__(self, "_fingerprint", h.hexdigest()[:16])
         return self._fingerprint
+
+
+def _integers(x, what) -> np.ndarray:
+    """``x`` as int64: integers with no pass over them, integral floats
+    within int64 checked; anything else is an input error.  An unsigned
+    integer beyond int64 turns negative, which from_arrays' range check
+    refuses."""
+    x = np.asarray(x)
+    kind = x.dtype.kind
+    if kind in "biu" or kind == "f" and np.all((np.trunc(x) == x) & (np.abs(x) < 2.0**63)):
+        return x.astype(np.int64, copy=False)
+    raise GraphInputError(f"{what} must be integral and within int64")
 
 
 def _id_array(ids):
@@ -588,7 +601,9 @@ def laplacian_apply(g: Graph, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (g.n,):
         raise GraphInputError(f"vector of length {x.size} against graph with n={g.n}")
-    return g.degrees * x - g.adjacency @ x
+    ax = np.zeros(g.n)
+    _on_halves(lambda mv, ax_: mv(x, ax_), _halves(g.adjacency, ax))
+    return g.degrees * x - ax
 
 
 _worker = None  # the executor of split passes' second halves, started on the first
@@ -617,35 +632,38 @@ def _split_worker():
         return _worker
 
 
-def _splits(a: sp.csr_matrix) -> bool:
-    """Whether passes over the rows of ``a`` run on two threads: ``a`` holds
-    at least ``SPLIT_ENTRIES`` entries, read from ``a.data``, which costs the
-    small products of the step loops less than scipy's ``nnz``, and the
-    process may use two CPUs."""
-    return a.data.size >= SPLIT_ENTRIES and _two_cpus()
+def _halves(a: sp.csr_matrix, *vectors) -> list[tuple]:
+    """The one or two row blocks of every pass over the rows of ``a``, each
+    a tuple ``(row_product, v[lo:hi] for each of vectors)``.
 
-
-def _row_halves(a: sp.csr_matrix) -> tuple[tuple[int, int], ...]:
-    """The row blocks (lo, hi) of a pass over the rows of ``a``: (0, cut)
-    and (cut, n), cut where half the entries lie before it, where
-    ``_splits(a)``, and (0, n) alone otherwise."""
-    n = a.shape[0]
-    if not _splits(a):
-        return ((0, n),)
-    ptr = a.indptr
-    cut = int(np.searchsorted(ptr, ptr[-1] // 2))
-    return ((0, cut), (cut, n))
+    The blocks are (0, cut) and (cut, n), cut where half the entries lie
+    before it, where ``a`` holds at least ``SPLIT_ENTRIES`` entries and the
+    process may use two CPUs, and (0, n) alone otherwise.
+    ``row_product(x, out)`` adds rows lo:hi of a @ x onto ``out``, which
+    the caller has started, with scipy's compiled kernel ``csr_matvec``: no
+    dispatch, no new array.  scipy's ``a @ x`` calls the same kernel on a
+    new zeroed result, so on an ``out`` of zeros each row is that of
+    ``a @ x`` to the last bit, and otherwise its sum starts from out_i.
+    ``a`` must be a float64 CSR matrix, ``x`` a whole float64 vector and
+    ``out`` a C-contiguous float64 block that is not part of ``x``: the
+    kernel writes a non-contiguous ``out`` into a copy of it.
+    """
+    ptr, cuts = a.indptr, [0, a.shape[0]]
+    if a.data.size >= SPLIT_ENTRIES and _two_cpus():  # a.data.size: scipy's nnz costs more
+        cuts.insert(1, int(np.searchsorted(ptr, ptr[-1] // 2)))
+    return [(functools.partial(csr_matvec, hi - lo, a.shape[1], ptr[lo:], a.indices, a.data),
+             *(v[lo:hi] for v in vectors)) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def _on_halves(part, halves) -> None:
-    """Run ``part(*half)`` for each of the one or two ``halves`` and return
+    """Run ``part(*half)`` for each of the one or two ``_halves`` and return
     once every part is done: the worker thread (``_split_worker``) runs the
     second while this thread runs the first.
 
     Each part must touch only its own rows of what the other writes, and
     read nothing the other writes: the two overlap wherever numpy and
     scipy's kernels release the GIL, which their loops over float64 arrays
-    do.  A caller that splits a whole step makes its halves' views once.
+    do.  A loop makes its halves once and runs each of its passes on them.
     """
     if len(halves) == 1:
         part(*halves[0])
@@ -655,38 +673,6 @@ def _on_halves(part, halves) -> None:
         part(*halves[0])
     finally:
         later.result()
-
-
-def _row_product(a: sp.csr_matrix, lo: int, hi: int):
-    """A callable ``(x, out)`` that adds rows lo:hi of a @ x onto ``out``,
-    a C-contiguous float64 vector of hi - lo entries, with scipy's compiled
-    kernel ``csr_matvec``."""
-    return functools.partial(csr_matvec, hi - lo, a.shape[1], a.indptr[lo:], a.indices, a.data)
-
-
-def _matvec_into(a: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Add a @ x onto ``out``, which the caller has started, and return it:
-    no dispatch, no new array.
-
-    scipy's ``a @ x`` ends in ``_matmul_vector``, which calls the compiled
-    kernel ``csr_matvec`` on a new zeroed result, and the kernel adds each
-    row's products onto that result; so on an ``out`` of zeros the result
-    is bit-identical to ``a @ x``, and otherwise each row's sum starts from
-    out_i.  ``a`` must be a float64 CSR matrix, and ``out`` a C-contiguous
-    float64 vector that is not ``x``: the kernel writes a non-contiguous
-    ``out`` into a copy of it.
-
-    Where ``_splits(a)``, the kernel runs on the ``_row_halves`` of ``a``
-    (``_on_halves``): split in two, each row's sum is still the serial one,
-    so is ``out``.  Elsewhere it runs on the whole matrix with no dispatch:
-    the step loops' products take microseconds (8.7 us on regular-3000,
-    10.5 us through ``_on_halves``).
-    """
-    if not _splits(a):
-        csr_matvec(*a.shape, a.indptr, a.indices, a.data, x, out)
-        return out
-    _on_halves(lambda lo, hi: _row_product(a, lo, hi)(x, out[lo:hi]), _row_halves(a))
-    return out
 
 
 def _row_length_max(a: sp.csr_matrix) -> int:
@@ -699,12 +685,12 @@ def _row_length_max(a: sp.csr_matrix) -> int:
 def _disagreement(g: Graph, q: np.ndarray) -> float:
     """q.Lq = sum_e w_e (q_u - q_v)^2, summed over slices of the edge arrays.
 
-    Where ``_splits(g.adjacency)``, the worker takes every second slice
-    (``_on_halves``); the slices' totals are added in slice order either
-    way, so the sum is the serial one to the last bit.
+    Where ``_halves`` splits the adjacency, the worker takes every second
+    slice (``_on_halves``); the slices' totals are added in slice order
+    either way, so the sum is the serial one to the last bit.
     """
     totals = [0.0] * -(-g.m // EDGE_CHUNK)
-    step = 2 if _splits(g.adjacency) else 1
+    step = len(_halves(g.adjacency))
 
     def part(first):
         for i in range(first, len(totals), step):

@@ -25,13 +25,14 @@ more, r / D formed in that buffer, free between the residual's update and
 the next step.  So a solve holds six n-vectors (x, r, z, p, the product and
 -(deg + k)), and its rho is always that of the k it applies.
 
-Where ``graph._row_halves`` splits the adjacency (at least
-``graph.SPLIT_ENTRIES`` entries, two CPUs), a step runs on two threads, each
-on its own rows: its four passes over rows (the product -(L + K) p; the x
-and r updates with -r / D and -r; A (r / D) and the division by -D; and
-p = beta p + z) and, in each check, the passes of ``proved_rho``.  Each
-pass waits for the one before it, because a product reads the whole vector
-the pass before wrote.  The dot products p.(L+K)p and r.M^{-1}r, and rho's,
+A step is four passes over rows (the product -(L + K) p; the x and r
+updates with -r / D and -r; A (r / D) and the division by -D; and p =
+beta p + z), and each check runs the passes of ``proved_rho``, all on the
+row blocks of ``graph._halves``, made once per solve and per check: one
+block, run in the calling thread, or, where the adjacency holds at least
+``graph.SPLIT_ENTRIES`` entries and the process may use two CPUs, two,
+the second run by a worker thread.  Each pass waits for the one before it,
+because a product reads the whole vector the pass before wrote.  The dot products p.(L+K)p and r.M^{-1}r, and rho's,
 stay whole in the calling thread: a dot split in two would add its halves
 in another order.  Every element is formed by the same operations either
 way, so every iterate, check and bound is the one-thread result to the
@@ -74,8 +75,8 @@ from typing import Callable
 import numpy as np
 
 from fjopinion.errors import GraphInputError, NumericalError
-from fjopinion.graph import (EDGE_CHUNK, Graph, StubbornnessVector, _disagreement, _on_halves,
-                             _row_halves, _row_length_max, _row_product, operator_matrix)
+from fjopinion.graph import (EDGE_CHUNK, Graph, StubbornnessVector, _disagreement, _halves,
+                             _on_halves, _row_length_max, operator_matrix)
 
 MAX_ITERATIONS = 50_000
 EPS = float(np.finfo(np.float64).eps)  # 2u for double's unit roundoff u = 2^-53
@@ -222,8 +223,7 @@ def proved_rho(g: Graph, k: StubbornnessVector, b: np.ndarray, y: np.ndarray,
         # w = (deg + k)|y| + A|y| + b_weight |b| in out, then r in out, each
         # pass on the adjacency's row halves (_on_halves); A reads all of
         # |y| in scratch, so the b term, which reuses scratch, waits for it.
-        halves = [(_row_product(a, lo, hi), y[lo:hi], b[lo:hi], g.degrees[lo:hi], k.k[lo:hi],
-                   out[lo:hi], scratch[lo:hi]) for lo, hi in _row_halves(a)]
+        halves = _halves(a, y, b, g.degrees, k.k, out, scratch)
 
         def weights(mv, y_, b_, deg, k_, out_, scratch_):
             np.abs(y_, out=scratch_)
@@ -387,8 +387,8 @@ def _pcg(g: Graph, k: StubbornnessVector, b: np.ndarray, certify: Certificate) -
     """Run PCG on (L + K) y = b until ``certify`` holds, for ``solve``,
     which has checked b and the target.
 
-    A step is four passes over rows, each run on the row halves of
-    ``graph._row_halves`` (one block where the step is not split) and
+    A step is four passes over rows, each run on the row blocks of
+    ``graph._halves`` (one block where the step is not split) and
     joined before the next: -(L + K) p; the x and r updates with -r / D
     and -r, where z = M^{-1} r starts; A (r / D) added onto -r and divided
     by -D; and p = beta p + z.  The products read all of p and of r / D, so
@@ -396,7 +396,7 @@ def _pcg(g: Graph, k: StubbornnessVector, b: np.ndarray, certify: Certificate) -
     like any other: its first step stops at p.(L+K)p = 0.
     """
     target, n = certify.target, b.size
-    a, neg_diag = g.adjacency, _negated_diagonal(g, k)
+    neg_diag = _negated_diagonal(g, k)
 
     # z holds the preconditioned residual M^{-1} r; between its uses it is
     # scratch, and tp holds -(L+K) p, which the next step forms again, and
@@ -406,8 +406,7 @@ def _pcg(g: Graph, k: StubbornnessVector, b: np.ndarray, certify: Certificate) -
     x = np.zeros(n)
     r = b.copy()
     tp, z, p = np.empty(n), np.empty(n), np.empty(n)
-    halves = [(_row_product(a, lo, hi), x[lo:hi], r[lo:hi], z[lo:hi], p[lo:hi], tp[lo:hi],
-               neg_diag[lo:hi]) for lo, hi in _row_halves(a)]
+    halves = _halves(g.adjacency, x, r, z, p, tp, neg_diag)
     alpha = beta = 0.0
 
     def product(mv, x_, r_, z_, p_, tp_, d):  # tp = -(L + K) p

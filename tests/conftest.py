@@ -47,10 +47,18 @@ def dense_laplacian(g):
     return lap
 
 
+def product_onto(a, x, out):
+    """``out`` with a @ x added onto it, as each pass of a step loop adds
+    its product: on every row block of ``graph._halves``, by
+    ``graph._on_halves``."""
+    graph_module._on_halves(lambda mv, out_: mv(x, out_), graph_module._halves(a, out))
+    return out
+
+
 def diagonal_first_rows(a, d):
     """A CSR matrix, built apart from the solver, whose row i holds d_i first
     and then a's row i: its product sums each row in the order in which
-    ``graph._matvec_into(a, x, out)`` does on an ``out`` started at d * x."""
+    ``product_onto(a, x, out)`` does on an ``out`` started at d * x."""
     indptr = a.indptr + np.arange(a.shape[0] + 1)
     first = indptr[:-1]
     rest = np.ones(indptr[-1], dtype=bool)

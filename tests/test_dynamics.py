@@ -10,8 +10,9 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from conftest import count_matmul, count_splu, factors_of, make_instance
+from conftest import count_matmul, count_splu, factors_of, force_split, make_instance
 from fjopinion import dynamics, solver
+from fjopinion import graph as graph_module
 from fjopinion.dynamics import (
     DENSE_CAP,
     EQUILIBRIUM_DELTA,
@@ -412,9 +413,9 @@ class TestSpectralRadius:
         # evaluations call ``@``.
         g, k, _ = step_instance("regular-3000")
         calls = count_matmul(monkeypatch)
-        products, real = [], dynamics._matvec_into
-        monkeypatch.setattr(dynamics, "_matvec_into",
-                            lambda a, x, out: products.append(a) or real(a, x, out))
+        products, real = [], graph_module.csr_matvec
+        monkeypatch.setattr(graph_module, "csr_matvec",
+                            lambda *args: products.append(args[0]) or real(*args))
         est = spectral_radius(g, k)
         assert est.converged and len(products) > 200
         assert calls == []
@@ -430,6 +431,44 @@ class TestSpectralRadius:
         assert not est.converged and est.iterations == dynamics.POWER_STEPS
         assert calls == []
         assert components == []  # m >= n: no forest, so no component count
+
+
+class TestSplitLoops:
+    """Each pass of the update and bracket loops split between two threads
+    (``force_split``) gives the one-thread results to the last bit."""
+
+    def test_step_is_the_serial_one(self, monkeypatch):
+        g, k, s = step_instance("regular-3000")
+        state = OpinionState(s=s, z=np.random.default_rng(1).standard_normal(g.n))
+        serial = step(g, k, state).z.tobytes()
+        rows = force_split(monkeypatch)
+        assert step(g, k, state).z.tobytes() == serial
+        assert len(rows) == 2
+
+    @pytest.mark.parametrize("name, phases", [
+        ("regular-3000", "power"),
+        ("cycle", "power and inverse"),  # 1000 nodes, within DENSE_CAP
+        ("path-2000", "forest"),  # refactored at each upper end, no power step
+    ])
+    def test_bracket_is_the_serial_one(self, monkeypatch, name, phases):
+        g, k, _ = step_instance(name)
+
+        def run():
+            est = spectral_radius(g, k)
+            return est.lower.hex(), est.upper.hex(), est.iterations, est.converged
+
+        serial = run()
+        rows = force_split(monkeypatch)
+        split = run()
+        assert split == serial and serial[3]
+        # Two kernel calls for each product: a power step's, and each
+        # evaluation's of the bracket, at x = 1, after every CHECK_EVERY
+        # power steps and after each inverse solve.
+        iterations = serial[2]
+        power_steps = {"power": iterations, "power and inverse": dynamics.POWER_STEPS,
+                       "forest": 0}[phases]
+        assert 0 < iterations - power_steps <= dynamics.INVERSE_SOLVES or phases == "power"
+        assert len(rows) == 2 * (1 + iterations + power_steps // dynamics.CHECK_EVERY)
 
 
 class TestConvergenceBound:
@@ -548,11 +587,17 @@ class TestSimulateUntil:
 
     def test_every_product_is_taken_on_the_adjacency(self, monkeypatch):
         # No QA is built: step, the power steps, the bracket's evaluations
-        # and the update steps add their products from g.adjacency itself.
+        # and the update steps add their products from g.adjacency itself,
+        # one kernel call each on a graph this small.
         g, k, s = step_instance("regular-3000")
-        matrices, real = [], dynamics._matvec_into
-        monkeypatch.setattr(dynamics, "_matvec_into",
-                            lambda a, x, out: matrices.append(a) or real(a, x, out))
+        a, matrices, real = g.adjacency, [], graph_module.csr_matvec
+
+        def recorded(n_row, n_col, ptr, indices, data, x, out):
+            matrices.append(np.shares_memory(ptr, a.indptr) and indices is a.indices
+                            and data is a.data)
+            return real(n_row, n_col, ptr, indices, data, x, out)
+
+        monkeypatch.setattr(graph_module, "csr_matvec", recorded)
         step(g, k, OpinionState(s=s, z=s.copy()))
         assert len(matrices) == 1
         est = spectral_radius(g, k)
@@ -560,7 +605,7 @@ class TestSimulateUntil:
         state, trace = simulate_until(g, k, s, z0=s.copy(), eps=1e-8)
         assert state.t > 0 and trace.spectral is not None
         assert len(matrices) > 2 + est.iterations + state.t
-        assert all(a is g.adjacency for a in matrices)
+        assert all(matrices)
 
     @pytest.mark.parametrize("call, vectors", [("spectral_radius", 5.5), ("simulate_until", 9.5)])
     def test_holds_no_iteration_matrix(self, call, vectors):
@@ -772,12 +817,17 @@ class TestOpinionProperties:
          "|f(0)| must be finite and >= 0, got -1.0"),
         (lambda g, k: center_opinions(np.zeros(3), k), GraphInputError,
          "opinion vector length does not match stubbornness"),
+        (lambda g, k: spectral_radius(g, k, tol=np.nan), GraphInputError,
+         "tol must be >= 0, got nan"),
+        (lambda g, k: spectral_radius(g, k, tol=-1e-3), GraphInputError,
+         "tol must be >= 0, got -0.001"),
     ],
     ids=["state", "step", "equilibrium", "fundamental_matrix", "convergence_bound",
          "simulate_until", "equilibrium-nan", "convergence_bound-nan-eps",
          "simulate_until-nan-eps", "simulate_until-nan-z0", "simulate_until-inf-z0",
          "simulate_until-inf-s", "fundamental_matrix-length", "convergence_bound-inf-f0",
-         "convergence_bound-nan-f0", "convergence_bound-negative-f0", "center_opinions"],
+         "convergence_bound-nan-f0", "convergence_bound-negative-f0", "center_opinions",
+         "spectral_radius-nan-tol", "spectral_radius-negative-tol"],
 )
 def test_input_checks(path2, k21, call, error, message):
     with pytest.raises(error) as exc:

@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from conftest import (dense_laplacian, diagonal_first_rows, force_split, in_forked_child,
-                      make_instance)
+                      make_instance, product_onto)
 from fjopinion import graph as graph_module
 from fjopinion.dynamics import OpinionState, simulate_until
 from fjopinion.errors import GraphInputError
@@ -23,7 +23,6 @@ from fjopinion.graph import (
     Graph,
     StubbornnessVector,
     _VALUE_ROWS,
-    _matvec_into,
     _numeric_edge_list,
     _numeric_node_values,
     _numeric_rows,
@@ -202,6 +201,10 @@ class TestFromArrays:
         assert (g.n, g.m) == (3, 0) and g.edge_w.dtype == np.float64
         assert g.degrees.tolist() == [0.0, 0.0, 0.0]
 
+    def test_takes_integral_floats_and_any_integer_dtype(self):
+        g = Graph.from_arrays([0.0, 2.0], np.array([1, 1], dtype=np.uint8), [1.0, 1.0], 3.0)
+        assert (g.n, g.edge_u.tolist(), g.edge_v.tolist()) == (3, [0, 1], [1, 2])
+
     @pytest.mark.parametrize(
         "u, v, w, n, ids, message",
         [
@@ -211,8 +214,15 @@ class TestFromArrays:
             ([0], [1], [1.0], 3, ("a", "b"), "2 node ids for n=3"),
             ([], [], [], 0, None, "empty input"),
             ([0, 1], [1, 2], [1.0, np.inf], 3, "abc", r"^edge 2: .* got inf for \('b', 'c'\)$"),
+            ([0.9], [1.7], [1.0], 3, None, "^edge endpoints must be integral and within int64$"),
+            ([0], [1], [1.0], 3.7, None, "^node count must be integral and within int64$"),
+            (["0"], [1], [1.0], 3, None, "edge endpoints must be integral"),
+            ([2**63], [0], [1.0], 3, None, r"endpoints must lie in \[0, 3\)"),
+            ([2**64], [0], [1.0], 3, None, "edge endpoints must be integral and within int64"),
         ],
-        ids=["endpoint-high", "endpoint-negative", "lengths", "ids", "empty", "weight"],
+        ids=["endpoint-high", "endpoint-negative", "lengths", "ids", "empty", "weight",
+             "endpoint-fraction", "n-fraction", "endpoint-string", "endpoint-beyond-int64",
+             "endpoint-beyond-uint64"],
     )
     def test_rejects_bad_input(self, u, v, w, n, ids, message):
         with pytest.raises(GraphInputError, match=message):
@@ -917,7 +927,7 @@ def csr(row_lengths, index=np.int32, seed=0):
     return a, rng.standard_normal(n)
 
 
-class TestMatvecInto:
+class TestHalves:
     @pytest.fixture
     def halves(self):
         """The kernel calls that ``force_split`` records, and how many one
@@ -936,7 +946,7 @@ class TestMatvecInto:
             x = rng.standard_normal(g.n)
             out = np.zeros(g.n)
             rows.clear()
-            assert _matvec_into(a, x, out) is out
+            assert product_onto(a, x, out) is out
             assert a.indices.dtype == a.indptr.dtype == index
             assert out.tobytes() == (a @ x).tobytes()
             assert len(rows) == calls
@@ -957,13 +967,25 @@ class TestMatvecInto:
         g, _, _ = make_instance(rng, n_max=60)
         a, d, x = g.adjacency, rng.standard_normal(g.n), rng.standard_normal(g.n)
         out = d * x
-        assert _matvec_into(a, x, out) is out
+        assert product_onto(a, x, out) is out
         assert out.tobytes() == (diagonal_first_rows(a, d) @ x).tobytes()
         assert len(rows) == calls
 
+    def test_blocks_view_each_vector_on_their_rows(self, halves):
+        rows, calls = halves
+        g = random_regular_graph(40, 4, 1)
+        x, y = np.arange(g.n, dtype=np.float64), np.zeros(g.n)
+        blocks = graph_module._halves(g.adjacency, x, y)
+        assert len(blocks) == max(calls, 1)
+        lo = 0
+        for _, x_, y_ in blocks:
+            assert x_.base is x and y_.base is y and x_[0] == lo and x_.size == y_.size
+            lo += x_.size
+        assert lo == g.n and rows == []  # no product runs until a part calls one
 
-class TestSplitProduct(TestMatvecInto):
-    """TestMatvecInto's tests with every product split, and the split's own."""
+
+class TestSplitHalves(TestHalves):
+    """TestHalves's tests with every pass split, and the split's own."""
 
     @pytest.fixture
     def halves(self, monkeypatch):
@@ -983,11 +1005,11 @@ class TestSplitProduct(TestMatvecInto):
         a, x = csr(row_lengths, index)
         assert a.indptr.dtype == index
         out = np.zeros(a.shape[0])
-        assert _matvec_into(a, x, out).tobytes() == (a @ x).tobytes()
+        assert product_onto(a, x, out).tobytes() == (a @ x).tobytes()
         assert len(rows) == 2 and sum(n_row for _, n_row in rows) == a.shape[0]
         d = np.random.default_rng(1).standard_normal(a.shape[0])
         out = d * x
-        assert _matvec_into(a, x, out).tobytes() == (diagonal_first_rows(a, d) @ x).tobytes()
+        assert product_onto(a, x, out).tobytes() == (diagonal_first_rows(a, d) @ x).tobytes()
 
     def test_reports_and_dynamics_are_the_serial_ones(self, monkeypatch):
         g = random_regular_graph(2000, 4, 1)
@@ -1015,10 +1037,10 @@ class TestSplitProduct(TestMatvecInto):
         g = random_regular_graph(500, 4, 1)
         x = np.random.default_rng(1).standard_normal(g.n)
         product = (g.adjacency @ x).tobytes()
-        assert _matvec_into(g.adjacency, x, np.zeros(g.n)).tobytes() == product
+        assert product_onto(g.adjacency, x, np.zeros(g.n)).tobytes() == product
         assert graph_module._worker is not None
         assert in_forked_child(
-            lambda: _matvec_into(g.adjacency, x, np.zeros(g.n)).tobytes() == product) == 0
+            lambda: product_onto(g.adjacency, x, np.zeros(g.n)).tobytes() == product) == 0
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs an affinity mask")
     def test_one_cpu_starts_no_thread(self, monkeypatch):
@@ -1030,10 +1052,11 @@ class TestSplitProduct(TestMatvecInto):
         threads = threading.active_count()
         os.sched_setaffinity(0, {min(mask)})
         try:
-            out = _matvec_into(g.adjacency, x, np.zeros(g.n))
+            blocks = len(graph_module._halves(g.adjacency))
+            out = product_onto(g.adjacency, x, np.zeros(g.n))
         finally:
             os.sched_setaffinity(0, mask)
-        assert out.tobytes() == (g.adjacency @ x).tobytes()
+        assert blocks == 1 and out.tobytes() == (g.adjacency @ x).tobytes()
         assert graph_module._worker is None and threading.active_count() == threads
 
 

@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 
 import fjopinion
 from conftest import (count_joins, count_matmul, count_splu, diagonal_first_rows, force_split,
-                      in_forked_child, make_instance)
+                      in_forked_child, make_instance, product_onto)
 from fjopinion import graph as graph_module
 from fjopinion import solver
 from fjopinion.errors import GraphInputError
 from fjopinion.generate import generate_opinions, generate_stubbornness, random_regular_graph
-from fjopinion.graph import (Graph, StubbornnessVector, _disagreement, _matvec_into, build_graph,
-                             operator_matrix)
+from fjopinion.graph import Graph, StubbornnessVector, _disagreement, build_graph, operator_matrix
 from fjopinion.solver import Certificate, energy_norm_certificate, solve
 
 
@@ -143,7 +142,7 @@ def test_preconditioned_residual_is_at_most_rho_squared(seed, k_range):
     r = rng.standard_normal(g.n)
     # z = (r + A (r / D)) / D as PCG forms it: A (-r / D) added onto -r, over -D.
     neg_diag = solver._negated_diagonal(g, k)
-    z = _matvec_into(g.adjacency, r / neg_diag, -r) / neg_diag
+    z = product_onto(g.adjacency, r / neg_diag, -r) / neg_diag
     rz = float(r @ z)
     assert 0.0 < rz <= float(r @ (r / k.k))
 

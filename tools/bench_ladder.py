@@ -14,14 +14,15 @@ and the products per solve, the medians of the ``approxim`` call, of its
 PCG solve (``solver._pcg``), of the report's ``norms_seconds`` and of one
 product of the solve and its checks (``product_ms``), the time of a step
 outside its products (``outside_product_ms``: the solve's median less its
-products, over its iterations), the threads one product runs on
-(``product_threads``: 2 where ``graph._row_halves`` splits it), the peak RSS
-so far, and the tracemalloc peak of one more ``approxim`` call, in MiB and
-in n-vectors of float64.  Run each n in its own process, so that each peak
-RSS covers one instance.  A product is timed as the call of scipy's kernel
-that this thread makes (``graph.csr_matvec``, the name every product looks
-up): where the step is split, the worker runs the other half meanwhile, and
-the wait for it counts outside the product.  (The ladder of a checkout
+products, over its iterations), the threads a pass over the adjacency's
+rows runs on (``product_threads``: the row blocks of ``graph._halves``, 2
+where it splits the adjacency), the peak RSS so far, and the tracemalloc
+peak of one more ``approxim`` call, in MiB and in n-vectors of float64.
+Run each n in its own process, so that each peak RSS covers one instance.
+A product is timed as the call of scipy's kernel that this thread makes
+(``graph.csr_matvec``, the name each ``graph._halves`` call binds into its
+row blocks): where the step is split, the worker runs the other half
+meanwhile, and the wait for it counts outside the product.  (The ladder of a checkout
 before the split step timed ``solver._matvec_into``, a whole product.)
 
 It then runs ``simulate_until`` at eps 1e-8 from z0 = s, ``--repeats`` times,
@@ -123,22 +124,11 @@ def file_ids(n):
 
 
 def product_threads(g):
-    """The threads that one ``graph._matvec_into`` product with
-    ``g.adjacency`` runs scipy's kernel on."""
+    """The threads that every pass over the rows of ``g.adjacency`` runs
+    on: one for each row block of ``graph._halves``."""
     from fjopinion import graph
 
-    threads, real = set(), graph.csr_matvec
-
-    def recorded(*args):
-        threads.add(threading.get_ident())
-        return real(*args)
-
-    graph.csr_matvec = recorded
-    try:
-        graph._matvec_into(g.adjacency, np.ones(g.n), np.zeros(g.n))
-    finally:
-        graph.csr_matvec = real
-    return len(threads)
+    return len(graph._halves(g.adjacency))
 
 
 def simulate(g, k, s, repeats):
