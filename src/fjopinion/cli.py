@@ -63,13 +63,18 @@ def _load_stubbornness(g, spec, seed, rows):
     )
 
 
-def _load_opinions(g, args, rows):
+def _load_with_opinions(args):
+    """The run's graph, stubbornness and innate opinions: the --opinions
+    file, parsed while the edge list parses, or seeded from --dist."""
+    g, k, rows = _load_inputs(args, args.opinions)
     if args.opinions:
-        return load_node_values(args.opinions, g, name="opinion", lo=-1.0, hi=1.0,
-                                rows=rows.get(args.opinions))
-    if args.dist:
-        return generate_opinions(g.n, args.dist, args.seed)
-    raise GraphInputError("provide --opinions FILE or --dist NAME")
+        s = load_node_values(args.opinions, g, name="opinion", lo=-1.0, hi=1.0,
+                             rows=rows.get(args.opinions))
+    elif args.dist:
+        s = generate_opinions(g.n, args.dist, args.seed)
+    else:
+        raise GraphInputError("provide --opinions FILE or --dist NAME")
+    return g, k, s
 
 
 def _write_out(path, text):
@@ -79,8 +84,7 @@ def _write_out(path, text):
 
 
 def cmd_metrics(args) -> int:
-    g, k, rows = _load_inputs(args, args.opinions)
-    s = _load_opinions(g, args, rows)
+    g, k, s = _load_with_opinions(args)
     if args.mode == "exact":
         report = metrics_exact(g, k, s)
     else:
@@ -104,8 +108,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    g, k, rows = _load_inputs(args, args.opinions)
-    s = _load_opinions(g, args, rows)
+    g, k, s = _load_with_opinions(args)
     state, trace = simulate_until(g, k, s, z0=s.copy(), eps=args.eps)
     est = trace.spectral
     bracket = f", rho in [{est.lower:.12g}, {est.upper:.12g}]" if est else ""
@@ -183,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, graph=True):
+    def common(p, graph=True, opinions=False):
         if graph:
             p.add_argument("--graph", help="edge-list file: 'u v [w]' per line")
             p.add_argument(
@@ -193,20 +196,19 @@ def build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="write machine-readable report here")
+        if opinions:
+            p.add_argument("--opinions", help="'node value' file, values in [-1, 1]")
+            p.add_argument("--dist", choices=DISTRIBUTIONS)
 
     p = sub.add_parser("metrics", help="exact or approximate metric run")
-    common(p)
-    p.add_argument("--opinions", help="'node value' file, values in [-1, 1]")
-    p.add_argument("--dist", choices=DISTRIBUTIONS)
+    common(p, opinions=True)
     p.add_argument("--eps", type=float, default=1e-6,
                    help="relative error approx mode proves; --mode exact always proves 1e-12")
     p.add_argument("--mode", choices=("exact", "approx"), default="exact")
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("simulate", help="iterate the update rule to convergence")
-    common(p)
-    p.add_argument("--opinions")
-    p.add_argument("--dist", choices=DISTRIBUTIONS)
+    common(p, opinions=True)
     p.add_argument("--eps", type=float, default=1e-8)
     p.set_defaults(func=cmd_simulate)
 

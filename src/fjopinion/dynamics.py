@@ -7,6 +7,8 @@ QA, the convergence-time bound it gives, and error-trace simulation.  QA is
 never built: each pass over rows (an update step, a power step, an
 evaluation of the bracket) runs on the row blocks that ``graph._halves``
 makes once per loop, each block adding its product from ``g.adjacency``.
+The diagonal k + d of K + D, whose inverse is Q, comes from
+``graph._diagonal``.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from fjopinion.errors import GraphInputError, NumericalError, SizeGuardError
-from fjopinion.graph import (Graph, StubbornnessVector, _halves, _on_halves, _row_length_max,
-                             operator_matrix)
+from fjopinion.graph import (Graph, StubbornnessVector, _diagonal, _halves, _on_halves,
+                             _row_length_max, operator_matrix)
 from fjopinion.solver import (EPS, Certificate, _forest, _splu_symmetric, energy_norm_certificate,
                               solve)
 
@@ -76,13 +78,6 @@ class ErrorTrace:
     bound: int = 0  # the convergence-time bound checked, 0 when no check ran
     spectral: SpectralEstimate | None = None  # the bracket that bound came from, None likewise
     equilibrium_error: float = 0.0  # proved bound on ||z* - z~*||_{K+D}, the z~* the norms use
-
-
-def _diagonal(g: Graph, k: StubbornnessVector) -> np.ndarray:
-    """k + d, the diagonal of K + D whose inverse is Q."""
-    if len(k) != g.n:
-        raise GraphInputError("stubbornness length does not match graph")
-    return k.k + g.degrees
 
 
 def _update(z: np.ndarray, mv, ks: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:

@@ -2,7 +2,12 @@
 
 Holds every matrix view the rest of the package needs: the canonical edge
 arrays, adjacency, weighted degrees, Laplacian application, and the per-node
-stubbornness diagonal with its cached extremes.
+stubbornness diagonal with its cached extremes.  ``_diagonal`` is the one
+place deg + k, the diagonal of L + K, is formed and k's length checked
+against the graph: for ``operator_matrix``, the update and power steps in
+``dynamics``, PCG in ``solver`` and ``verify``'s row sums.  Only
+``solver.proved_rho`` adds it again, row block by row block, into its
+check's own buffers.
 
 ``Graph.from_arrays`` is the one builder, under the generators, the triples
 adapter and both edge-file paths.  It sorts once: the sorted pair keys give
@@ -14,8 +19,10 @@ peaks at little above the size of the graph it returns.
 to numpy's C reader, whose strict parse takes only a file of numbers; any
 other is read by one loop over its lines, which raises at the first bad
 line.  Holding no table of every token, the loop reads an edge list of
-string ids at 1e6 nodes in 3.2 s at a 472.5 MiB tracemalloc peak, and a
-value file in 2.0–2.1 s at 154 MiB (``BENCH_24.json``).
+string ids at 1e6 nodes in 3.4–5.8 s (median 3.5 s: 1.2 s the lines, 1.8
+s numbering the ids, 0.5 s ``Graph.from_arrays``) at a 472.5 MiB
+tracemalloc peak, and a value file in 2.0–4.0 s at 154 MiB
+(``BENCH_35.json``, 3 rounds on a shared 2-vCPU host).
 
 It also holds ``_halves``, the one way a pass over the rows of a matrix is
 cut: the update steps, power steps and bracket evaluations in ``dynamics``,
@@ -707,15 +714,21 @@ def _disagreement(g: Graph, q: np.ndarray) -> float:
     return total
 
 
+def _diagonal(g: Graph, k: StubbornnessVector) -> np.ndarray:
+    """deg + k, the diagonal of L + K, as a new vector: its callers change
+    it in place."""
+    if len(k) != g.n:
+        raise GraphInputError("stubbornness length does not match graph")
+    return g.degrees + k.k
+
+
 def operator_matrix(g: Graph, k: StubbornnessVector) -> sp.csr_matrix:
     """Sparse L + K, with 2m + n entries.
 
     Built for a factor and for dense checks; PCG applies L + K from
     ``g.adjacency`` and the diagonal deg + k instead.
     """
-    if len(k) != g.n:
-        raise GraphInputError("stubbornness length does not match graph")
-    return sp.diags(g.degrees + k.k, format="csr") - g.adjacency
+    return sp.diags(_diagonal(g, k), format="csr") - g.adjacency
 
 
 def eigen_bounds(g: Graph, k: StubbornnessVector) -> SpectralBounds:

@@ -23,7 +23,8 @@ with one pass of scipy's CSR kernel over ``Graph.adjacency``, onto a buffer
 that holds -(deg + k) * p, and M^{-1} r = (r + A (r / D)) / D with one
 more, r / D formed in that buffer, free between the residual's update and
 the next step.  So a solve holds six n-vectors (x, r, z, p, the product and
--(deg + k)), and its rho is always that of the k it applies.
+-(deg + k), which is ``graph._diagonal`` negated in place), and its rho is
+always that of the k it applies.
 
 A step is four passes over rows (the product -(L + K) p; the x and r
 updates with -r / D and -r; A (r / D) and the division by -D; and p =
@@ -75,8 +76,8 @@ from typing import Callable
 import numpy as np
 
 from fjopinion.errors import GraphInputError, NumericalError
-from fjopinion.graph import (EDGE_CHUNK, Graph, StubbornnessVector, _disagreement, _halves,
-                             _on_halves, _row_length_max, operator_matrix)
+from fjopinion.graph import (EDGE_CHUNK, Graph, StubbornnessVector, _diagonal, _disagreement,
+                             _halves, _on_halves, _row_length_max, operator_matrix)
 
 MAX_ITERATIONS = 50_000
 EPS = float(np.finfo(np.float64).eps)  # 2u for double's unit roundoff u = 2^-53
@@ -171,13 +172,6 @@ def _rho(r: np.ndarray, k: StubbornnessVector, scratch: np.ndarray) -> float:
     rho = math.sqrt(max(float(r @ scratch), 0.0)) / scale
     r /= scale
     return rho
-
-
-def _negated_diagonal(g: Graph, k: StubbornnessVector,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """-(deg + k), the diagonal of -(L + K), in ``out`` or a new vector."""
-    out = np.add(g.degrees, k.k, out=out)
-    return np.negative(out, out=out)
 
 
 def proved_rho(g: Graph, k: StubbornnessVector, b: np.ndarray, y: np.ndarray,
@@ -396,7 +390,8 @@ def _pcg(g: Graph, k: StubbornnessVector, b: np.ndarray, certify: Certificate) -
     like any other: its first step stops at p.(L+K)p = 0.
     """
     target, n = certify.target, b.size
-    neg_diag = _negated_diagonal(g, k)
+    neg_diag = _diagonal(g, k)
+    np.negative(neg_diag, out=neg_diag)  # -(deg + k), the diagonal of -(L + K)
 
     # z holds the preconditioned residual M^{-1} r; between its uses it is
     # scratch, and tp holds -(L+K) p, which the next step forms again, and

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from fjopinion import dynamics, forest, metrics
+from fjopinion import dynamics, forest, graph, metrics
 from fjopinion.generate import random_connected_gnp
 from fjopinion.graph import StubbornnessVector, eigen_bounds, laplacian_apply, operator_matrix
 from fjopinion.solver import energy_norm_certificate, solve
@@ -59,7 +59,7 @@ def check_row_substochastic(rng):
     # One update from z = 1 with s = 0 gives the row sums of QA.
     ones = dynamics.OpinionState(s=np.zeros(g.n), z=np.ones(g.n))
     row_sums = dynamics.step(g, k, ones).z
-    expected = g.degrees / (k.k + g.degrees)
+    expected = g.degrees / graph._diagonal(g, k)
     return np.abs(row_sums - expected).max() <= 1e-12 and row_sums.max() < 1.0
 
 

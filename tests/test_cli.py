@@ -184,10 +184,11 @@ def test_unreadable_path_exits_1(fixture_files, tmp_path, flag, kind, capsys):
 
 def test_missing_input_flag_exits_1(fixture_files, capsys):
     graph, _, _ = fixture_files
-    assert cli.main(["metrics", "--dist", "uniform"]) == 1
-    assert capsys.readouterr().err == "input error: --graph is required\n"
-    assert cli.main(["metrics", "--graph", str(graph)]) == 1
-    assert capsys.readouterr().err == "input error: provide --opinions FILE or --dist NAME\n"
+    for command in ("metrics", "simulate"):
+        assert cli.main([command, "--dist", "uniform"]) == 1
+        assert capsys.readouterr().err == "input error: --graph is required\n"
+        assert cli.main([command, "--graph", str(graph)]) == 1
+        assert capsys.readouterr().err == "input error: provide --opinions FILE or --dist NAME\n"
 
 
 def test_simulate_with_nan_eps_exits_1(fixture_files, capsys):

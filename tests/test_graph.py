@@ -1084,6 +1084,22 @@ class TestStubbornness:
             StubbornnessVector.from_values([1.0, float("inf")])
 
 
+class TestDiagonal:
+    def test_a_new_vector_on_every_call(self):
+        # Its callers change it in place, so no call may see another's changes.
+        g, k, _ = make_instance(np.random.default_rng(5))
+        degrees, stubbornness = g.degrees.copy(), k.k.copy()
+        first = graph_module._diagonal(g, k)
+        first *= 0.5  # as spectral_radius halves it
+        second = graph_module._diagonal(g, k)
+        np.negative(second, out=second)  # as _pcg negates it
+        third = graph_module._diagonal(g, k)
+        assert third.tobytes() == (degrees + stubbornness).tobytes()
+        for vector in (g.degrees, k.k, first, second):
+            assert not np.shares_memory(third, vector)
+        assert g.degrees.tobytes() == degrees.tobytes() and k.k.tobytes() == stubbornness.tobytes()
+
+
 class TestEigenBounds:
     def test_two_node_path(self, path2, k21):
         bounds = eigen_bounds(path2, k21)
@@ -1122,8 +1138,10 @@ class TestEigenBounds:
          "stubbornness vector must be non-empty and 1-d"),
         (lambda g: eigen_bounds(g, StubbornnessVector.uniform(3, 1.0)),
          "stubbornness length does not match graph"),
+        (lambda g: graph_module._diagonal(g, StubbornnessVector.uniform(3, 1.0)),
+         "stubbornness length does not match graph"),
     ],
-    ids=["empty-stubbornness", "eigen_bounds"],
+    ids=["empty-stubbornness", "eigen_bounds", "diagonal"],
 )
 def test_input_checks(path2, call, message):
     with pytest.raises(GraphInputError) as exc:

@@ -141,7 +141,7 @@ def test_preconditioned_residual_is_at_most_rho_squared(seed, k_range):
     g, k, _ = make_instance(rng, k_range=k_range)
     r = rng.standard_normal(g.n)
     # z = (r + A (r / D)) / D as PCG forms it: A (-r / D) added onto -r, over -D.
-    neg_diag = solver._negated_diagonal(g, k)
+    neg_diag = -graph_module._diagonal(g, k)
     z = product_onto(g.adjacency, r / neg_diag, -r) / neg_diag
     rz = float(r @ z)
     assert 0.0 < rz <= float(r @ (r / k.k))

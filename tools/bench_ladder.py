@@ -55,8 +55,12 @@ C reader refuses, so both loaders read them by their loop over the lines.  A
 second child, forked as the first was, loads that copy after the first one
 exits: ``load_edge_list``, then ``load_node_values`` of each value file, with
 no ``value_rows_ahead``.  It checks the vectors against the instance and prints
-one more JSON line: the seconds of each call, ru_maxrss after loading, and
-the tracemalloc peak of a second call of each, made with only its graph kept.
+one more JSON line: the seconds of each call, with ``load_edge_list`` split
+into its three stages (``lines_s``, the read, the loop over the lines and
+``_parse_id`` on the distinct tokens; ``id_remap_s``, its two ``_first_seen``
+calls; and ``from_arrays_s``, ``Graph.from_arrays``), ru_maxrss after
+loading, and the tracemalloc peak of a second call of each, made with only
+its graph kept.
 """
 
 import argparse
@@ -270,20 +274,32 @@ def load_string_files(folder, n):
     """The second forked child's run: load the string-id copy, print the line."""
     from fjopinion import graph
 
+    # The names load_edge_list's loop path looks up for its last two stages.
+    remap_s, build_s = [], []
+    graph._first_seen = timed(graph._first_seen, remap_s)
+    graph.Graph.from_arrays = timed(graph.Graph.from_arrays, build_s)
+
     g_path, k_path, s_path = (os.path.join(folder, name) for name in STRING_FILES)
     t0 = time.perf_counter()
     g = graph.load_edge_list(g_path)
     t1 = time.perf_counter()
+    stages = [list(seconds) for seconds in (remap_s, build_s)]
     k = graph.load_node_values(k_path, g, name="stubbornness")
     t2 = time.perf_counter()
     s = graph.load_node_values(s_path, g, name="opinion", lo=-1.0, hi=1.0)
     t3 = time.perf_counter()
     rss = maxrss_mb()
     check_values(n, g, k, s, lambda label: int(label[1:]))
+    if [len(seconds) for seconds in stages] != [2, 1]:
+        raise SystemExit(f"the string-id edge list did not number its ids in two stages: {stages}")
+    remap, build = sum(stages[0]), stages[1][0]
     line = {
         "n": g.n, "m": g.m, "string_files": True,
         "ids": str(g.ids.dtype),
         "load_edge_list_s": round(t1 - t0, 4),
+        "lines_s": round(t1 - t0 - remap - build, 4),
+        "id_remap_s": round(remap, 4),
+        "from_arrays_s": round(build, 4),
         "load_node_values_s": [round(t2 - t1, 4), round(t3 - t2, 4)],
         "maxrss_after_load_mb": rss,
     }
