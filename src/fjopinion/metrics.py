@@ -8,7 +8,9 @@ The modes differ only in the accuracy proved: approximate mode the
 requested eps, exact mode ``EQUILIBRIUM_DELTA`` (1e-12).  The proof holds
 in floating point: the residual's rounding is counted, and where a double
 residual cannot prove the target, ``solve`` refines the solution on
-residuals formed in long double.
+residuals formed in long double.  A system with no edges, or with zero
+centered opinions, needs no solve: its centered equilibrium is the centered
+opinions themselves, and it is reported in closed form.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -41,7 +43,10 @@ class MetricsReport:
     the refinement sweeps after it could shrink the proved residual enough
     to prove eps (see ``solver.SolverResult``); "" where no solve ran.
     ``solver_iterations`` counts the PCG steps of the first solve and of
-    every sweep's correction (0 on a forest).
+    every sweep's correction (0 on a forest).  A system with no edges, or
+    with zero centered opinions, has the centered opinions as its
+    equilibrium and is reported in closed form with no solve: 0 iterations,
+    ``error_bound`` 0.0 and ``stop_reason`` "".
     """
 
     conflict: float
@@ -151,18 +156,6 @@ def _pointwise(k, s0, q):
     return float(k.k @ sq), p0
 
 
-def _norms(g, k, s0, q):
-    """C = k.(q - s0)^2, D and k.q^2 of a centered solve q.
-
-    Without edges L = 0, so q = s0 and C = D = 0 exactly; the computed C
-    would only hold the solve's rounding residue.
-    """
-    if g.m == 0:
-        return 0.0, 0.0, float(k.k @ (q * q))
-    conflict, p0 = _pointwise(k, s0, q)
-    return conflict, _disagreement(g, q), p0
-
-
 def _relative_bound(value, shift, rho):
     """Proved relative error of value + shift when sqrt(value) is off by <= rho.
 
@@ -176,23 +169,9 @@ def _relative_bound(value, shift, rho):
     return err / low if low > 0.0 else math.inf
 
 
-@dataclass(frozen=True)
-class _MetricsCertificate(Certificate):
-    """A ``Certificate`` that keeps the norms of the iterate it judged last.
-
-    ``judged`` holds that iterate and its (C, D, k.q^2) as ``bound`` took
-    them, so that the report need not take them again.
-    """
-
-    judged: list = field(default_factory=list)
-
-    def norms_of(self, q):
-        """(C, D, k.q^2) of q if q is the iterate ``bound`` judged last, else None."""
-        return self.judged[1] if self.judged and self.judged[0] is q else None
-
-
 def _metrics_certificate(g, k, s0, b, shift, eps):
-    """Certify C, D, P and P + D of a solve of (L+K) q = b = K s0 to relative eps.
+    """Certify C, D, P and P + D of a solve of (L+K) q = b = K s0 to relative
+    eps, on a graph with edges.
 
     With rho = ||K^{-1/2} r|| the error e = q - q~ has ||e||_{L+K} <= rho, and
     ||e||_{L+K}^2 = ||K^{1/2} e||^2 + ||L^{1/2} e||^2, so sqrt(C), sqrt(D),
@@ -206,26 +185,30 @@ def _metrics_certificate(g, k, s0, b, shift, eps):
     The estimate is the same bound in O(n), with no pass over the edges: the
     identity gives D from C, k.q^2 and q.r.  Fed PCG's recurrence residual,
     it is only a guess.
+
+    Returns the ``Certificate`` and ``norms_of(q)``: the (C, D, k.q^2) that
+    ``bound`` took of q if q is the iterate it judged last, else None, so
+    that the report need not take them again.
     """
     s0_b = float(s0 @ b)
     budget = s0_b + shift  # sum k_i s_i^2 of s as given, as k.s0 = 0
     judged = []
 
     def worst(conflict, disagreement, p0, law, rho):
-        rho_cd = rho if g.m else 0.0  # no edges: C = D = 0 whatever q is
         return max(
-            _relative_bound(conflict, 0.0, rho_cd),
-            _relative_bound(disagreement, 0.0, rho_cd),
+            _relative_bound(conflict, 0.0, rho),
+            _relative_bound(disagreement, 0.0, rho),
             _relative_bound(p0, shift, rho),
             _relative_bound(p0 + disagreement, shift, rho),
             law / budget if law else 0.0,  # the law holds exactly, also where budget = 0
         )
 
     def bound(q, r, rho):
-        norms = _norms(g, k, s0, q)
-        judged[:] = (q, norms)
-        conflict, disagreement, p0 = norms
-        return worst(*norms, abs(conflict + 2.0 * disagreement + p0 - s0_b), rho)
+        conflict, p0 = _pointwise(k, s0, q)
+        disagreement = _disagreement(g, q)
+        judged[:] = q, (conflict, disagreement, p0)
+        return worst(conflict, disagreement, p0, abs(conflict + 2.0 * disagreement + p0 - s0_b),
+                     rho)
 
     def estimate(q, r, rho):
         conflict, p0 = _pointwise(k, s0, q)
@@ -233,7 +216,10 @@ def _metrics_certificate(g, k, s0, b, shift, eps):
         disagreement = max(0.5 * (s0_b - 2.0 * qr - conflict - p0), 0.0)
         return worst(conflict, disagreement, p0, 2.0 * abs(qr), rho)
 
-    return _MetricsCertificate(target=eps, bound=bound, estimate=estimate, judged=judged)
+    def norms_of(q):
+        return judged[1] if judged and judged[0] is q else None
+
+    return Certificate(target=eps, bound=bound, estimate=estimate), norms_of
 
 
 def _pipeline(g, k, s, mode, eps):
@@ -247,9 +233,10 @@ def _pipeline(g, k, s, mode, eps):
     of an approximate q's error, so a bound on sqrt(k.q^2) covers P too.
     q comes from ``solve`` under that certificate, judged on its
     true residual; every solve ends on a check of the q it returns, so the
-    report takes C, D and k.q^2 from that check (all 0 where s0 = 0, with
-    no solve).  ``mode`` only labels the report.  Returns the report and
-    z = q + c.
+    report takes C, D and k.q^2 from that check.  Where L s0 = 0 (no edges,
+    or s0 = 0) q = s0 exactly, so C = D = 0 and k.q^2 = k.s0^2, reported
+    with no solve: 0 iterations and ``error_bound`` 0.  ``mode`` only labels
+    the report.  Returns the report and z = q + c.
     """
     if not (0.0 < eps < 0.5):
         raise GraphInputError(f"eps must be in (0, 1/2), got {eps}")
@@ -262,16 +249,18 @@ def _pipeline(g, k, s, mode, eps):
         s0 = np.zeros(g.n)
 
     t0 = time.perf_counter()
-    q, norms, provenance = s0, (0.0, 0.0, 0.0), {"delta_used": 0.0}  # q = s0 = 0 unless solved
-    if s0.any():
+    nonzero = bool(s0.any())
+    # delta_budget raises first where ||s0|| underflows to 0.
+    provenance = {"delta_used": delta_budget(g, k, s0, eps).delta if nonzero else 0.0}
+    if g.m and nonzero:
         b = k.k * s0
-        delta = delta_budget(g, k, s0, eps).delta  # raises first where ||s0|| underflows to 0
-        certificate = _metrics_certificate(g, k, s0, b, shift, eps)
+        certificate, norms_of = _metrics_certificate(g, k, s0, b, shift, eps)
         res = solve(g, k, b, certificate)
-        q, norms = res.y, certificate.norms_of(res.y)
-        provenance = dict(delta_used=delta, certified=res.certified,
-                          solver_iterations=res.iterations, error_bound=res.bound,
-                          stop_reason=res.stop_reason)
+        q, norms = res.y, norms_of(res.y)
+        provenance.update(certified=res.certified, solver_iterations=res.iterations,
+                          error_bound=res.bound, stop_reason=res.stop_reason)
+    else:  # L s0 = 0, so q = s0 exactly and C = D = 0: no solve
+        q, norms = s0, (0.0, 0.0, float(k.k @ (s0 * s0)))
     t1 = time.perf_counter()
 
     conflict, disagreement, p0 = norms

@@ -128,14 +128,15 @@ def energy_norm_certificate(b: np.ndarray, delta: float) -> Certificate:
 class SolverResult:
     """The returned iterate and how it was obtained.
 
-    ``y`` is the last iterate.  ``stop_reason`` is "certified" exactly when
-    ``certified`` is true, a forest's factor solution included.  Otherwise
-    it says why iteration ended: "stagnated" (a failed check found rho no
-    smaller than at the previous failed check, r.M^{-1}r fell to eps^2 of
-    its start, or the search direction underflowed to zero; for ``solve``,
-    a refinement sweep that did not shrink rho), "maxiter", or "breakdown"
-    (a direction of negative curvature, or NaN: L + K is not positive
-    definite).
+    ``y`` is the last iterate, or, after ``solve``'s refinement sweeps, the
+    one of least bound they judged; the certificate's last judgment is of
+    ``y``.  ``stop_reason`` is "certified" exactly when ``certified`` is
+    true, a forest's factor solution included.  Otherwise it says why
+    iteration ended: "stagnated" (a failed check found rho no smaller than
+    at the previous failed check, r.M^{-1}r fell to eps^2 of its start, or
+    the search direction underflowed to zero; for ``solve``, a refinement
+    sweep that did not shrink rho), "maxiter", or "breakdown" (a direction
+    of negative curvature, or NaN: L + K is not positive definite).
     ``bound`` is the certificate's proved bound for ``y``, judged on its
     true residual with its rounding counted, also when it misses the
     target; ``rho`` is the proved bound on ||y - x*||_{L+K} it was judged
@@ -335,7 +336,9 @@ def solve(g: Graph, k: StubbornnessVector, b: np.ndarray, certify: Certificate) 
     rho(y) + ||y - q||_{L+K}, which bounds ||q - x*||_{L+K}; the first sweep
     judges the first solve's y so, before any correction.  Sweeps stop once
     ``certify`` holds or once a sweep's rho(y) is no smaller than the last
-    one's, as PCG's checks stop (stop_reason "stagnated").
+    one's, as PCG's checks stop (stop_reason "stagnated").  The q of least
+    bound judged is returned, judged once more where a later sweep judged
+    worse: that holds one more q and its residual, only while sweeps run.
     ``iterations`` counts every PCG step run, 0 on a forest.  Nothing is
     kept after the call.  Deterministic for fixed inputs.
     """
@@ -356,7 +359,8 @@ def solve(g: Graph, k: StubbornnessVector, b: np.ndarray, certify: Certificate) 
     if res.certified:
         return res
     r, scratch = np.empty_like(b), np.empty_like(b)
-    y, iterations, last = res.y.astype(np.longdouble), res.iterations, math.inf
+    # kept: (bound, q, r, rho) of the least bound judged before the last sweep.
+    y, iterations, last, kept = res.y.astype(np.longdouble), res.iterations, math.inf, (math.inf,)
     while True:
         rho = proved_rho(g, k, b, y, r, scratch)
         q = y.astype(np.float64)
@@ -365,6 +369,8 @@ def solve(g: Graph, k: StubbornnessVector, b: np.ndarray, certify: Certificate) 
         bound = certify.bound(q, r, rho + gap)
         if bound <= target or not rho < last:
             break
+        if bound < kept[0]:
+            kept = bound, q, r.copy(), rho + gap
         last = rho
         if lu is None:
             sweep = _pcg(g, k, r, energy_norm_certificate(r, SWEEP_DELTA))
@@ -372,9 +378,15 @@ def solve(g: Graph, k: StubbornnessVector, b: np.ndarray, certify: Certificate) 
             iterations += sweep.iterations
         else:
             y += lu.solve(r)
+    rho += gap
+    if kept[0] < bound:
+        # The last sweep judged worse: judge the kept q again, so that the
+        # certificate's last judgment is of the q returned.
+        _, q, r, rho = kept
+        bound = certify.bound(q, r, rho)
     certified = bound <= target
     return SolverResult(y=q, iterations=iterations, certified=certified, bound=bound,
-                        stop_reason="certified" if certified else "stagnated", rho=rho + gap)
+                        stop_reason="certified" if certified else "stagnated", rho=rho)
 
 
 def _pcg(g: Graph, k: StubbornnessVector, b: np.ndarray, certify: Certificate) -> SolverResult:

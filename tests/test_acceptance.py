@@ -232,8 +232,14 @@ def test_hand_verified_fixtures():
 # Times approxim in CPU seconds of a child process whose BLAS runs on one
 # thread: wall time swings with the load other processes put on the host, and
 # a threaded BLAS adds its workers' time, spinning included, to process time.
+# The child also pins itself to one CPU where it can, so that no pass over
+# the adjacency splits onto a worker thread (the top rung's 2e6 entries lie
+# above graph.SPLIT_ENTRIES) whose time process time would add too, and it
+# takes the least of seven calls at every rung.
 SCALING_PROBE = """
-import json, sys, time
+import json, os, sys, time
+if hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 import numpy as np
 from fjopinion.generate import generate_opinions, random_regular_graph
 from fjopinion.graph import StubbornnessVector
@@ -244,8 +250,8 @@ for n in json.loads(sys.argv[1]):
     rng = np.random.default_rng(n)
     k = StubbornnessVector.from_values(rng.uniform(0.5, 2.0, size=g.n))
     s = generate_opinions(g.n, "uniform", n + 1)
-    best = float("inf")  # min of three calls
-    for _ in range(3):
+    best = float("inf")
+    for _ in range(7):
         t = time.process_time()
         approxim(g, k, s, eps=1e-6)
         best = min(best, time.process_time() - t)

@@ -149,7 +149,7 @@ def pcg_under_metrics_certificate(g, k, s, eps):
     """Certified PCG alone on the pipeline's centered system, as no mode runs it on a forest."""
     s0, c = dynamics._center(s, k)
     b = k.k * s0
-    certificate = _metrics_certificate(g, k, s0, b, c * c * float(k.k.sum()), eps)
+    certificate, _ = _metrics_certificate(g, k, s0, b, c * c * float(k.k.sum()), eps)
     return solver._pcg(g, k, b, certificate)
 
 
@@ -191,10 +191,6 @@ class TestApproxim:
         exact = metrics_exact(g, k, s)
         approx = approxim(g, k, s, eps=1e-6)
         assert approx.certified
-        # A graph without edges is a forest, so approxim factors it; PCG
-        # alone must certify it under the same certificate too.
-        pcg = pcg_under_metrics_certificate(g, k, s, 1e-6)
-        assert pcg.certified and pcg.iterations >= 1
         assert approx.disagreement == 0.0 and approx.conflict == pytest.approx(0.0, abs=1e-24)
         assert approx.sum_z == pytest.approx(s.sum(), rel=1e-12)  # z = s
         for key in ("polarization", "pd_index", "sum_z", "weighted_sum_z"):
@@ -295,6 +291,68 @@ class TestBelowTheFloor:
         assert calls == [] and r.stop_reason == "stagnated"
 
 
+def test_a_stagnated_solve_reports_the_least_bound_it_judged(monkeypatch):
+    # On regular-3000 at eps 1e-16 PCG stagnates, and the refinement sweeps
+    # stop once their rho no longer shrinks.  The wrapped bound grows tenfold
+    # with each new q the sweeps judge, so the first sweep's q, PCG's own, has
+    # the least bound, and the last sweep judges worse.  The report must come
+    # from that first q: its bound, and the norms of that q, not the last one's.
+    g = random_regular_graph(3000, 4, 1)
+    k = generate_stubbornness(g.n, 0.5, 2.0, 2)
+    s = generate_opinions(g.n, "powerlaw", 3)
+    dtypes, real_rho = [], solver.proved_rho
+
+    def proved_rho(g_, k_, b, y, *rest):
+        dtypes.append(y.dtype)  # long double in a sweep, float64 in PCG's own check
+        return real_rho(g_, k_, b, y, *rest)
+
+    monkeypatch.setattr(solver, "proved_rho", proved_rho)
+    distinct, swept, certificate = [], [], metrics._metrics_certificate
+
+    def wrapped(*args):
+        certify, norms_of = certificate(*args)
+
+        def bound(q, r, rho):
+            value = certify.bound(q, r, rho)
+            if dtypes[-1] == np.float64:
+                return value
+            if q.tobytes() not in distinct:
+                distinct.append(q.tobytes())
+            value *= 10.0 ** distinct.index(q.tobytes())
+            swept.append((q.copy(), value))
+            return value
+
+        return dataclasses.replace(certify, bound=bound), norms_of
+
+    monkeypatch.setattr(metrics, "_metrics_certificate", wrapped)
+    report = approxim(g, k, s, 1e-16)
+    assert len(distinct) >= 2 and swept[len(distinct) - 1][1] > swept[0][1]
+    assert report.stop_reason == "stagnated" and report.error_bound == swept[0][1]
+    q, (s0, c) = swept[0][0], dynamics._center(s, k)
+    conflict, p0 = metrics._pointwise(k, s0, q)
+    assert report.conflict == conflict and report.disagreement == metrics._disagreement(g, q)
+    assert report.polarization == p0 + c * c * float(k.k.sum())
+
+
+@pytest.mark.parametrize("mode", ["approx", "exact"])
+def test_an_edgeless_graph_is_reported_without_a_solve(mode, monkeypatch):
+    # L = 0, so q = s0 exactly and C = D = 0: no factor and no solve.
+    g = Graph.from_arrays([], [], [], 3)
+    k = StubbornnessVector.from_values([0.5, 1.0, 2.0])
+    s = np.array([0.5, -0.25, 1.0])
+    solves, real_solve = [], metrics.solve
+    monkeypatch.setattr(metrics, "solve", lambda *args: solves.append(1) or real_solve(*args))
+    calls = count_splu(monkeypatch)
+    r = approxim(g, k, s, 1e-6) if mode == "approx" else metrics_exact(g, k, s)
+    assert calls == [] and solves == []
+    assert r.certified and r.solver_iterations == 0
+    assert r.error_bound == 0.0 and r.stop_reason == ""
+    assert r.delta_used == delta_budget(g, k, dynamics.center_opinions(s, k), r.eps_requested).delta
+    assert r.conflict == r.disagreement == 0.0
+    assert r.polarization == r.pd_index == pytest.approx(float(k.k @ s**2), rel=1e-15)
+    assert r.sum_z == pytest.approx(s.sum(), rel=1e-15)  # z = s
+
+
 @pytest.fixture(scope="module")
 def regular_20k():
     """perfbench's solve instance at n = 20 000: PCG alone, no factor."""
@@ -351,8 +409,12 @@ class TestOneCheckPerSolve:
         s = generate_opinions(g.n, dist, 3)
         aimed = approxim(g, k, s, eps)
         certificate = metrics._metrics_certificate
-        monkeypatch.setattr(metrics, "_metrics_certificate",
-                            lambda *args: dataclasses.replace(certificate(*args), estimate=None))
+
+        def without_estimate(*args):
+            certify, norms_of = certificate(*args)
+            return dataclasses.replace(certify, estimate=None), norms_of
+
+        monkeypatch.setattr(metrics, "_metrics_certificate", without_estimate)
         unaimed = approxim(g, k, s, eps)
         for key in ("solver_iterations", "stop_reason", "error_bound", "certified"):
             assert getattr(aimed, key) == getattr(unaimed, key), key
@@ -368,7 +430,7 @@ class TestOneCheckPerSolve:
         g, k = regular_20k
         s0, c = dynamics._center(generate_opinions(g.n, dist, 3), k)
         b = k.k * s0
-        certificate = _metrics_certificate(g, k, s0, b, c * c * float(k.k.sum()), eps)
+        certificate, _ = _metrics_certificate(g, k, s0, b, c * c * float(k.k.sum()), eps)
         free = solve(g, k, b, dataclasses.replace(certificate, estimate=None))
         forced = solve(g, k, b, dataclasses.replace(certificate, estimate=lambda y, r, rho: guess))
         assert forced.y.tobytes() == free.y.tobytes()
@@ -665,7 +727,7 @@ def test_the_check_counts_the_rounding_of_its_residual():
     s = generate_opinions(g.n, "powerlaw", 3)
     s0, c = dynamics._center(s, k)
     b = k.k * s0
-    certify = _metrics_certificate(g, k, s0, b, c * c * float(k.k.sum()), 1e-12)
+    certify, _ = _metrics_certificate(g, k, s0, b, c * c * float(k.k.sum()), 1e-12)
     res = solver._pcg(g, k, b, certify)
     r = b - (g.degrees + k.k) * res.y + g.adjacency @ res.y
     bare = certify.bound(res.y, r, math.sqrt(float(r @ (r / k.k))))

@@ -40,27 +40,30 @@ edge list ``u v`` per line with the node ids permuted over [0, 10n) (seed 11),
 and the stubbornness and opinion files, ``node value`` per line.  A child
 forked before the instance was built loads them as ``fjopinion metrics``
 does (the value files through ``value_rows_ahead`` while the edge list
-parses), so that its ru_maxrss covers the loading alone, checks the vectors
-against the instance, and prints one more JSON line: the seconds of
-``load_edge_list`` and of its three stages (the read and parse,
-``_numeric_rows``; the id remap, ``_first_seen_ints``; and
+parses), ``--repeats`` times, each load freed before the next, so that its
+ru_maxrss covers the loading alone.  It checks the vectors against the
+instance each time and prints one more JSON line: the medians over the
+loads of the seconds of ``load_edge_list`` and of its three stages (the
+read and parse, ``_numeric_rows``; the id remap, ``_first_seen_ints``; and
 ``Graph.from_arrays``), of the wait for the value rows (from the end of
 ``load_edge_list`` to the return of ``value_rows_ahead``) and of each
 ``load_node_values`` call, the dtype of ``g.ids`` (its type where it is no
-array), ru_maxrss after loading, and the tracemalloc peak of a second
-``load_edge_list`` call, made once the loaded graph and vectors are freed.
+array), ru_maxrss after the first load, and the tracemalloc peak of one
+more ``load_edge_list`` call, made once the loaded graph and vectors are
+freed.
 
 The same files are also written with each id i spelled ``v<i>``, which the
 C reader refuses, so both loaders read them by their loop over the lines.  A
 second child, forked as the first was, loads that copy after the first one
 exits: ``load_edge_list``, then ``load_node_values`` of each value file, with
-no ``value_rows_ahead``.  It checks the vectors against the instance and prints
-one more JSON line: the seconds of each call, with ``load_edge_list`` split
+no ``value_rows_ahead``, ``--repeats`` times.  It checks the vectors against
+the instance each time and prints one more JSON line: the medians over the
+loads of the seconds of each call, with ``load_edge_list`` split
 into its three stages (``lines_s``, the read, the loop over the lines and
 ``_parse_id`` on the distinct tokens; ``id_remap_s``, its two ``_first_seen``
-calls; and ``from_arrays_s``, ``Graph.from_arrays``), ru_maxrss after
-loading, and the tracemalloc peak of a second call of each, made with only
-its graph kept.
+calls; and ``from_arrays_s``, ``Graph.from_arrays``), ru_maxrss after the
+first load, and the tracemalloc peak of one more call of each, made with
+only its graph kept.
 """
 
 import argparse
@@ -221,8 +224,19 @@ def add_peak(line, name, n, fn, *args):
     line[f"{name}_peak_mb"], line[f"{name}_peak_vectors"] = mib(peak), round(peak / (8 * n), 2)
 
 
-def load_files(folder, n):
-    """The forked child's run: load the files as the CLI does, print the line."""
+def medians(runs):
+    """Each key's median over the runs, a list's element by element, in s to 0.1 ms."""
+    def median(values):
+        return round(statistics.median(values), 4)
+
+    return {key: [median(column) for column in zip(*(run[key] for run in runs))]
+            if isinstance(runs[0][key], list) else median([run[key] for run in runs])
+            for key in runs[0]}
+
+
+def load_files(folder, n, repeats):
+    """The forked child's run: load the files as the CLI does ``repeats``
+    times, print the line."""
     from fjopinion import graph
 
     # The names load_edge_list looks up for its three stages.
@@ -232,46 +246,50 @@ def load_files(folder, n):
     graph.Graph.from_arrays = timed(graph.Graph.from_arrays, build_s)
 
     g_path, k_path, s_path = (os.path.join(folder, name) for name in FILES)
-    parse_end = []
+    parse_end, runs = [], []
 
     def parse():
         g = graph.load_edge_list(g_path)
         parse_end.append(time.perf_counter())
         return g
 
-    t0 = time.perf_counter()
-    g, rows = graph.value_rows_ahead([k_path, s_path], parse)
-    t2 = time.perf_counter()
-    t1 = parse_end[0]
-    stages = [list(seconds) for seconds in (parse_s, remap_s, build_s)]
-    k = graph.load_node_values(k_path, g, name="stubbornness", rows=rows.get(k_path))
-    t3 = time.perf_counter()
-    s = graph.load_node_values(s_path, g, name="opinion", lo=-1.0, hi=1.0, rows=rows.get(s_path))
-    t4 = time.perf_counter()
-    rss = maxrss_mb()
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        g, rows = graph.value_rows_ahead([k_path, s_path], parse)
+        t2 = time.perf_counter()
+        t1 = parse_end[-1]
+        k = graph.load_node_values(k_path, g, name="stubbornness", rows=rows.get(k_path))
+        t3 = time.perf_counter()
+        s = graph.load_node_values(s_path, g, name="opinion", lo=-1.0, hi=1.0,
+                                   rows=rows.get(s_path))
+        t4 = time.perf_counter()
+        if not runs:  # the first load's
+            rss, ids = maxrss_mb(), str(getattr(g.ids, "dtype", type(g.ids).__name__))
 
-    check_values(n, g, k, s, int)
-    if [len(seconds) for seconds in stages] != [1, 1, 1]:
-        raise SystemExit(f"the edge list did not take the C path: {stages}")
-    line = {
-        "n": g.n, "m": g.m, "files": True,
-        "ids": str(getattr(g.ids, "dtype", type(g.ids).__name__)),
-        "load_edge_list_s": round(t1 - t0, 4),
-        "parse_s": round(stages[0][0], 4),
-        "id_remap_s": round(stages[1][0], 4),
-        "from_arrays_s": round(stages[2][0], 4),
-        "value_rows_wait_s": round(t2 - t1, 4),
-        "load_node_values_s": [round(t3 - t2, 4), round(t4 - t3, 4)],
-        "load_s": round(t4 - t0, 4),
-        "maxrss_after_load_mb": rss,
-    }
-    del g, k, s
+        check_values(n, g, k, s, int)
+        stages = [len(seconds) for seconds in (parse_s, remap_s, build_s)]
+        if stages != [len(runs) + 1] * 3:
+            raise SystemExit(f"the edge list did not take the C path: {stages}")
+        runs.append({
+            "load_edge_list_s": t1 - t0,
+            "parse_s": parse_s[-1],
+            "id_remap_s": remap_s[-1],
+            "from_arrays_s": build_s[-1],
+            "value_rows_wait_s": t2 - t1,
+            "load_node_values_s": [t3 - t2, t4 - t3],
+            "load_s": t4 - t0,
+        })
+        size = {"n": g.n, "m": g.m}
+        del g, k, s, rows
+    line = {**size, "files": True, "ids": ids, "repeats": repeats, **medians(runs),
+            "maxrss_after_load_mb": rss}
     line["load_edge_list_peak_mb"] = mib(traced(graph.load_edge_list, g_path)[1])
     print(json.dumps(line), flush=True)
 
 
-def load_string_files(folder, n):
-    """The second forked child's run: load the string-id copy, print the line."""
+def load_string_files(folder, n, repeats):
+    """The second forked child's run: load the string-id copy ``repeats``
+    times, print the line."""
     from fjopinion import graph
 
     # The names load_edge_list's loop path looks up for its last two stages.
@@ -280,30 +298,34 @@ def load_string_files(folder, n):
     graph.Graph.from_arrays = timed(graph.Graph.from_arrays, build_s)
 
     g_path, k_path, s_path = (os.path.join(folder, name) for name in STRING_FILES)
-    t0 = time.perf_counter()
-    g = graph.load_edge_list(g_path)
-    t1 = time.perf_counter()
-    stages = [list(seconds) for seconds in (remap_s, build_s)]
-    k = graph.load_node_values(k_path, g, name="stubbornness")
-    t2 = time.perf_counter()
-    s = graph.load_node_values(s_path, g, name="opinion", lo=-1.0, hi=1.0)
-    t3 = time.perf_counter()
-    rss = maxrss_mb()
-    check_values(n, g, k, s, lambda label: int(label[1:]))
-    if [len(seconds) for seconds in stages] != [2, 1]:
-        raise SystemExit(f"the string-id edge list did not number its ids in two stages: {stages}")
-    remap, build = sum(stages[0]), stages[1][0]
-    line = {
-        "n": g.n, "m": g.m, "string_files": True,
-        "ids": str(g.ids.dtype),
-        "load_edge_list_s": round(t1 - t0, 4),
-        "lines_s": round(t1 - t0 - remap - build, 4),
-        "id_remap_s": round(remap, 4),
-        "from_arrays_s": round(build, 4),
-        "load_node_values_s": [round(t2 - t1, 4), round(t3 - t2, 4)],
-        "maxrss_after_load_mb": rss,
-    }
-    del g, k, s
+    runs = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        g = graph.load_edge_list(g_path)
+        t1 = time.perf_counter()
+        k = graph.load_node_values(k_path, g, name="stubbornness")
+        t2 = time.perf_counter()
+        s = graph.load_node_values(s_path, g, name="opinion", lo=-1.0, hi=1.0)
+        t3 = time.perf_counter()
+        if not runs:  # the first load's
+            rss = maxrss_mb()
+        check_values(n, g, k, s, lambda label: int(label[1:]))
+        stages = [len(seconds) for seconds in (remap_s, build_s)]
+        if stages != [2 * len(runs) + 2, len(runs) + 1]:
+            raise SystemExit("the string-id edge list did not number its ids in two stages: "
+                             f"{stages}")
+        remap, build = sum(remap_s[-2:]), build_s[-1]
+        runs.append({
+            "load_edge_list_s": t1 - t0,
+            "lines_s": t1 - t0 - remap - build,
+            "id_remap_s": remap,
+            "from_arrays_s": build,
+            "load_node_values_s": [t2 - t1, t3 - t2],
+        })
+        size, ids = {"n": g.n, "m": g.m}, str(g.ids.dtype)
+        del g, k, s
+    line = {**size, "string_files": True, "ids": ids, "repeats": repeats,
+            **medians(runs), "maxrss_after_load_mb": rss}
     g, peak = traced(graph.load_edge_list, g_path)
     line["load_edge_list_peak_mb"] = mib(peak)
     line["load_node_values_peak_mb"] = [
@@ -313,9 +335,9 @@ def load_string_files(folder, n):
     print(json.dumps(line), flush=True)
 
 
-def fork_loader(load, n, others):
+def fork_loader(load, n, repeats, others):
     """A child that waits for the folder's name on a pipe, then runs
-    ``load(folder, n)``; returns its pid and the pipe's write end.
+    ``load(folder, n, repeats)``; returns its pid and the pipe's write end.
     ``others``: the write ends of children forked before, which this one
     closes, or their reads would not see the end of the pipe."""
     read_end, write_end = os.pipe()
@@ -328,7 +350,7 @@ def fork_loader(load, n, others):
             with os.fdopen(read_end) as pipe:
                 folder = pipe.read()
             if folder:  # empty: the parent stopped before writing the files
-                load(folder, n)
+                load(folder, n, repeats)
             code = 0
         except BaseException:
             traceback.print_exc()
@@ -353,7 +375,7 @@ def main():
     # the parent's RSS at the fork.
     loaders = []
     for load in (load_files, load_string_files):
-        loaders.append(fork_loader(load, args.n, [pipe for _, pipe in loaders]))
+        loaders.append(fork_loader(load, args.n, args.repeats, [pipe for _, pipe in loaders]))
     t0 = time.perf_counter()
     g, k, s = instance(args.n, args.degree)
     setup_s = time.perf_counter() - t0
