@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fjopinion.errors import SizeGuardError
+from fjopinion.errors import GraphInputError, SizeGuardError
 from fjopinion.graph import Graph, StubbornnessVector
 
 NODE_CAP = 12
@@ -34,6 +34,8 @@ class MappedDigraph:
 
     @classmethod
     def of(cls, g: Graph, k: StubbornnessVector) -> "MappedDigraph":
+        if len(k) != g.n:
+            raise GraphInputError("stubbornness length does not match graph")
         arcs = []
         for u, v, w in zip(g.edge_u, g.edge_v, g.edge_w):
             arcs.append((int(u), int(v), float(w) / k.k[u]))

@@ -17,6 +17,15 @@ NORMAL_SIGMA = 1.0 / 3.0
 EDGE_WEIGHTS = (0.5, 2.0)
 
 
+def _rng(seed) -> np.random.Generator:
+    """numpy's generator for ``seed`` (None draws fresh entropy); a seed
+    numpy rejects, negative or not an integer, is an input error."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise GraphInputError(f"seed {seed!r}: {exc}") from None
+
+
 def generate_opinions(n: int, distribution: str, seed: int) -> np.ndarray:
     """Deterministic innate opinions mapped into [-1, 1].
 
@@ -26,7 +35,7 @@ def generate_opinions(n: int, distribution: str, seed: int) -> np.ndarray:
     """
     if n < 1:
         raise GraphInputError("n must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     if distribution == "uniform":
         return rng.uniform(-1.0, 1.0, size=n)
     if distribution == "normal":
@@ -50,7 +59,7 @@ def generate_stubbornness(n: int, lo: float, hi: float, seed: int) -> Stubbornne
     """Uniform random stubbornness in [lo, hi], seeded."""
     if not (0.0 < lo <= hi):
         raise GraphInputError("stubbornness range must satisfy 0 < lo <= hi")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     return StubbornnessVector.from_values(rng.uniform(lo, hi, size=n))
 
 
@@ -63,7 +72,7 @@ def random_regular_graph(n: int, degree: int, seed: int) -> Graph:
     """
     if n < 2 or degree < 1 or n * degree % 2 != 0:
         raise GraphInputError("need n >= 2 and n * degree even")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     stubs = np.repeat(np.arange(n), degree)
     rng.shuffle(stubs)
     u = stubs[0::2]
@@ -76,7 +85,7 @@ def random_regular_graph(n: int, degree: int, seed: int) -> Graph:
 
 def random_connected_gnp(n: int, p: float, seed: int) -> Graph:
     """G(n, p) plus a random spanning path so the result is connected."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     order = rng.permutation(n)
     path_u, path_v = order[:-1], order[1:]
     path_w = rng.uniform(*EDGE_WEIGHTS, size=path_v.size)

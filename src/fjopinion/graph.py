@@ -42,8 +42,12 @@ Where a matrix holds at least ``SPLIT_ENTRIES`` entries and the process
 may use two CPUs, ``_halves`` cuts the rows at the entries' midpoint, and
 ``_on_halves`` runs a caller's part on the rows before the cut in the
 calling thread and on the rest in one worker thread; otherwise there is
-one block and the part runs once, in the calling thread.  The kernel and
-numpy's loops over float64 arrays release the GIL, so the halves overlap.
+one block and the part runs once, in the calling thread.  The worker is
+``_worker``, a one-thread executor made at import and made anew in a
+forked child, where the parent's thread does not run.  It starts its
+thread on its first split pass, so a process that never splits runs none.
+The kernel and numpy's loops over float64 arrays release the GIL, so the
+halves overlap.
 Every pass of a step loop is such a part, and ``_disagreement`` hands
 every second slice of the edges to the worker.  Each row is still summed
 by the same kernel over its entries in order, each element still formed
@@ -60,8 +64,8 @@ import hashlib
 import io
 import math
 import os
-import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -297,11 +301,15 @@ def build_graph(edge_triples) -> Graph:
     """
     labels = []
     weights = []
-    for u, v, weight in edge_triples:
+    for i, triple in enumerate(edge_triples, 1):
+        try:
+            u, v, weight = triple
+            weights.append(float(weight))
+        except (TypeError, ValueError) as exc:
+            raise GraphInputError(f"edge {i}: bad triple {triple!r} ({exc})") from None
         labels += (u, v)
-        weights.append(weight)
     node, firsts = _first_seen(labels)
-    w = np.fromiter(map(float, weights), np.float64, len(weights))
+    w = np.array(weights, dtype=np.float64)
     return Graph.from_arrays(node[0::2], node[1::2], w, firsts.size, [labels[i] for i in firsts])
 
 
@@ -658,30 +666,18 @@ def laplacian_apply(g: Graph, x: np.ndarray) -> np.ndarray:
     return g.degrees * x - ax
 
 
-_worker = None  # the executor of split passes' second halves, started on the first
-_worker_lock = threading.Lock()
-
-
-def _drop_worker():
-    """Forget the worker and its lock in a forked child, where the worker
-    thread does not run: a half handed to it would never be taken."""
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_worker)
-
-
-def _split_worker():
-    """The one-thread executor of split passes, started and imported on the
-    first call in this process."""
+def _new_worker():
+    """Make the one-thread executor of split passes' second halves, at
+    import and again in a forked child, where the parent's worker thread
+    does not run: a half handed to it would never be taken.  The executor
+    starts its thread on its first ``submit``."""
     global _worker
-    with _worker_lock:
-        if _worker is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _worker = ThreadPoolExecutor(1, thread_name_prefix="fjopinion-product")
-        return _worker
+    _worker = ThreadPoolExecutor(1, thread_name_prefix="fjopinion-product")
+
+
+_new_worker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_worker)
 
 
 def _halves(a: sp.csr_matrix, *vectors) -> list[tuple]:
@@ -709,7 +705,7 @@ def _halves(a: sp.csr_matrix, *vectors) -> list[tuple]:
 
 def _on_halves(part, halves) -> None:
     """Run ``part(*half)`` for each of the one or two ``_halves`` and return
-    once every part is done: the worker thread (``_split_worker``) runs the
+    once every part is done: the worker thread (``_worker``) runs the
     second while this thread runs the first.
 
     Each part must touch only its own rows of what the other writes, and
@@ -720,7 +716,7 @@ def _on_halves(part, halves) -> None:
     if len(halves) == 1:
         part(*halves[0])
         return
-    later = _split_worker().submit(part, *halves[1])
+    later = _worker.submit(part, *halves[1])
     try:
         part(*halves[0])
     finally:

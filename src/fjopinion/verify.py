@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from fjopinion import dynamics, forest, graph, metrics
-from fjopinion.generate import random_connected_gnp
+from fjopinion.generate import _rng, random_connected_gnp
 from fjopinion.graph import StubbornnessVector, eigen_bounds, laplacian_apply, operator_matrix
 from fjopinion.solver import energy_norm_certificate, solve
 
@@ -208,7 +208,7 @@ def run_suite(seed=0):
     """Run every property; returns a list of (name, passed, total)."""
     results = []
     for name, check, trials in SUITE:
-        rng = np.random.default_rng(seed)
+        rng = _rng(seed)
         passed = sum(bool(check(rng)) for _ in range(trials))
         results.append((name, passed, trials))
     return results

@@ -1,5 +1,6 @@
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -119,15 +120,30 @@ def force_split(monkeypatch):
 def count_joins(monkeypatch):
     """Record from now on the name of every part that a split pass hands to
     the worker, one for each wait on it."""
-    joins, real = [], graph_module._split_worker
+    joins, real = [], graph_module._worker
 
     class Counted:
         def submit(self, part, *args):
             joins.append(part.__name__)
-            return real().submit(part, *args)
+            return real.submit(part, *args)
 
-    monkeypatch.setattr(graph_module, "_split_worker", Counted)
+    monkeypatch.setattr(graph_module, "_worker", Counted())
     return joins
+
+
+def refuse_worker(monkeypatch):
+    """Fail the test if a pass is handed to the worker from now on."""
+
+    class Refused:
+        def submit(self, part, *args):
+            pytest.fail(f"{part.__name__} was handed to the worker")
+
+    monkeypatch.setattr(graph_module, "_worker", Refused())
+
+
+def worker_running():
+    """Whether the worker's thread runs in this process."""
+    return any(t.name.startswith("fjopinion-product") for t in threading.enumerate())
 
 
 def in_forked_child(check, seconds=60.0):

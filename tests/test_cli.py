@@ -128,6 +128,18 @@ def test_bad_opinion_value_exits_1(fixture_files, tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("command", ["gen-opinions", "verify", "metrics"])
+def test_negative_seed_exits_1(fixture_files, command, capsys):
+    graph, _, opinions = fixture_files
+    argv = {"gen-opinions": ["gen-opinions", "--n", "3", "--dist", "uniform"],
+            "verify": ["verify"],
+            "metrics": ["metrics", "--graph", str(graph), "--opinions", str(opinions),
+                        "--stubbornness", "random:0.1,1"]}[command]
+    assert cli.main(argv + ["--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: seed -1: ") and "Traceback" not in err
+
+
 def test_exact_above_cap_is_certified(tmp_path, capsys):
     graph = tmp_path / "big.txt"
     graph.write_text("\n".join(f"{i} {i + 1}" for i in range(dynamics.DENSE_CAP)))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fjopinion.dynamics import fundamental_matrix
-from fjopinion.errors import SizeGuardError
+from fjopinion.errors import GraphInputError, SizeGuardError
 from fjopinion.forest import COMBINATION_CAP, MappedDigraph, enumerate_forests, forest_matrix
 from fjopinion.generate import random_connected_gnp
 from fjopinion.graph import Graph, StubbornnessVector, build_graph
@@ -12,6 +12,12 @@ def test_mapped_digraph_arcs(path2, k21):
     d = MappedDigraph.of(path2, k21)
     assert len(d.arcs) == 2 * path2.m
     assert set(d.arcs) == {(0, 1, 0.5), (1, 0, 1.0)}
+
+
+@pytest.mark.parametrize("values", [[2.0], [2.0, 1.0, 3.0]], ids=["shorter", "longer"])
+def test_mapped_digraph_checks_stubbornness_length(path2, values):
+    with pytest.raises(GraphInputError, match="^stubbornness length does not match graph$"):
+        MappedDigraph.of(path2, StubbornnessVector.from_values(values))
 
 
 def test_mapped_laplacian_equals_scaled_laplacian():

@@ -124,6 +124,23 @@ def test_input_checks(call, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda seed: generate_opinions(3, "uniform", seed),
+        lambda seed: generate_stubbornness(3, 0.5, 1.0, seed),
+        lambda seed: random_regular_graph(4, 2, seed),
+        lambda seed: random_connected_gnp(4, 0.5, seed),
+    ],
+    ids=["opinions", "stubbornness", "regular", "gnp"],
+)
+def test_a_seed_numpy_rejects_is_an_input_error(make):
+    for seed in (-1, 1.5):
+        with pytest.raises(GraphInputError, match=f"^seed {seed!r}: "):
+            make(seed)
+    make(None)  # fresh entropy
+
+
 @pytest.mark.parametrize("dist", ["exponential", "powerlaw"])
 def test_single_rescaled_opinion_is_zero(dist):
     # One sample has no spread to rescale: min == max maps it to 0.

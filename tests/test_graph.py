@@ -2,6 +2,8 @@ import contextlib
 import gzip
 import io
 import os
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -14,7 +16,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from conftest import (dense_laplacian, diagonal_first_rows, force_split, in_forked_child,
-                      make_instance, product_onto)
+                      make_instance, product_onto, refuse_worker, worker_running)
 from fjopinion import graph as graph_module
 from fjopinion.dynamics import OpinionState, simulate_until
 from fjopinion.errors import GraphInputError
@@ -86,6 +88,35 @@ class TestBuildGraph:
         with pytest.raises(GraphInputError) as exc:
             build_graph([(1, 2, 1.0), ("a", 3, -0.5)])
         assert str(exc.value) == "edge 2: weight must be finite and > 0, got -0.5 for ('a', 3)"
+
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            ((0, 1, "x"), "could not convert"),
+            ((0, 1, None), "float() argument"),
+            ((0, 1), "not enough values to unpack"),
+            ((0, 1, 2.0, 3), "too many values to unpack"),
+            (5, "cannot unpack non-iterable"),
+        ],
+    )
+    def test_malformed_triple_names_its_edge(self, bad, reason):
+        with pytest.raises(GraphInputError) as exc:
+            build_graph([(1, 2, 1.0), bad])
+        message = str(exc.value)
+        assert message.startswith(f"edge 2: bad triple {bad!r} (") and reason in message
+
+    def test_weights_that_float_reads_are_accepted(self):
+        g = build_graph([(0, 1, "2"), (1, 2, True)])
+        assert g.edge_w.tolist() == [2.0, 1.0]
+
+    def test_an_error_of_the_iterable_itself_passes_through(self):
+        def triples():
+            yield (0, 1, 1.0)
+            raise ValueError("source failed")
+
+        with pytest.raises(ValueError, match="^source failed$") as exc:
+            build_graph(triples())
+        assert not isinstance(exc.value, GraphInputError)
 
     def test_labels_with_equal_hashes_stay_apart(self):
         # hash(-1) == hash(-2) in CPython.
@@ -1134,14 +1165,14 @@ class TestSplitHalves(TestHalves):
         x = np.random.default_rng(1).standard_normal(g.n)
         product = (g.adjacency @ x).tobytes()
         assert product_onto(g.adjacency, x, np.zeros(g.n)).tobytes() == product
-        assert graph_module._worker is not None
+        assert worker_running()
         assert in_forked_child(
             lambda: product_onto(g.adjacency, x, np.zeros(g.n)).tobytes() == product) == 0
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs an affinity mask")
     def test_one_cpu_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(graph_module, "SPLIT_ENTRIES", 0)
-        monkeypatch.setattr(graph_module, "_worker", None)
+        refuse_worker(monkeypatch)
         g = random_regular_graph(500, 4, 1)
         x = np.random.default_rng(1).standard_normal(g.n)
         mask = os.sched_getaffinity(0)
@@ -1153,7 +1184,18 @@ class TestSplitHalves(TestHalves):
         finally:
             os.sched_setaffinity(0, mask)
         assert blocks == 1 and out.tobytes() == (g.adjacency @ x).tobytes()
-        assert graph_module._worker is None and threading.active_count() == threads
+        assert threading.active_count() == threads
+
+    def test_import_starts_no_thread(self):
+        # The worker is made at import but starts its thread on its first
+        # split pass.
+        code = "import threading, fjopinion; print([t.name for t in threading.enumerate()])"
+        path = [os.path.dirname(os.path.dirname(graph_module.__file__)),
+                os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out == "['MainThread']\n"
 
 
 class TestIdentity:

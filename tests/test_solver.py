@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import fjopinion
 from conftest import (count_joins, count_matmul, count_splu, diagonal_first_rows, force_split,
-                      in_forked_child, make_instance, product_onto)
+                      in_forked_child, make_instance, product_onto, refuse_worker,
+                      worker_running)
 from fjopinion import graph as graph_module
 from fjopinion import solver
 from fjopinion.errors import GraphInputError
@@ -445,14 +446,14 @@ class TestSplitStep:
         force_split(monkeypatch)
         g, k, b = regular_instance()
         y = solve(g, k, b, energy_norm_certificate(b, 1e-10)).y.tobytes()
-        assert graph_module._worker is not None
+        assert worker_running()
         assert in_forked_child(
             lambda: solve(g, k, b, energy_norm_certificate(b, 1e-10)).y.tobytes() == y) == 0
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs an affinity mask")
     def test_one_cpu_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(graph_module, "SPLIT_ENTRIES", 0)
-        monkeypatch.setattr(graph_module, "_worker", None)
+        refuse_worker(monkeypatch)
         g, k, b = regular_instance()
         mask = os.sched_getaffinity(0)
         threads = threading.active_count()
@@ -463,4 +464,4 @@ class TestSplitStep:
         finally:
             os.sched_setaffinity(0, mask)
         assert res.certified
-        assert graph_module._worker is None and threading.active_count() == threads
+        assert threading.active_count() == threads
